@@ -21,13 +21,28 @@
 //! are still decoded; the per-chunk integrity and salvage features
 //! simply degrade to structural-only detection for them.
 //!
-//! The encoder processes chunks in parallel; each chunk's payload offset is
-//! produced by the decoupled look-back scan from `lc-parallel`, mirroring
-//! how the GPU encoder propagates cumulative compressed sizes between
-//! thread blocks (paper §6.1). The decoder recomputes chunk start offsets
-//! with a prefix scan over the chunk table — mirroring the GPU decoder's
-//! block prefix sum — then decodes chunks in parallel into their fixed
-//! output regions.
+//! Each direction is one pass over the data in one [`Pool`] pass, with
+//! no per-chunk allocation:
+//!
+//! * **Encode** writes the header and a placeholder chunk table, then
+//!   reserves `input.len()` bytes behind them — copy-on-expand bounds
+//!   every stored chunk by its input length, so that always suffices.
+//!   A worker checksums its chunk, runs the stages in its [`Scratch`]
+//!   arena, publishes the stored size to the decoupled look-back scan
+//!   from `lc-parallel`, receives the cumulative size of all prior
+//!   chunks, and copies its bytes straight to that offset of the
+//!   output — how the GPU encoder propagates compressed sizes between
+//!   thread blocks and stores each block's output (paper §6.1). The
+//!   table and the header CRC are patched in afterwards.
+//! * **Decode** prefix-sums the chunk table into payload offsets (the
+//!   GPU decoder's block prefix sum), and a worker decodes its chunk in
+//!   its arena, copies the result to the chunk's fixed output region and
+//!   checksums the bytes *where they landed*, so the placement is
+//!   covered by the check too.
+//!
+//! The whole-input CRC is never computed over the buffer: both
+//! directions fold it from the per-chunk CRCs with
+//! [`crate::checksum::combine`].
 //!
 //! Copy-on-expand: a reducer stage whose output for some chunk is not
 //! strictly smaller than its input is skipped for that chunk — the input
@@ -46,9 +61,10 @@
 
 use std::sync::Arc;
 
-use lc_parallel::{DisjointSlice, LookbackScan, Pool};
+use lc_parallel::{CancelToken, DisjointSlice, LookbackScan, Pool};
 use lc_telemetry::{span, ArgValue, Span};
 
+use crate::checksum::{combine, crc32};
 use crate::chunk::{chunk_count, chunk_range};
 use crate::component::Component;
 use crate::error::DecodeError;
@@ -141,20 +157,66 @@ pub struct EncodeResult {
     pub stats: PipelineStats,
 }
 
-struct ChunkOutcome {
-    data: Vec<u8>,
-    mask: u8,
-    /// CRC-32 of the chunk's original (uncompressed) bytes.
-    crc: u32,
-    stage_records: Vec<StageRecord>,
-}
-
+/// One stage's totals over the chunks one worker claimed.
 #[derive(Clone, Copy, Default)]
-struct StageRecord {
+struct StageAcc {
     kernel: KernelStats,
-    applied: bool,
+    /// Chunks the stage was applied to.
+    applied: u64,
+    /// Bytes entering and leaving the stage, applied chunks only.
     bytes_in: u64,
     bytes_out: u64,
+}
+
+/// What a pool worker owns for its whole claim stream: the stage buffers
+/// and the statistics, both allocated once per worker, not per chunk.
+struct Worker {
+    scratch: Scratch,
+    stages: Vec<StageAcc>,
+}
+
+impl Worker {
+    fn new(n_stages: usize) -> Self {
+        Self {
+            scratch: Scratch::new(),
+            stages: vec![StageAcc::default(); n_stages],
+        }
+    }
+
+    fn merge(mut self, other: Worker) -> Worker {
+        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
+            a.kernel.merge(&b.kernel);
+            a.applied += b.applied;
+            a.bytes_in += b.bytes_in;
+            a.bytes_out += b.bytes_out;
+        }
+        self
+    }
+}
+
+fn stage_stats<'n>(
+    names: impl Iterator<Item = &'n str>,
+    totals: &[StageAcc],
+    n_chunks: usize,
+) -> Vec<StageStats> {
+    names
+        .zip(totals)
+        .map(|(name, acc)| StageStats {
+            component: name.to_string(),
+            kernel: acc.kernel,
+            chunks_applied: acc.applied,
+            chunks_skipped: n_chunks as u64 - acc.applied,
+            bytes_in: acc.bytes_in,
+            bytes_out: acc.bytes_out,
+        })
+        .collect()
+}
+
+/// CRC-32 of a `len`-byte buffer from the CRCs of its chunks, in order.
+fn whole_crc(chunk_crcs: impl Iterator<Item = u32>, len: usize) -> u32 {
+    chunk_crcs.enumerate().fold(0, |acc, (i, crc)| {
+        combine(acc, crc, chunk_range(i, len).len())
+    })
 }
 
 /// Encode `input` with `pipeline`, returning only the archive bytes.
@@ -227,16 +289,25 @@ pub fn encode_cancellable(
     pipeline: &Pipeline,
     input: &[u8],
     pool: &Pool,
-    cancel: &lc_parallel::CancelToken,
+    cancel: &CancelToken,
 ) -> Option<EncodeResult> {
     encode_inner(pipeline, input, pool, Some(cancel))
+}
+
+/// One chunk's row of the table, recorded by the worker that encoded it.
+#[derive(Clone, Copy, Default)]
+struct StoredChunk {
+    mask: u8,
+    stored_len: u32,
+    /// CRC-32 of the chunk's original (uncompressed) bytes.
+    crc: u32,
 }
 
 fn encode_inner(
     pipeline: &Pipeline,
     input: &[u8],
     pool: &Pool,
-    cancel: Option<&lc_parallel::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Option<EncodeResult> {
     let stages = pipeline.stages();
     assert!(
@@ -256,55 +327,9 @@ fn encode_inner(
     let costs = &costs;
     let mut enc_span = span!("archive.encode", bytes = input.len(), chunks = n_chunks);
 
-    // Phase 1: per-chunk stage execution (one pool task per chunk, like one
-    // thread block per chunk on the GPU).
-    let mut outcomes: Vec<Option<ChunkOutcome>> = Vec::new();
-    outcomes.resize_with(n_chunks, || None);
-    let scan = LookbackScan::new(n_chunks);
-    let mut offsets = vec![0u64; n_chunks];
-    {
-        let outcome_slots = DisjointSlice::new(&mut outcomes);
-        let offset_slots = DisjointSlice::new(&mut offsets);
-        // Each worker owns one Scratch arena for its whole claim stream:
-        // stage buffers are allocated once per worker, not once per chunk.
-        let encode_task = |scratch: &mut Scratch, i: usize| {
-            let outcome = encode_one_chunk(
-                stages,
-                &input[chunk_range(i, input.len())],
-                i,
-                telemetry,
-                costs,
-                scratch,
-            );
-            // Publish this chunk's stored size; receive the cumulative size
-            // of all prior chunks (decoupled look-back, as on the GPU).
-            let offset = scan.publish(i, outcome.data.len() as u64);
-            // SAFETY: the pool claims each index at most once.
-            unsafe {
-                *offset_slots.get_mut(i) = offset;
-                *outcome_slots.get_mut(i) = Some(outcome);
-            }
-        };
-        match cancel {
-            Some(c) => pool.run_with_state_cancellable(n_chunks, c, Scratch::new, encode_task),
-            None => pool.run_with_state(n_chunks, Scratch::new, encode_task),
-        }
-    }
-    // The cancellation check must precede `scan.total()`: a cancelled run
-    // leaves unclaimed chunks unpublished, and `total()` asserts that
-    // every participant has published. The token is monotonic, so "not
-    // cancelled here" proves every chunk was claimed and completed.
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        return None;
-    }
-    let payload_total = if n_chunks == 0 { 0 } else { scan.total() } as usize;
-    let outcomes: Vec<ChunkOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("chunk encoded")) // invariant: phase 1 fills every slot
-        .collect();
-
-    // Phase 2: serialize header + chunk table, then parallel payload copy.
-    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + payload_total);
+    // Header and a placeholder table; the whole-input CRC and the table
+    // rows are only known after the pass and are patched in below.
+    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + input.len());
     archive.extend_from_slice(&MAGIC);
     archive.push(VERSION);
     archive.push(stages.len() as u8);
@@ -314,55 +339,104 @@ fn encode_inner(
         archive.extend_from_slice(name);
     }
     archive.extend_from_slice(&(input.len() as u64).to_le_bytes());
-    archive.extend_from_slice(&crate::checksum::crc32(input).to_le_bytes());
+    let crc_at = archive.len();
+    archive.extend_from_slice(&[0; 4]);
     archive.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    for o in &outcomes {
-        archive.push(o.mask);
-        archive.extend_from_slice(&(o.data.len() as u32).to_le_bytes());
-        archive.extend_from_slice(&o.crc.to_le_bytes());
-    }
+    let table_at = archive.len();
+    archive.resize(table_at + n_chunks * TABLE_ENTRY_V3, 0);
     let payload_start = archive.len();
-    archive.resize(payload_start + payload_total, 0);
-    {
-        let payload = &mut archive[payload_start..];
-        let base = payload.as_mut_ptr() as usize;
-        pool.run(n_chunks, |i| {
-            let src = &outcomes[i].data;
-            // SAFETY: the scan guarantees [offset, offset+len) ranges are
-            // disjoint and within the payload region (total == scan.total()).
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr(),
-                    (base as *mut u8).add(offsets[i] as usize),
-                    src.len(),
-                );
-            }
-        });
-    }
+    // The payload region: `input.len()` bytes of spare capacity, enough
+    // because no chunk is stored larger than it came in.
+    archive.reserve(input.len());
 
-    // Phase 3: fold per-chunk records into per-stage statistics.
-    let mut stage_stats: Vec<StageStats> = stages
-        .iter()
-        .map(|s| StageStats {
-            component: s.name().to_string(),
-            ..Default::default()
-        })
-        .collect();
-    for o in &outcomes {
-        for (s, rec) in o.stage_records.iter().enumerate() {
-            let st = &mut stage_stats[s];
-            st.kernel.merge(&rec.kernel);
-            if rec.applied {
-                st.chunks_applied += 1;
-                st.bytes_in += rec.bytes_in;
-                st.bytes_out += rec.bytes_out;
-            } else {
-                st.chunks_skipped += 1;
-            }
-        }
+    let scan = LookbackScan::new(n_chunks);
+    let mut table = vec![StoredChunk::default(); n_chunks];
+    let totals = {
+        let rows = DisjointSlice::new(&mut table);
+        let payload = DisjointSlice::new(&mut archive.spare_capacity_mut()[..input.len()]);
+        // One pool task per chunk, like one thread block per chunk on
+        // the GPU.
+        pool.fold_cancellable(
+            n_chunks,
+            cancel,
+            || Worker::new(stages.len()),
+            |worker, i| {
+                let chunk = &input[chunk_range(i, input.len())];
+                let crc = crc32(chunk);
+                let (stored, mask) = encode_chunk(
+                    stages,
+                    chunk,
+                    i,
+                    telemetry,
+                    costs,
+                    &mut worker.scratch,
+                    &mut worker.stages,
+                );
+                // Publish this chunk's stored size; receive the cumulative
+                // size of all prior chunks (decoupled look-back, as on the
+                // GPU). Publishing precedes the checks so that a chunk
+                // that fails them cannot leave its successors spinning.
+                let offset = scan.publish(i, stored.len() as u64);
+                assert!(
+                    stored.len() <= chunk.len(),
+                    "chunk {i}: stages changed size, {} bytes in and {} out \
+                     (only a reducer may, and only to shrink)",
+                    chunk.len(),
+                    stored.len()
+                );
+                assert!(
+                    offset <= (input.len() - stored.len()) as u64,
+                    "chunk {i}: payload offset {offset} runs past the reserved region"
+                );
+                let start = offset as usize;
+                // SAFETY: the offsets are exclusive prefix sums of the
+                // stored sizes, so the chunks' payload ranges are pairwise
+                // disjoint, and the pool claims each index at most once.
+                let dst = unsafe { payload.slice_mut(start..start + stored.len()) };
+                dst.write_copy_of_slice(stored);
+                // SAFETY: the pool claims each index at most once.
+                unsafe {
+                    *rows.get_mut(i) = StoredChunk {
+                        mask,
+                        stored_len: stored.len() as u32,
+                        crc,
+                    };
+                }
+            },
+            Worker::merge,
+        )
+    };
+    // The cancellation check must precede `scan.total()`: a cancelled run
+    // leaves unclaimed chunks unpublished, and `total()` asserts that
+    // every participant has published. The token is monotonic, so "not
+    // cancelled here" proves every chunk was claimed and completed.
+    // Returning here drops the archive at `payload_start` bytes: the
+    // partly written spare capacity is never exposed.
+    if cancel.is_some_and(|c| c.is_cancelled()) {
+        return None;
     }
+    let payload_total = scan.total() as usize;
+    assert!(
+        payload_total <= input.len(),
+        "payloads total {payload_total} bytes, over the reserved region"
+    );
+    // SAFETY: every chunk was claimed and copied its stored bytes to
+    // `[offset, offset + stored_len)`; those ranges tile
+    // `[0, payload_total)` of the spare capacity, which holds at least
+    // `input.len()` bytes.
+    unsafe { archive.set_len(payload_start + payload_total) };
+
+    let rows = archive[table_at..payload_start].chunks_exact_mut(TABLE_ENTRY_V3);
+    for (row, chunk) in rows.zip(&table) {
+        row[0] = chunk.mask;
+        row[1..5].copy_from_slice(&chunk.stored_len.to_le_bytes());
+        row[5..9].copy_from_slice(&chunk.crc.to_le_bytes());
+    }
+    let input_crc = whole_crc(table.iter().map(|c| c.crc), input.len());
+    archive[crc_at..crc_at + 4].copy_from_slice(&input_crc.to_le_bytes());
+
     let stats = PipelineStats {
-        stages: stage_stats,
+        stages: stage_stats(stages.iter().map(|s| s.name()), &totals.stages, n_chunks),
         chunks: n_chunks as u64,
         uncompressed_bytes: input.len() as u64,
         compressed_bytes: (payload_total + n_chunks * TABLE_ENTRY_V3) as u64,
@@ -426,38 +500,38 @@ fn stage_costs(stages: &[Arc<dyn Component>], dir: &str) -> Vec<StageCost> {
         .collect()
 }
 
-fn encode_one_chunk(
+/// Run the stages over one chunk in the worker's arena, returning a
+/// borrowed view of the bytes to store and the chunk's stage mask.
+///
+/// The first stage reads the caller's chunk slice directly — no
+/// defensive copy; subsequent stages ping-pong between the arena
+/// buffers. For a chunk no stage applied to, the returned slice *is*
+/// `chunk`.
+fn encode_chunk<'s>(
     stages: &[Arc<dyn Component>],
-    chunk: &[u8],
+    chunk: &'s [u8],
     chunk_index: usize,
     telemetry: bool,
     costs: &[StageCost],
-    scratch: &mut Scratch,
-) -> ChunkOutcome {
-    let crc = crate::checksum::crc32(chunk);
+    scratch: &'s mut Scratch,
+    totals: &mut [StageAcc],
+) -> (&'s [u8], u8) {
     let mut mask = 0u8;
-    let mut stage_records = Vec::with_capacity(stages.len());
-    // The first stage reads the caller's chunk slice directly — no
-    // defensive copy; subsequent stages ping-pong between the arena
-    // buffers. Disjoint field borrows keep input and output separate.
     let mut live = Live::Input;
     for (s, comp) in stages.iter().enumerate() {
         let bytes_in = match live {
             Live::Input => chunk.len(),
             Live::A => scratch.a.len(),
             Live::B => scratch.b.len(),
-        };
-        let mut rec = StageRecord {
-            bytes_in: bytes_in as u64,
-            ..Default::default()
-        };
+        } as u64;
+        let total = &mut totals[s];
         let mut sp = if telemetry {
             let mut sp = Span::begin(
                 "stage.encode",
                 comp.name(),
                 vec![
                     ("chunk", ArgValue::from(chunk_index)),
-                    ("bytes_in", ArgValue::from(rec.bytes_in)),
+                    ("bytes_in", ArgValue::from(bytes_in)),
                 ],
             );
             sp.with_histogram();
@@ -467,63 +541,60 @@ fn encode_one_chunk(
         };
         let t0 = if telemetry { lc_telemetry::now_ns() } else { 0 };
         let applied = match live {
-            Live::Input => {
-                crate::scratch::encode_stage(comp.as_ref(), chunk, &mut scratch.a, &mut rec.kernel)
-            }
+            Live::Input => crate::scratch::encode_stage(
+                comp.as_ref(),
+                chunk,
+                &mut scratch.a,
+                &mut total.kernel,
+            ),
             Live::A => crate::scratch::encode_stage(
                 comp.as_ref(),
                 &scratch.a,
                 &mut scratch.b,
-                &mut rec.kernel,
+                &mut total.kernel,
             ),
             Live::B => crate::scratch::encode_stage(
                 comp.as_ref(),
                 &scratch.b,
                 &mut scratch.a,
-                &mut rec.kernel,
+                &mut total.kernel,
             ),
         };
         if telemetry {
             // Attribute the kernel's cost to the component even when the
             // output was discarded (copy-on-expand): the work happened.
-            costs[s].bytes.add(rec.bytes_in);
+            costs[s].bytes.add(bytes_in);
             costs[s]
                 .ns
                 .record(lc_telemetry::now_ns().saturating_sub(t0));
             costs[s].kernel.add(1);
         }
-        rec.applied = applied;
-        rec.bytes_out = if applied {
+        let bytes_out = if applied {
             let written = match live.advance() {
                 Live::A => scratch.a.len(),
                 _ => scratch.b.len(),
             };
             written as u64
         } else {
-            rec.bytes_in
+            bytes_in
         };
         sp.arg("applied", applied);
-        sp.arg("bytes_out", rec.bytes_out);
+        sp.arg("bytes_out", bytes_out);
         drop(sp);
-        stage_records.push(rec);
         if applied {
+            total.applied += 1;
+            total.bytes_in += bytes_in;
+            total.bytes_out += bytes_out;
             mask |= 1 << s;
             live = live.advance();
         }
     }
-    // One exact-size copy out of the arena (the arena itself is reused
-    // for the worker's next chunk).
-    let data = match live {
-        Live::Input => chunk.to_vec(),
-        Live::A => scratch.a.clone(),
-        Live::B => scratch.b.clone(),
+    let stored: &[u8] = match live {
+        Live::Input => chunk,
+        Live::A => &scratch.a,
+        Live::B => &scratch.b,
     };
-    ChunkOutcome {
-        data,
-        mask,
-        crc,
-        stage_records,
-    }
+    (stored, mask)
 }
 
 /// Read a little-endian u32 at `at`; caller must have bounds-checked.
@@ -615,34 +686,124 @@ pub fn parse_header(bytes: &[u8]) -> Result<Archive, DecodeError> {
     })
 }
 
-/// The parsed per-chunk table of an archive.
-struct ChunkTable {
-    masks: Vec<u8>,
-    /// Stored payload sizes, widened for the prefix scan.
-    sizes: Vec<u64>,
-    /// Per-chunk CRC-32 of the original bytes; `None` for v2 archives.
-    crcs: Option<Vec<u32>>,
+/// One parsed chunk-table row, with the payload offset the prefix sum
+/// over the stored sizes gives it.
+struct ChunkRow {
+    mask: u8,
+    /// Byte offset of the stored chunk within the payload region.
+    start: u64,
+    stored_len: u32,
+    /// CRC-32 of the chunk's original bytes; `None` for v2 archives.
+    crc: Option<u32>,
 }
 
-fn parse_chunk_table(bytes: &[u8], header: &Archive) -> ChunkTable {
-    let n_chunks = header.chunks as usize;
-    let es = header.entry_size();
-    let table = &bytes[header.table_offset..header.payload_offset];
-    let mut masks = Vec::with_capacity(n_chunks);
-    let mut sizes = Vec::with_capacity(n_chunks);
-    let mut crcs = if header.version >= 3 {
-        Some(Vec::with_capacity(n_chunks))
-    } else {
-        None
-    };
-    for i in 0..n_chunks {
-        masks.push(table[i * es]);
-        sizes.push(le_u32(table, i * es + 1) as u64);
-        if let Some(c) = crcs.as_mut() {
-            c.push(le_u32(table, i * es + 5));
+/// An archive parsed and resolved once, ready to decode chunk by chunk.
+/// [`decode`] and [`decode_salvage`] differ only in what they do with a
+/// chunk that fails.
+struct Decoder<'a> {
+    header: Archive,
+    stages: Vec<Arc<dyn Component>>,
+    rows: Vec<ChunkRow>,
+    /// Sum of the stored sizes: what `payload` should measure.
+    payload_total: u64,
+    payload: &'a [u8],
+    telemetry: bool,
+    costs: Vec<StageCost>,
+}
+
+impl<'a> Decoder<'a> {
+    fn new<R>(bytes: &'a [u8], resolve: R) -> Result<Self, DecodeError>
+    where
+        R: Fn(&str) -> Option<Arc<dyn Component>>,
+    {
+        let header = parse_header(bytes)?;
+        let stages: Vec<Arc<dyn Component>> = header
+            .stage_names
+            .iter()
+            .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
+            .collect::<Result<_, _>>()?;
+        // Chunk payload start offsets: a prefix sum over the table, as in
+        // the GPU decoder. `parse_header` bounds-checked the table, and
+        // u32 sizes cannot overflow a u64 total.
+        let es = header.entry_size();
+        let mut payload_total = 0u64;
+        let rows = bytes[header.table_offset..header.payload_offset]
+            .chunks_exact(es)
+            .map(|row| {
+                let start = payload_total;
+                let stored_len = le_u32(row, 1);
+                payload_total += u64::from(stored_len);
+                ChunkRow {
+                    mask: row[0],
+                    start,
+                    stored_len,
+                    crc: (es == TABLE_ENTRY_V3).then(|| le_u32(row, 5)),
+                }
+            })
+            .collect();
+        let telemetry = lc_telemetry::active();
+        let costs = if telemetry {
+            stage_costs(&stages, "decode")
+        } else {
+            Vec::new()
+        };
+        Ok(Self {
+            payload: &bytes[header.payload_offset..],
+            header,
+            stages,
+            rows,
+            payload_total,
+            telemetry,
+            costs,
+        })
+    }
+
+    fn original_len(&self) -> usize {
+        self.header.original_len as usize
+    }
+
+    /// Decode chunk `i` in the worker's arena, copy it to `region` (the
+    /// chunk's slot of the output), and checksum the bytes as they sit
+    /// there. Returns that CRC; a v3 chunk whose CRC misses the table's
+    /// is an error, and `region` then holds the wrong bytes.
+    fn place_chunk(
+        &self,
+        i: usize,
+        region: &mut [u8],
+        worker: &mut Worker,
+    ) -> Result<u32, DecodeError> {
+        let row = &self.rows[i];
+        let stored = usize::try_from(row.start)
+            .ok()
+            .and_then(|start| {
+                let end = start.checked_add(row.stored_len as usize)?;
+                self.payload.get(start..end)
+            })
+            .ok_or(DecodeError::Truncated {
+                context: "chunk payload",
+            })?;
+        let decoded = decode_chunk_into(
+            &self.stages,
+            row.mask,
+            stored,
+            region.len(),
+            &mut worker.stages,
+            i,
+            self.telemetry,
+            &self.costs,
+            &mut worker.scratch,
+        )?;
+        region.copy_from_slice(decoded);
+        let actual = crc32(region);
+        match row.crc {
+            Some(expected) if expected != actual => Err(DecodeError::ChunkChecksumMismatch {
+                chunk: i as u32,
+                expected,
+                actual,
+            }),
+            _ => Ok(actual),
         }
     }
-    ChunkTable { masks, sizes, crcs }
 }
 
 /// Decode an archive, resolving stage names through `resolve`.
@@ -669,179 +830,76 @@ fn decode_inner<R>(
     bytes: &[u8],
     resolve: R,
     pool: &Pool,
-    cancel: Option<&lc_parallel::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Result<(Vec<u8>, PipelineStats), DecodeError>
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let header = parse_header(bytes)?;
-    let stages: Vec<Arc<dyn Component>> = header
-        .stage_names
-        .iter()
-        .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
-        .collect::<Result<_, _>>()?;
-
-    let n_chunks = header.chunks as usize;
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(&stages, "decode")
-    } else {
-        Vec::new()
-    };
-    let costs_ref = &costs;
+    let dec = Decoder::new(bytes, resolve)?;
+    let n_chunks = dec.rows.len();
     let mut dec_span = span!("archive.decode", bytes = bytes.len(), chunks = n_chunks);
-    let ChunkTable { masks, sizes, crcs } = parse_chunk_table(bytes, &header);
-    // Chunk payload start offsets: a prefix scan, as in the GPU decoder.
-    let (offsets, payload_total) = lc_parallel::scan::parallel_exclusive_scan(pool, &sizes);
-    let payload = &bytes[header.payload_offset..];
-    if payload.len() != payload_total as usize {
+    if dec.payload.len() as u64 != dec.payload_total {
         return Err(DecodeError::Corrupt {
             context: "payload size",
         });
     }
 
-    let original_len = header.original_len as usize;
+    let original_len = dec.original_len();
     let mut out = vec![0u8; original_len];
-    let out_base = out.as_mut_ptr() as usize;
-
-    // Per-chunk decode into disjoint output regions, collecting per-worker
-    // stage stats that are merged afterwards. Each worker also owns a
-    // Scratch arena: the decoded bytes are borrowed from it (or from the
-    // payload itself for all-skipped chunks) and copied straight into the
-    // output buffer — no per-chunk Vec is ever allocated.
-    let stage_names: Vec<&str> = header.stage_names.iter().map(|s| s.as_str()).collect();
-    let stages_ref = &stages;
-    let masks_ref = &masks;
-    let sizes_ref = &sizes;
-    let offsets_ref = &offsets;
-    let crcs_ref = crcs.as_deref();
-    type WorkerAcc = (Vec<StageRecord>, Option<DecodeError>, Scratch);
-    let (records, first_err, _) = pool.fold(
-        n_chunks,
-        || -> WorkerAcc {
-            (
-                vec![StageRecord::default(); stages_ref.len()],
-                None,
-                Scratch::new(),
-            )
-        },
-        |acc, i| {
-            if acc.1.is_some() {
-                return; // a chunk already failed; drain remaining work
-            }
-            // Deadline/shutdown poll at the chunk boundary: already-claimed
-            // chunks complete, remaining claims drain as Cancelled.
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                acc.1 = Some(DecodeError::Cancelled);
-                return;
-            }
-            let start = offsets_ref[i] as usize;
-            let end = start + sizes_ref[i] as usize;
-            if end > payload.len() {
-                acc.1 = Some(DecodeError::Corrupt {
-                    context: "chunk extent",
-                });
-                return;
-            }
-            let region = chunk_range(i, original_len);
-            match decode_chunk_into(
-                stages_ref,
-                masks_ref[i],
-                &payload[start..end],
-                region.len(),
-                &mut acc.0,
-                i,
-                telemetry,
-                costs_ref,
-                &mut acc.2,
-            ) {
-                Ok(decoded) => {
-                    // v3: validate the recovered plaintext against the
-                    // per-chunk CRC before it reaches the output buffer.
-                    if let Some(crcs) = crcs_ref {
-                        let actual = crate::checksum::crc32(decoded);
-                        if actual != crcs[i] {
-                            acc.1 = Some(DecodeError::ChunkChecksumMismatch {
-                                chunk: i as u32,
-                                expected: crcs[i],
-                                actual,
-                            });
-                            return;
-                        }
-                    }
-                    // SAFETY: chunk output regions tile `out` disjointly.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            decoded.as_ptr(),
-                            (out_base as *mut u8).add(region.start),
-                            decoded.len(),
-                        );
-                    }
+    let mut chunk_crcs = vec![0u32; n_chunks];
+    let (totals, first_err) = {
+        let regions = DisjointSlice::new(&mut out);
+        let crc_slots = DisjointSlice::new(&mut chunk_crcs);
+        pool.fold(
+            n_chunks,
+            || (Worker::new(dec.stages.len()), None::<DecodeError>),
+            |(worker, err), i| {
+                if err.is_some() {
+                    return; // a chunk already failed; drain remaining work
                 }
-                Err(e) => acc.1 = Some(e),
-            }
-        },
-        |mut a, b| {
-            for (ra, rb) in a.0.iter_mut().zip(&b.0) {
-                ra.kernel.merge(&rb.kernel);
-                ra.bytes_in += rb.bytes_in;
-                ra.bytes_out += rb.bytes_out;
-                // `applied` is repurposed as a per-chunk counter below, so
-                // fold chunk counts through bytes fields only.
-            }
-            if a.1.is_none() {
-                a.1 = b.1;
-            }
-            a
-        },
-    );
+                // Deadline/shutdown poll at the chunk boundary: already-claimed
+                // chunks complete, remaining claims drain as Cancelled.
+                if cancel.is_some_and(|c| c.is_cancelled()) {
+                    *err = Some(DecodeError::Cancelled);
+                    return;
+                }
+                // SAFETY: chunk output regions tile `out` disjointly and
+                // the pool claims each index exactly once.
+                let region = unsafe { regions.slice_mut(chunk_range(i, original_len)) };
+                match dec.place_chunk(i, region, worker) {
+                    // SAFETY: the pool claims each index exactly once.
+                    Ok(crc) => unsafe { *crc_slots.get_mut(i) = crc },
+                    Err(e) => *err = Some(e),
+                }
+            },
+            |a, b| (a.0.merge(b.0), a.1.or(b.1)),
+        )
+    };
     if let Some(e) = first_err {
         return Err(e);
     }
-
-    let mut stage_stats: Vec<StageStats> = stage_names
-        .iter()
-        .map(|n| StageStats {
-            component: n.to_string(),
-            ..Default::default()
-        })
-        .collect();
-    for (s, rec) in records.iter().enumerate() {
-        stage_stats[s].kernel = rec.kernel;
-        stage_stats[s].bytes_in = rec.bytes_in;
-        stage_stats[s].bytes_out = rec.bytes_out;
-    }
-    for &mask in &masks {
-        for (s, st) in stage_stats.iter_mut().enumerate() {
-            if mask & (1 << s) != 0 {
-                st.chunks_applied += 1;
-            } else {
-                st.chunks_skipped += 1;
-            }
-        }
-    }
-    // A deadline that fires after the last chunk but before the whole-file
-    // integrity pass still counts: the CRC walk over `out` is real work.
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        return Err(DecodeError::Cancelled);
-    }
     // Integrity: the decoded stream must match the recorded CRC — this is
     // what turns "plausible but wrong bytes" from payload corruption into
-    // a hard error.
-    let actual = crate::checksum::crc32(&out);
-    if actual != header.crc32 {
+    // a hard error. (For v3 every chunk already matched its own CRC; for
+    // v2 this is the only value-level check.)
+    let actual = whole_crc(chunk_crcs.iter().copied(), original_len);
+    if actual != dec.header.crc32 {
         return Err(DecodeError::ChecksumMismatch {
-            expected: header.crc32,
+            expected: dec.header.crc32,
             actual,
         });
     }
     let stats = PipelineStats {
-        stages: stage_stats,
+        stages: stage_stats(
+            dec.header.stage_names.iter().map(|s| s.as_str()),
+            &totals.stages,
+            n_chunks,
+        ),
         chunks: n_chunks as u64,
-        uncompressed_bytes: header.original_len,
-        compressed_bytes: (payload_total as usize + n_chunks * header.entry_size()) as u64,
+        uncompressed_bytes: dec.header.original_len,
+        compressed_bytes: dec.payload_total + (n_chunks * dec.header.entry_size()) as u64,
     };
-    if telemetry {
+    if dec.telemetry {
         dec_span.arg("decoded_bytes", out.len());
         lc_telemetry::counter("archive.decode.calls").add(1);
         lc_telemetry::counter("archive.decode.bytes_in").add(bytes.len() as u64);
@@ -876,16 +934,15 @@ where
 }
 
 /// [`decode_bounded`] plus cooperative cancellation: workers poll
-/// `cancel` at every chunk boundary (and once more before the whole-file
-/// CRC pass) and the decode fails with [`DecodeError::Cancelled`] once
-/// it trips. This is the `lc-serve` unpack path — the bomb guard and the
-/// request deadline compose.
+/// `cancel` at every chunk boundary and the decode fails with
+/// [`DecodeError::Cancelled`] once it trips. This is the `lc-serve`
+/// unpack path — the bomb guard and the request deadline compose.
 pub fn decode_bounded_cancellable<R>(
     bytes: &[u8],
     resolve: R,
     pool: &Pool,
     max_decoded_bytes: u64,
-    cancel: &lc_parallel::CancelToken,
+    cancel: &CancelToken,
 ) -> Result<Vec<u8>, DecodeError>
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
@@ -931,103 +988,62 @@ pub fn decode_salvage<R>(
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let header = parse_header(bytes)?;
-    let stages: Vec<Arc<dyn Component>> = header
-        .stage_names
-        .iter()
-        .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
-        .collect::<Result<_, _>>()?;
-
-    let n_chunks = header.chunks as usize;
-    let ChunkTable { masks, sizes, crcs } = parse_chunk_table(bytes, &header);
-    let (offsets, _) = lc_parallel::scan::parallel_exclusive_scan(pool, &sizes);
-    let payload = &bytes[header.payload_offset..];
-
-    let original_len = header.original_len as usize;
-    let stages_ref = &stages;
-    let crcs_ref = crcs.as_deref();
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(&stages, "decode")
-    } else {
-        Vec::new()
-    };
-    let costs_ref = &costs;
+    let dec = Decoder::new(bytes, resolve)?;
+    let n_chunks = dec.rows.len();
     let _salvage_span = span!(
         "archive.decode_salvage",
         bytes = bytes.len(),
         chunks = n_chunks
     );
 
-    // Decode all chunks independently; panics are fenced per chunk so one
-    // poisoned payload cannot take down its siblings.
-    let results: Vec<Result<Vec<u8>, DecodeError>> = pool.map(n_chunks, |i| {
-        let start = offsets[i] as usize;
-        let end = start.saturating_add(sizes[i] as usize);
-        if end > payload.len() {
-            return Err(DecodeError::Truncated {
-                context: "chunk payload",
-            });
-        }
-        let region = chunk_range(i, original_len);
-        let mut records = vec![StageRecord::default(); stages_ref.len()];
-        // Salvage is the cold path: a per-chunk arena (and an owned copy
-        // of the recovered bytes) is fine here — isolation matters more
-        // than allocation traffic.
-        let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut scratch = Scratch::new();
-            decode_chunk_into(
-                stages_ref,
-                masks[i],
-                &payload[start..end],
-                region.len(),
-                &mut records,
-                i,
-                telemetry,
-                costs_ref,
-                &mut scratch,
-            )
-            .map(|d| d.to_vec())
-        }))
-        .unwrap_or(Err(DecodeError::Corrupt {
-            context: "decoder panicked",
-        }))?;
-        if let Some(crcs) = crcs_ref {
-            let actual = crate::checksum::crc32(&decoded);
-            if actual != crcs[i] {
-                return Err(DecodeError::ChunkChecksumMismatch {
-                    chunk: i as u32,
-                    expected: crcs[i],
-                    actual,
-                });
-            }
-        }
-        Ok(decoded)
-    });
-
-    // Assemble: recovered chunks at their exact offsets, losses zeroed.
+    let original_len = dec.original_len();
     let mut out = vec![0u8; original_len];
-    let mut errors = Vec::new();
-    let mut recovered = 0u32;
-    for (i, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(decoded) => {
-                let region = chunk_range(i, original_len);
-                out[region].copy_from_slice(&decoded);
-                recovered += 1;
-            }
-            Err(error) => errors.push(ChunkFault {
-                chunk: i as u32,
-                error,
-            }),
-        }
-    }
+    let mut chunk_crcs = vec![0u32; n_chunks];
+    let (_, mut errors) = {
+        let regions = DisjointSlice::new(&mut out);
+        let crc_slots = DisjointSlice::new(&mut chunk_crcs);
+        pool.fold(
+            n_chunks,
+            || (Worker::new(dec.stages.len()), Vec::<ChunkFault>::new()),
+            |(worker, faults), i| {
+                // SAFETY: chunk output regions tile `out` disjointly and
+                // the pool claims each index exactly once.
+                let region = unsafe { regions.slice_mut(chunk_range(i, original_len)) };
+                // Panics are fenced per chunk so one poisoned payload
+                // cannot take down its siblings. The arena survives a
+                // panic: every stage clears its output buffer first.
+                let placed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    dec.place_chunk(i, region, worker)
+                }))
+                .unwrap_or(Err(DecodeError::Corrupt {
+                    context: "decoder panicked",
+                }));
+                match placed {
+                    // SAFETY: the pool claims each index exactly once.
+                    Ok(crc) => unsafe { *crc_slots.get_mut(i) = crc },
+                    Err(error) => {
+                        region.fill(0);
+                        faults.push(ChunkFault {
+                            chunk: i as u32,
+                            error,
+                        });
+                    }
+                }
+            },
+            |mut a, b| {
+                a.1.extend(b.1);
+                a
+            },
+        )
+    };
+    errors.sort_by_key(|f| f.chunk);
     let lost = errors.len() as u32;
-    let archive_crc_ok = crate::checksum::crc32(&out) == header.crc32;
+    let archive_crc_ok =
+        lost == 0 && whole_crc(chunk_crcs.iter().copied(), original_len) == dec.header.crc32;
     Ok((
         out,
         SalvageReport {
-            recovered,
+            recovered: n_chunks as u32 - lost,
             lost,
             errors,
             archive_crc_ok,
@@ -1070,7 +1086,7 @@ fn decode_chunk_into<'s>(
     mask: u8,
     payload: &'s [u8],
     expected_len: usize,
-    records: &mut [StageRecord],
+    totals: &mut [StageAcc],
     chunk_index: usize,
     telemetry: bool,
     costs: &[StageCost],
@@ -1095,13 +1111,14 @@ fn decode_chunk_into<'s>(
             }
             continue;
         }
-        let rec = &mut records[s];
+        let total = &mut totals[s];
         let bytes_in = match live {
             Live::Input => payload.len(),
             Live::A => scratch.a.len(),
             Live::B => scratch.b.len(),
         };
-        rec.bytes_in += bytes_in as u64;
+        total.applied += 1;
+        total.bytes_in += bytes_in as u64;
         let mut sp = if telemetry {
             let mut sp = Span::begin(
                 "stage.decode",
@@ -1122,19 +1139,19 @@ fn decode_chunk_into<'s>(
                 comp.as_ref(),
                 payload,
                 &mut scratch.a,
-                &mut rec.kernel,
+                &mut total.kernel,
             ),
             Live::A => crate::scratch::decode_stage(
                 comp.as_ref(),
                 &scratch.a,
                 &mut scratch.b,
-                &mut rec.kernel,
+                &mut total.kernel,
             ),
             Live::B => crate::scratch::decode_stage(
                 comp.as_ref(),
                 &scratch.b,
                 &mut scratch.a,
-                &mut rec.kernel,
+                &mut total.kernel,
             ),
         };
         if telemetry {
@@ -1152,7 +1169,7 @@ fn decode_chunk_into<'s>(
         };
         sp.arg("bytes_out", bytes_out);
         drop(sp);
-        records[s].bytes_out += bytes_out as u64;
+        totals[s].bytes_out += bytes_out as u64;
     }
     let cur: &[u8] = match live {
         Live::Input => payload,
@@ -1442,6 +1459,150 @@ mod tests {
         assert_eq!(report.lost, 0);
         assert!(!report.archive_crc_ok);
         assert!(!report.is_clean());
+    }
+
+    /// A component that breaks its size contract: declared a mutator,
+    /// emits one byte too many. Optionally trips a token on the way.
+    struct Rogue {
+        grow: bool,
+        trip: Option<CancelToken>,
+    }
+
+    impl Component for Rogue {
+        fn name(&self) -> &'static str {
+            "ROGUE_1"
+        }
+        fn kind(&self) -> crate::ComponentKind {
+            crate::ComponentKind::Mutator
+        }
+        fn word_size(&self) -> usize {
+            1
+        }
+        fn complexity(&self) -> crate::Complexity {
+            AddOne.complexity()
+        }
+        fn encode_chunk(&self, input: &[u8], out: &mut Vec<u8>, _: &mut KernelStats) {
+            out.extend_from_slice(input);
+            if self.grow {
+                out.push(0xEE);
+            }
+            if let Some(token) = &self.trip {
+                token.cancel();
+            }
+        }
+        fn decode_chunk(
+            &self,
+            input: &[u8],
+            out: &mut Vec<u8>,
+            _: &mut KernelStats,
+        ) -> Result<(), DecodeError> {
+            out.extend_from_slice(input);
+            Ok(())
+        }
+    }
+
+    fn rogue_pipeline(rogue: Rogue) -> Pipeline {
+        Pipeline::new(vec![Arc::new(rogue), Arc::new(DropTrailingZeros)]).unwrap()
+    }
+
+    /// The payload region is sized on the promise that no chunk is stored
+    /// larger than it came in. A component that breaks the promise must
+    /// stop the encode at a real assertion before its bytes are copied:
+    /// the debug-only check in `scratch` in a debug build, the encoder's
+    /// own in a release build.
+    #[test]
+    #[should_panic(expected = "changed size")]
+    fn expanding_non_reducer_is_stopped_before_the_copy() {
+        let pipeline = rogue_pipeline(Rogue {
+            grow: true,
+            trip: None,
+        });
+        // Incompressible, so DTZ is skipped and the grown bytes would be
+        // what gets stored.
+        encode(&pipeline, &incompressible(3), &Pool::new(1));
+    }
+
+    #[test]
+    fn cancelled_encode_returns_no_archive() {
+        let data = incompressible(6);
+        let pool = Pool::new(2);
+        // Tripped before the first claim.
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(encode_cancellable(&pipeline(), &data, &pool, &token).is_none());
+        // Tripped by the first chunk to run: a partly written payload
+        // region exists, and the caller gets nothing of it.
+        let token = CancelToken::new();
+        let tripping = rogue_pipeline(Rogue {
+            grow: false,
+            trip: Some(token.clone()),
+        });
+        assert!(encode_cancellable(&tripping, &data, &pool, &token).is_none());
+        // Untripped: the same bytes as the plain entry point.
+        let res = encode_cancellable(&pipeline(), &data, &pool, &CancelToken::new()).unwrap();
+        assert_eq!(res.archive, encode(&pipeline(), &data, &pool));
+    }
+
+    #[test]
+    fn salvage_survives_a_panicking_decoder_and_reuses_its_arena() {
+        /// Panics on every chunk that starts with the marker byte.
+        struct Bomb;
+        impl Component for Bomb {
+            fn name(&self) -> &'static str {
+                "ADD1_1"
+            }
+            fn kind(&self) -> crate::ComponentKind {
+                crate::ComponentKind::Mutator
+            }
+            fn word_size(&self) -> usize {
+                1
+            }
+            fn complexity(&self) -> crate::Complexity {
+                AddOne.complexity()
+            }
+            fn encode_chunk(&self, input: &[u8], out: &mut Vec<u8>, ks: &mut KernelStats) {
+                AddOne.encode_chunk(input, out, ks)
+            }
+            fn decode_chunk(
+                &self,
+                input: &[u8],
+                out: &mut Vec<u8>,
+                ks: &mut KernelStats,
+            ) -> Result<(), DecodeError> {
+                out.extend_from_slice(&input[..input.len() / 2]);
+                assert_ne!(input[0], 0xAB, "poisoned chunk");
+                out.clear();
+                AddOne.decode_chunk(input, out, ks)
+            }
+        }
+        let mut data = incompressible(4);
+        data[2 * CHUNK_SIZE] = 0xAA; // AddOne stores it as the marker
+        let archive = encode(&pipeline(), &data, &Pool::new(1));
+        let resolve = |name: &str| match name {
+            "ADD1_1" => Some(Arc::new(Bomb) as Arc<dyn Component>),
+            other => resolver(other),
+        };
+        // One worker, so the chunks after the panic reuse the arena the
+        // panic left half-written.
+        let (out, report) = decode_salvage(&archive, resolve, &Pool::new(1)).unwrap();
+        assert_eq!(report.lost, 1);
+        assert_eq!(report.recovered, 3);
+        assert!(!report.archive_crc_ok);
+        assert_eq!(report.errors[0].chunk, 2);
+        assert_eq!(
+            report.errors[0].error,
+            DecodeError::Corrupt {
+                context: "decoder panicked"
+            }
+        );
+        for i in 0..4 {
+            let r = chunk_range(i, data.len());
+            if i == 2 {
+                assert!(out[r].iter().all(|&b| b == 0));
+            } else {
+                assert_eq!(out[r.clone()], data[r]);
+            }
+        }
     }
 
     #[test]

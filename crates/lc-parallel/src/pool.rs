@@ -228,26 +228,6 @@ impl Pool {
         self.fold(tasks, init, |s, i| f(s, i), |a, _| a);
     }
 
-    /// Like [`Pool::run_with_state`], but workers poll `cancel` before every
-    /// claim and stop once it trips; unclaimed indices are never started.
-    /// This is the encoder's request-scoped shape: per-worker scratch arenas
-    /// plus a deadline token, so a blown deadline stops chunk fan-out at the
-    /// next claim boundary while already-claimed chunks finish and publish
-    /// (keeping [`crate::LookbackScan`] deadlock-free).
-    pub fn run_with_state_cancellable<S, I, F>(
-        &self,
-        tasks: usize,
-        cancel: &crate::CancelToken,
-        init: I,
-        f: F,
-    ) where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        self.fold_cancellable(tasks, Some(cancel), init, |s, i| f(s, i), |a, _| a);
-    }
-
     /// Produce a `Vec` of `tasks` results, computing `f(i)` for each index
     /// in parallel. Results land in index order.
     pub fn map<T, F>(&self, tasks: usize, f: F) -> Vec<T>
@@ -336,7 +316,14 @@ impl Pool {
         self.fold_cancellable(tasks, None, init, step, merge)
     }
 
-    fn fold_cancellable<A, I, S, M>(
+    /// Like [`Pool::fold`], but workers poll `cancel` (when given) before
+    /// every claim and stop once it trips; unclaimed indices are never
+    /// started. This is the encoder's request-scoped shape:
+    /// per-worker scratch arenas and statistics plus a deadline token,
+    /// so a blown deadline stops chunk fan-out at the next claim
+    /// boundary while already-claimed chunks finish and publish
+    /// (keeping [`crate::LookbackScan`] deadlock-free).
+    pub fn fold_cancellable<A, I, S, M>(
         &self,
         tasks: usize,
         cancel: Option<&crate::CancelToken>,
@@ -374,7 +361,8 @@ impl Pool {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("pool worker panicked")) // invariant: deliberate panic propagation
+                // Deliberate propagation, with the worker's own message.
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
         let mut iter = partials.into_iter();
@@ -461,42 +449,51 @@ mod tests {
     }
 
     #[test]
-    fn run_with_state_cancellable_stops_at_claim_boundary() {
+    fn fold_cancellable_stops_at_claim_boundary() {
         let pool = Pool::new(4);
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = crate::CancelToken::new();
         let cancel_ref = &cancel;
-        pool.run_with_state_cancellable(n, cancel_ref, Vec::<u8>::new, |scratch, i| {
-            scratch.push(0);
-            if i == 29 {
-                cancel_ref.cancel();
-            }
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        let done: usize = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
+        let done = pool.fold_cancellable(
+            n,
+            Some(cancel_ref),
+            || 0usize,
+            |claimed, i| {
+                *claimed += 1;
+                if i == 29 {
+                    cancel_ref.cancel();
+                }
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            },
+            |a, b| a + b,
+        );
         assert!(
             hits[29].load(Ordering::Relaxed) == 1,
             "claimed task finished"
         );
         assert!(done < n, "cancellation must leave unclaimed tasks");
+        assert_eq!(
+            done,
+            hits.iter()
+                .map(|h| h.load(Ordering::Relaxed))
+                .sum::<usize>(),
+            "every worker's partial is merged"
+        );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1));
     }
 
     #[test]
-    fn run_with_state_cancellable_untripped_matches_run_with_state() {
+    fn fold_cancellable_untripped_matches_fold() {
         let pool = Pool::new(3);
-        let n = 500;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_with_state_cancellable(
-            n,
-            &crate::CancelToken::new(),
-            || (),
-            |(), i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
+        let total = pool.fold_cancellable(
+            500,
+            Some(&crate::CancelToken::new()),
+            || 0u64,
+            |acc, i| *acc += i as u64,
+            |a, b| a + b,
         );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(total, 500 * 499 / 2);
     }
 
     #[test]

@@ -60,6 +60,27 @@ impl<'a, T> DisjointSlice<'a, T> {
     pub unsafe fn get_mut(&self, i: usize) -> &mut T {
         &mut *self.data[i].get()
     }
+
+    /// Obtain a mutable view of the elements in `range` — one task's
+    /// region of a shared output buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within the slice.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure no element of `range` is accessed (read or
+    /// written) by any other thread, or through another view, while the
+    /// returned slice is live.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        let cells = &self.data[range];
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so
+        // `cells` is `cells.len()` contiguous `T`s that may be mutated
+        // through a shared reference; the caller guarantees exclusivity.
+        std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), cells.len())
+    }
 }
 
 #[cfg(test)]
@@ -77,6 +98,29 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i + 1);
         }
+    }
+
+    #[test]
+    fn parallel_disjoint_regions_land() {
+        let mut v = vec![0usize; 4096 + 5];
+        {
+            let cells = DisjointSlice::new(&mut v);
+            Pool::new(8).run(65, |i| {
+                let end = (i * 64 + 64).min(cells.len());
+                unsafe { cells.slice_mut(i * 64..end) }.fill(i + 1);
+            });
+        }
+        for (i, x) in v.iter().enumerate() {
+            assert_eq!(*x, i / 64 + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn region_past_the_end_panics() {
+        let mut v = vec![0u8; 8];
+        let cells = DisjointSlice::new(&mut v);
+        let _ = unsafe { cells.slice_mut(4..9) };
     }
 
     #[test]

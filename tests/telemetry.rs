@@ -58,12 +58,20 @@ fn one_encode_span_per_chunk_and_stage() {
         assert!(seen.insert((ev.name, chunk)));
     }
 
-    // The encode-level span and the pool span are present too.
+    // The encode-level span is present too, and the encode is a single
+    // pass: one pool fan-out (`fold`), no second one to place payloads.
     assert_eq!(
         events.iter().filter(|e| e.name == "archive.encode").count(),
         1
     );
-    assert!(events.iter().any(|e| e.cat == "pool" && e.name == "run"));
+    let pool_passes = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.cat == "pool" && e.name == name)
+            .count()
+    };
+    assert_eq!(pool_passes("fold"), 1);
+    assert_eq!(pool_passes("run"), 0);
 
     // Decode mirrors encode: every stage the encoder applied (or
     // skipped) produces exactly one stage.decode span per chunk.
@@ -75,6 +83,11 @@ fn one_encode_span_per_chunk_and_stage() {
     assert_eq!(out, data);
     let decode_spans = events.iter().filter(|e| e.cat == "stage.decode").count();
     assert_eq!(decode_spans, chunks * 2);
+    let pool_passes = events
+        .iter()
+        .filter(|e| e.cat == "pool" && e.name != "worker")
+        .count();
+    assert_eq!(pool_passes, 1, "decode is one pool pass as well");
 }
 
 #[test]
