@@ -6,13 +6,19 @@
 //! ```
 //!
 //! Compares a fresh snapshot against the committed baseline and prints
-//! a per-metric table. Exit codes: 0 clean (warnings allowed, reported
-//! on stderr), 2 when any gated metric regressed past the fail
-//! threshold, 1 on usage or unreadable/unparseable snapshots.
+//! a per-metric table, then checks the current snapshot against the
+//! absolute floors (`--kind campaign`: 1 GB/s single-thread pipeline
+//! encode and decode, decode at least half of encode per kernel). Exit
+//! codes: 0 clean (warnings allowed, reported on stderr), 2 when any
+//! gated metric regressed past the fail threshold or fell below a
+//! floor, 1 on usage or unreadable/unparseable snapshots.
 
 use std::process::ExitCode;
 
-use bench::diff::{compare, render, worst, Severity, Thresholds, CAMPAIGN_METRICS, SERVE_METRICS};
+use bench::diff::{
+    check_floors, compare, render, render_floors, worst, Severity, Thresholds, CAMPAIGN_FLOORS,
+    CAMPAIGN_METRICS, SERVE_METRICS,
+};
 use lc_json::Value;
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -41,9 +47,9 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let kind = flag(&args, "--kind").ok_or("missing --kind campaign|serve")?;
-    let specs = match kind {
-        "campaign" => CAMPAIGN_METRICS,
-        "serve" => SERVE_METRICS,
+    let (specs, floors) = match kind {
+        "campaign" => (CAMPAIGN_METRICS, CAMPAIGN_FLOORS),
+        "serve" => (SERVE_METRICS, &[][..]),
         other => return Err(format!("--kind {other:?}: expected campaign or serve")),
     };
     let baseline = load(flag(&args, "--baseline").ok_or("missing --baseline PATH")?)?;
@@ -61,6 +67,22 @@ fn run() -> Result<ExitCode, String> {
 
     let outcomes = compare(&baseline, &current, specs, thresholds);
     print!("{}", render(&outcomes));
+    // Floors bind the current snapshot alone; a miss fails the build
+    // however the baseline reads.
+    let floored = check_floors(&current, floors);
+    print!("{}", render_floors(&floored));
+    let below: Vec<&str> = floored
+        .iter()
+        .filter(|o| o.severity == Severity::Fail)
+        .map(|o| o.label.as_str())
+        .collect();
+    if !below.is_empty() {
+        eprintln!(
+            "error: kind=perf-floor exit=2 below floor: {}",
+            below.join(", ")
+        );
+        return Ok(ExitCode::from(2));
+    }
     match worst(&outcomes) {
         Severity::Ok => Ok(ExitCode::SUCCESS),
         Severity::Warn => {

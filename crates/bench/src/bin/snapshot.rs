@@ -203,7 +203,8 @@ fn main() {
         ),
     ];
     for name in [
-        "TCMS_4", "DBEFS_4", "BIT_1", "DIFF_4", "RLE_4", "RRE_4", "RZE_4",
+        "TCMS_4", "DBEFS_4", "BIT_1", "BIT_4", "DIFF_4", "RLE_4", "RRE_1", "RRE_4", "RZE_1",
+        "RZE_4",
     ] {
         let comp = lc_components::lookup(name).expect("snapshot component exists");
         let enc_s = time_median(|| {

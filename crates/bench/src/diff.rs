@@ -105,6 +105,44 @@ pub const CAMPAIGN_METRICS: &[MetricSpec] = &[
         direction: Direction::HigherIsBetter,
         gate: true,
     },
+    // The bitmap-reducer family and its usual shuffler, both ways: the
+    // LUT-shuffle compaction/expansion and the blocked bit-plane
+    // transpose.
+    MetricSpec {
+        path: "kernels.bit_4.enc_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.bit_4.dec_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.rre_1.enc_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.rre_1.dec_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.rze_1.enc_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.rze_1.dec_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.rre_4.dec_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
     // Up-front cost of the canonical-mode class map over the full
     // 107,632-pipeline space. Warn-only: it runs once per campaign and
     // is dominated by allocator noise on shared runners.
@@ -129,6 +167,51 @@ pub const CAMPAIGN_METRICS: &[MetricSpec] = &[
         direction: Direction::LowerIsBetter,
         gate: false,
     },
+];
+
+/// A bound the current snapshot must meet on its own, whatever the
+/// baseline says: the value at `path`, or its ratio to the value at
+/// `over`, must be at least `min`.
+#[derive(Debug, Clone, Copy)]
+pub struct Floor {
+    /// Dot-separated path of the value (the numerator of a ratio).
+    pub path: &'static str,
+    /// Path of the denominator, when the floor is on a ratio.
+    pub over: Option<&'static str>,
+    /// Smallest acceptable value.
+    pub min: f64,
+}
+
+/// Decode at least half as fast as encode, for one kernel.
+const fn parity(dec: &'static str, enc: &'static str) -> Floor {
+    Floor {
+        path: dec,
+        over: Some(enc),
+        min: 0.5,
+    }
+}
+
+/// The floors on `BENCH_campaign.json`: 1 GB/s through the chained
+/// snapshot pipeline on one thread, both directions, and decode/encode
+/// parity for the kernels whose decode has a vector path. (`diff_4`
+/// joins the parity list with the two-chunk DIFF decode, `rle_4` with
+/// its encoder: both are open ROADMAP items.)
+pub const CAMPAIGN_FLOORS: &[Floor] = &[
+    Floor {
+        path: "kernels.pipeline_st_enc_mb_s",
+        over: None,
+        min: 1000.0,
+    },
+    Floor {
+        path: "kernels.pipeline_st_dec_mb_s",
+        over: None,
+        min: 1000.0,
+    },
+    parity("kernels.bit_4.dec_mb_s", "kernels.bit_4.enc_mb_s"),
+    parity("kernels.rre_1.dec_mb_s", "kernels.rre_1.enc_mb_s"),
+    parity("kernels.rze_1.dec_mb_s", "kernels.rze_1.enc_mb_s"),
+    parity("kernels.rre_4.dec_mb_s", "kernels.rre_4.enc_mb_s"),
+    parity("kernels.rze_4.dec_mb_s", "kernels.rze_4.enc_mb_s"),
 ];
 
 /// The gated metric set for `BENCH_serve.json`.
@@ -255,6 +338,66 @@ pub fn compare(
             }
         })
         .collect()
+}
+
+/// One floor's check.
+#[derive(Debug, Clone)]
+pub struct FloorOutcome {
+    /// What was bounded (`a` or `a / b`).
+    pub label: String,
+    /// The value found, if every path resolved.
+    pub value: Option<f64>,
+    /// The bound.
+    pub min: f64,
+    /// `Fail` below the bound, `Warn` when a path is missing.
+    pub severity: Severity,
+}
+
+/// Check `current` against `floors`.
+pub fn check_floors(current: &Value, floors: &[Floor]) -> Vec<FloorOutcome> {
+    floors
+        .iter()
+        .map(|f| {
+            let value = match f.over {
+                None => lookup(current, f.path),
+                Some(over) => lookup(current, f.path)
+                    .zip(lookup(current, over))
+                    .filter(|(_, d)| d.abs() > f64::EPSILON)
+                    .map(|(n, d)| n / d),
+            };
+            FloorOutcome {
+                label: match f.over {
+                    None => f.path.to_string(),
+                    Some(over) => format!("{} / {over}", f.path),
+                },
+                value,
+                min: f.min,
+                severity: match value {
+                    Some(v) if v >= f.min => Severity::Ok,
+                    Some(_) => Severity::Fail,
+                    None => Severity::Warn,
+                },
+            }
+        })
+        .collect()
+}
+
+/// Render the floor checks, one line each.
+pub fn render_floors(outcomes: &[FloorOutcome]) -> String {
+    let mut out = String::new();
+    for o in outcomes {
+        let value = o.value.map_or("-".to_string(), |v| format!("{v:.2}"));
+        let status = match o.severity {
+            Severity::Ok => "ok",
+            Severity::Warn => "WARN",
+            Severity::Fail => "FAIL",
+        };
+        out.push_str(&format!(
+            "floor {:<62} {:>10} >= {:<8} {status}\n",
+            o.label, value, o.min
+        ));
+    }
+    out
 }
 
 /// The worst severity in a comparison (what the exit code reports).
@@ -438,6 +581,46 @@ mod tests {
     }
 
     #[test]
+    fn floors_bound_values_and_ratios_of_the_current_snapshot() {
+        let floors = &[
+            Floor {
+                path: "k.dec",
+                over: None,
+                min: 1000.0,
+            },
+            parity("k.dec", "k.enc"),
+        ];
+        let ok = check_floors(&snap(&[("k.dec", 1200.0), ("k.enc", 2000.0)]), floors);
+        assert!(ok.iter().all(|o| o.severity == Severity::Ok), "{ok:?}");
+        // 900 MB/s is under the absolute floor; 900 / 2000 under parity.
+        let slow = check_floors(&snap(&[("k.dec", 900.0), ("k.enc", 2000.0)]), floors);
+        assert!(
+            slow.iter().all(|o| o.severity == Severity::Fail),
+            "{slow:?}"
+        );
+        assert!(render_floors(&slow).contains("k.dec / k.enc"));
+        // A snapshot without the kernel warns, as a missing metric does.
+        let missing = check_floors(&snap(&[("k.enc", 2000.0)]), floors);
+        assert!(missing.iter().all(|o| o.severity == Severity::Warn));
+    }
+
+    #[test]
+    fn committed_baseline_meets_its_own_gates() {
+        // The committed baseline must resolve every gated path and clear
+        // every floor, or the CI gate fails on an unchanged tree.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
+        let v = Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let out = compare(&v, &v, CAMPAIGN_METRICS, Thresholds::default());
+        assert_eq!(worst(&out), Severity::Ok, "{}", render(&out));
+        let floors = check_floors(&v, CAMPAIGN_FLOORS);
+        assert!(
+            floors.iter().all(|o| o.severity == Severity::Ok),
+            "{}",
+            render_floors(&floors)
+        );
+    }
+
+    #[test]
     fn real_snapshot_shapes_resolve() {
         // Mirrors the committed BENCH_campaign.json nesting.
         let v = Value::parse(
@@ -448,7 +631,11 @@ mod tests {
                            "diff_4":{"enc_mb_s":3000.0,"dec_mb_s":2500.0},
                            "rze_4":{"enc_mb_s":2000.0},
                            "bit_1":{"enc_mb_s":1500.0},
-                           "rle_4":{"enc_mb_s":1800.0}},
+                           "rle_4":{"enc_mb_s":1800.0},
+                           "bit_4":{"enc_mb_s":5000.0,"dec_mb_s":5500.0},
+                           "rre_1":{"enc_mb_s":3000.0,"dec_mb_s":4000.0},
+                           "rze_1":{"enc_mb_s":3000.0,"dec_mb_s":4000.0},
+                           "rre_4":{"dec_mb_s":9000.0}},
                 "telemetry":{"enabled_overhead_pct":13.1},
                 "analyze":{"canonicalize_ms":222.2},
                 "shard":{"wall_s":1.9,"merge_ms":3.2}}"#,

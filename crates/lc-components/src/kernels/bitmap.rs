@@ -9,6 +9,24 @@
 //! into bitmap bits — the movemask bit order is exactly the LSB-first
 //! convention the serialized format already uses, so the vector path
 //! produces the stored bytes directly.
+//!
+//! The other half of both reducers — [`emit`] (compaction: keep the
+//! unmarked words) and [`expand`] (its inverse) — has a serial cursor:
+//! where survivor `k` lands depends on how many words before it
+//! survived. The AVX2 tier takes the cursor off the per-word path with
+//! table-driven shuffles: one bitmap byte (8 words) indexes a 2 KiB
+//! table of byte-granular shuffle controls, a single `pshufb` (`W` ≤ 2)
+//! or `vpermd` (`W` ≥ 4) moves all 8 words, and `popcnt` of the same
+//! byte advances the cursor. For [`Mark::RepeatsPrior`] expansion the
+//! survivor load starts one word *before* the cursor, so "repeat the
+//! prior word" is just lane `l` reading "survivors seen in lanes
+//! `0..=l`" — no carried `prev`. DESIGN §15 has the derivation.
+//!
+//! The portable loops stay as the group-tail path, the whole path on
+//! lower tiers, and the only place truncation or corruption is detected:
+//! the vector path stops before any group it cannot fully load.
+
+use lc_core::DecodeError;
 
 use super::Variant;
 
@@ -65,11 +83,21 @@ pub fn build<const W: usize>(mk: Mark, src: &[u8], bm: &mut Vec<u8>) -> usize {
 
 /// [`build`] pinned to a tier (clamped to the detected CPU).
 pub fn build_with<const W: usize>(v: Variant, mk: Mark, src: &[u8], bm: &mut Vec<u8>) -> usize {
+    let start = bm.len();
+    bm.resize(start + (src.len() / W).div_ceil(8), 0);
+    mark_with::<W>(v, mk, src, &mut bm[start..])
+}
+
+/// [`build`] into a caller-provided slice of exactly `(n+7)/8` zeroed
+/// bytes (the bitmap recursion keeps all its levels in one buffer).
+pub fn build_into<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8]) -> usize {
+    mark_with::<W>(variant::<W>(), mk, src, bm)
+}
+
+fn mark_with<const W: usize>(v: Variant, mk: Mark, src: &[u8], bmr: &mut [u8]) -> usize {
     let n = src.len() / W;
     debug_assert_eq!(src.len(), n * W, "src must be whole words");
-    let start = bm.len();
-    bm.resize(start + n.div_ceil(8), 0);
-    let bmr = &mut bm[start..];
+    debug_assert_eq!(bmr.len(), n.div_ceil(8), "bitmap slice must match");
     // safety: tier clamped to CPUID detection before calling
     // `#[target_feature]` bodies.
     #[cfg(target_arch = "x86_64")]
@@ -92,35 +120,50 @@ pub fn build_with<const W: usize>(v: Variant, mk: Mark, src: &[u8], bm: &mut Vec
     n - bmr.iter().map(|b| b.count_ones() as usize).sum::<usize>()
 }
 
-/// Append every unmarked word of `src` to `out`, with byte-at-a-time
-/// bitmap fast paths for all-kept (`0x00`) and all-removed (`0xFF`)
-/// groups.
-///
-/// At `W = 4` on AVX2 the mixed-byte case — the common shape when a
-/// reducer runs on predictor residuals, where zero and nonzero words
-/// interleave — is a vpermd left-pack: one permutation per bitmap byte
-/// compacts 8 dwords in a single shuffle instead of 8 branchy copies.
-pub fn emit_survivors<const W: usize>(src: &[u8], bm: &[u8], out: &mut Vec<u8>) {
+/// Whether the LUT-shuffle emit/expand kernels run at tier `v` (there
+/// is no SSE2 flavour: `pshufb` is SSSE3, which only AVX2 implies).
+#[cfg(target_arch = "x86_64")]
+fn shuffles_at(v: Variant) -> bool {
+    v.min(super::detected()) >= Variant::Avx2
+}
+
+/// Append every unmarked word of `src` to `out` (compaction). `kept`
+/// is the number of unmarked words, as [`build`] returned it.
+pub fn emit<const W: usize>(src: &[u8], bm: &[u8], kept: usize, out: &mut Vec<u8>) {
+    emit_with::<W>(super::tier(), src, bm, kept, out)
+}
+
+/// [`emit`] pinned to a tier (clamped to the detected CPU).
+pub fn emit_with<const W: usize>(
+    v: Variant,
+    src: &[u8],
+    bm: &[u8],
+    kept: usize,
+    out: &mut Vec<u8>,
+) {
     let n = src.len() / W;
     debug_assert_eq!(src.len(), n * W, "src must be whole words");
+    // Grow once, by what will be kept: `out` is often a buffer its owner
+    // retains, and capacity it never needed is memory held for nothing.
+    let kept_bytes = kept * W;
+    out.reserve(kept_bytes + 8 * W);
+    let mut i = 0usize;
     #[cfg(target_arch = "x86_64")]
-    if W == 4 && super::tier() >= Variant::Avx2 && n >= 8 {
+    if shuffles_at(v) && n >= 8 {
         let groups = n / 8;
         let start = out.len();
-        // Worst case every word survives; truncate to what was written.
-        out.resize(start + n * W, 0);
-        // safety: tier() is clamped to the CPUID-detected tier, so AVX2
-        // is available here.
-        let written = unsafe { x86::emit4_avx2(src, &bm[..groups], &mut out[start..]) };
+        // The shuffles store whole groups at the cursor, so the last
+        // store may run a group past the survivors; truncate after.
+        out.resize(start + (kept_bytes + 8 * W).min(groups * 8 * W), 0);
+        // safety: `shuffles_at` clamps to the CPUID-detected tier.
+        let written = unsafe {
+            x86::emit_avx2::<W>(&src[..groups * 8 * W], &bm[..groups], &mut out[start..])
+        };
         out.truncate(start + written);
-        for i in groups * 8..n {
-            if bm[i / 8] & (1 << (i % 8)) == 0 {
-                out.extend_from_slice(&src[i * 4..(i + 1) * 4]);
-            }
-        }
-        return;
+        i = groups * 8;
     }
-    let mut i = 0usize;
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = v;
     while i < n {
         if i.is_multiple_of(8) && i + 8 <= n {
             match bm[i / 8] {
@@ -143,36 +186,96 @@ pub fn emit_survivors<const W: usize>(src: &[u8], bm: &[u8], out: &mut Vec<u8>) 
     }
 }
 
-/// Vectorized inverse of [`emit_survivors`] for the `IsZero` mark at
-/// `W = 4`: reconstruct whole 8-word groups, reading packed survivors
-/// from `src` at `*pos` and appending marked lanes as zero. Stops
-/// before any group whose 32-byte survivor load would pass the end of
-/// `src` (the caller's scalar path finishes the job and owns all
-/// truncation/corruption detection). Returns the number of words
-/// emitted — always a multiple of 8 — with `*pos` advanced past the
-/// survivors consumed.
-pub fn expand_zero4(bm: &[u8], n: usize, src: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if super::tier() >= Variant::Avx2 {
-        let groups = n / 8;
-        if groups == 0 {
-            return 0;
-        }
-        let start = out.len();
-        out.resize(start + groups * 32, 0);
-        // safety: tier() is clamped to the CPUID-detected tier.
-        let (words, consumed) =
-            unsafe { x86::expand4_avx2(&bm[..groups], src, *pos, &mut out[start..]) };
-        out.truncate(start + words * 4);
-        *pos += consumed;
-        return words;
-    }
-    let _ = (bm, n, src, pos, out);
-    0
+/// Inverse of [`emit`]: append `n` reconstructed words to `out`, reading
+/// the packed survivors from `src` at `*pos` (advanced past what was
+/// consumed) and refilling marked words — with zero under
+/// [`Mark::IsZero`], with the preceding word under
+/// [`Mark::RepeatsPrior`].
+///
+/// Errors: `Truncated` when `src` ends before the bitmap's survivors
+/// do, `Corrupt` when word 0 is marked as a repeat. On error `out`
+/// holds unspecified bytes past its original length.
+pub fn expand<const W: usize>(
+    mk: Mark,
+    bm: &[u8],
+    n: usize,
+    src: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    expand_with::<W>(super::tier(), mk, bm, n, src, pos, out)
 }
+
+/// [`expand`] pinned to a tier (clamped to the detected CPU).
+pub fn expand_with<const W: usize>(
+    v: Variant,
+    mk: Mark,
+    bm: &[u8],
+    n: usize,
+    src: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    debug_assert!(bm.len() >= n.div_ceil(8), "bitmap must cover n words");
+    let start = out.len();
+    out.resize(start + n * W, 0);
+    let dst = &mut out[start..];
+    let mut i = 0usize;
+    // A marked word 0 has no prior word to repeat: leave the whole input
+    // to the portable loop, which reports it.
+    #[cfg(target_arch = "x86_64")]
+    if shuffles_at(v) && n >= 8 && !(mk == Mark::RepeatsPrior && bm[0] & 1 != 0) {
+        // safety: `shuffles_at` clamps to the CPUID-detected tier.
+        i = unsafe { x86::expand_avx2::<W>(mk, &bm[..n / 8], src, pos, dst) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = v;
+    let word = |i: usize| i * W..(i + 1) * W;
+    while i < n {
+        let b = bm[i / 8];
+        // Whole-bitmap-byte fast paths: 0x00 = eight survivors streamed
+        // straight from the input, 0xFF = eight zero words.
+        if i.is_multiple_of(8) && i + 8 <= n {
+            let group = i * W..(i + 8) * W;
+            match b {
+                0x00 => {
+                    dst[group].copy_from_slice(src.get(*pos..*pos + 8 * W).ok_or(TRUNCATED)?);
+                    *pos += 8 * W;
+                    i += 8;
+                    continue;
+                }
+                0xFF if mk == Mark::IsZero => {
+                    dst[group].fill(0);
+                    i += 8;
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        if b & (1 << (i % 8)) == 0 {
+            dst[word(i)].copy_from_slice(src.get(*pos..*pos + W).ok_or(TRUNCATED)?);
+            *pos += W;
+        } else if mk == Mark::IsZero {
+            dst[word(i)].fill(0);
+        } else if i == 0 {
+            return Err(DecodeError::Corrupt {
+                context: "word repeat at index 0",
+            });
+        } else {
+            dst.copy_within(word(i - 1), i * W);
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
+const TRUNCATED: DecodeError = DecodeError::Truncated {
+    context: "surviving words",
+};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::super::vecio::{load128, load256, store128, store256};
     use super::Mark;
     use std::arch::x86_64::*;
 
@@ -270,144 +373,251 @@ mod x86 {
         // 4 bits
     }
 
-    /// For each bitmap byte, the vpermd control that left-packs the 8
-    /// surviving (bit-clear) dwords to the front of the register.
-    const fn pack_lut() -> [[u32; 8]; 256] {
-        let mut lut = [[0u32; 8]; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let mut idx = 0usize;
-            let mut lane = 0usize;
-            while lane < 8 {
-                if b & (1 << lane) == 0 {
-                    lut[b][idx] = lane as u32;
-                    idx += 1;
-                }
-                lane += 1;
+    // ---- LUT-shuffle compaction / expansion ----
+    //
+    // Three tables of 256 rows x 8 bytes, one row per bitmap byte, each
+    // row a byte-granular lane map that every word size widens on the
+    // fly (W=1: the row is the `pshufb` control; W=2: doubled into byte
+    // pairs; W=4: `vpmovsxbd` into a `vpermd` control; W=8: the row's
+    // low four lanes, per nibble, as dword pairs). 6 KiB in all.
+
+    /// Row `b` of the pack table: byte `j` is the lane of the `j`-th
+    /// clear (surviving) bit of `b`; bytes past the survivor count are
+    /// don't-care zeros.
+    const fn pack_row(b: usize) -> u64 {
+        let mut row = [0u8; 8];
+        let mut j = 0usize;
+        let mut lane = 0usize;
+        while lane < 8 {
+            if b & (1 << lane) == 0 {
+                row[j] = lane as u8;
+                j += 1;
             }
-            b += 1;
+            lane += 1;
         }
-        lut
+        u64::from_le_bytes(row)
     }
 
-    static PACK_LUT: [[u32; 8]; 256] = pack_lut();
-
-    /// For each bitmap byte, the vpermd control that scatters packed
-    /// survivors back to their lanes: clear lane `l` reads survivor
-    /// `popcount(clear bits below l)`; marked lanes are zeroed by
-    /// [`KEEP_LUT`] afterwards, so their index is irrelevant.
-    const fn expand_lut() -> [[u32; 8]; 256] {
-        let mut lut = [[0u32; 8]; 256];
-        let mut b = 0usize;
-        while b < 256 {
-            let mut next = 0u32;
-            let mut lane = 0usize;
-            while lane < 8 {
-                if b & (1 << lane) == 0 {
-                    lut[b][lane] = next;
-                    next += 1;
+    /// Row `b` of a spread table: byte `l` is the slot of the loaded
+    /// survivor window that lane `l` reads.
+    ///
+    /// * `IsZero`: the window starts at the cursor; a clear lane reads
+    ///   slot "survivors in lanes `0..l`", a marked lane gets `0x80`
+    ///   (`pshufb` zeroes it; the `vpermd` paths mask on the sign).
+    /// * `RepeatsPrior`: the window starts one word *before* the cursor,
+    ///   so slot 0 is the last word already written, and every lane —
+    ///   clear or marked — reads slot "survivors in lanes `0..=l`": a
+    ///   survivor reads itself, a repeat reads the survivor before it.
+    ///   That needs 9 slots only when all 8 lanes survive, so row 0 is
+    ///   the identity over a window that starts *at* the cursor.
+    const fn spread_row(b: usize, zero_marked: bool) -> u64 {
+        let mut row = [0u8; 8];
+        let mut seen = 0u8; // survivors in lanes 0..l
+        let mut lane = 0usize;
+        while lane < 8 {
+            let clear = b & (1 << lane) == 0;
+            row[lane] = if zero_marked {
+                if clear {
+                    seen
+                } else {
+                    0x80
                 }
-                lane += 1;
-            }
-            b += 1;
+            } else if b == 0 {
+                lane as u8
+            } else {
+                seen + clear as u8
+            };
+            seen += clear as u8;
+            lane += 1;
         }
-        lut
+        u64::from_le_bytes(row)
     }
 
-    static EXPAND_LUT: [[u32; 8]; 256] = expand_lut();
-
-    /// All-ones for clear (surviving) lanes, zero for marked lanes.
-    const fn keep_lut() -> [[u32; 8]; 256] {
-        let mut lut = [[0u32; 8]; 256];
+    const fn pack_table() -> [u64; 256] {
+        let mut t = [0u64; 256];
         let mut b = 0usize;
         while b < 256 {
-            let mut lane = 0usize;
-            while lane < 8 {
-                if b & (1 << lane) == 0 {
-                    lut[b][lane] = u32::MAX;
-                }
-                lane += 1;
-            }
+            t[b] = pack_row(b);
             b += 1;
         }
-        lut
+        t
     }
 
-    static KEEP_LUT: [[u32; 8]; 256] = keep_lut();
+    const fn spread_table(zero_marked: bool) -> [u64; 256] {
+        let mut t = [0u64; 256];
+        let mut b = 0usize;
+        while b < 256 {
+            t[b] = spread_row(b, zero_marked);
+            b += 1;
+        }
+        t
+    }
 
-    /// AVX2 `IsZero` reconstruction for `W = 4`: per bitmap byte, load
-    /// 32 bytes of packed survivors, permute them to their lanes, mask
-    /// marked lanes to zero, and store the full group. Stops when fewer
-    /// than 32 survivor bytes remain loadable. `out` must hold at least
-    /// `bm.len() * 32` bytes; returns `(words_emitted, bytes_consumed)`.
+    static PACK: [u64; 256] = pack_table();
+    static SPREAD_REPEAT: [u64; 256] = spread_table(false);
+    static SPREAD_ZERO: [u64; 256] = spread_table(true);
+
+    /// A table row in the low half of a register.
+    #[target_feature(enable = "sse2")]
+    fn row(r: u64) -> __m128i {
+        _mm_cvtsi64_si128(r as i64)
+    }
+
+    /// Widen 8 byte-lane indices to the `pshufb` control that moves
+    /// 16-bit words: `[2i, 2i+1]` per lane, saturating so a `0x80`
+    /// "zero this lane" stays ≥ `0x80` in both bytes.
+    #[target_feature(enable = "sse2")]
+    fn ctl16(r: u64) -> __m128i {
+        let c = row(r);
+        let c = _mm_unpacklo_epi8(c, c);
+        _mm_adds_epu8(_mm_adds_epu8(c, c), _mm_set1_epi16(0x0100))
+    }
+
+    /// Widen 8 byte-lane indices to a `vpermd` control (sign-extended,
+    /// so a `0x80` lane is negative).
     #[target_feature(enable = "avx2")]
-    pub(super) fn expand4_avx2(
+    fn ctl32(r: u64) -> __m256i {
+        _mm256_cvtepi8_epi32(row(r))
+    }
+
+    /// Widen the low 4 byte-lane indices to the `vpermd` control that
+    /// moves 4 qwords as dword pairs `[2i, 2i+1]` (negative where the
+    /// index was `0x80`).
+    #[target_feature(enable = "avx2")]
+    fn ctl64(r: u64) -> __m256i {
+        let q = _mm256_cvtepi8_epi64(row(r));
+        let d = _mm256_shuffle_epi32(q, 0b10_10_00_00); // [q, q] per qword
+        _mm256_add_epi32(_mm256_add_epi32(d, d), _mm256_set1_epi64x(1 << 32))
+    }
+
+    /// `vpermd`, then zero every lane whose control is negative.
+    #[target_feature(enable = "avx2")]
+    fn permute_or_zero(v: __m256i, ctl: __m256i) -> __m256i {
+        let moved = _mm256_permutevar8x32_epi32(v, ctl);
+        _mm256_andnot_si256(_mm256_srai_epi32(ctl, 31), moved)
+    }
+
+    /// The low 8 bytes of `s` in the low half of a register.
+    #[target_feature(enable = "sse2")]
+    fn load64(s: &[u8]) -> __m128i {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&s[..8]);
+        row(u64::from_le_bytes(b))
+    }
+
+    #[target_feature(enable = "sse2")]
+    fn store64(d: &mut [u8], v: __m128i) {
+        d[..8].copy_from_slice(&_mm_cvtsi128_si64(v).to_le_bytes());
+    }
+
+    /// Words moved per shuffle: a bitmap byte's 8, except at `W = 8`
+    /// where a register holds 4 qwords and each nibble is its own step.
+    const fn lanes<const W: usize>() -> usize {
+        if W == 8 {
+            4
+        } else {
+            8
+        }
+    }
+
+    /// The mark bits of step `k`.
+    fn step_bits<const W: usize>(bm: &[u8], k: usize) -> usize {
+        if W == 8 {
+            (bm[k / 2] as usize >> (4 * (k % 2))) & 0xF
+        } else {
+            bm[k] as usize
+        }
+    }
+
+    /// Survivor emission over the whole 8-word groups `bm` covers: per
+    /// step, shuffle the survivors to the front, store the whole step at
+    /// the output cursor, advance the cursor by the survivor count — no
+    /// per-word branch. Returns bytes written.
+    ///
+    /// Step `k` stores `lanes·W` bytes at the cursor `o`. `o` is at most
+    /// `k·lanes·W` (earlier steps kept at most `lanes` words each) and at
+    /// most the total kept, so the store ends within both
+    /// `(k+1)·lanes·W` and `kept + lanes·W`; `dst` is as long as the
+    /// smaller of the two, and the slice index checks exactly that.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn emit_avx2<const W: usize>(src: &[u8], bm: &[u8], dst: &mut [u8]) -> usize {
+        let mut o = 0usize;
+        for (k, grp) in src.chunks_exact(lanes::<W>() * W).enumerate() {
+            // At W = 8 the other nibble's lanes count as marked, which
+            // turns the byte row into a 4-lane row.
+            let bits = step_bits::<W>(bm, k) | if W == 8 { 0xF0 } else { 0 };
+            let to = &mut dst[o..];
+            match W {
+                1 => store64(to, _mm_shuffle_epi8(load64(grp), row(PACK[bits]))),
+                2 => store128(to, _mm_shuffle_epi8(load128(grp), ctl16(PACK[bits]))),
+                4 => store256(
+                    to,
+                    _mm256_permutevar8x32_epi32(load256(grp), ctl32(PACK[bits])),
+                ),
+                _ => store256(
+                    to,
+                    _mm256_permutevar8x32_epi32(load256(grp), ctl64(PACK[bits])),
+                ),
+            }
+            o += W * (8 - bits.count_ones() as usize);
+        }
+        o
+    }
+
+    /// Inverse of [`emit_avx2`]: per step, load a window of packed
+    /// survivors at the cursor, spread them to their lanes
+    /// ([`spread_row`]), store the step. Stops before the first step
+    /// whose window is not fully inside `src` (the portable loop
+    /// finishes and owns every error). Returns the words written, with
+    /// `*pos` advanced past the survivors consumed.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn expand_avx2<const W: usize>(
+        mk: Mark,
         bm: &[u8],
         src: &[u8],
-        mut pos: usize,
-        out: &mut [u8],
-    ) -> (usize, usize) {
-        debug_assert!(out.len() >= bm.len() * 32);
-        let start_pos = pos;
-        let mut emitted = 0usize;
-        for &b in bm {
-            if b == 0xFF {
-                // safety: store writes 32 bytes at emitted*4; emitted ≤
-                // (group index)*8 so the end stays ≤ bm.len()*32.
-                unsafe {
-                    _mm256_storeu_si256(
-                        out.as_mut_ptr().add(emitted * 4).cast(),
-                        _mm256_setzero_si256(),
-                    );
-                }
-                emitted += 8;
-                continue;
-            }
-            if pos + 32 > src.len() {
+        pos: &mut usize,
+        dst: &mut [u8],
+    ) -> usize {
+        let (lut, back_w) = match mk {
+            Mark::RepeatsPrior => (&SPREAD_REPEAT, W),
+            Mark::IsZero => (&SPREAD_ZERO, 0),
+        };
+        let step = lanes::<W>() * W;
+        let mut p = *pos;
+        let mut done = 0usize;
+        for (k, slot) in dst
+            .chunks_exact_mut(step)
+            .enumerate()
+            .take(bm.len() * 8 / lanes::<W>())
+        {
+            let bits = step_bits::<W>(bm, k);
+            let back = if bits != 0 { back_w } else { 0 };
+            // `p ≥ back` keeps the one-word-back window inside `src`.
+            // (Spelled out: `Option::and_then` with a closure is not
+            // inlined into a `#[target_feature]` function.)
+            let Some(start) = p.checked_sub(back) else {
                 break;
+            };
+            // The first decode stage reads its input cold, and the loads
+            // run barely a cache line ahead of the cursor. Eight steps
+            // consume at most one line.
+            if k % 8 == 0 {
+                _mm_prefetch::<_MM_HINT_T0>(src.as_ptr().wrapping_add(p + 1024).cast());
             }
-            // safety: the load reads 32 bytes at pos, guarded above; the
-            // store bound is the same as the 0xFF arm.
-            unsafe {
-                let v = _mm256_loadu_si256(src.as_ptr().add(pos).cast());
-                let perm = _mm256_loadu_si256(EXPAND_LUT[b as usize].as_ptr().cast());
-                let mask = _mm256_loadu_si256(KEEP_LUT[b as usize].as_ptr().cast());
-                let r = _mm256_and_si256(_mm256_permutevar8x32_epi32(v, perm), mask);
-                _mm256_storeu_si256(out.as_mut_ptr().add(emitted * 4).cast(), r);
+            let Some(win) = src.get(start..start + step) else {
+                break;
+            };
+            match W {
+                1 => store64(slot, _mm_shuffle_epi8(load64(win), row(lut[bits]))),
+                2 => store128(slot, _mm_shuffle_epi8(load128(win), ctl16(lut[bits]))),
+                4 => store256(slot, permute_or_zero(load256(win), ctl32(lut[bits]))),
+                _ => store256(slot, permute_or_zero(load256(win), ctl64(lut[bits]))),
             }
-            pos += (8 - b.count_ones() as usize) * 4;
-            emitted += 8;
+            p += W * (lanes::<W>() - bits.count_ones() as usize);
+            done += lanes::<W>();
         }
-        (emitted, pos - start_pos)
-    }
-
-    /// AVX2 survivor emission for `W = 4`: per bitmap byte, permute the
-    /// 8 dwords so survivors are contiguous, store all 32 bytes, and
-    /// advance the cursor by the survivor count — no per-word branches.
-    /// `out` must hold at least `bm.len() * 32` bytes; returns the bytes
-    /// actually written (`kept * 4` over the covered groups).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn emit4_avx2(src: &[u8], bm: &[u8], out: &mut [u8]) -> usize {
-        debug_assert!(src.len() >= bm.len() * 32);
-        debug_assert!(out.len() >= bm.len() * 32);
-        let mut idx = 0usize;
-        for (g, &b) in bm.iter().enumerate() {
-            if b == 0xFF {
-                continue;
-            }
-            // safety: the load reads 32 bytes at g*32, in bounds by the
-            // src debug_assert. The store writes 32 bytes at idx; before
-            // group g, idx ≤ g*32 (at most 8 dwords kept per group), so
-            // idx + 32 ≤ (g+1)*32 ≤ out.len().
-            unsafe {
-                let v = _mm256_loadu_si256(src.as_ptr().add(g * 32).cast());
-                let perm = _mm256_loadu_si256(PACK_LUT[b as usize].as_ptr().cast());
-                let packed = _mm256_permutevar8x32_epi32(v, perm);
-                _mm256_storeu_si256(out.as_mut_ptr().add(idx).cast(), packed);
-            }
-            idx += (8 - b.count_ones() as usize) * 4;
-        }
-        idx
+        *pos = p;
+        done
     }
 
     /// AVX2 marker: 32-word groups, four bitmap bytes per group. `W = 2`
@@ -490,8 +700,12 @@ mod tests {
                     assert_eq!(bm, reference, "W={W} {mk:?} {v:?} len_w={len_w}");
                     assert_eq!(kept, kept_ref);
                     let mut survivors = Vec::new();
-                    emit_survivors::<W>(&src, &bm, &mut survivors);
+                    emit_with::<W>(v, &src, &bm, kept, &mut survivors);
                     assert_eq!(survivors.len(), kept * W);
+                    let (mut pos, mut back) = (0, Vec::new());
+                    expand_with::<W>(v, mk, &bm, len_w, &survivors, &mut pos, &mut back).unwrap();
+                    assert_eq!(back, src, "W={W} {mk:?} {v:?} len_w={len_w}");
+                    assert_eq!(pos, survivors.len());
                 }
             }
         }
@@ -509,9 +723,9 @@ mod tests {
     fn survivors_match_naive_filter() {
         let src = patterned(64 * 4, 99);
         let mut bm = Vec::new();
-        build::<4>(Mark::IsZero, &src, &mut bm);
+        let kept = build::<4>(Mark::IsZero, &src, &mut bm);
         let mut got = Vec::new();
-        emit_survivors::<4>(&src, &bm, &mut got);
+        emit::<4>(&src, &bm, kept, &mut got);
         let want: Vec<u8> = src
             .chunks_exact(4)
             .filter(|w| w.iter().any(|&b| b != 0))

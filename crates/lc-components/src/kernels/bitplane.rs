@@ -9,9 +9,16 @@
 //!
 //! * the **portable grouped** path uses the classic three-step delta-swap
 //!   `u64` bit-matrix transpose (8 words per 18 ALU ops per byte column);
-//! * the **SIMD** paths (`W` = 1 and 4) extract a whole plane byte per
+//! * the **SSE2** paths (`W` = 1 and 4) extract a whole plane byte per
 //!   `movemask` after shifting the target bit into the lane sign
 //!   position;
+//! * the **AVX2** path is blocked: 32 words are byte-transposed into `W`
+//!   byte-plane registers (byte `m` of all 32 words side by side), so
+//!   every `movemask_epi8` / `add_epi8` step finishes four plane bytes
+//!   at once and stores them as one `u32`; decode rebuilds each
+//!   byte-plane register from its 8 rows with the delta-swap transpose
+//!   on four 64-bit lanes at once, then undoes the byte transpose
+//!   (DESIGN §15);
 //! * when `n % 8 != 0` (short trailing chunks), plane boundaries straddle
 //!   bytes and the exact [`BitWriter`]-equivalent reference runs instead.
 //!
@@ -138,11 +145,11 @@ fn portable_decode_grouped<const W: usize>(src: &[u8], dst: &mut [u8], n: usize,
 pub fn variant<const W: usize>() -> Variant {
     #[cfg(target_arch = "x86_64")]
     {
-        if W == 1 || W == 4 {
-            let t = super::tier();
-            if t >= Variant::Sse2 {
-                return t;
-            }
+        let t = super::tier();
+        // The blocked AVX2 transpose covers every word size; SSE2 only
+        // has plane extraction for W = 1 and 4.
+        if t >= Variant::Avx2 || (t >= Variant::Sse2 && (W == 1 || W == 4)) {
+            return t;
         }
     }
     Variant::Scalar
@@ -228,6 +235,7 @@ pub fn decode_with<const W: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::super::vecio::{load128, load256, store256};
     use super::REV8;
     use std::arch::x86_64::*;
 
@@ -281,50 +289,159 @@ mod x86 {
         }
     }
 
-    /// AVX2 plane extraction; same contract as [`encode_sse2`].
+    // ---- blocked AVX2 transpose ----
+    //
+    // A block is 32 words. `gather` turns it into `W` byte-plane
+    // registers: register `m` holds byte `m` of every word, and inside
+    // each 8-byte group the words run backwards (byte `8j+k` is word
+    // `8j+7−k`), so that `movemask_epi8` — lane 0 into bit 0 — puts word
+    // `8j` at the MSB of mask byte `j`, which is the stored format.
+    // `scatter` is the exact inverse.
+
+    /// In-lane byte shuffles that split 16 bytes of `W`-byte words into
+    /// per-byte runs with the word order reversed, and their inverses.
+    const REVERSE8: [u8; 16] = [7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8];
+    const SPLIT2: [u8; 16] = [14, 12, 10, 8, 6, 4, 2, 0, 15, 13, 11, 9, 7, 5, 3, 1];
+    const JOIN2: [u8; 16] = [7, 15, 6, 14, 5, 13, 4, 12, 3, 11, 2, 10, 1, 9, 0, 8];
+    const SPLIT4: [u8; 16] = [12, 8, 4, 0, 13, 9, 5, 1, 14, 10, 6, 2, 15, 11, 7, 3];
+    const JOIN4: [u8; 16] = [3, 7, 11, 15, 2, 6, 10, 14, 1, 5, 9, 13, 0, 4, 8, 12];
+
+    /// The same 16-byte `pshufb` control in both lanes.
+    #[target_feature(enable = "avx2")]
+    fn both_lanes(c: [u8; 16]) -> __m256i {
+        _mm256_broadcastsi128_si256(load128(&c))
+    }
+
+    /// 4×4 transpose of dwords inside each 128-bit lane (its own inverse).
+    #[target_feature(enable = "avx2")]
+    fn transpose4(r: [__m256i; 4]) -> [__m256i; 4] {
+        let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+        let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+        let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+        let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+        [
+            _mm256_unpacklo_epi64(t0, t2),
+            _mm256_unpackhi_epi64(t0, t2),
+            _mm256_unpacklo_epi64(t1, t3),
+            _mm256_unpackhi_epi64(t1, t3),
+        ]
+    }
+
+    /// 32 dwords (four registers) → their four byte planes.
+    #[target_feature(enable = "avx2")]
+    fn gather4(r: [__m256i; 4]) -> [__m256i; 4] {
+        let split = both_lanes(SPLIT4);
+        // Lane → [byte 0 of w3..w0 | byte 1 | byte 2 | byte 3]; the
+        // transpose then collects dword m of all eight lanes in plane m
+        // as [low lanes | high lanes]; vpermd interleaves them so each
+        // register's 8 words are adjacent, high lane (w7..w4) first.
+        let order = _mm256_setr_epi32(4, 0, 5, 1, 6, 2, 7, 3);
+        transpose4(r.map(|v| _mm256_shuffle_epi8(v, split)))
+            .map(|p| _mm256_permutevar8x32_epi32(p, order))
+    }
+
+    /// Inverse of [`gather4`].
+    #[target_feature(enable = "avx2")]
+    fn scatter4(p: [__m256i; 4]) -> [__m256i; 4] {
+        let join = both_lanes(JOIN4);
+        let order = _mm256_setr_epi32(1, 3, 5, 7, 0, 2, 4, 6);
+        transpose4(p.map(|v| _mm256_permutevar8x32_epi32(v, order)))
+            .map(|v| _mm256_shuffle_epi8(v, join))
+    }
+
+    /// Byte planes of the 32-word block at `src` (`32·W` bytes); only
+    /// the first `W` entries are meaningful.
+    #[target_feature(enable = "avx2")]
+    fn gather<const W: usize>(src: &[u8]) -> [__m256i; 8] {
+        let mut p = [_mm256_setzero_si256(); 8];
+        let reg = |i: usize| load256(&src[32 * i..]);
+        match W {
+            1 => p[0] = _mm256_shuffle_epi8(reg(0), both_lanes(REVERSE8)),
+            2 => {
+                // Lane → [low bytes of w7..w0 | high bytes]; pair up the
+                // halves of both registers, then put the lanes in order.
+                let split = both_lanes(SPLIT2);
+                let (a, b) = (
+                    _mm256_shuffle_epi8(reg(0), split),
+                    _mm256_shuffle_epi8(reg(1), split),
+                );
+                p[0] = _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0b11_01_10_00);
+                p[1] = _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0b11_01_10_00);
+            }
+            4 => p[..4].copy_from_slice(&gather4([reg(0), reg(1), reg(2), reg(3)])),
+            _ => {
+                // Split each qword into its low and high dword, giving
+                // two blocks of 32 dwords in word order.
+                let halves = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+                let mut lo = [p[0]; 4];
+                let mut hi = [p[0]; 4];
+                for k in 0..4 {
+                    let a = _mm256_permutevar8x32_epi32(reg(2 * k), halves);
+                    let b = _mm256_permutevar8x32_epi32(reg(2 * k + 1), halves);
+                    lo[k] = _mm256_permute2x128_si256(a, b, 0x20);
+                    hi[k] = _mm256_permute2x128_si256(a, b, 0x31);
+                }
+                p[..4].copy_from_slice(&gather4(lo));
+                p[4..].copy_from_slice(&gather4(hi));
+            }
+        }
+        p
+    }
+
+    /// Inverse of [`gather`]: write the block's `32·W` bytes to `dst`.
+    #[target_feature(enable = "avx2")]
+    fn scatter<const W: usize>(p: [__m256i; 8], dst: &mut [u8]) {
+        let mut put = |i: usize, v: __m256i| store256(&mut dst[32 * i..], v);
+        match W {
+            1 => put(0, _mm256_shuffle_epi8(p[0], both_lanes(REVERSE8))),
+            2 => {
+                let join = both_lanes(JOIN2);
+                let a = _mm256_permute4x64_epi64(p[0], 0b11_01_10_00);
+                let b = _mm256_permute4x64_epi64(p[1], 0b11_01_10_00);
+                put(0, _mm256_shuffle_epi8(_mm256_unpacklo_epi64(a, b), join));
+                put(1, _mm256_shuffle_epi8(_mm256_unpackhi_epi64(a, b), join));
+            }
+            4 => {
+                for (i, v) in scatter4([p[0], p[1], p[2], p[3]]).into_iter().enumerate() {
+                    put(i, v);
+                }
+            }
+            _ => {
+                let halves = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+                let lo = scatter4([p[0], p[1], p[2], p[3]]);
+                let hi = scatter4([p[4], p[5], p[6], p[7]]);
+                for k in 0..4 {
+                    let a = _mm256_permute2x128_si256(lo[k], hi[k], 0x20);
+                    let b = _mm256_permute2x128_si256(lo[k], hi[k], 0x31);
+                    put(2 * k, _mm256_permutevar8x32_epi32(a, halves));
+                    put(2 * k + 1, _mm256_permutevar8x32_epi32(b, halves));
+                }
+            }
+        }
+    }
+
+    /// Blocked AVX2 plane extraction; returns words covered (a multiple
+    /// of 32). Byte plane `m` holds bits `8m..8m+8` of every word; its
+    /// sign bits are plane row `8·(W−1−m)` (MSB plane first), and each
+    /// `add_epi8` shifts the next bit into the sign position.
     #[target_feature(enable = "avx2")]
     pub(super) fn encode_avx2<const W: usize>(src: &[u8], dst: &mut [u8], n: usize) -> usize {
         let stride = n / 8;
-        match W {
-            1 => {
-                let groups = n / 32;
-                for g in 0..groups {
-                    // safety: group `g` reads 32 bytes at `g*32`,
-                    // `groups*32 ≤ n = src.len()`.
-                    unsafe {
-                        let v = _mm256_loadu_si256(src.as_ptr().add(g * 32).cast());
-                        for bit in 0..8usize {
-                            let s = _mm_cvtsi32_si128(7 - bit as i32);
-                            let m = _mm256_movemask_epi8(_mm256_sll_epi16(v, s)) as u32;
-                            let p = 7 - bit;
-                            let o = p * stride + g * 4;
-                            dst[o] = REV8[(m & 0xFF) as usize];
-                            dst[o + 1] = REV8[((m >> 8) & 0xFF) as usize];
-                            dst[o + 2] = REV8[((m >> 16) & 0xFF) as usize];
-                            dst[o + 3] = REV8[(m >> 24) as usize];
-                        }
-                    }
+        for (blk, block) in src.chunks_exact(32 * W).enumerate() {
+            // The first stage of an encode reads its input cold.
+            _mm_prefetch::<_MM_HINT_T0>(block.as_ptr().wrapping_add(1024).cast());
+            let planes = gather::<W>(block);
+            for (m, &plane) in planes[..W].iter().enumerate() {
+                let mut v = plane;
+                for t in 0..8 {
+                    let o = (8 * (W - 1 - m) + t) * stride + 4 * blk;
+                    let mask = _mm256_movemask_epi8(v) as u32;
+                    dst[o..o + 4].copy_from_slice(&mask.to_le_bytes());
+                    v = _mm256_add_epi8(v, v);
                 }
-                groups * 32
             }
-            4 => {
-                let groups = n / 8;
-                for g in 0..groups {
-                    // safety: group `g` reads 32 bytes at `g*32`,
-                    // `groups*32 ≤ n*4 = src.len()`.
-                    unsafe {
-                        let v = _mm256_loadu_si256(src.as_ptr().add(g * 32).cast());
-                        for bit in 0..32usize {
-                            let s = _mm_cvtsi32_si128(31 - bit as i32);
-                            let m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_sll_epi32(v, s)));
-                            dst[(31 - bit) * stride + g] = REV8[m as usize & 0xFF];
-                        }
-                    }
-                }
-                groups * 8
-            }
-            _ => 0,
         }
+        n / 32 * 32
     }
 
     /// SSE2 inverse-movemask decode for `W` = 1; returns words covered.
@@ -357,42 +474,84 @@ mod x86 {
         groups * 16
     }
 
-    /// AVX2 inverse-movemask decode for `W` = 1; returns words covered.
+    /// [`super::transpose8`] on each of the four qwords.
+    #[target_feature(enable = "avx2")]
+    fn transpose8x4(x: __m256i) -> __m256i {
+        let t = _mm256_and_si256(
+            _mm256_xor_si256(x, _mm256_srli_epi64(x, 7)),
+            _mm256_set1_epi64x(0x00AA_00AA_00AA_00AA),
+        );
+        let x = _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 7)));
+        let t = _mm256_and_si256(
+            _mm256_xor_si256(x, _mm256_srli_epi64(x, 14)),
+            _mm256_set1_epi64x(0x0000_CCCC_0000_CCCC),
+        );
+        let x = _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 14)));
+        let t = _mm256_and_si256(
+            _mm256_xor_si256(x, _mm256_srli_epi64(x, 28)),
+            _mm256_set1_epi64x(0x0000_0000_F0F0_F0F0),
+        );
+        _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 28)))
+    }
+
+    /// Blocked AVX2 decode; returns words covered (a multiple of 32).
+    ///
+    /// Pass 1 rebuilds byte planes, one per `(block, m)`, and parks each
+    /// in its block of `dst`: the block's four bytes of each of the 8
+    /// plane rows of byte `m` go into one register (row 0 = bit 7
+    /// first), the per-register half of [`gather4`] regroups them so
+    /// qword `j` holds the 8 row bytes of words `8j..8j+8` (bit 0's row
+    /// first), and an 8×8 bit transpose of each qword turns 8 row bytes
+    /// into 8 word bytes — in the reversed order [`scatter`] expects.
+    /// Pass 2 scatters every block's planes back into words, in place.
     #[target_feature(enable = "avx2")]
     pub(super) fn decode_avx2<const W: usize>(src: &[u8], dst: &mut [u8], n: usize) -> usize {
-        if W != 1 {
-            return 0;
-        }
         let stride = n / 8;
-        let groups = n / 32;
-        let bitsel = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
-        for g in 0..groups {
-            let mut acc = _mm256_setzero_si256();
-            for bit in 0..8usize {
-                let p = 7 - bit;
-                let o = p * stride + g * 4;
-                let lo = _mm_unpacklo_epi64(
-                    _mm_set1_epi8(REV8[src[o] as usize] as i8),
-                    _mm_set1_epi8(REV8[src[o + 1] as usize] as i8),
+        let blocks = n / 32;
+        let split = both_lanes(SPLIT4);
+        let order = _mm256_setr_epi32(4, 0, 5, 1, 6, 2, 7, 3);
+        // Highest byte first: its rows come first in `src`.
+        for m in (0..W).rev() {
+            // The 8 plane rows of byte m as 4-byte columns, cut to the
+            // block count so the loop below indexes them unchecked.
+            let rows: [&[[u8; 4]]; 8] = std::array::from_fn(|t| {
+                let row = &src[(8 * (W - 1 - m) + t) * stride..][..stride];
+                &row.as_chunks().0[..blocks]
+            });
+            for (blk, block) in (0..blocks).zip(dst.chunks_exact_mut(32 * W)) {
+                // Eight short streams are more than the hardware
+                // prefetcher follows when `src` is cold: on entering a
+                // cache line, ask for the same column 8 rows further on
+                // (the next byte's rows, or whatever follows `src`).
+                if blk % 16 == 0 {
+                    for row in rows {
+                        let ahead = row.as_ptr().wrapping_add(blk + 2 * stride);
+                        _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                    }
+                }
+                let col = |t: usize| i32::from_le_bytes(rows[t][blk]);
+                let cols = _mm256_setr_epi32(
+                    col(0),
+                    col(1),
+                    col(2),
+                    col(3),
+                    col(4),
+                    col(5),
+                    col(6),
+                    col(7),
                 );
-                let hi = _mm_unpacklo_epi64(
-                    _mm_set1_epi8(REV8[src[o + 2] as usize] as i8),
-                    _mm_set1_epi8(REV8[src[o + 3] as usize] as i8),
-                );
-                let sel = _mm256_set_m128i(hi, lo);
-                let hit = _mm256_cmpeq_epi8(_mm256_and_si256(sel, bitsel), bitsel);
-                acc = _mm256_or_si256(
-                    acc,
-                    _mm256_and_si256(hit, _mm256_set1_epi8((1u8 << bit) as i8)),
-                );
-            }
-            // safety: the store writes 32 bytes at `g*32`, `groups*32 ≤
-            // n = dst.len()`.
-            unsafe {
-                _mm256_storeu_si256(dst.as_mut_ptr().add(g * 32).cast(), acc);
+                let by_group = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(cols, split), order);
+                store256(&mut block[32 * m..], transpose8x4(by_group));
             }
         }
-        groups * 32
+        for block in dst.chunks_exact_mut(32 * W) {
+            let mut planes = [_mm256_setzero_si256(); 8];
+            for (m, plane) in planes[..W].iter_mut().enumerate() {
+                *plane = load256(&block[32 * m..]);
+            }
+            scatter::<W>(planes, block);
+        }
+        blocks * 32
     }
 }
 

@@ -28,9 +28,17 @@
 //! # Safety audit boundary
 //!
 //! All `unsafe` here is of exactly two shapes: (1) calling a
-//! `#[target_feature]` function after the matching runtime detection, and
-//! (2) unaligned vector loads/stores through raw pointers whose bounds
-//! are checked by the surrounding loop (`i + STEP <= len`). Kernels never
+//! `#[target_feature]` function after the matching runtime detection
+//! (the AVX2 tier is only reported when `avx2` *and* `popcnt` are both
+//! detected, so AVX2 bodies may enable either), and (2) unaligned vector
+//! loads/stores through raw pointers whose bounds are checked either by
+//! the surrounding loop (`i + STEP <= len`) or — in the LUT-shuffle
+//! bitmap kernels and the blocked bit-plane transpose — by the
+//! [`vecio`] helpers, which slice their argument to exactly the vector
+//! width (`&s[..32]`) on the line before the pointer is formed, so the
+//! bound is a safe index check next to the access. Narrower stores (the
+//! `u32` plane masks, the 8-byte `W = 1` shuffle results) are plain
+//! `copy_from_slice` calls with no `unsafe` at all. Kernels never
 //! allocate, never transmute, and write only into caller-provided slices
 //! that are sized before the call. Everything else in the crate is
 //! `#![deny(unsafe_code)]`-clean.
@@ -76,7 +84,11 @@ fn detected() -> Variant {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            // Every AVX2 part also has POPCNT; requiring it here lets
+            // AVX2 bodies count bitmap bits with one instruction.
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("popcnt")
+            {
                 Variant::Avx2
             } else if std::arch::is_x86_feature_detected!("sse2") {
                 Variant::Sse2
@@ -119,6 +131,19 @@ pub fn set_tier_cap(cap: Variant) {
     CAP.store(to_u8(cap), Ordering::Relaxed);
 }
 
+/// Run `f` with the dispatch cap at `cap`, then put the previous cap
+/// back. The cap is process-wide and `cargo test` runs tests on parallel
+/// threads, so every test that moves it goes through this lock.
+#[cfg(test)]
+pub(crate) fn with_tier_cap<R>(cap: Variant, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let before = CAP.swap(to_u8(cap), Ordering::Relaxed);
+    let r = f();
+    CAP.store(before, Ordering::Relaxed);
+    r
+}
+
 /// Every tier currently reachable through dispatch, weakest first.
 ///
 /// The differential tests iterate this list to compare each reachable
@@ -134,23 +159,65 @@ pub fn available() -> Vec<Variant> {
     v
 }
 
+/// Unaligned vector loads and stores that carry their own bound: each
+/// helper slices its argument to the vector width before forming the
+/// pointer, so a caller can only ever get a panic, never an
+/// out-of-bounds access.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod vecio {
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub fn load128(s: &[u8]) -> __m128i {
+        let s = &s[..16];
+        // safety: `s` is exactly 16 readable bytes; `loadu` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(s.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub fn store128(d: &mut [u8], v: __m128i) {
+        let d = &mut d[..16];
+        // safety: `d` is exactly 16 writable bytes.
+        unsafe { _mm_storeu_si128(d.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub fn load256(s: &[u8]) -> __m256i {
+        let s = &s[..32];
+        // safety: `s` is exactly 32 readable bytes.
+        unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx")]
+    pub fn store256(d: &mut [u8], v: __m256i) {
+        let d = &mut d[..32];
+        // safety: `d` is exactly 32 writable bytes.
+        unsafe { _mm256_storeu_si256(d.as_mut_ptr().cast(), v) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn tier_never_exceeds_detection_and_cap_lowers_it() {
-        let t = tier();
-        assert!(t <= detected());
-        set_tier_cap(Variant::Scalar);
-        assert_eq!(tier(), Variant::Scalar);
-        // set_tier_cap(Avx2) overrides LC_KERNELS entirely (docs above).
-        set_tier_cap(Variant::Avx2);
-        assert_eq!(tier(), detected());
-        // Restore the env-derived default: other tests in this binary
-        // dispatch, and an LC_KERNELS pin must keep applying to them.
-        CAP.store(CAP_UNSET, Ordering::Relaxed);
-        assert_eq!(tier(), detected().min(env_cap()));
+        assert!(tier() <= detected());
+        with_tier_cap(Variant::Scalar, || {
+            assert_eq!(tier(), Variant::Scalar);
+            // set_tier_cap(Avx2) overrides LC_KERNELS entirely (docs above).
+            set_tier_cap(Variant::Avx2);
+            assert_eq!(tier(), detected());
+            // The env-derived default: other tests in this binary
+            // dispatch, and an LC_KERNELS pin must keep applying to them.
+            CAP.store(CAP_UNSET, Ordering::Relaxed);
+            assert_eq!(tier(), detected().min(env_cap()));
+        });
     }
 
     #[test]

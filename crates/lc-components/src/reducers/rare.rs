@@ -91,7 +91,7 @@ fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelSta
     let vals = words::to_vec::<W>(input);
     if n == 0 {
         out.push(1); // degenerate k so the frame stays parseable
-        write_bitmap_block(&[], out, stats);
+        write_bitmap_block(&mut Vec::new(), out, stats);
         return;
     }
     let (k, _) = choose_k(&vals, bits, upper);
@@ -113,7 +113,7 @@ fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelSta
         }
     }
     out.push(k as u8);
-    write_bitmap_block(&bm, out, stats);
+    write_bitmap_block(&mut bm, out, stats);
     let mut writer = BitWriter::new(out);
     for i in 0..n {
         if bm[i / 8] & (1 << (i % 8)) == 0 {
@@ -159,7 +159,8 @@ fn decode<const W: usize>(
             context: "RARE k out of range",
         });
     }
-    let bm = read_bitmap_block(input, &mut pos, stats)?;
+    let (mut bm, mut tmp) = (Vec::new(), Vec::new());
+    read_bitmap_block(input, &mut pos, stats, &mut bm, &mut tmp)?;
     if n == 0 {
         out.extend_from_slice(frame.tail);
         return Ok(());

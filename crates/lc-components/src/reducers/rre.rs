@@ -26,9 +26,8 @@ use lc_core::{
 };
 
 use super::{account_compaction_scan, read_frame, write_frame};
-use crate::kernels::{self, bitmap};
+use crate::kernels::bitmap;
 use crate::util::varint;
-use crate::util::words;
 
 pub(crate) use crate::kernels::bitmap::Mark;
 
@@ -36,7 +35,7 @@ pub(crate) use crate::kernels::bitmap::Mark;
 /// recursing further.
 pub const BITMAP_RAW_LIMIT: usize = 16;
 
-/// Recursively emit a bitmap block.
+/// Recursively emit the bitmap block for `bm`.
 ///
 /// Every recursion level marks bitmap bytes that repeat their predecessor,
 /// independent of the word-level rule: bitmaps are run-heavy for both
@@ -44,25 +43,56 @@ pub const BITMAP_RAW_LIMIT: usize = 16;
 /// O(log) levels either way. (The paper only says the bitmap is
 /// "repeatedly compressed with the same algorithm"; the exact byte-level
 /// rule is an implementation choice, documented here.)
-pub(crate) fn write_bitmap_block(bm: &[u8], out: &mut Vec<u8>, stats: &mut KernelStats) {
-    varint::write(out, bm.len() as u64);
-    if bm.len() <= BITMAP_RAW_LIMIT {
-        out.extend_from_slice(bm);
-        return;
-    }
-    let mut meta = Vec::new();
-    bitmap::build::<1>(Mark::RepeatsPrior, bm, &mut meta);
-    stats.thread_ops += bm.len() as u64 * 2;
-    write_bitmap_block(&meta, out, stats);
-    bitmap::emit_survivors::<1>(bm, &meta, out);
+///
+/// `bm` doubles as the scratch for the deeper levels — each an eighth of
+/// the one above, appended behind it — and is truncated back to the
+/// caller's bitmap before returning.
+pub(crate) fn write_bitmap_block(bm: &mut Vec<u8>, out: &mut Vec<u8>, stats: &mut KernelStats) {
+    let len = bm.len();
+    write_level(bm, 0, out, stats);
+    bm.truncate(len);
 }
 
-/// Recursively read a bitmap block starting at `*pos`.
+/// Emit the block for the level stored at `levels[at..]`.
+fn write_level(levels: &mut Vec<u8>, at: usize, out: &mut Vec<u8>, stats: &mut KernelStats) {
+    let len = levels.len() - at;
+    varint::write(out, len as u64);
+    if len <= BITMAP_RAW_LIMIT {
+        out.extend_from_slice(&levels[at..]);
+        return;
+    }
+    levels.resize(at + len + len.div_ceil(8), 0);
+    let (bm, meta) = levels[at..].split_at_mut(len);
+    let kept = bitmap::build_into::<1>(Mark::RepeatsPrior, bm, meta);
+    stats.thread_ops += len as u64 * 2;
+    write_level(levels, at + len, out, stats);
+    let (bm, meta) = levels[at..].split_at(len);
+    bitmap::emit::<1>(bm, meta, kept, out);
+}
+
+/// Recursively read a bitmap block starting at `*pos` into `bm`
+/// (replacing its contents); `tmp` is scratch for every other level.
 pub(crate) fn read_bitmap_block(
     buf: &[u8],
     pos: &mut usize,
     stats: &mut KernelStats,
-) -> Result<Vec<u8>, DecodeError> {
+    bm: &mut Vec<u8>,
+    tmp: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    read_level(buf, pos, stats, None, bm, tmp)
+}
+
+/// Read one level; `expect` is the size the level above needs it to be.
+/// Checking it before descending bounds the recursion by the 8× shrink
+/// per level instead of by the input length.
+fn read_level(
+    buf: &[u8],
+    pos: &mut usize,
+    stats: &mut KernelStats,
+    expect: Option<usize>,
+    bm: &mut Vec<u8>,
+    tmp: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
     let len = varint::read(buf, pos)? as usize;
     // A level-0 bitmap covers at most 2·CHUNK_SIZE words → bound every
     // level by that to stop corrupt archives from over-allocating.
@@ -71,52 +101,34 @@ pub(crate) fn read_bitmap_block(
             context: "bitmap block too large",
         });
     }
-    if len <= BITMAP_RAW_LIMIT {
-        if *pos + len > buf.len() {
-            return Err(DecodeError::Truncated {
-                context: "raw bitmap block",
-            });
-        }
-        let bm = buf[*pos..*pos + len].to_vec();
-        *pos += len;
-        return Ok(bm);
-    }
-    let meta = read_bitmap_block(buf, pos, stats)?;
-    if meta.len() != len.div_ceil(8) {
+    if expect.is_some_and(|e| e != len) {
         return Err(DecodeError::Corrupt {
             context: "bitmap meta level size",
         });
     }
-    stats.thread_ops += len as u64 * 2;
-    let mut bm = Vec::with_capacity(len);
-    for i in 0..len {
-        let marked = meta[i / 8] & (1 << (i % 8)) != 0;
-        if marked {
-            if i == 0 {
-                return Err(DecodeError::Corrupt {
-                    context: "bitmap repeat at index 0",
-                });
-            }
-            let b = bm[i - 1];
-            bm.push(b);
-        } else {
-            let b = *buf.get(*pos).ok_or(DecodeError::Truncated {
-                context: "bitmap survivors",
-            })?;
-            *pos += 1;
-            bm.push(b);
-        }
+    if len <= BITMAP_RAW_LIMIT {
+        let raw = buf.get(*pos..*pos + len).ok_or(DecodeError::Truncated {
+            context: "raw bitmap block",
+        })?;
+        bm.clear();
+        bm.extend_from_slice(raw);
+        *pos += len;
+        return Ok(());
     }
-    Ok(bm)
+    read_level(buf, pos, stats, Some(len.div_ceil(8)), tmp, bm)?;
+    stats.thread_ops += len as u64 * 2;
+    bm.clear();
+    bitmap::expand::<1>(Mark::RepeatsPrior, tmp, len, buf, pos, bm)
 }
 
 fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelStats, mark: Mark) {
     let n = write_frame::<W>(input, out);
     let src = &input[..n * W];
-    let mut bm = Vec::new();
+    // One allocation for the bitmap and every level below it.
+    let mut bm = Vec::with_capacity(n.div_ceil(8) * 8 / 7 + 8);
     let kept = bitmap::build::<W>(mark, src, &mut bm);
-    write_bitmap_block(&bm, out, stats);
-    bitmap::emit_survivors::<W>(src, &bm, out);
+    write_bitmap_block(&mut bm, out, stats);
+    bitmap::emit::<W>(src, &bm, kept, out);
     stats.words += n as u64;
     stats.thread_ops += n as u64 * 3;
     stats.global_reads += input.len() as u64;
@@ -135,88 +147,15 @@ fn decode<const W: usize>(
     let frame = read_frame::<W>(input)?;
     let n = frame.n_words;
     let mut pos = frame.body;
-    let bm = read_bitmap_block(input, &mut pos, stats)?;
+    let (mut bm, mut tmp) = (Vec::new(), Vec::new());
+    read_bitmap_block(input, &mut pos, stats, &mut bm, &mut tmp)?;
     if bm.len() != n.div_ceil(8) {
         return Err(DecodeError::Corrupt {
             context: "bitmap size vs word count",
         });
     }
     out.reserve(n * W + frame.tail.len());
-    let mut prev = 0u64;
-    let mut i = 0usize;
-    // RZE at word size 4 has a vectorized reconstruction; it stops at
-    // the first group it cannot safely load, and the scalar loop below
-    // (which owns all truncation detection) finishes from there. `prev`
-    // needs no fixup: it is only read under `Mark::RepeatsPrior`.
-    if W == 4 && matches!(mark, Mark::IsZero) {
-        i = bitmap::expand_zero4(&bm, n, input, &mut pos, out);
-    }
-    while i < n {
-        // Whole-bitmap-byte fast paths: 0x00 = eight survivors streamed
-        // straight from the input, 0xFF = eight reconstructed words.
-        if i.is_multiple_of(8) && i + 8 <= n {
-            match bm[i / 8] {
-                0x00 => {
-                    if pos + 8 * W > input.len() {
-                        return Err(DecodeError::Truncated {
-                            context: "surviving words",
-                        });
-                    }
-                    out.extend_from_slice(&input[pos..pos + 8 * W]);
-                    prev = words::get::<W>(&input[pos + 7 * W..], 0);
-                    pos += 8 * W;
-                    i += 8;
-                    continue;
-                }
-                0xFF => {
-                    match mark {
-                        Mark::IsZero => {
-                            out.resize(out.len() + 8 * W, 0);
-                            prev = 0;
-                        }
-                        Mark::RepeatsPrior => {
-                            if i == 0 {
-                                return Err(DecodeError::Corrupt {
-                                    context: "word repeat at index 0",
-                                });
-                            }
-                            let wb = prev.to_le_bytes();
-                            kernels::rle::fill_words::<W>(&wb[..W], 8, out);
-                        }
-                    }
-                    i += 8;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        let marked = bm[i / 8] & (1 << (i % 8)) != 0;
-        let v = if marked {
-            match mark {
-                Mark::RepeatsPrior => {
-                    if i == 0 {
-                        return Err(DecodeError::Corrupt {
-                            context: "word repeat at index 0",
-                        });
-                    }
-                    prev
-                }
-                Mark::IsZero => 0,
-            }
-        } else {
-            if pos + W > input.len() {
-                return Err(DecodeError::Truncated {
-                    context: "surviving words",
-                });
-            }
-            let v = words::get::<W>(&input[pos..], 0);
-            pos += W;
-            v
-        };
-        words::put::<W>(out, v);
-        prev = v;
-        i += 1;
-    }
+    bitmap::expand::<W>(mark, &bm, n, input, &mut pos, out)?;
     out.extend_from_slice(frame.tail);
     stats.words += n as u64;
     stats.thread_ops += n as u64 * 2;
@@ -296,7 +235,14 @@ rre_like!(Rze, "RZE", Mark::IsZero);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{with_tier_cap, Variant};
     use lc_core::verify::roundtrip_component;
+
+    fn read_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, DecodeError> {
+        let (mut bm, mut tmp) = (Vec::new(), Vec::new());
+        read_bitmap_block(buf, pos, &mut KernelStats::new(), &mut bm, &mut tmp)?;
+        Ok(bm)
+    }
 
     #[test]
     fn roundtrips_all_widths_and_lengths() {
@@ -352,9 +298,9 @@ mod tests {
         for len in [0usize, 1, 16, 17, 100, 2048] {
             let bm: Vec<u8> = (0..len).map(|i| ((i / 5) % 256) as u8).collect();
             let mut out = Vec::new();
-            write_bitmap_block(&bm, &mut out, &mut KernelStats::new());
+            write_bitmap_block(&mut bm.clone(), &mut out, &mut KernelStats::new());
             let mut pos = 0;
-            let back = read_bitmap_block(&out, &mut pos, &mut KernelStats::new()).unwrap();
+            let back = read_block(&out, &mut pos).unwrap();
             assert_eq!(back, bm, "len={len}");
             assert_eq!(pos, out.len());
         }
@@ -364,14 +310,108 @@ mod tests {
     fn bitmap_block_rejects_truncation() {
         let bm: Vec<u8> = (0..200).map(|i| (i % 7) as u8).collect();
         let mut out = Vec::new();
-        write_bitmap_block(&bm, &mut out, &mut KernelStats::new());
+        write_bitmap_block(&mut bm.clone(), &mut out, &mut KernelStats::new());
         for cut in 0..out.len() {
-            let mut pos = 0;
-            assert!(
-                read_bitmap_block(&out[..cut], &mut pos, &mut KernelStats::new()).is_err(),
-                "cut={cut}"
-            );
+            assert!(read_block(&out[..cut], &mut 0).is_err(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn nested_bitmap_headers_are_rejected_without_recursing() {
+        // 20,000 level headers of 17 bytes each: every level claims to
+        // need a meta level, none has the size the level above implies.
+        // (Descending first and checking after overflowed a 2 MiB stack.)
+        let mut enc = vec![100u8, 0]; // frame: 100 words, no tail
+        enc.resize(20_002, 17);
+        let err = Rre::<1>
+            .decode_chunk(&enc, &mut Vec::new(), &mut KernelStats::new())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::Corrupt {
+                context: "bitmap meta level size"
+            }
+        );
+    }
+
+    /// Decode `enc` with the kernels capped at `cap`.
+    fn decode_at<const W: usize>(
+        cap: Variant,
+        comp: &dyn Component,
+        enc: &[u8],
+    ) -> Result<Vec<u8>, DecodeError> {
+        with_tier_cap(cap, || {
+            let mut out = Vec::new();
+            comp.decode_chunk(enc, &mut out, &mut KernelStats::new())?;
+            Ok(out)
+        })
+    }
+
+    #[test]
+    fn every_tier_reports_the_portable_loops_errors() {
+        // The vector paths never raise an error of their own: they stop
+        // and the portable loop decides. So every prefix of an encoded
+        // 16 KiB chunk, and a bitmap whose word 0 is marked, must fail
+        // identically — variant and context — with the kernels capped at
+        // scalar and uncapped.
+        fn check<const W: usize>(comp: &dyn Component) {
+            let mut s = 0x5DEE_CE66_D1CE_4E5Bu64;
+            // Runs of zero, repeated and fresh words: mixed bitmap bytes
+            // for both reducers.
+            let mut data = Vec::with_capacity(lc_core::CHUNK_SIZE);
+            while data.len() < lc_core::CHUNK_SIZE {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let word = match s >> 62 {
+                    0 => [0u8; 8],
+                    1 if data.len() >= W => {
+                        let mut w = [0u8; 8];
+                        w[..W].copy_from_slice(&data[data.len() - W..]);
+                        w
+                    }
+                    _ => (s | 1).to_le_bytes(),
+                };
+                data.extend_from_slice(&word[..W]);
+            }
+            let mut enc = Vec::new();
+            comp.encode_chunk(&data, &mut enc, &mut KernelStats::new());
+            assert_eq!(
+                decode_at::<W>(Variant::Avx2, comp, &enc).as_ref(),
+                Ok(&data)
+            );
+            for cut in 0..enc.len() {
+                let scalar = decode_at::<W>(Variant::Scalar, comp, &enc[..cut]);
+                assert!(scalar.is_err(), "{} cut={cut}", comp.name());
+                let full = decode_at::<W>(Variant::Avx2, comp, &enc[..cut]);
+                assert_eq!(full, scalar, "{} cut={cut}", comp.name());
+            }
+            // Mark word 0 in the level-0 bitmap. 64 words keep the bitmap
+            // a raw 8-byte block right behind the frame and its length.
+            let small = &data[..64 * W];
+            let mut enc = Vec::new();
+            comp.encode_chunk(small, &mut enc, &mut KernelStats::new());
+            assert_eq!(&enc[..3], &[64, 0, 8], "frame, then a raw 8-byte bitmap");
+            enc[3] |= 1;
+            let scalar = decode_at::<W>(Variant::Scalar, comp, &enc);
+            assert_eq!(decode_at::<W>(Variant::Avx2, comp, &enc), scalar);
+            if comp.name().starts_with("RRE") {
+                assert_eq!(
+                    scalar,
+                    Err(DecodeError::Corrupt {
+                        context: "word repeat at index 0"
+                    })
+                );
+            }
+        }
+        check::<1>(&Rre::<1>);
+        check::<2>(&Rre::<2>);
+        check::<4>(&Rre::<4>);
+        check::<8>(&Rre::<8>);
+        check::<1>(&Rze::<1>);
+        check::<2>(&Rze::<2>);
+        check::<4>(&Rze::<4>);
+        check::<8>(&Rze::<8>);
     }
 
     #[test]

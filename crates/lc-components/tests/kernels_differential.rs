@@ -56,6 +56,28 @@ fn patterns(len: usize) -> Vec<Vec<u8>> {
     ]
 }
 
+/// [`patterns`] plus one whose 8-byte blocks are zero, a repeat of the
+/// block before, or noise in equal parts: both marks then see mixed
+/// bitmap bytes at every word size, which none of the byte-granular
+/// patterns gives `IsZero` above `W = 1`.
+fn marked_patterns(len: usize) -> Vec<Vec<u8>> {
+    let mut rng = xorshift(0xD1B5_4A32_D192_ED03 ^ len as u64);
+    let mut sparse = Vec::with_capacity(len + 8);
+    while sparse.len() < len {
+        let r = rng();
+        let block = match r % 3 {
+            0 => [0u8; 8],
+            1 if sparse.len() >= 8 => sparse[sparse.len() - 8..].try_into().unwrap(),
+            _ => rng().to_le_bytes(),
+        };
+        sparse.extend_from_slice(&block);
+    }
+    sparse.truncate(len);
+    let mut all = patterns(len);
+    all.push(sparse);
+    all
+}
+
 fn tiers() -> Vec<Variant> {
     let t = kernels::available();
     assert!(t.contains(&Variant::Scalar), "scalar is always reachable");
@@ -123,8 +145,15 @@ fn diff_all_tiers_match_scalar_and_roundtrip() {
     check::<8>();
 }
 
+fn naive_filter<const W: usize>(src: &[u8], bm: &[u8], n: usize) -> Vec<u8> {
+    (0..n)
+        .filter(|i| bm[i / 8] & (1 << (i % 8)) == 0)
+        .flat_map(|i| src[i * W..(i + 1) * W].iter().copied())
+        .collect()
+}
+
 #[test]
-fn bitmap_all_tiers_match_scalar_and_survivors_filter() {
+fn bitmap_all_tiers_match_scalar() {
     fn check<const W: usize>() {
         for &len in LENGTHS {
             for input in patterns(len) {
@@ -139,17 +168,75 @@ fn bitmap_all_tiers_match_scalar_and_survivors_filter() {
                         assert_eq!(got, want, "bitmap W={W} {mk:?} {v:?} len={len}");
                         assert_eq!(kept, want_kept, "kept W={W} {mk:?} {v:?} len={len}");
                     }
-                    // Survivor emission must agree with a naive bit filter.
-                    let mut surv = Vec::new();
-                    bitmap::emit_survivors::<W>(src, &want, &mut surv);
-                    let mut naive = Vec::new();
-                    for i in 0..n {
-                        if want[i / 8] & (1 << (i % 8)) == 0 {
-                            naive.extend_from_slice(&src[i * W..(i + 1) * W]);
+                    let unmarked = (0..n).filter(|i| want[i / 8] & (1 << (i % 8)) == 0);
+                    assert_eq!(unmarked.count(), want_kept, "W={W} {mk:?} len={len}");
+                }
+            }
+        }
+    }
+    check::<1>();
+    check::<2>();
+    check::<4>();
+    check::<8>();
+}
+
+/// `expand_with` at tier `v`, reading survivors from `buf` at `lead`:
+/// the cursor and the appended words on success, the error otherwise
+/// (what `out` holds after an error is unspecified).
+fn run_expand<const W: usize>(
+    v: Variant,
+    mk: bitmap::Mark,
+    bm: &[u8],
+    n: usize,
+    buf: &[u8],
+    lead: usize,
+) -> Result<(usize, Vec<u8>), lc_core::DecodeError> {
+    let mut pos = lead;
+    let mut out = vec![0xAA]; // expand appends
+    bitmap::expand_with::<W>(v, mk, bm, n, buf, &mut pos, &mut out)?;
+    Ok((pos, out.split_off(1)))
+}
+
+#[test]
+fn emit_expand_all_tiers_match_scalar() {
+    // The LUT-shuffle compaction and expansion against the portable
+    // loops, for every word size and both marks. `expand` runs with the
+    // survivors behind 0, 1 and 8 header bytes (the one-word-back window
+    // of `RepeatsPrior` must give way to the portable loop when the
+    // header is shorter than a word) and on cut survivor streams, where
+    // every tier must fail with the portable loop's error.
+    fn check<const W: usize>() {
+        for &len in LENGTHS {
+            for input in marked_patterns(len) {
+                let src = &input[..(input.len() / W) * W];
+                let n = src.len() / W;
+                for mk in bitmap::Mark::ALL {
+                    let mut bm = Vec::new();
+                    let kept = bitmap::build_with::<W>(Variant::Scalar, mk, src, &mut bm);
+                    let surv = naive_filter::<W>(src, &bm, n);
+                    for v in tiers() {
+                        let mut got = vec![0xAA]; // emit appends
+                        bitmap::emit_with::<W>(v, src, &bm, kept, &mut got);
+                        assert_eq!(got[1..], surv, "emit W={W} {mk:?} {v:?} len={len}");
+                        for lead in [0usize, 1, 8] {
+                            let mut framed = vec![0x5A; lead];
+                            framed.extend_from_slice(&surv);
+                            let whole = run_expand::<W>(v, mk, &bm, n, &framed, lead);
+                            assert_eq!(
+                                whole,
+                                Ok((framed.len(), src.to_vec())),
+                                "expand W={W} {mk:?} {v:?} len={len} lead={lead}"
+                            );
+                            for cut in [surv.len() / 2, surv.len().saturating_sub(1)] {
+                                let buf = &framed[..lead + cut];
+                                assert_eq!(
+                                    run_expand::<W>(v, mk, &bm, n, buf, lead),
+                                    run_expand::<W>(Variant::Scalar, mk, &bm, n, buf, lead),
+                                    "cut W={W} {mk:?} {v:?} len={len} lead={lead} cut={cut}"
+                                );
+                            }
                         }
                     }
-                    assert_eq!(surv, naive, "survivors W={W} {mk:?} len={len}");
-                    assert_eq!(surv.len(), want_kept * W);
                 }
             }
         }
@@ -161,35 +248,56 @@ fn bitmap_all_tiers_match_scalar_and_survivors_filter() {
 }
 
 #[test]
-fn expand_zero4_inverts_emit_survivors() {
-    // The vectorized IsZero reconstruction must rebuild exactly the
-    // words emit_survivors dropped: survivors back in place, marked
-    // lanes zero. Where the kernel stops early (tier too low or tail
-    // guard), finish scalar — the same contract rre.rs decode relies on.
-    for &len in LENGTHS {
-        for input in patterns(len) {
-            let src = &input[..(input.len() / 4) * 4];
-            let n = src.len() / 4;
-            let mut bm = Vec::new();
-            bitmap::build::<4>(bitmap::Mark::IsZero, src, &mut bm);
-            let mut surv = Vec::new();
-            bitmap::emit_survivors::<4>(src, &bm, &mut surv);
-            let mut pos = 0usize;
-            let mut back = Vec::new();
-            let mut i = bitmap::expand_zero4(&bm, n, &surv, &mut pos, &mut back);
-            while i < n {
-                if bm[i / 8] & (1 << (i % 8)) == 0 {
-                    back.extend_from_slice(&surv[pos..pos + 4]);
-                    pos += 4;
-                } else {
-                    back.extend_from_slice(&[0u8; 4]);
+fn expand_handles_arbitrary_bitmaps_and_load_boundaries() {
+    // Bitmaps no encoder produced (random bits, so word 0 is marked in
+    // half of them: `Corrupt` under `RepeatsPrior`), over a survivor
+    // stream that ends exactly where the last survivor does, one byte
+    // early, and 32 bytes late. With the all-kept bitmap the stream ends
+    // exactly on a 16- or 32-byte window boundary.
+    fn check<const W: usize>() {
+        let mut rng = xorshift(0x0123_4567_89AB_CDEF ^ W as u64);
+        for n in [8usize, 16, 24, 64, 100] {
+            for case in 0..12 {
+                let mut bm: Vec<u8> = (0..n.div_ceil(8)).map(|_| rng() as u8).collect();
+                match case {
+                    0 => bm.fill(0x00),
+                    1 => bm.fill(0xFF),
+                    2 => bm[0] = 0xFE,
+                    _ => {}
                 }
-                i += 1;
+                let kept = (0..n).filter(|i| bm[i / 8] & (1 << (i % 8)) == 0).count();
+                let lead = 8;
+                let stream: Vec<u8> = (0..lead + kept * W + 32).map(|_| rng() as u8).collect();
+                for mk in bitmap::Mark::ALL {
+                    for end in [
+                        lead + kept * W,
+                        (lead + kept * W).max(lead + 1) - 1,
+                        stream.len(),
+                    ] {
+                        let buf = &stream[..end];
+                        let want = run_expand::<W>(Variant::Scalar, mk, &bm, n, buf, lead);
+                        if mk == bitmap::Mark::RepeatsPrior && bm[0] & 1 != 0 {
+                            assert!(
+                                matches!(want, Err(lc_core::DecodeError::Corrupt { .. })),
+                                "{want:?}"
+                            );
+                        }
+                        for v in tiers() {
+                            assert_eq!(
+                                run_expand::<W>(v, mk, &bm, n, buf, lead),
+                                want,
+                                "W={W} {mk:?} {v:?} n={n} case={case} end={end}"
+                            );
+                        }
+                    }
+                }
             }
-            assert_eq!(back, src, "len={len}");
-            assert_eq!(pos, surv.len(), "len={len}");
         }
     }
+    check::<1>();
+    check::<2>();
+    check::<4>();
+    check::<8>();
 }
 
 #[test]
@@ -207,6 +315,45 @@ fn bitplane_all_tiers_match_scalar_and_roundtrip() {
                     bitplane::decode_with::<W>(v, &got, &mut back).unwrap();
                     assert_eq!(back, input, "roundtrip W={W} {v:?} len={len}");
                 }
+            }
+        }
+    }
+    check::<1>();
+    check::<2>();
+    check::<4>();
+    check::<8>();
+}
+
+#[test]
+fn bitplane_blocked_transpose_matches_the_bitstream_definition() {
+    // The format's definition, bit by bit: plane b−1 first, one bit per
+    // word, word 0 at the MSB of each byte. Word counts on both sides of
+    // the 32-word block (24, 32, 40) and a full 16 KiB chunk's worth.
+    fn naive<const W: usize>(input: &[u8], n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n * W];
+        let mut k = 0usize;
+        for bit in (0..8 * W).rev() {
+            for w in 0..n {
+                if input[w * W + bit / 8] >> (bit % 8) & 1 != 0 {
+                    out[k / 8] |= 0x80 >> (k % 8);
+                }
+                k += 1;
+            }
+        }
+        out
+    }
+    fn check<const W: usize>() {
+        let mut rng = xorshift(0xB17_B10C ^ W as u64);
+        for n in [24usize, 32, 40, 4096] {
+            let input: Vec<u8> = (0..n * W).map(|_| rng() as u8).collect();
+            let want = naive::<W>(&input, n);
+            for v in tiers() {
+                let mut got = Vec::new();
+                bitplane::encode_with::<W>(v, &input, &mut got);
+                assert_eq!(got, want, "enc W={W} {v:?} n={n}");
+                let mut back = Vec::new();
+                bitplane::decode_with::<W>(v, &got, &mut back).unwrap();
+                assert_eq!(back, input, "dec W={W} {v:?} n={n}");
             }
         }
     }

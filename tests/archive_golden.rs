@@ -4,14 +4,19 @@
 //!
 //! The fixtures under `tests/fixtures/` were produced by the commit
 //! preceding the rewrite (v2 by dropping the per-chunk CRCs from that
-//! commit's v3 bytes, since no v2 encoder exists any more). They are
-//! never regenerated from the code under test.
+//! commit's v3 bytes, since no v2 encoder exists any more), and
+//! `golden_v3_bit4_rre1_rze1.lc` by the commit preceding the LUT-shuffle
+//! bitmap kernels and the blocked bit-plane transpose. They are never
+//! regenerated from the code under test.
 
+use lc_repro::lc_components::kernels::{self, Variant};
 use lc_repro::lc_components::{lookup, parse_pipeline};
 use lc_repro::lc_core::{archive, CHUNK_SIZE};
 use lc_repro::lc_parallel::Pool;
 
 const PIPELINE: &str = "DBEFS_4 DIFF_4 RZE_4";
+/// The bitmap-reducer pipeline of the `codec_kernel` benchmark workload.
+const KERNEL_PIPELINE: &str = "BIT_4 RRE_1 RZE_1";
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -37,6 +42,56 @@ fn noise_chunk() -> Vec<u8> {
             (x >> 32) as u8
         })
         .collect()
+}
+
+/// One chunk of a slow f32 random walk: after BIT_4 the high planes are
+/// constant runs and the low planes noise, so RRE_1 sees mixed bitmap
+/// bytes on a full chunk.
+fn walk_chunk() -> Vec<u8> {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut v = 20.0f32;
+    (0..CHUNK_SIZE / 4)
+        .flat_map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            v += ((x >> 40) as i32 % 5 - 2) as f32 * 0.125;
+            v.to_le_bytes()
+        })
+        .collect()
+}
+
+/// One chunk whose 8-word groups are all-zero or noise with equal
+/// odds: BIT_4 turns each zero group into a zero byte in every plane,
+/// so RRE_1 and then RZE_1 both shrink a full chunk of mixed bitmap
+/// bytes.
+fn sparse_chunk() -> Vec<u8> {
+    let mut x = 0xD1B5_4A32_D192_ED03u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..CHUNK_SIZE / 32)
+        .flat_map(|_| {
+            let keep = next() >> 63 == 0;
+            (0..32)
+                .map(|_| if keep { (next() >> 32) as u8 } else { 0 })
+                .collect::<Vec<u8>>()
+        })
+        .collect()
+}
+
+/// Walk, sparse, staircase, noise, zeros, and a ragged 333-byte tail.
+fn kernel_input() -> Vec<u8> {
+    let mut data = walk_chunk();
+    data.extend(sparse_chunk());
+    data.extend(stair_chunk());
+    data.extend(noise_chunk());
+    data.extend(vec![0u8; CHUNK_SIZE]);
+    data.extend(&walk_chunk()[..333]);
+    data
 }
 
 /// Staircase, noise, zeros, and a ragged 333-byte tail.
@@ -72,11 +127,48 @@ fn encode_reproduces_the_golden_v3_bytes() {
 }
 
 #[test]
+fn golden_v3_bytes_are_reproduced_at_every_kernel_tier() {
+    // The vector kernels are a pure performance overlay: an archive a
+    // parent-commit encoder wrote comes out byte for byte with the
+    // kernels pinned to the portable loops and at the detected tier, at
+    // any thread count, and decodes back to its input at both.
+    let kernel_input = kernel_input();
+    for (name, pipeline, input) in [
+        ("golden_v3.lc", PIPELINE, &v3_input()),
+        (
+            "golden_v3_bit4_rre1_rze1.lc",
+            KERNEL_PIPELINE,
+            &kernel_input,
+        ),
+    ] {
+        let golden = fixture(name);
+        let pipeline = parse_pipeline(pipeline).unwrap();
+        for cap in [Variant::Scalar, Variant::Avx2] {
+            kernels::set_tier_cap(cap);
+            for threads in [1, 2, 5] {
+                let pool = Pool::new(threads);
+                let encoded = archive::encode(&pipeline, input, &pool);
+                assert_eq!(encoded, golden, "{name} {cap:?}, {threads} threads");
+                let decoded = archive::decode(&golden, lookup, &pool).unwrap();
+                assert_eq!(&decoded, input, "{name} {cap:?}, {threads} threads");
+            }
+        }
+    }
+    // The kernel fixture really has both reducers applied on some chunks
+    // (full chunks of mixed bitmap bytes) and skipped on others.
+    let pipeline = parse_pipeline(KERNEL_PIPELINE).unwrap();
+    let stats = archive::encode_with_stats(&pipeline, &kernel_input, &Pool::new(1)).stats;
+    let applied: Vec<u64> = stats.stages.iter().map(|s| s.chunks_applied).collect();
+    assert_eq!((stats.chunks, applied), (6, vec![6, 5, 2]));
+}
+
+#[test]
 fn golden_v3_and_v2_archives_decode() {
     let pool = Pool::new(3);
     for (name, version, input) in [
         ("golden_v3.lc", 3, v3_input()),
         ("golden_v2.lc", 2, v2_input()),
+        ("golden_v3_bit4_rre1_rze1.lc", 3, kernel_input()),
     ] {
         let bytes = fixture(name);
         assert_eq!(archive::parse_header(&bytes).unwrap().version, version);
