@@ -325,7 +325,8 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
     }
     let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = Instant::now();
-    let res = archive::encode_with_stats(&pipeline, &data, &pool);
+    // invariant: with no cancel token the encode always completes.
+    let res = archive::encode_with(&pipeline, &data, &pool, None).expect("uncancelled encode");
     let dt = t0.elapsed().as_secs_f64();
     // durable-exempt: user-named output of a one-shot CLI command.
     std::fs::write(output, &res.archive).map_err(|e| format!("{output}: {e}"))?;
@@ -355,26 +356,8 @@ fn cmd_decompress(rest: &[String]) -> Result<(), CliError> {
     };
     let limit = max_decoded_bytes(rest)?;
     let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let pool = Pool::with_default_threads();
     let t0 = Instant::now();
-    // Both archive flavors are self-describing; dispatch on the magic.
-    let out = if data.starts_with(&lc_core::stream::STREAM_MAGIC) {
-        if limit.is_some() {
-            return Err(
-                "--max-decoded-bytes applies to LCRP archives; streams (LCRS) decode \
-                 chunk-by-chunk in bounded memory already"
-                    .into(),
-            );
-        }
-        let mut out = Vec::new();
-        lc_core::stream::decode_stream(&mut &data[..], &mut out, lc_components::lookup, &pool)?;
-        out
-    } else {
-        match limit {
-            Some(max) => archive::decode_bounded(&data, lc_components::lookup, &pool, max)?,
-            None => archive::decode(&data, lc_components::lookup, &pool)?,
-        }
-    };
+    let (out, _) = decode_any(&data, limit, false)?;
     let dt = t0.elapsed().as_secs_f64();
     // durable-exempt: user-named output of a one-shot CLI command.
     std::fs::write(output, &out).map_err(|e| format!("{output}: {e}"))?;
@@ -389,6 +372,38 @@ fn cmd_decompress(rest: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Decode `data` as either self-describing container, dispatching on its
+/// magic. `limit` is the decompression-bomb guard; `salvage` recovers
+/// what still validates of a damaged archive and reports the rest. Both
+/// apply to LCRP archives only: a stream (LCRS) decodes batch by batch
+/// in bounded memory, and all or nothing.
+fn decode_any(
+    data: &[u8],
+    limit: Option<u64>,
+    salvage: bool,
+) -> Result<(Vec<u8>, Option<archive::SalvageReport>), CliError> {
+    let pool = Pool::with_default_threads();
+    if data.starts_with(&lc_core::stream::STREAM_MAGIC) {
+        if limit.is_some() || salvage {
+            return Err(
+                "--max-decoded-bytes and salvage apply to LCRP archives; streams \
+                 (LCRS) decode batch by batch in bounded memory, all or nothing"
+                    .into(),
+            );
+        }
+        let mut out = Vec::new();
+        lc_core::stream::decode_stream(&mut &data[..], &mut out, lc_components::lookup, &pool)?;
+        return Ok((out, None));
+    }
+    let decoder = archive::Decoder::new(data, lc_components::lookup, limit)?;
+    if salvage {
+        let (out, report) = decoder.salvage(&pool)?;
+        Ok((out, Some(report)))
+    } else {
+        Ok((decoder.decode(&pool, None)?.0, None))
+    }
+}
+
 fn cmd_salvage(rest: &[String]) -> Result<(), CliError> {
     let pos = positional(rest);
     let [input, output] = pos[..] else {
@@ -396,12 +411,10 @@ fn cmd_salvage(rest: &[String]) -> Result<(), CliError> {
     };
     let limit = max_decoded_bytes(rest)?;
     let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let pool = Pool::with_default_threads();
     let t0 = Instant::now();
-    let (out, report) = match limit {
-        Some(max) => archive::decode_salvage_bounded(&data, lc_components::lookup, &pool, max)?,
-        None => archive::decode_salvage(&data, lc_components::lookup, &pool)?,
-    };
+    let (out, report) = decode_any(&data, limit, true)?;
+    // invariant: a salvaging decode of an archive always reports.
+    let report = report.expect("salvage report");
     let dt = t0.elapsed().as_secs_f64();
     // durable-exempt: user-named output of a one-shot CLI command.
     std::fs::write(output, &out).map_err(|e| format!("{output}: {e}"))?;
@@ -487,14 +500,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), CliError> {
         _ => return Err("usage: lc verify ARCHIVE [ORIGINAL]".into()),
     };
     let data = std::fs::read(archive_path).map_err(|e| format!("{archive_path}: {e}"))?;
-    let pool = Pool::with_default_threads();
-    let out = if data.starts_with(&lc_core::stream::STREAM_MAGIC) {
-        let mut out = Vec::new();
-        lc_core::stream::decode_stream(&mut &data[..], &mut out, lc_components::lookup, &pool)?;
-        out
-    } else {
-        archive::decode(&data, lc_components::lookup, &pool)?
-    };
+    let (out, _) = decode_any(&data, None, false)?;
     println!("{archive_path}: decodes cleanly to {} bytes", out.len());
     if let Some(orig_path) = original {
         let orig = std::fs::read(orig_path).map_err(|e| format!("{orig_path}: {e}"))?;

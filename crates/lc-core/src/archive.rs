@@ -1,4 +1,4 @@
-//! Chunked archive format and the parallel encode/decode drivers.
+//! Chunked archive format, and the chunk engine both containers run.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -21,24 +21,25 @@
 //! are still decoded; the per-chunk integrity and salvage features
 //! simply degrade to structural-only detection for them.
 //!
-//! Each direction is one pass over the data in one [`Pool`] pass, with
-//! no per-chunk allocation:
+//! The chunk engine is framing-agnostic: [`crate::stream`] runs the same
+//! two passes once per window. Each direction is one pass over the data
+//! in one [`Pool`] pass, with no per-chunk allocation:
 //!
-//! * **Encode** writes the header and a placeholder chunk table, then
-//!   reserves `input.len()` bytes behind them — copy-on-expand bounds
-//!   every stored chunk by its input length, so that always suffices.
-//!   A worker checksums its chunk, runs the stages in its [`Scratch`]
-//!   arena, publishes the stored size to the decoupled look-back scan
-//!   from `lc-parallel`, receives the cumulative size of all prior
-//!   chunks, and copies its bytes straight to that offset of the
-//!   output — how the GPU encoder propagates compressed sizes between
-//!   thread blocks and stores each block's output (paper §6.1). The
-//!   table and the header CRC are patched in afterwards.
+//! * **Encode** reserves `input.len()` bytes behind the caller's framing
+//!   (header and placeholder table) — copy-on-expand bounds every stored
+//!   chunk by its input length, so that always suffices. A worker
+//!   checksums its chunk, runs the stages in its [`Scratch`] arena,
+//!   publishes the stored size to the decoupled look-back scan from
+//!   `lc-parallel`, receives the cumulative size of all prior chunks,
+//!   and copies its bytes straight to that offset of the output — how
+//!   the GPU encoder propagates compressed sizes between thread blocks
+//!   and stores each block's output (paper §6.1). The framing patches
+//!   the table rows in afterwards.
 //! * **Decode** prefix-sums the chunk table into payload offsets (the
 //!   GPU decoder's block prefix sum), and a worker decodes its chunk in
-//!   its arena, copies the result to the chunk's fixed output region and
-//!   checksums the bytes *where they landed*, so the placement is
-//!   covered by the check too.
+//!   its arena, checks its length, copies it to the chunk's fixed output
+//!   region and checksums the bytes *where they landed*, so the
+//!   placement is covered by the check too.
 //!
 //! The whole-input CRC is never computed over the buffer: both
 //! directions fold it from the per-chunk CRCs with
@@ -52,24 +53,23 @@
 //! actually decompress). Non-reducers never change the size and are always
 //! applied.
 //!
-//! Fault tolerance: [`decode`] is all-or-nothing — any damage is a hard
-//! [`DecodeError`]. [`decode_salvage`] is the degraded-mode counterpart:
-//! it decodes every chunk that still validates, zero-fills the regions of
-//! chunks that do not, and reports per-chunk faults in a
-//! [`SalvageReport`] instead of aborting. [`decode_bounded`] adds a
-//! decompression-bomb guard in front of either path.
+//! Fault tolerance: [`Decoder::decode`] is all-or-nothing;
+//! [`Decoder::salvage`] recovers every chunk that still validates and
+//! reports the rest in a [`SalvageReport`].
 
+use std::ops::RangeInclusive;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use lc_parallel::{CancelToken, DisjointSlice, LookbackScan, Pool};
-use lc_telemetry::{span, ArgValue, Span};
+use lc_telemetry::{span, Span};
 
 use crate::checksum::{combine, crc32};
-use crate::chunk::{chunk_count, chunk_range};
+use crate::chunk::{chunk_count, chunk_range, CHUNK_SIZE};
 use crate::component::Component;
 use crate::error::DecodeError;
 use crate::pipeline::Pipeline;
-use crate::scratch::Scratch;
+use crate::scratch::{decode_stage, encode_stage, Scratch};
 use crate::stats::{KernelStats, PipelineStats, StageStats};
 
 /// Archive magic bytes.
@@ -116,7 +116,7 @@ impl Archive {
     }
 }
 
-/// Outcome of one unrecoverable chunk in [`decode_salvage`].
+/// Outcome of one unrecoverable chunk in [`Decoder::salvage`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkFault {
     /// Index of the chunk that could not be recovered.
@@ -125,7 +125,7 @@ pub struct ChunkFault {
     pub error: DecodeError,
 }
 
-/// What [`decode_salvage`] managed to recover.
+/// What [`Decoder::salvage`] managed to recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SalvageReport {
     /// Chunks decoded and (for v3) validated against their per-chunk CRC.
@@ -148,7 +148,7 @@ impl SalvageReport {
     }
 }
 
-/// Result of [`encode_with_stats`].
+/// Result of [`encode_with`].
 #[derive(Debug, Clone)]
 pub struct EncodeResult {
     /// The serialized archive.
@@ -172,19 +172,19 @@ struct StageAcc {
 /// and the statistics, both allocated once per worker, not per chunk.
 struct Worker {
     scratch: Scratch,
-    stages: Vec<StageAcc>,
+    totals: Vec<StageAcc>,
 }
 
 impl Worker {
     fn new(n_stages: usize) -> Self {
         Self {
             scratch: Scratch::new(),
-            stages: vec![StageAcc::default(); n_stages],
+            totals: vec![StageAcc::default(); n_stages],
         }
     }
 
     fn merge(mut self, other: Worker) -> Worker {
-        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
+        for (a, b) in self.totals.iter_mut().zip(&other.totals) {
             a.kernel.merge(&b.kernel);
             a.applied += b.applied;
             a.bytes_in += b.bytes_in;
@@ -194,29 +194,9 @@ impl Worker {
     }
 }
 
-fn stage_stats<'n>(
-    names: impl Iterator<Item = &'n str>,
-    totals: &[StageAcc],
-    n_chunks: usize,
-) -> Vec<StageStats> {
-    names
-        .zip(totals)
-        .map(|(name, acc)| StageStats {
-            component: name.to_string(),
-            kernel: acc.kernel,
-            chunks_applied: acc.applied,
-            chunks_skipped: n_chunks as u64 - acc.applied,
-            bytes_in: acc.bytes_in,
-            bytes_out: acc.bytes_out,
-        })
-        .collect()
-}
-
-/// CRC-32 of a `len`-byte buffer from the CRCs of its chunks, in order.
-fn whole_crc(chunk_crcs: impl Iterator<Item = u32>, len: usize) -> u32 {
-    chunk_crcs.enumerate().fold(0, |acc, (i, crc)| {
-        combine(acc, crc, chunk_range(i, len).len())
-    })
+/// CRC-32 of consecutive pieces from each piece's `(crc, len)`, in order.
+fn crc_of(pieces: impl Iterator<Item = (u32, usize)>) -> u32 {
+    pieces.fold(0, |acc, (crc, len)| combine(acc, crc, len))
 }
 
 /// Encode `input` with `pipeline`, returning only the archive bytes.
@@ -259,119 +239,217 @@ fn whole_crc(chunk_crcs: impl Iterator<Item = u32>, len: usize) -> u32 {
 /// assert_eq!(back, data);
 /// ```
 pub fn encode(pipeline: &Pipeline, input: &[u8], pool: &Pool) -> Vec<u8> {
-    encode_with_stats(pipeline, input, pool).archive
+    // invariant: with no cancel token the pool drains every chunk.
+    let result = encode_with(pipeline, input, pool, None).expect("no cancel token");
+    result.archive
 }
 
 /// Encode `input` with `pipeline`, returning the archive and statistics.
 ///
+/// With a `cancel` token, workers poll it at every chunk claim and the
+/// encode stops at the next claim boundary once it trips; the result is
+/// then `None` — there is no partial archive, and the caller (an
+/// `lc-serve` request whose deadline fired) reports `deadline_exceeded`.
+/// Without one the result is always `Some`.
+///
 /// # Panics
 ///
-/// Panics if the pipeline has more than [`MAX_STAGES`] stages.
-pub fn encode_with_stats(pipeline: &Pipeline, input: &[u8], pool: &Pool) -> EncodeResult {
-    match encode_inner(pipeline, input, pool, None) {
-        Some(r) => r,
-        // invariant: with no cancel token the pool drains every chunk.
-        None => unreachable!("uncancellable encode reported cancellation"),
-    }
-}
-
-/// Like [`encode_with_stats`], but workers poll `cancel` at every chunk
-/// claim and the encode stops at the next claim boundary once it trips.
-/// Returns `None` when cancelled — there is no partial archive; the
-/// caller (an `lc-serve` request whose deadline fired) reports
-/// `deadline_exceeded` and drops the scratch work on the floor.
-///
-/// Cancellation is deadlock-safe with respect to the decoupled look-back
-/// scan: workers only stop *between* claims, every claimed chunk still
-/// publishes its scan entry, and `scan.total()` is consulted only on the
-/// not-cancelled path where all chunks have published.
-pub fn encode_cancellable(
-    pipeline: &Pipeline,
-    input: &[u8],
-    pool: &Pool,
-    cancel: &CancelToken,
-) -> Option<EncodeResult> {
-    encode_inner(pipeline, input, pool, Some(cancel))
-}
-
-/// One chunk's row of the table, recorded by the worker that encoded it.
-#[derive(Clone, Copy, Default)]
-struct StoredChunk {
-    mask: u8,
-    stored_len: u32,
-    /// CRC-32 of the chunk's original (uncompressed) bytes.
-    crc: u32,
-}
-
-fn encode_inner(
+/// Panics if the pipeline has more than [`MAX_STAGES`] stages, or if a
+/// stage chain stores a chunk larger than it came in.
+pub fn encode_with(
     pipeline: &Pipeline,
     input: &[u8],
     pool: &Pool,
     cancel: Option<&CancelToken>,
 ) -> Option<EncodeResult> {
-    let stages = pipeline.stages();
-    assert!(
-        stages.len() <= MAX_STAGES,
-        "pipeline has {} stages; archive mask supports at most {MAX_STAGES}",
-        stages.len()
-    );
+    let codec = ChunkCodec::new(pipeline.stages().to_vec(), "encode");
     let n_chunks = chunk_count(input.len());
-    // Hoisted once per encode: chunk/stage instrumentation below branches
-    // on this bool, so a disabled-telemetry encode pays one relaxed load.
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(stages, "encode")
-    } else {
-        Vec::new()
-    };
-    let costs = &costs;
     let mut enc_span = span!("archive.encode", bytes = input.len(), chunks = n_chunks);
 
     // Header and a placeholder table; the whole-input CRC and the table
     // rows are only known after the pass and are patched in below.
     let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + input.len());
-    archive.extend_from_slice(&MAGIC);
-    archive.push(VERSION);
-    archive.push(stages.len() as u8);
-    for s in stages {
-        let name = s.name().as_bytes();
-        archive.push(name.len() as u8);
-        archive.extend_from_slice(name);
-    }
+    write_prologue(&mut archive, MAGIC, VERSION, pipeline);
     archive.extend_from_slice(&(input.len() as u64).to_le_bytes());
     let crc_at = archive.len();
     archive.extend_from_slice(&[0; 4]);
     archive.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    let table_at = archive.len();
-    archive.resize(table_at + n_chunks * TABLE_ENTRY_V3, 0);
-    let payload_start = archive.len();
+    let table = archive.len()..archive.len() + n_chunks * TABLE_ENTRY_V3;
+    archive.resize(table.end, 0);
+
+    let encoded = encode_chunks(&codec, input, &mut archive, pool, cancel)?;
+    write_rows(&mut archive[table.clone()], &encoded.rows, TABLE_ENTRY_V3);
+    archive[crc_at..crc_at + 4].copy_from_slice(&encoded.crc.to_le_bytes());
+
+    let stored = (archive.len() - table.start) as u64;
+    let stats = codec.stats(&encoded.totals, n_chunks, input.len() as u64, stored);
+    if codec.telemetry {
+        enc_span.arg("archive_bytes", archive.len());
+        lc_telemetry::counter("archive.encode.calls").add(1);
+        lc_telemetry::counter("archive.encode.bytes_in").add(input.len() as u64);
+        lc_telemetry::counter("archive.encode.bytes_out").add(archive.len() as u64);
+        lc_telemetry::counter("archive.encode.chunks").add(n_chunks as u64);
+    }
+    Some(EncodeResult { archive, stats })
+}
+
+/// Write the prologue both containers open with: magic, version, and the
+/// stage list as `count u8, (name_len u8, name)*`.
+pub(crate) fn write_prologue(out: &mut Vec<u8>, magic: [u8; 4], version: u8, pipeline: &Pipeline) {
+    out.extend_from_slice(&magic);
+    out.push(version);
+    out.push(pipeline.len() as u8);
+    for s in pipeline.stages() {
+        let name = s.name().as_bytes();
+        out.push(name.len() as u8);
+        out.extend_from_slice(name);
+    }
+}
+
+/// Read `N` bytes through `fill`, which reads exactly `buf.len()` bytes
+/// or fails: with a truncation for an in-memory archive, a truncation
+/// or transport error for a stream.
+pub(crate) fn take<const N: usize, E>(
+    fill: &mut impl FnMut(&mut [u8], &'static str) -> Result<(), E>,
+    context: &'static str,
+) -> Result<[u8; N], E> {
+    let mut buf = [0u8; N];
+    fill(&mut buf, context)?;
+    Ok(buf)
+}
+
+/// Read the prologue [`write_prologue`] writes through `fill` (see
+/// [`take`]), returning the version and the stage names. Every field is
+/// checked: malformed bytes yield a [`DecodeError`], never a panic.
+pub(crate) fn read_prologue<E: From<DecodeError>>(
+    magic: [u8; 4],
+    versions: RangeInclusive<u8>,
+    fill: &mut impl FnMut(&mut [u8], &'static str) -> Result<(), E>,
+) -> Result<(u8, Vec<String>), E> {
+    if take::<4, E>(fill, "magic")? != magic {
+        return Err(DecodeError::BadMagic.into());
+    }
+    let [version] = take(fill, "version")?;
+    if !versions.contains(&version) {
+        return Err(DecodeError::BadVersion(version).into());
+    }
+    let [n_stages] = take(fill, "stage count")?;
+    if n_stages == 0 || n_stages as usize > MAX_STAGES {
+        let context = "stage count";
+        return Err(DecodeError::Corrupt { context }.into());
+    }
+    let mut names = Vec::with_capacity(n_stages as usize);
+    for _ in 0..n_stages {
+        let [len] = take(fill, "stage name length")?;
+        let mut name = vec![0u8; len as usize];
+        fill(&mut name, "stage name")?;
+        let context = "stage name utf8";
+        names.push(String::from_utf8(name).map_err(|_| DecodeError::Corrupt { context })?);
+    }
+    Ok((version, names))
+}
+
+/// One chunk's row of the table, with the payload offset the prefix sum
+/// over the stored sizes gives it.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ChunkRow {
+    mask: u8,
+    /// Byte offset of the stored chunk within the payload region.
+    start: u64,
+    stored_len: u32,
+    /// CRC-32 of the chunk's original bytes; `None` in 5-byte rows.
+    crc: Option<u32>,
+}
+
+/// Serialize `rows` into `table`: `entry_size` bytes per row, the chunk
+/// CRC only in [`TABLE_ENTRY_V3`] rows.
+pub(crate) fn write_rows(table: &mut [u8], rows: &[ChunkRow], entry_size: usize) {
+    for (row, chunk) in table.chunks_exact_mut(entry_size).zip(rows) {
+        row[0] = chunk.mask;
+        row[1..5].copy_from_slice(&chunk.stored_len.to_le_bytes());
+        if let (Some(crc), Some(field)) = (chunk.crc, row.get_mut(5..9)) {
+            field.copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+}
+
+/// Parse a table of `entry_size`-byte rows, returning the rows with
+/// their payload offsets — a prefix sum over the table, as in the GPU
+/// decoder — and the sum of the stored sizes. u32 sizes cannot overflow
+/// a u64 total.
+pub(crate) fn parse_rows(table: &[u8], entry_size: usize) -> (Vec<ChunkRow>, u64) {
+    let le_u32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let mut total = 0u64;
+    let rows = table
+        .chunks_exact(entry_size)
+        .map(|row| {
+            let start = total;
+            let stored_len = le_u32(&row[1..5]);
+            total += u64::from(stored_len);
+            let crc = row.get(5..9).map(le_u32);
+            let mask = row[0];
+            ChunkRow {
+                mask,
+                start,
+                stored_len,
+                crc,
+            }
+        })
+        .collect();
+    (rows, total)
+}
+
+/// What one encode pass of the chunk engine leaves besides the payload.
+pub(crate) struct Encoded {
+    /// One table row per chunk.
+    pub(crate) rows: Vec<ChunkRow>,
+    /// CRC-32 of the whole input, folded from the chunk CRCs.
+    pub(crate) crc: u32,
+    /// Per-stage totals over every chunk.
+    totals: Vec<StageAcc>,
+}
+
+/// The encode pass of the chunk engine: encode the chunks of `input`
+/// and append their payloads, in chunk order, to `out`.
+///
+/// One pool task per chunk, like one thread block per chunk on the GPU.
+/// Returns `None` when `cancel` tripped; `out` then keeps its original
+/// length and the partly written spare capacity is never exposed.
+///
+/// Cancellation is deadlock-safe with respect to the decoupled
+/// look-back scan: workers only stop *between* claims, every claimed
+/// chunk still publishes its scan entry, and `scan.total()` is consulted
+/// only on the not-cancelled path where all chunks have published.
+///
+/// # Panics
+///
+/// Panics if a stage chain stores a chunk larger than it came in (only
+/// a reducer may change the size, and only to shrink).
+pub(crate) fn encode_chunks(
+    codec: &ChunkCodec,
+    input: &[u8],
+    out: &mut Vec<u8>,
+    pool: &Pool,
+    cancel: Option<&CancelToken>,
+) -> Option<Encoded> {
+    let n_chunks = chunk_count(input.len());
+    let payload_start = out.len();
     // The payload region: `input.len()` bytes of spare capacity, enough
     // because no chunk is stored larger than it came in.
-    archive.reserve(input.len());
-
+    out.reserve(input.len());
     let scan = LookbackScan::new(n_chunks);
-    let mut table = vec![StoredChunk::default(); n_chunks];
+    let mut rows = vec![ChunkRow::default(); n_chunks];
     let totals = {
-        let rows = DisjointSlice::new(&mut table);
-        let payload = DisjointSlice::new(&mut archive.spare_capacity_mut()[..input.len()]);
-        // One pool task per chunk, like one thread block per chunk on
-        // the GPU.
+        let slots = DisjointSlice::new(&mut rows);
+        let payload = DisjointSlice::new(&mut out.spare_capacity_mut()[..input.len()]);
         pool.fold_cancellable(
             n_chunks,
             cancel,
-            || Worker::new(stages.len()),
+            || Worker::new(codec.stages.len()),
             |worker, i| {
                 let chunk = &input[chunk_range(i, input.len())];
                 let crc = crc32(chunk);
-                let (stored, mask) = encode_chunk(
-                    stages,
-                    chunk,
-                    i,
-                    telemetry,
-                    costs,
-                    &mut worker.scratch,
-                    &mut worker.stages,
-                );
+                let (stored, mask) = codec.encode_chunk(chunk, i, worker);
                 // Publish this chunk's stored size; receive the cumulative
                 // size of all prior chunks (decoupled look-back, as on the
                 // GPU). Publishing precedes the checks so that a chunk
@@ -394,14 +472,17 @@ fn encode_inner(
                 // disjoint, and the pool claims each index at most once.
                 let dst = unsafe { payload.slice_mut(start..start + stored.len()) };
                 dst.write_copy_of_slice(stored);
+                let stored_len = stored.len() as u32;
+                let (start, crc) = (offset, Some(crc));
                 // SAFETY: the pool claims each index at most once.
                 unsafe {
-                    *rows.get_mut(i) = StoredChunk {
+                    *slots.get_mut(i) = ChunkRow {
                         mask,
-                        stored_len: stored.len() as u32,
+                        start,
+                        stored_len,
                         crc,
-                    };
-                }
+                    }
+                };
             },
             Worker::merge,
         )
@@ -410,8 +491,6 @@ fn encode_inner(
     // leaves unclaimed chunks unpublished, and `total()` asserts that
     // every participant has published. The token is monotonic, so "not
     // cancelled here" proves every chunk was claimed and completed.
-    // Returning here drops the archive at `payload_start` bytes: the
-    // partly written spare capacity is never exposed.
     if cancel.is_some_and(|c| c.is_cancelled()) {
         return None;
     }
@@ -424,51 +503,15 @@ fn encode_inner(
     // `[offset, offset + stored_len)`; those ranges tile
     // `[0, payload_total)` of the spare capacity, which holds at least
     // `input.len()` bytes.
-    unsafe { archive.set_len(payload_start + payload_total) };
-
-    let rows = archive[table_at..payload_start].chunks_exact_mut(TABLE_ENTRY_V3);
-    for (row, chunk) in rows.zip(&table) {
-        row[0] = chunk.mask;
-        row[1..5].copy_from_slice(&chunk.stored_len.to_le_bytes());
-        row[5..9].copy_from_slice(&chunk.crc.to_le_bytes());
-    }
-    let input_crc = whole_crc(table.iter().map(|c| c.crc), input.len());
-    archive[crc_at..crc_at + 4].copy_from_slice(&input_crc.to_le_bytes());
-
-    let stats = PipelineStats {
-        stages: stage_stats(stages.iter().map(|s| s.name()), &totals.stages, n_chunks),
-        chunks: n_chunks as u64,
-        uncompressed_bytes: input.len() as u64,
-        compressed_bytes: (payload_total + n_chunks * TABLE_ENTRY_V3) as u64,
-    };
-    if telemetry {
-        enc_span.arg("archive_bytes", archive.len());
-        lc_telemetry::counter("archive.encode.calls").add(1);
-        lc_telemetry::counter("archive.encode.bytes_in").add(input.len() as u64);
-        lc_telemetry::counter("archive.encode.bytes_out").add(archive.len() as u64);
-        lc_telemetry::counter("archive.encode.chunks").add(n_chunks as u64);
-    }
-    Some(EncodeResult { archive, stats })
-}
-
-/// Which buffer currently holds the chunk bytes: the caller's input
-/// slice (no copy was made) or one of the two arena buffers.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Live {
-    Input,
-    A,
-    B,
-}
-
-impl Live {
-    /// The arena buffer the *next* applied stage writes into: input
-    /// feeds `a`, and the two arena buffers ping-pong.
-    fn advance(self) -> Self {
-        match self {
-            Live::Input | Live::B => Live::A,
-            Live::A => Live::B,
-        }
-    }
+    unsafe { out.set_len(payload_start + payload_total) };
+    // Every row the encoder writes carries its chunk's CRC.
+    let chunk_crcs = rows.iter().map(|r| r.crc.unwrap_or_default());
+    let crc = crc_of(chunk_crcs.zip(input.chunks(CHUNK_SIZE).map(<[u8]>::len)));
+    Some(Encoded {
+        rows,
+        crc,
+        totals: totals.totals,
+    })
 }
 
 /// Pre-resolved per-component cost-attribution handles: one registry
@@ -485,542 +528,314 @@ struct StageCost {
     kernel: &'static lc_telemetry::Counter,
 }
 
-fn stage_costs(stages: &[Arc<dyn Component>], dir: &str) -> Vec<StageCost> {
-    stages
-        .iter()
-        .map(|c| {
-            let n = c.name();
-            let k = c.kernel_variant().label();
-            StageCost {
-                bytes: lc_telemetry::counter(&format!("component.{n}.{dir}.bytes")),
-                ns: lc_telemetry::histogram(&format!("component.{n}.{dir}.ns")),
-                kernel: lc_telemetry::counter(&format!("component.{n}.{dir}.kernel.{k}")),
-            }
-        })
-        .collect()
-}
-
-/// Run the stages over one chunk in the worker's arena, returning a
-/// borrowed view of the bytes to store and the chunk's stage mask.
-///
-/// The first stage reads the caller's chunk slice directly — no
-/// defensive copy; subsequent stages ping-pong between the arena
-/// buffers. For a chunk no stage applied to, the returned slice *is*
-/// `chunk`.
-fn encode_chunk<'s>(
-    stages: &[Arc<dyn Component>],
-    chunk: &'s [u8],
-    chunk_index: usize,
-    telemetry: bool,
-    costs: &[StageCost],
-    scratch: &'s mut Scratch,
-    totals: &mut [StageAcc],
-) -> (&'s [u8], u8) {
-    let mut mask = 0u8;
-    let mut live = Live::Input;
-    for (s, comp) in stages.iter().enumerate() {
-        let bytes_in = match live {
-            Live::Input => chunk.len(),
-            Live::A => scratch.a.len(),
-            Live::B => scratch.b.len(),
-        } as u64;
-        let total = &mut totals[s];
-        let mut sp = if telemetry {
-            let mut sp = Span::begin(
-                "stage.encode",
-                comp.name(),
-                vec![
-                    ("chunk", ArgValue::from(chunk_index)),
-                    ("bytes_in", ArgValue::from(bytes_in)),
-                ],
-            );
-            sp.with_histogram();
-            sp
-        } else {
-            Span::disabled()
-        };
-        let t0 = if telemetry { lc_telemetry::now_ns() } else { 0 };
-        let applied = match live {
-            Live::Input => crate::scratch::encode_stage(
-                comp.as_ref(),
-                chunk,
-                &mut scratch.a,
-                &mut total.kernel,
-            ),
-            Live::A => crate::scratch::encode_stage(
-                comp.as_ref(),
-                &scratch.a,
-                &mut scratch.b,
-                &mut total.kernel,
-            ),
-            Live::B => crate::scratch::encode_stage(
-                comp.as_ref(),
-                &scratch.b,
-                &mut scratch.a,
-                &mut total.kernel,
-            ),
-        };
-        if telemetry {
-            // Attribute the kernel's cost to the component even when the
-            // output was discarded (copy-on-expand): the work happened.
-            costs[s].bytes.add(bytes_in);
-            costs[s]
-                .ns
-                .record(lc_telemetry::now_ns().saturating_sub(t0));
-            costs[s].kernel.add(1);
-        }
-        let bytes_out = if applied {
-            let written = match live.advance() {
-                Live::A => scratch.a.len(),
-                _ => scratch.b.len(),
-            };
-            written as u64
-        } else {
-            bytes_in
-        };
-        sp.arg("applied", applied);
-        sp.arg("bytes_out", bytes_out);
-        drop(sp);
-        if applied {
-            total.applied += 1;
-            total.bytes_in += bytes_in;
-            total.bytes_out += bytes_out;
-            mask |= 1 << s;
-            live = live.advance();
-        }
-    }
-    let stored: &[u8] = match live {
-        Live::Input => chunk,
-        Live::A => &scratch.a,
-        Live::B => &scratch.b,
-    };
-    (stored, mask)
-}
-
-/// Read a little-endian u32 at `at`; caller must have bounds-checked.
-fn le_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
-}
-
-/// Read a little-endian u64 at `at`; caller must have bounds-checked.
-fn le_u64(bytes: &[u8], at: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(raw)
-}
-
-/// Parse just the header of an archive.
-///
-/// Accepts format versions [`MIN_VERSION`]..=[`VERSION`]. Every field
-/// read is bounds-checked against untrusted input: malformed bytes yield
-/// a [`DecodeError`], never a panic.
-pub fn parse_header(bytes: &[u8]) -> Result<Archive, DecodeError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize, context: &'static str| -> Result<usize, DecodeError> {
-        match pos.checked_add(n) {
-            Some(end) if end <= bytes.len() => {
-                let at = *pos;
-                *pos = end;
-                Ok(at)
-            }
-            _ => Err(DecodeError::Truncated { context }),
-        }
-    };
-    let at = take(&mut pos, 4, "magic")?;
-    if bytes[at..at + 4] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let at = take(&mut pos, 1, "version")?;
-    let version = bytes[at];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let at = take(&mut pos, 1, "stage count")?;
-    let n_stages = bytes[at] as usize;
-    if n_stages == 0 || n_stages > MAX_STAGES {
-        return Err(DecodeError::Corrupt {
-            context: "stage count",
-        });
-    }
-    let mut stage_names = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        let at = take(&mut pos, 1, "stage name length")?;
-        let len = bytes[at] as usize;
-        let at = take(&mut pos, len, "stage name")?;
-        let name = std::str::from_utf8(&bytes[at..at + len]).map_err(|_| DecodeError::Corrupt {
-            context: "stage name utf8",
-        })?;
-        stage_names.push(name.to_string());
-    }
-    let at = take(&mut pos, 8, "original length")?;
-    let original_len = le_u64(bytes, at);
-    let at = take(&mut pos, 4, "checksum")?;
-    let crc32 = le_u32(bytes, at);
-    let at = take(&mut pos, 4, "chunk count")?;
-    let chunks = le_u32(bytes, at);
-    if chunks as u64 != chunk_count(original_len as usize) as u64 {
-        return Err(DecodeError::Corrupt {
-            context: "chunk count vs length",
-        });
-    }
-    let entry_size = if version >= 3 {
-        TABLE_ENTRY_V3
-    } else {
-        TABLE_ENTRY_V2
-    };
-    let table_len = (chunks as usize)
-        .checked_mul(entry_size)
-        .ok_or(DecodeError::Truncated {
-            context: "chunk table",
-        })?;
-    let table_offset = pos;
-    take(&mut pos, table_len, "chunk table")?;
-    Ok(Archive {
-        version,
-        stage_names,
-        original_len,
-        crc32,
-        chunks,
-        table_offset,
-        payload_offset: pos,
-    })
-}
-
-/// One parsed chunk-table row, with the payload offset the prefix sum
-/// over the stored sizes gives it.
-struct ChunkRow {
-    mask: u8,
-    /// Byte offset of the stored chunk within the payload region.
-    start: u64,
-    stored_len: u32,
-    /// CRC-32 of the chunk's original bytes; `None` for v2 archives.
-    crc: Option<u32>,
-}
-
-/// An archive parsed and resolved once, ready to decode chunk by chunk.
-/// [`decode`] and [`decode_salvage`] differ only in what they do with a
-/// chunk that fails.
-struct Decoder<'a> {
-    header: Archive,
+/// A resolved stage chain plus the per-call telemetry decision: the one
+/// chunk codec under both containers.
+pub(crate) struct ChunkCodec {
     stages: Vec<Arc<dyn Component>>,
-    rows: Vec<ChunkRow>,
-    /// Sum of the stored sizes: what `payload` should measure.
-    payload_total: u64,
-    payload: &'a [u8],
+    /// Hoisted once per call: chunk/stage instrumentation branches on
+    /// this bool, so a disabled-telemetry call pays one relaxed load.
     telemetry: bool,
     costs: Vec<StageCost>,
 }
 
-impl<'a> Decoder<'a> {
-    fn new<R>(bytes: &'a [u8], resolve: R) -> Result<Self, DecodeError>
-    where
-        R: Fn(&str) -> Option<Arc<dyn Component>>,
-    {
-        let header = parse_header(bytes)?;
-        let stages: Vec<Arc<dyn Component>> = header
-            .stage_names
-            .iter()
-            .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
-            .collect::<Result<_, _>>()?;
-        // Chunk payload start offsets: a prefix sum over the table, as in
-        // the GPU decoder. `parse_header` bounds-checked the table, and
-        // u32 sizes cannot overflow a u64 total.
-        let es = header.entry_size();
-        let mut payload_total = 0u64;
-        let rows = bytes[header.table_offset..header.payload_offset]
-            .chunks_exact(es)
-            .map(|row| {
-                let start = payload_total;
-                let stored_len = le_u32(row, 1);
-                payload_total += u64::from(stored_len);
-                ChunkRow {
-                    mask: row[0],
-                    start,
-                    stored_len,
-                    crc: (es == TABLE_ENTRY_V3).then(|| le_u32(row, 5)),
-                }
-            })
-            .collect();
+impl ChunkCodec {
+    /// `dir` (`"encode"` or `"decode"`) names the cost metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_STAGES`] stages.
+    pub(crate) fn new(stages: Vec<Arc<dyn Component>>, dir: &str) -> Self {
+        assert!(
+            stages.len() <= MAX_STAGES,
+            "pipeline has {} stages; archive mask supports at most {MAX_STAGES}",
+            stages.len()
+        );
         let telemetry = lc_telemetry::active();
         let costs = if telemetry {
-            stage_costs(&stages, "decode")
+            stages
+                .iter()
+                .map(|c| {
+                    let n = c.name();
+                    let k = c.kernel_variant().label();
+                    StageCost {
+                        bytes: lc_telemetry::counter(&format!("component.{n}.{dir}.bytes")),
+                        ns: lc_telemetry::histogram(&format!("component.{n}.{dir}.ns")),
+                        kernel: lc_telemetry::counter(&format!("component.{n}.{dir}.kernel.{k}")),
+                    }
+                })
+                .collect()
         } else {
             Vec::new()
         };
-        Ok(Self {
-            payload: &bytes[header.payload_offset..],
-            header,
+        Self {
             stages,
-            rows,
-            payload_total,
             telemetry,
             costs,
-        })
+        }
     }
 
-    fn original_len(&self) -> usize {
-        self.header.original_len as usize
+    /// Resolve `names` for decoding; an unknown name is an error.
+    pub(crate) fn resolve<R>(names: &[String], resolve: R) -> Result<Self, DecodeError>
+    where
+        R: Fn(&str) -> Option<Arc<dyn Component>>,
+    {
+        let stages = names
+            .iter()
+            .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::new(stages, "decode"))
     }
 
-    /// Decode chunk `i` in the worker's arena, copy it to `region` (the
-    /// chunk's slot of the output), and checksum the bytes as they sit
-    /// there. Returns that CRC; a v3 chunk whose CRC misses the table's
-    /// is an error, and `region` then holds the wrong bytes.
+    /// Statistics of a pass over `n_chunks` chunks from its stage totals.
+    fn stats(&self, totals: &[StageAcc], n_chunks: usize, raw: u64, stored: u64) -> PipelineStats {
+        let stages = self
+            .stages
+            .iter()
+            .zip(totals)
+            .map(|(comp, acc)| StageStats {
+                component: comp.name().to_string(),
+                kernel: acc.kernel,
+                chunks_applied: acc.applied,
+                chunks_skipped: n_chunks as u64 - acc.applied,
+                bytes_in: acc.bytes_in,
+                bytes_out: acc.bytes_out,
+            });
+        PipelineStats {
+            stages: stages.collect(),
+            chunks: n_chunks as u64,
+            uncompressed_bytes: raw,
+            compressed_bytes: stored,
+        }
+    }
+
+    /// Run stage `s` of chunk `i` over `bytes_in` bytes. With telemetry
+    /// on, the stage runs inside a `stage.<dir>` span, returned open for
+    /// the caller's outcome arguments, and its kernel time is charged to
+    /// the component — even when copy-on-expand discards the output: the
+    /// work happened.
+    fn traced<T>(
+        &self,
+        dir: &'static str,
+        s: usize,
+        i: usize,
+        bytes_in: usize,
+        stage: impl FnOnce() -> T,
+    ) -> (T, Span) {
+        if !self.telemetry {
+            return (stage(), Span::disabled());
+        }
+        let args = vec![("chunk", i.into()), ("bytes_in", bytes_in.into())];
+        let mut sp = Span::begin(dir, self.stages[s].name(), args);
+        sp.with_histogram();
+        let t0 = lc_telemetry::now_ns();
+        let result = stage();
+        let cost = &self.costs[s];
+        cost.bytes.add(bytes_in as u64);
+        cost.ns.record(lc_telemetry::now_ns().saturating_sub(t0));
+        cost.kernel.add(1);
+        (result, sp)
+    }
+
+    /// Run the stages over chunk `i` in the worker's arena, returning a
+    /// borrowed view of the bytes to store and the chunk's stage mask.
+    ///
+    /// The first stage reads the caller's chunk slice directly — no
+    /// defensive copy; a stage writes `b`, and an applied one is swapped
+    /// into `a`, where the next stage reads it. For a chunk no stage
+    /// applied to, the returned slice *is* `chunk`.
+    fn encode_chunk<'s>(
+        &self,
+        chunk: &'s [u8],
+        i: usize,
+        worker: &'s mut Worker,
+    ) -> (&'s [u8], u8) {
+        let Worker { scratch, totals } = worker;
+        let mut mask = 0u8;
+        for (s, comp) in self.stages.iter().enumerate() {
+            let input: &[u8] = if mask == 0 { chunk } else { &scratch.a };
+            let bytes_in = input.len();
+            let total = &mut totals[s];
+            let (applied, mut sp) = self.traced("stage.encode", s, i, bytes_in, || {
+                encode_stage(comp.as_ref(), input, &mut scratch.b, &mut total.kernel)
+            });
+            let bytes_out = if applied { scratch.b.len() } else { bytes_in };
+            sp.arg("applied", applied);
+            sp.arg("bytes_out", bytes_out);
+            drop(sp);
+            if applied {
+                total.applied += 1;
+                total.bytes_in += bytes_in as u64;
+                total.bytes_out += bytes_out as u64;
+                mask |= 1 << s;
+                std::mem::swap(&mut scratch.a, &mut scratch.b);
+            }
+        }
+        (if mask == 0 { chunk } else { &scratch.a }, mask)
+    }
+
+    /// Decode chunk `i` into the worker's arena, returning a borrowed
+    /// view of the recovered bytes.
+    ///
+    /// The first inverse stage reads the stored payload slice directly
+    /// (no defensive copy); buffers move as in [`Self::encode_chunk`].
+    /// For a chunk whose mask is empty — every stage skipped by
+    /// copy-on-expand — the returned slice *is* `payload`: decode of such
+    /// a chunk touches no buffer at all and the caller copies the stored
+    /// bytes straight into the output region.
+    fn decode_chunk<'s>(
+        &self,
+        mask: u8,
+        payload: &'s [u8],
+        i: usize,
+        worker: &'s mut Worker,
+    ) -> Result<&'s [u8], DecodeError> {
+        if u32::from(mask) >> self.stages.len() != 0 {
+            return Err(DecodeError::Corrupt {
+                context: "chunk mask",
+            });
+        }
+        let Worker { scratch, totals } = worker;
+        let mut on_payload = true;
+        // Inverse transformations in reverse order (paper Fig. 1).
+        for (s, comp) in self.stages.iter().enumerate().rev() {
+            if mask & (1 << s) == 0 {
+                // Stage skipped during encode (copy-on-expand): nothing to
+                // undo. Record a zero-duration span so traces show the skip.
+                if self.telemetry {
+                    let args = vec![("chunk", i.into()), ("skipped", true.into())];
+                    Span::begin("stage.decode", comp.name(), args).with_histogram();
+                }
+                continue;
+            }
+            let input: &[u8] = if on_payload { payload } else { &scratch.a };
+            let bytes_in = input.len();
+            let total = &mut totals[s];
+            total.applied += 1;
+            total.bytes_in += bytes_in as u64;
+            let (result, mut sp) = self.traced("stage.decode", s, i, bytes_in, || {
+                decode_stage(comp.as_ref(), input, &mut scratch.b, &mut total.kernel)
+            });
+            result?;
+            sp.arg("bytes_out", scratch.b.len());
+            drop(sp);
+            total.bytes_out += scratch.b.len() as u64;
+            std::mem::swap(&mut scratch.a, &mut scratch.b);
+            on_payload = false;
+        }
+        Ok(if on_payload { payload } else { &scratch.a })
+    }
+
+    /// Decode the chunk `row` describes from `payload` and place it at
+    /// the front of `region`, returning the placed bytes' CRC-32 and
+    /// length. The decoded length must be `region.len()` — or at most
+    /// that when `exact` is false — and a chunk whose CRC misses the
+    /// row's is an error (`region` then holds the wrong bytes).
     fn place_chunk(
         &self,
         i: usize,
+        row: &ChunkRow,
+        payload: &[u8],
         region: &mut [u8],
+        exact: bool,
         worker: &mut Worker,
-    ) -> Result<u32, DecodeError> {
-        let row = &self.rows[i];
+    ) -> Result<(u32, usize), DecodeError> {
         let stored = usize::try_from(row.start)
             .ok()
-            .and_then(|start| {
-                let end = start.checked_add(row.stored_len as usize)?;
-                self.payload.get(start..end)
-            })
+            .and_then(|start| payload.get(start..start.checked_add(row.stored_len as usize)?))
             .ok_or(DecodeError::Truncated {
                 context: "chunk payload",
             })?;
-        let decoded = decode_chunk_into(
-            &self.stages,
-            row.mask,
-            stored,
-            region.len(),
-            &mut worker.stages,
-            i,
-            self.telemetry,
-            &self.costs,
-            &mut worker.scratch,
-        )?;
-        region.copy_from_slice(decoded);
-        let actual = crc32(region);
+        let decoded = self.decode_chunk(row.mask, stored, i, worker)?;
+        if decoded.len() > region.len() || (exact && decoded.len() != region.len()) {
+            return Err(DecodeError::LengthMismatch {
+                expected: region.len() as u64,
+                actual: decoded.len() as u64,
+            });
+        }
+        let placed = &mut region[..decoded.len()];
+        placed.copy_from_slice(decoded);
+        let actual = crc32(placed);
         match row.crc {
             Some(expected) if expected != actual => Err(DecodeError::ChunkChecksumMismatch {
                 chunk: i as u32,
                 expected,
                 actual,
             }),
-            _ => Ok(actual),
+            _ => Ok((actual, placed.len())),
         }
     }
 }
 
-/// Decode an archive, resolving stage names through `resolve`.
-pub fn decode<R>(bytes: &[u8], resolve: R, pool: &Pool) -> Result<Vec<u8>, DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    decode_with_stats(bytes, resolve, pool).map(|(out, _)| out)
+/// What a decode pass does with a chunk that fails.
+#[derive(Clone, Copy)]
+pub(crate) enum Faults<'c> {
+    /// Strict: a worker stops at its first fault, and `cancel` (when
+    /// given) is polled at every chunk boundary — already-claimed chunks
+    /// complete, later claims fail as [`DecodeError::Cancelled`].
+    Stop(Option<&'c CancelToken>),
+    /// Salvage: a chunk's panics are caught, its region zero-filled, and
+    /// the pass goes on. The arena survives a panic: every stage clears
+    /// its output buffer first.
+    Salvage,
 }
 
-/// Decode an archive, also returning per-stage statistics.
-pub fn decode_with_stats<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-) -> Result<(Vec<u8>, PipelineStats), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    decode_inner(bytes, resolve, pool, None)
+/// How salvage reports a chunk whose decoder panicked.
+const PANICKED: DecodeError = DecodeError::Corrupt {
+    context: "decoder panicked",
+};
+
+/// What one decode pass of the chunk engine leaves besides the output.
+pub(crate) struct Decoded {
+    /// `(crc, len)` of each placed chunk; `(0, 0)` for a failed one.
+    pub(crate) placed: Vec<(u32, usize)>,
+    /// Failed chunks, in chunk order.
+    pub(crate) faults: Vec<ChunkFault>,
+    /// Per-stage totals over every chunk.
+    totals: Vec<StageAcc>,
 }
 
-fn decode_inner<R>(
-    bytes: &[u8],
-    resolve: R,
+/// The decode pass of the chunk engine: decode `rows` from `payload`,
+/// chunk `i` into `chunk_range(i, out.len())` of `out`. Every chunk must
+/// fill its region exactly, except that the last may come up short when
+/// `ragged_tail` is set (a stream batch, whose total length is not known
+/// up front).
+pub(crate) fn decode_chunks(
+    codec: &ChunkCodec,
+    rows: &[ChunkRow],
+    payload: &[u8],
+    out: &mut [u8],
+    ragged_tail: bool,
     pool: &Pool,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<u8>, PipelineStats), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let dec = Decoder::new(bytes, resolve)?;
-    let n_chunks = dec.rows.len();
-    let mut dec_span = span!("archive.decode", bytes = bytes.len(), chunks = n_chunks);
-    if dec.payload.len() as u64 != dec.payload_total {
-        return Err(DecodeError::Corrupt {
-            context: "payload size",
-        });
-    }
-
-    let original_len = dec.original_len();
-    let mut out = vec![0u8; original_len];
-    let mut chunk_crcs = vec![0u32; n_chunks];
-    let (totals, first_err) = {
-        let regions = DisjointSlice::new(&mut out);
-        let crc_slots = DisjointSlice::new(&mut chunk_crcs);
+    policy: Faults,
+) -> Decoded {
+    let out_len = out.len();
+    let mut placed = vec![(0u32, 0usize); rows.len()];
+    let (totals, mut faults) = {
+        let regions = DisjointSlice::new(out);
+        let slots = DisjointSlice::new(&mut placed);
         pool.fold(
-            n_chunks,
-            || (Worker::new(dec.stages.len()), None::<DecodeError>),
-            |(worker, err), i| {
-                if err.is_some() {
-                    return; // a chunk already failed; drain remaining work
-                }
-                // Deadline/shutdown poll at the chunk boundary: already-claimed
-                // chunks complete, remaining claims drain as Cancelled.
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    *err = Some(DecodeError::Cancelled);
-                    return;
-                }
-                // SAFETY: chunk output regions tile `out` disjointly and
-                // the pool claims each index exactly once.
-                let region = unsafe { regions.slice_mut(chunk_range(i, original_len)) };
-                match dec.place_chunk(i, region, worker) {
-                    // SAFETY: the pool claims each index exactly once.
-                    Ok(crc) => unsafe { *crc_slots.get_mut(i) = crc },
-                    Err(e) => *err = Some(e),
-                }
-            },
-            |a, b| (a.0.merge(b.0), a.1.or(b.1)),
-        )
-    };
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    // Integrity: the decoded stream must match the recorded CRC — this is
-    // what turns "plausible but wrong bytes" from payload corruption into
-    // a hard error. (For v3 every chunk already matched its own CRC; for
-    // v2 this is the only value-level check.)
-    let actual = whole_crc(chunk_crcs.iter().copied(), original_len);
-    if actual != dec.header.crc32 {
-        return Err(DecodeError::ChecksumMismatch {
-            expected: dec.header.crc32,
-            actual,
-        });
-    }
-    let stats = PipelineStats {
-        stages: stage_stats(
-            dec.header.stage_names.iter().map(|s| s.as_str()),
-            &totals.stages,
-            n_chunks,
-        ),
-        chunks: n_chunks as u64,
-        uncompressed_bytes: dec.header.original_len,
-        compressed_bytes: dec.payload_total + (n_chunks * dec.header.entry_size()) as u64,
-    };
-    if dec.telemetry {
-        dec_span.arg("decoded_bytes", out.len());
-        lc_telemetry::counter("archive.decode.calls").add(1);
-        lc_telemetry::counter("archive.decode.bytes_in").add(bytes.len() as u64);
-        lc_telemetry::counter("archive.decode.bytes_out").add(out.len() as u64);
-        lc_telemetry::counter("archive.decode.chunks").add(n_chunks as u64);
-    }
-    Ok((out, stats))
-}
-
-/// Like [`decode`], but refuse archives declaring more than
-/// `max_decoded_bytes` of output before allocating anything.
-///
-/// This is the decompression-bomb guard: a hostile archive can declare an
-/// arbitrary `original_len`, and plain [`decode`] would allocate it.
-pub fn decode_bounded<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
-) -> Result<Vec<u8>, DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
-        });
-    }
-    decode(bytes, resolve, pool)
-}
-
-/// [`decode_bounded`] plus cooperative cancellation: workers poll
-/// `cancel` at every chunk boundary and the decode fails with
-/// [`DecodeError::Cancelled`] once it trips. This is the `lc-serve`
-/// unpack path — the bomb guard and the request deadline compose.
-pub fn decode_bounded_cancellable<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
-    cancel: &CancelToken,
-) -> Result<Vec<u8>, DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
-        });
-    }
-    decode_inner(bytes, resolve, pool, Some(cancel)).map(|(out, _)| out)
-}
-
-/// Best-effort decode of a damaged archive.
-///
-/// Where [`decode`] aborts on the first fault, this decodes every chunk
-/// independently and degrades per chunk:
-///
-/// * a chunk whose payload extent lies (partly) beyond the available
-///   bytes — mid-stream truncation — is lost as `Truncated`;
-/// * a chunk whose decoder returns an error is lost with that error;
-/// * a chunk whose decoder **panics** is caught and lost as `Corrupt`
-///   (decoders must not panic, but salvage is exactly the place to
-///   survive the ones that do);
-/// * a v3 chunk whose decoded bytes miss their per-chunk CRC is lost as
-///   `ChunkChecksumMismatch`.
-///
-/// Lost chunks' output regions are zero-filled, so the returned buffer
-/// always has the declared length with recovered chunks at their exact
-/// offsets. Hard errors remain only for damage that makes per-chunk
-/// recovery meaningless: unusable header or chunk table, or an unknown
-/// component.
-///
-/// For v2 archives (no per-chunk CRC) only structural faults are
-/// detectable per chunk; value-level damage shows up solely as
-/// `archive_crc_ok == false` in the report.
-pub fn decode_salvage<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-) -> Result<(Vec<u8>, SalvageReport), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let dec = Decoder::new(bytes, resolve)?;
-    let n_chunks = dec.rows.len();
-    let _salvage_span = span!(
-        "archive.decode_salvage",
-        bytes = bytes.len(),
-        chunks = n_chunks
-    );
-
-    let original_len = dec.original_len();
-    let mut out = vec![0u8; original_len];
-    let mut chunk_crcs = vec![0u32; n_chunks];
-    let (_, mut errors) = {
-        let regions = DisjointSlice::new(&mut out);
-        let crc_slots = DisjointSlice::new(&mut chunk_crcs);
-        pool.fold(
-            n_chunks,
-            || (Worker::new(dec.stages.len()), Vec::<ChunkFault>::new()),
+            rows.len(),
+            || (Worker::new(codec.stages.len()), Vec::<ChunkFault>::new()),
             |(worker, faults), i| {
+                let exact = !(ragged_tail && i + 1 == rows.len());
                 // SAFETY: chunk output regions tile `out` disjointly and
                 // the pool claims each index exactly once.
-                let region = unsafe { regions.slice_mut(chunk_range(i, original_len)) };
-                // Panics are fenced per chunk so one poisoned payload
-                // cannot take down its siblings. The arena survives a
-                // panic: every stage clears its output buffer first.
-                let placed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    dec.place_chunk(i, region, worker)
-                }))
-                .unwrap_or(Err(DecodeError::Corrupt {
-                    context: "decoder panicked",
-                }));
-                match placed {
+                let region = unsafe { regions.slice_mut(chunk_range(i, out_len)) };
+                let mut place = || codec.place_chunk(i, &rows[i], payload, region, exact, worker);
+                let result = match policy {
+                    // A chunk already failed; drain the remaining work.
+                    Faults::Stop(_) if !faults.is_empty() => return,
+                    Faults::Stop(Some(c)) if c.is_cancelled() => Err(DecodeError::Cancelled),
+                    Faults::Stop(_) => place(),
+                    // Panics are fenced per chunk so one poisoned payload
+                    // cannot take down its siblings.
+                    Faults::Salvage => {
+                        catch_unwind(AssertUnwindSafe(place)).unwrap_or(Err(PANICKED))
+                    }
+                };
+                match result {
                     // SAFETY: the pool claims each index exactly once.
-                    Ok(crc) => unsafe { *crc_slots.get_mut(i) = crc },
+                    Ok(p) => unsafe { *slots.get_mut(i) = p },
                     Err(error) => {
                         region.fill(0);
                         faults.push(ChunkFault {
@@ -1030,159 +845,226 @@ where
                     }
                 }
             },
-            |mut a, b| {
-                a.1.extend(b.1);
-                a
+            |(a, mut fa), (b, fb)| {
+                fa.extend(fb);
+                (a.merge(b), fa)
             },
         )
     };
-    errors.sort_by_key(|f| f.chunk);
-    let lost = errors.len() as u32;
-    let archive_crc_ok =
-        lost == 0 && whole_crc(chunk_crcs.iter().copied(), original_len) == dec.header.crc32;
-    Ok((
-        out,
-        SalvageReport {
-            recovered: n_chunks as u32 - lost,
-            lost,
-            errors,
-            archive_crc_ok,
-        },
-    ))
+    faults.sort_by_key(|f| f.chunk);
+    Decoded {
+        placed,
+        faults,
+        totals: totals.totals,
+    }
 }
 
-/// [`decode_salvage`] behind the same size guard as [`decode_bounded`].
-pub fn decode_salvage_bounded<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
-) -> Result<(Vec<u8>, SalvageReport), DecodeError>
+/// Parse just the header of an archive.
+///
+/// Accepts format versions [`MIN_VERSION`]..=[`VERSION`]. Every field
+/// read is bounds-checked against untrusted input: malformed bytes yield
+/// a [`DecodeError`], never a panic.
+pub fn parse_header(bytes: &[u8]) -> Result<Archive, DecodeError> {
+    let mut pos = 0usize;
+    let mut fill = |buf: &mut [u8], context: &'static str| -> Result<(), DecodeError> {
+        let src = bytes
+            .get(pos..pos + buf.len())
+            .ok_or(DecodeError::Truncated { context })?;
+        buf.copy_from_slice(src);
+        pos += buf.len();
+        Ok(())
+    };
+    let (version, stage_names) = read_prologue(MAGIC, MIN_VERSION..=VERSION, &mut fill)?;
+    let original_len = u64::from_le_bytes(take(&mut fill, "original length")?);
+    let crc32 = u32::from_le_bytes(take(&mut fill, "checksum")?);
+    let chunks = u32::from_le_bytes(take(&mut fill, "chunk count")?);
+    if chunks as u64 != chunk_count(original_len as usize) as u64 {
+        return Err(DecodeError::Corrupt {
+            context: "chunk count vs length",
+        });
+    }
+    let mut header = Archive {
+        version,
+        stage_names,
+        original_len,
+        crc32,
+        chunks,
+        table_offset: pos,
+        payload_offset: 0,
+    };
+    header.payload_offset = (chunks as usize)
+        .checked_mul(header.entry_size())
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= bytes.len())
+        .ok_or(DecodeError::Truncated {
+            context: "chunk table",
+        })?;
+    Ok(header)
+}
+
+/// An archive parsed and resolved once, ready to decode.
+///
+/// [`Decoder::decode`] and [`Decoder::salvage`] run the same pass and
+/// differ only in what they do with a chunk that fails.
+pub struct Decoder<'a> {
+    header: Archive,
+    codec: ChunkCodec,
+    rows: Vec<ChunkRow>,
+    /// Sum of the stored sizes: what `payload` should measure.
+    payload_total: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> Decoder<'a> {
+    /// Parse the header of `bytes`, resolve its stages through `resolve`
+    /// and prefix-sum its chunk table.
+    ///
+    /// With `max_decoded_bytes`, an archive declaring more output than
+    /// that is refused as [`DecodeError::TooLarge`] before anything is
+    /// allocated. This is the decompression-bomb guard: a hostile
+    /// archive can declare an arbitrary `original_len`, and decoding it
+    /// allocates that much.
+    pub fn new<R>(
+        bytes: &'a [u8],
+        resolve: R,
+        max_decoded_bytes: Option<u64>,
+    ) -> Result<Self, DecodeError>
+    where
+        R: Fn(&str) -> Option<Arc<dyn Component>>,
+    {
+        let header = parse_header(bytes)?;
+        if let Some(limit) = max_decoded_bytes.filter(|&l| header.original_len > l) {
+            return Err(DecodeError::TooLarge {
+                declared: header.original_len,
+                limit,
+            });
+        }
+        let codec = ChunkCodec::resolve(&header.stage_names, resolve)?;
+        let table = &bytes[header.table_offset..header.payload_offset];
+        let (rows, payload_total) = parse_rows(table, header.entry_size());
+        Ok(Self {
+            payload: &bytes[header.payload_offset..],
+            header,
+            codec,
+            rows,
+            payload_total,
+        })
+    }
+
+    /// The parsed header.
+    pub fn header(&self) -> &Archive {
+        &self.header
+    }
+
+    /// Decode the whole archive, all or nothing, also returning
+    /// per-stage statistics. With `cancel`, workers poll it at every
+    /// chunk boundary and the decode fails with
+    /// [`DecodeError::Cancelled`] once it trips.
+    pub fn decode(
+        &self,
+        pool: &Pool,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Vec<u8>, PipelineStats), DecodeError> {
+        let n_chunks = self.rows.len();
+        let in_bytes = self.header.payload_offset + self.payload.len();
+        let mut dec_span = span!("archive.decode", bytes = in_bytes, chunks = n_chunks);
+        if self.payload.len() as u64 != self.payload_total {
+            return Err(DecodeError::Corrupt {
+                context: "payload size",
+            });
+        }
+        let (out, pass) = self.pass(pool, Faults::Stop(cancel));
+        if let Some(fault) = pass.faults.into_iter().next() {
+            return Err(fault.error);
+        }
+        // Integrity: the decoded stream must match the recorded CRC — this
+        // is what turns "plausible but wrong bytes" from payload corruption
+        // into a hard error. (For v3 every chunk already matched its own
+        // CRC; for v2 this is the only value-level check.)
+        let (expected, actual) = (self.header.crc32, crc_of(pass.placed.into_iter()));
+        if actual != expected {
+            return Err(DecodeError::ChecksumMismatch { expected, actual });
+        }
+        let stored = self.payload_total + (n_chunks * self.header.entry_size()) as u64;
+        let stats = self
+            .codec
+            .stats(&pass.totals, n_chunks, self.header.original_len, stored);
+        if self.codec.telemetry {
+            dec_span.arg("decoded_bytes", out.len());
+            lc_telemetry::counter("archive.decode.calls").add(1);
+            lc_telemetry::counter("archive.decode.bytes_in").add(in_bytes as u64);
+            lc_telemetry::counter("archive.decode.bytes_out").add(out.len() as u64);
+            lc_telemetry::counter("archive.decode.chunks").add(n_chunks as u64);
+        }
+        Ok((out, stats))
+    }
+
+    /// Best-effort decode of a damaged archive.
+    ///
+    /// Where [`Decoder::decode`] aborts on the first fault, this decodes
+    /// every chunk independently and degrades per chunk:
+    ///
+    /// * a chunk whose payload extent lies (partly) beyond the available
+    ///   bytes — mid-stream truncation — is lost as `Truncated`;
+    /// * a chunk whose decoder returns an error, or whose decoded length
+    ///   is wrong, is lost with that error;
+    /// * a chunk whose decoder **panics** is caught and lost as `Corrupt`
+    ///   (decoders must not panic, but salvage is exactly the place to
+    ///   survive the ones that do);
+    /// * a v3 chunk whose decoded bytes miss their per-chunk CRC is lost
+    ///   as `ChunkChecksumMismatch`.
+    ///
+    /// Lost chunks' output regions are zero-filled, so the returned
+    /// buffer always has the declared length with recovered chunks at
+    /// their exact offsets. Hard errors remain only for damage that makes
+    /// per-chunk recovery meaningless, and [`Decoder::new`] reports
+    /// those: unusable header or chunk table, or an unknown component.
+    ///
+    /// For v2 archives (no per-chunk CRC) only structural faults are
+    /// detectable per chunk; value-level damage shows up solely as
+    /// `archive_crc_ok == false` in the report.
+    pub fn salvage(&self, pool: &Pool) -> Result<(Vec<u8>, SalvageReport), DecodeError> {
+        let n_chunks = self.rows.len();
+        let in_bytes = self.header.payload_offset + self.payload.len();
+        let _span = span!(
+            "archive.decode_salvage",
+            bytes = in_bytes,
+            chunks = n_chunks
+        );
+        let (out, pass) = self.pass(pool, Faults::Salvage);
+        let lost = pass.faults.len() as u32;
+        let archive_crc_ok = lost == 0 && crc_of(pass.placed.into_iter()) == self.header.crc32;
+        let report = SalvageReport {
+            recovered: n_chunks as u32 - lost,
+            lost,
+            errors: pass.faults,
+            archive_crc_ok,
+        };
+        Ok((out, report))
+    }
+
+    fn pass(&self, pool: &Pool, policy: Faults) -> (Vec<u8>, Decoded) {
+        let mut out = vec![0u8; self.header.original_len as usize];
+        let pass = decode_chunks(
+            &self.codec,
+            &self.rows,
+            self.payload,
+            &mut out,
+            false,
+            pool,
+            policy,
+        );
+        (out, pass)
+    }
+}
+
+/// Decode an archive, resolving stage names through `resolve`.
+pub fn decode<R>(bytes: &[u8], resolve: R, pool: &Pool) -> Result<Vec<u8>, DecodeError>
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
-        });
-    }
-    decode_salvage(bytes, resolve, pool)
-}
-
-/// Decode one chunk into the worker's arena, returning a borrowed view
-/// of the recovered bytes.
-///
-/// The first inverse stage reads the stored payload slice directly (no
-/// defensive copy); subsequent stages ping-pong between the arena
-/// buffers. For a chunk whose mask is empty — every stage skipped by
-/// copy-on-expand — the returned slice *is* `payload`: decode of such a
-/// chunk touches no buffer at all and the caller copies the stored
-/// bytes straight into the output region.
-#[allow(clippy::too_many_arguments)]
-fn decode_chunk_into<'s>(
-    stages: &[Arc<dyn Component>],
-    mask: u8,
-    payload: &'s [u8],
-    expected_len: usize,
-    totals: &mut [StageAcc],
-    chunk_index: usize,
-    telemetry: bool,
-    costs: &[StageCost],
-    scratch: &'s mut Scratch,
-) -> Result<&'s [u8], DecodeError> {
-    let mut live = Live::Input;
-    // Inverse transformations in reverse order (paper Fig. 1).
-    for (s, comp) in stages.iter().enumerate().rev() {
-        if mask & (1 << s) == 0 {
-            // Stage skipped during encode (copy-on-expand): nothing to
-            // undo. Record a zero-duration span so traces show the skip.
-            if telemetry {
-                let mut sp = Span::begin(
-                    "stage.decode",
-                    comp.name(),
-                    vec![
-                        ("chunk", ArgValue::from(chunk_index)),
-                        ("skipped", ArgValue::from(true)),
-                    ],
-                );
-                sp.with_histogram();
-            }
-            continue;
-        }
-        let total = &mut totals[s];
-        let bytes_in = match live {
-            Live::Input => payload.len(),
-            Live::A => scratch.a.len(),
-            Live::B => scratch.b.len(),
-        };
-        total.applied += 1;
-        total.bytes_in += bytes_in as u64;
-        let mut sp = if telemetry {
-            let mut sp = Span::begin(
-                "stage.decode",
-                comp.name(),
-                vec![
-                    ("chunk", ArgValue::from(chunk_index)),
-                    ("bytes_in", ArgValue::from(bytes_in)),
-                ],
-            );
-            sp.with_histogram();
-            sp
-        } else {
-            Span::disabled()
-        };
-        let t0 = if telemetry { lc_telemetry::now_ns() } else { 0 };
-        let stage_result = match live {
-            Live::Input => crate::scratch::decode_stage(
-                comp.as_ref(),
-                payload,
-                &mut scratch.a,
-                &mut total.kernel,
-            ),
-            Live::A => crate::scratch::decode_stage(
-                comp.as_ref(),
-                &scratch.a,
-                &mut scratch.b,
-                &mut total.kernel,
-            ),
-            Live::B => crate::scratch::decode_stage(
-                comp.as_ref(),
-                &scratch.b,
-                &mut scratch.a,
-                &mut total.kernel,
-            ),
-        };
-        if telemetry {
-            costs[s].bytes.add(bytes_in as u64);
-            costs[s]
-                .ns
-                .record(lc_telemetry::now_ns().saturating_sub(t0));
-            costs[s].kernel.add(1);
-        }
-        stage_result?;
-        live = live.advance();
-        let bytes_out = match live {
-            Live::A => scratch.a.len(),
-            _ => scratch.b.len(),
-        };
-        sp.arg("bytes_out", bytes_out);
-        drop(sp);
-        totals[s].bytes_out += bytes_out as u64;
-    }
-    let cur: &[u8] = match live {
-        Live::Input => payload,
-        Live::A => &scratch.a,
-        Live::B => &scratch.b,
-    };
-    if cur.len() != expected_len {
-        return Err(DecodeError::LengthMismatch {
-            expected: expected_len as u64,
-            actual: cur.len() as u64,
-        });
-    }
-    Ok(cur)
+    let (out, _) = Decoder::new(bytes, resolve, None)?.decode(pool, None)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1239,7 +1121,7 @@ mod tests {
         let mut data = vec![1u8; 1000];
         data.extend(vec![0xFFu8; CHUNK_SIZE - 1000]);
         let pool = Pool::new(2);
-        let res = encode_with_stats(&pipeline(), &data, &pool);
+        let res = encode_with(&pipeline(), &data, &pool, None).unwrap();
         assert!(res.archive.len() < data.len());
         assert_eq!(res.stats.stages[1].chunks_applied, 1);
         let out = decode(&res.archive, resolver, &pool).unwrap();
@@ -1252,7 +1134,7 @@ mod tests {
         // expands, so the framework must skip it.
         let data: Vec<u8> = (0..CHUNK_SIZE).map(|i| (i % 200) as u8 + 1).collect();
         let pool = Pool::new(2);
-        let res = encode_with_stats(&pipeline(), &data, &pool);
+        let res = encode_with(&pipeline(), &data, &pool, None).unwrap();
         assert_eq!(res.stats.stages[1].chunks_skipped, 1);
         assert_eq!(res.stats.stages[1].chunks_applied, 0);
         // Mutator still applied.
@@ -1266,7 +1148,8 @@ mod tests {
         let data: Vec<u8> = (0..CHUNK_SIZE).map(|i| (i % 200) as u8 + 1).collect();
         let pool = Pool::new(2);
         let archive = encode(&pipeline(), &data, &pool);
-        let (_, stats) = decode_with_stats(&archive, resolver, &pool).unwrap();
+        let decoder = Decoder::new(&archive, resolver, None).unwrap();
+        let (_, stats) = decoder.decode(&pool, None).unwrap();
         assert_eq!(stats.stages[1].chunks_applied, 0);
         assert!(stats.stages[1].kernel.is_zero());
         assert!(!stats.stages[0].kernel.is_zero());
@@ -1334,6 +1217,14 @@ mod tests {
         assert_eq!(h.chunks, 2);
     }
 
+    fn salvage<R>(bytes: &[u8], resolve: R, pool: &Pool) -> (Vec<u8>, SalvageReport)
+    where
+        R: Fn(&str) -> Option<Arc<dyn Component>>,
+    {
+        let decoder = Decoder::new(bytes, resolve, None).unwrap();
+        decoder.salvage(pool).unwrap()
+    }
+
     /// Incompressible multi-chunk input: DTZ skips every chunk, so each
     /// chunk's payload is exactly CHUNK_SIZE AddOne'd bytes — flipping a
     /// payload byte damages exactly one chunk, with no structural error.
@@ -1391,7 +1282,7 @@ mod tests {
         let pool = Pool::new(4);
         let data = incompressible(3);
         let archive = encode(&pipeline(), &data, &pool);
-        let (out, report) = decode_salvage(&archive, resolver, &pool).unwrap();
+        let (out, report) = salvage(&archive, resolver, &pool);
         assert_eq!(out, data);
         assert!(report.is_clean());
         assert_eq!(report.recovered, 3);
@@ -1408,7 +1299,7 @@ mod tests {
         for damaged in [1usize, 3] {
             archive[h.payload_offset + damaged * CHUNK_SIZE + 7] ^= 0x55;
         }
-        let (out, report) = decode_salvage(&archive, resolver, &pool).unwrap();
+        let (out, report) = salvage(&archive, resolver, &pool);
         assert_eq!(report.recovered, 3);
         assert_eq!(report.lost, 2);
         assert!(!report.archive_crc_ok);
@@ -1435,7 +1326,7 @@ mod tests {
         // Cut inside chunk 2's payload: chunks 0 and 1 stay whole, chunk 2
         // is partial, chunk 3 is gone.
         let cut = &archive[..h.payload_offset + 2 * CHUNK_SIZE + 10];
-        let (out, report) = decode_salvage(cut, resolver, &pool).unwrap();
+        let (out, report) = salvage(cut, resolver, &pool);
         assert_eq!(report.recovered, 2);
         assert_eq!(report.lost, 2);
         assert!(report
@@ -1453,7 +1344,7 @@ mod tests {
         let mut v2 = downgrade_to_v2(&encode(&pipeline(), &data, &pool));
         let h = parse_header(&v2).unwrap();
         v2[h.payload_offset + CHUNK_SIZE + 9] ^= 0x01;
-        let (_, report) = decode_salvage(&v2, resolver, &pool).unwrap();
+        let (_, report) = salvage(&v2, resolver, &pool);
         // Without per-chunk CRCs the damaged chunk decodes "successfully";
         // only the whole-archive CRC betrays the corruption.
         assert_eq!(report.lost, 0);
@@ -1529,7 +1420,7 @@ mod tests {
         // Tripped before the first claim.
         let token = CancelToken::new();
         token.cancel();
-        assert!(encode_cancellable(&pipeline(), &data, &pool, &token).is_none());
+        assert!(encode_with(&pipeline(), &data, &pool, Some(&token)).is_none());
         // Tripped by the first chunk to run: a partly written payload
         // region exists, and the caller gets nothing of it.
         let token = CancelToken::new();
@@ -1537,9 +1428,10 @@ mod tests {
             grow: false,
             trip: Some(token.clone()),
         });
-        assert!(encode_cancellable(&tripping, &data, &pool, &token).is_none());
+        assert!(encode_with(&tripping, &data, &pool, Some(&token)).is_none());
         // Untripped: the same bytes as the plain entry point.
-        let res = encode_cancellable(&pipeline(), &data, &pool, &CancelToken::new()).unwrap();
+        let token = CancelToken::new();
+        let res = encode_with(&pipeline(), &data, &pool, Some(&token)).unwrap();
         assert_eq!(res.archive, encode(&pipeline(), &data, &pool));
     }
 
@@ -1584,7 +1476,7 @@ mod tests {
         };
         // One worker, so the chunks after the panic reuse the arena the
         // panic left half-written.
-        let (out, report) = decode_salvage(&archive, resolve, &Pool::new(1)).unwrap();
+        let (out, report) = salvage(&archive, resolve, &Pool::new(1));
         assert_eq!(report.lost, 1);
         assert_eq!(report.recovered, 3);
         assert!(!report.archive_crc_ok);
@@ -1606,23 +1498,52 @@ mod tests {
     }
 
     #[test]
-    fn bounded_decode_rejects_bombs_before_allocating() {
+    fn limited_decoder_refuses_oversized_archives() {
         let pool = Pool::new(2);
         let data = incompressible(2);
         let archive = encode(&pipeline(), &data, &pool);
-        let err = decode_bounded(&archive, resolver, &pool, data.len() as u64 - 1).unwrap_err();
+        let declared = data.len() as u64;
+        let err = Decoder::new(&archive, resolver, Some(declared - 1)).err();
         assert_eq!(
             err,
-            DecodeError::TooLarge {
-                declared: data.len() as u64,
-                limit: data.len() as u64 - 1,
-            }
+            Some(DecodeError::TooLarge {
+                declared,
+                limit: declared - 1,
+            })
         );
-        assert_eq!(
-            decode_bounded(&archive, resolver, &pool, data.len() as u64).unwrap(),
-            data
-        );
-        let err = decode_salvage_bounded(&archive, resolver, &pool, 16).unwrap_err();
-        assert!(matches!(err, DecodeError::TooLarge { .. }));
+        let at_limit = Decoder::new(&archive, resolver, Some(declared)).unwrap();
+        assert_eq!(at_limit.decode(&pool, None).unwrap().0, data);
+        assert_eq!(at_limit.salvage(&pool).unwrap().0, data);
+    }
+
+    /// A well-formed header and table declaring `declared` bytes of
+    /// output, with no payload: decoding it would allocate `declared`.
+    fn bomb(declared: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_prologue(&mut bytes, MAGIC, VERSION, &pipeline());
+        bytes.extend_from_slice(&declared.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        let chunks = chunk_count(declared as usize);
+        bytes.extend_from_slice(&(chunks as u32).to_le_bytes());
+        bytes.resize(bytes.len() + chunks * TABLE_ENTRY_V3, 0);
+        bytes
+    }
+
+    #[test]
+    fn limited_decoder_refuses_bombs_before_allocating() {
+        let pool = Pool::new(2);
+        // 1 GiB of declared output behind a 576 KiB table.
+        let declared = 1u64 << 30;
+        let bytes = bomb(declared);
+        let limit = 1 << 20;
+        let refused = DecodeError::TooLarge { declared, limit };
+        let strict =
+            Decoder::new(&bytes, resolver, Some(limit)).and_then(|d| d.decode(&pool, None));
+        assert_eq!(strict.err(), Some(refused.clone()));
+        let salvage = Decoder::new(&bytes, resolver, Some(limit)).and_then(|d| d.salvage(&pool));
+        assert_eq!(salvage.err(), Some(refused));
+        // The header itself is sound: only the limit refused it.
+        let unlimited = Decoder::new(&bytes, resolver, None).unwrap();
+        assert_eq!(unlimited.header().original_len, declared);
     }
 }

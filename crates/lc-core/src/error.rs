@@ -68,7 +68,7 @@ pub enum DecodeError {
     },
     /// One chunk's decoded bytes do not match its per-chunk CRC-32
     /// (archive format v3). Identifies the damaged chunk, which is what
-    /// [`crate::archive::decode_salvage`] exploits to recover the rest.
+    /// [`crate::archive::Decoder::salvage`] exploits to recover the rest.
     ChunkChecksumMismatch {
         /// Index of the failing chunk.
         chunk: u32,

@@ -33,7 +33,7 @@ pub mod stats;
 pub mod stream;
 pub mod verify;
 
-pub use archive::{decode, decode_with_stats, encode, encode_with_stats, Archive, EncodeResult};
+pub use archive::{decode, encode, encode_with, Archive, Decoder, EncodeResult};
 pub use chunk::CHUNK_SIZE;
 pub use component::{Complexity, Component, ComponentKind, KernelVariant, SpanClass, WorkClass};
 pub use contract::{CommuteClass, Contract, ExpansionBound, SizeClass, SizeDeterminant};

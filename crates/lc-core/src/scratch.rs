@@ -22,9 +22,11 @@
 //!   need the final bytes copy them out (exact-size, once per chunk).
 //!
 //! [`encode_stage`] and [`decode_stage`] are the single authoritative
-//! implementation of LC's copy-on-expand rule; the archive driver and
-//! the study runner both call them, so the "skip a reducer that failed
-//! to shrink" decision cannot drift between the two.
+//! implementation of LC's copy-on-expand rule. Their callers are the
+//! archive's chunk engine — which both containers run, the in-memory
+//! archive and the [`crate::stream`] framing — and the study runner, so
+//! the "skip a reducer that failed to shrink" decision cannot drift
+//! between them.
 
 use crate::component::{Component, ComponentKind};
 use crate::error::DecodeError;

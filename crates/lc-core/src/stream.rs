@@ -2,11 +2,14 @@
 //!
 //! The in-memory [`crate::archive`] format keeps its whole chunk table in
 //! the header, which requires knowing the chunk count up front. For
-//! file-to-file use with bounded memory this module provides a *streamed*
-//! variant: the input is processed in windows of
-//! [`StreamEncoder::WINDOW_CHUNKS`] chunks, each window compressed in
-//! parallel (same pipeline semantics, same per-chunk copy-on-expand) and
-//! written as one self-contained batch.
+//! file-to-file use with bounded memory this module frames the *same
+//! chunk engine* differently: the input is processed in windows of
+//! [`StreamEncoder::WINDOW_CHUNKS`] chunks, each run through the
+//! archive's encode pass (same stages, same copy-on-expand, same
+//! look-back placement) into a batch buffer the encoder keeps, and
+//! written as one self-contained batch. [`decode_stream`] runs each batch
+//! through the archive's decode pass into a window buffer and writes it
+//! out. Only the framing differs:
 //!
 //! ```text
 //! magic  b"LCRS", version u8
@@ -19,15 +22,23 @@
 //! u32 CRC-32 of the input        (trailer, integrity check)
 //! ```
 //!
-//! Every chunk is 16 kB except the final chunk of the stream.
+//! Every chunk is 16 kB except the final chunk of the stream. The
+//! decoder holds every chunk of a batch but the last to exactly that
+//! length, and the last to at most that, so a wrong-length chunk fails
+//! where it is rather than at the trailer.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use lc_parallel::{DisjointSlice, Pool};
+use lc_parallel::Pool;
 
-use crate::chunk::CHUNK_SIZE;
-use crate::component::{Component, ComponentKind};
+use crate::archive::{
+    decode_chunks, encode_chunks, parse_rows, read_prologue, take, write_prologue, write_rows,
+    ChunkCodec, Faults, TABLE_ENTRY_V2,
+};
+use crate::checksum::combine;
+use crate::chunk::{chunk_count, CHUNK_SIZE};
+use crate::component::Component;
 use crate::error::DecodeError;
 use crate::pipeline::Pipeline;
 
@@ -62,89 +73,42 @@ impl<'p> StreamEncoder<'p> {
         input: &mut R,
         output: &mut W,
     ) -> std::io::Result<(u64, u64)> {
-        let mut header = Vec::new();
-        header.extend_from_slice(&STREAM_MAGIC);
-        header.push(STREAM_VERSION);
-        header.push(self.pipeline.len() as u8);
-        for s in self.pipeline.stages() {
-            header.push(s.name().len() as u8);
-            header.extend_from_slice(s.name().as_bytes());
-        }
-        output.write_all(&header)?;
-        let mut written = header.len() as u64;
-        let mut total_in = 0u64;
-
-        let window_bytes = Self::WINDOW_CHUNKS * CHUNK_SIZE;
-        let mut buf = vec![0u8; window_bytes];
-        let mut crc = crate::checksum::Crc32::new();
+        let codec = ChunkCodec::new(self.pipeline.stages().to_vec(), "encode");
+        let mut batch = Vec::new();
+        write_prologue(&mut batch, STREAM_MAGIC, STREAM_VERSION, self.pipeline);
+        output.write_all(&batch)?;
+        let mut written = batch.len() as u64;
+        let (mut total_in, mut crc) = (0u64, 0u32);
+        let mut window = vec![0u8; Self::WINDOW_CHUNKS * CHUNK_SIZE];
         loop {
-            let filled = read_full(input, &mut buf)?;
+            let filled = read_full(input, &mut window)?;
             if filled == 0 {
                 break;
             }
+            // Batch framing and a placeholder table, then the payloads.
+            let n_chunks = chunk_count(filled);
+            let table = 4..4 + n_chunks * TABLE_ENTRY_V2;
+            batch.clear();
+            batch.extend_from_slice(&(n_chunks as u32).to_le_bytes());
+            batch.resize(table.end, 0);
+            let encoded = encode_chunks(&codec, &window[..filled], &mut batch, &self.pool, None);
+            // invariant: with no cancel token the pool drains every chunk.
+            let encoded = encoded.expect("no cancel token");
+            write_rows(&mut batch[table], &encoded.rows, TABLE_ENTRY_V2);
+            output.write_all(&batch)?;
+            written += batch.len() as u64;
             total_in += filled as u64;
-            crc.update(&buf[..filled]);
-            written += self.encode_window(&buf[..filled], output)?;
-            if filled < window_bytes {
+            crc = combine(crc, encoded.crc, filled);
+            if filled < window.len() {
                 break; // EOF inside this window
             }
         }
         // Terminator batch + trailer (length + CRC-32 of the input).
         output.write_all(&0u32.to_le_bytes())?;
         output.write_all(&total_in.to_le_bytes())?;
-        output.write_all(&crc.finish().to_le_bytes())?;
-        written += 16;
-        Ok((total_in, written))
+        output.write_all(&crc.to_le_bytes())?;
+        Ok((total_in, written + 16))
     }
-
-    fn encode_window<W: Write>(&self, window: &[u8], output: &mut W) -> std::io::Result<u64> {
-        let n_chunks = window.len().div_ceil(CHUNK_SIZE);
-        let stages = self.pipeline.stages();
-        let mut results: Vec<Option<(Vec<u8>, u8)>> = Vec::new();
-        results.resize_with(n_chunks, || None);
-        {
-            let slots = DisjointSlice::new(&mut results);
-            self.pool.run(n_chunks, |i| {
-                let start = i * CHUNK_SIZE;
-                let end = (start + CHUNK_SIZE).min(window.len());
-                let outcome = encode_chunk_through(stages, &window[start..end]);
-                // SAFETY: each index claimed exactly once by `run`.
-                unsafe { *slots.get_mut(i) = Some(outcome) };
-            });
-        }
-        let mut batch = Vec::with_capacity(window.len() / 2 + n_chunks * 5 + 4);
-        batch.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-        for r in &results {
-            let (data, mask) = r.as_ref().expect("chunk encoded"); // invariant: the pool fills every slot
-            batch.push(*mask);
-            batch.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        }
-        for r in &results {
-            batch.extend_from_slice(&r.as_ref().unwrap().0); // invariant: checked Some above
-        }
-        output.write_all(&batch)?;
-        Ok(batch.len() as u64)
-    }
-}
-
-fn encode_chunk_through(stages: &[Arc<dyn Component>], chunk: &[u8]) -> (Vec<u8>, u8) {
-    let mut cur = chunk.to_vec();
-    let mut next = Vec::with_capacity(chunk.len() + chunk.len() / 4 + 64);
-    let mut mask = 0u8;
-    let mut stats = crate::stats::KernelStats::new();
-    for (s, comp) in stages.iter().enumerate() {
-        next.clear();
-        comp.encode_chunk(&cur, &mut next, &mut stats);
-        let applied = match comp.kind() {
-            ComponentKind::Reducer => next.len() < cur.len(),
-            _ => true,
-        };
-        if applied {
-            mask |= 1 << s;
-            std::mem::swap(&mut cur, &mut next);
-        }
-    }
-    (cur, mask)
 }
 
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -171,159 +135,69 @@ where
     W: Write,
     F: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let mut magic = [0u8; 4];
-    read_exact(input, &mut magic, "magic")?;
-    if magic != STREAM_MAGIC {
-        return Err(StreamError::Decode(DecodeError::BadMagic));
-    }
-    let version = read_u8(input, "version")?;
-    if version != STREAM_VERSION {
-        return Err(StreamError::Decode(DecodeError::BadVersion(version)));
-    }
-    let n_stages = read_u8(input, "stage count")? as usize;
-    if n_stages == 0 || n_stages > crate::archive::MAX_STAGES {
-        return Err(StreamError::Decode(DecodeError::Corrupt {
-            context: "stage count",
-        }));
-    }
-    let mut stages: Vec<Arc<dyn Component>> = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        let len = read_u8(input, "name length")? as usize;
-        let mut name = vec![0u8; len];
-        read_exact(input, &mut name, "stage name")?;
-        let name = String::from_utf8(name).map_err(|_| {
-            StreamError::Decode(DecodeError::Corrupt {
-                context: "name utf8",
-            })
-        })?;
-        let c = resolve(&name)
-            .ok_or_else(|| StreamError::Decode(DecodeError::UnknownComponent(name.clone())))?;
-        stages.push(c);
-    }
+    let mut fill = |buf: &mut [u8], context: &'static str| -> Result<(), StreamError> {
+        input.read_exact(buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => DecodeError::Truncated { context }.into(),
+            _ => StreamError::Io(e),
+        })
+    };
+    let corrupt = |context| Err(StreamError::Decode(DecodeError::Corrupt { context }));
+    let (_, names) = read_prologue(STREAM_MAGIC, STREAM_VERSION..=STREAM_VERSION, &mut fill)?;
+    let codec = ChunkCodec::resolve(&names, resolve)?;
 
-    let mut total_out = 0u64;
-    let mut crc = crate::checksum::Crc32::new();
+    // Per-batch buffers, kept across batches.
+    let (mut table, mut payload, mut window) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut total_out, mut crc) = (0u64, 0u32);
     loop {
-        let n_chunks = read_u32(input, "batch chunk count")? as usize;
+        let n_chunks = u32::from_le_bytes(take(&mut fill, "batch chunk count")?) as usize;
         if n_chunks == 0 {
             break;
         }
         if n_chunks > StreamEncoder::WINDOW_CHUNKS {
-            return Err(StreamError::Decode(DecodeError::Corrupt {
-                context: "batch size",
-            }));
+            return corrupt("batch size");
         }
-        let mut masks = Vec::with_capacity(n_chunks);
-        let mut sizes = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            masks.push(read_u8(input, "chunk mask")?);
-            let len = read_u32(input, "chunk length")? as usize;
-            if len > CHUNK_SIZE * 2 {
-                return Err(StreamError::Decode(DecodeError::Corrupt {
-                    context: "chunk length",
-                }));
-            }
-            sizes.push(len);
+        table.resize(n_chunks * TABLE_ENTRY_V2, 0);
+        fill(&mut table, "chunk table")?;
+        let (rows, payload_len) = parse_rows(&table, TABLE_ENTRY_V2);
+        // No chunk is stored larger than it came in: this bounds the
+        // payload buffer before it is allocated.
+        if payload_len > (n_chunks * CHUNK_SIZE) as u64 {
+            return corrupt("chunk length");
         }
-        let mut payload = vec![0u8; sizes.iter().sum()];
-        read_exact(input, &mut payload, "batch payload")?;
-        // Parallel decode into per-chunk buffers, then write in order.
-        let mut offsets = Vec::with_capacity(n_chunks);
-        let mut pos = 0usize;
-        for &s in &sizes {
-            offsets.push(pos);
-            pos += s;
+        payload.resize(payload_len as usize, 0);
+        fill(&mut payload, "batch payload")?;
+        window.resize(n_chunks * CHUNK_SIZE, 0);
+        let pass = decode_chunks(
+            &codec,
+            &rows,
+            &payload,
+            &mut window,
+            true,
+            pool,
+            Faults::Stop(None),
+        );
+        if let Some(fault) = pass.faults.into_iter().next() {
+            return Err(fault.error.into());
         }
-        let mut decoded: Vec<Option<Result<Vec<u8>, DecodeError>>> = Vec::new();
-        decoded.resize_with(n_chunks, || None);
-        {
-            let slots = DisjointSlice::new(&mut decoded);
-            let stages = &stages;
-            let payload = &payload;
-            let offsets = &offsets;
-            let sizes = &sizes;
-            let masks = &masks;
-            pool.run(n_chunks, |i| {
-                let data = &payload[offsets[i]..offsets[i] + sizes[i]];
-                let res = decode_chunk_through(stages, masks[i], data);
-                // SAFETY: each index claimed exactly once.
-                unsafe { *slots.get_mut(i) = Some(res) };
-            });
+        let mut len = 0;
+        for (chunk_crc, chunk_len) in pass.placed {
+            crc = combine(crc, chunk_crc, chunk_len);
+            len += chunk_len;
         }
-        for d in decoded {
-            let chunk = d.expect("decoded").map_err(StreamError::Decode)?; // invariant: the pool fills every slot
-            total_out += chunk.len() as u64;
-            crc.update(&chunk);
-            output.write_all(&chunk)?;
-        }
+        output.write_all(&window[..len])?;
+        total_out += len as u64;
     }
-    let declared = read_u64(input, "trailer length")?;
-    if declared != total_out {
-        return Err(StreamError::Decode(DecodeError::LengthMismatch {
-            expected: declared,
-            actual: total_out,
-        }));
+    let (expected, actual) = (take(&mut fill, "trailer length")?, total_out);
+    let expected = u64::from_le_bytes(expected);
+    if expected != actual {
+        return Err(DecodeError::LengthMismatch { expected, actual }.into());
     }
-    let declared_crc = read_u32(input, "trailer checksum")?;
-    let actual_crc = crc.finish();
-    if declared_crc != actual_crc {
-        return Err(StreamError::Decode(DecodeError::ChecksumMismatch {
-            expected: declared_crc,
-            actual: actual_crc,
-        }));
+    let (expected, actual) = (take(&mut fill, "trailer checksum")?, crc);
+    let expected = u32::from_le_bytes(expected);
+    if expected != actual {
+        return Err(DecodeError::ChecksumMismatch { expected, actual }.into());
     }
     Ok(total_out)
-}
-
-fn decode_chunk_through(
-    stages: &[Arc<dyn Component>],
-    mask: u8,
-    data: &[u8],
-) -> Result<Vec<u8>, DecodeError> {
-    let mut cur = data.to_vec();
-    let mut next = Vec::with_capacity(CHUNK_SIZE);
-    let mut stats = crate::stats::KernelStats::new();
-    for (s, comp) in stages.iter().enumerate().rev() {
-        if mask & (1 << s) == 0 {
-            continue;
-        }
-        next.clear();
-        comp.decode_chunk(&cur, &mut next, &mut stats)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    Ok(cur)
-}
-
-fn read_exact<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    context: &'static str,
-) -> Result<(), StreamError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StreamError::Decode(DecodeError::Truncated { context })
-        } else {
-            StreamError::Io(e)
-        }
-    })
-}
-
-fn read_u8<R: Read>(r: &mut R, context: &'static str) -> Result<u8, StreamError> {
-    let mut b = [0u8; 1];
-    read_exact(r, &mut b, context)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R, context: &'static str) -> Result<u32, StreamError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, context)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R, context: &'static str) -> Result<u64, StreamError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, context)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Errors from streaming (de)compression: either transport I/O or a
@@ -350,6 +224,12 @@ impl std::error::Error for StreamError {}
 impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         StreamError::Io(e)
+    }
+}
+
+impl From<DecodeError> for StreamError {
+    fn from(e: DecodeError) -> Self {
+        StreamError::Decode(e)
     }
 }
 

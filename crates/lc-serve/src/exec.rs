@@ -111,46 +111,32 @@ where
                     }
                 }
             };
-            match archive::encode_cancellable(&pipeline, &req.payload, &ctx.pool, cancel) {
+            match archive::encode_with(&pipeline, &req.payload, &ctx.pool, Some(cancel)) {
                 Some(result) => Response::Ok(result.archive),
                 None => cancel_response(cancel),
             }
         }
-        Op::Unpack => {
-            // Learn the declared output size and grow the lease before
-            // the output buffer exists; refusal sheds, exactly like
-            // front-door admission.
-            match archive::parse_header(&req.payload) {
-                Ok(header) => {
-                    if header.original_len <= ctx.max_decoded_bytes
-                        && !lease.grow(header.original_len)
-                    {
-                        return shed();
-                    }
-                }
+        Op::Unpack | Op::Salvage => {
+            // One parse refuses a bomb and learns the declared output size;
+            // the lease grows by it before the output buffer exists, and a
+            // refusal sheds, exactly like front-door admission.
+            let limit = Some(ctx.max_decoded_bytes);
+            let decoder = match archive::Decoder::new(&req.payload, resolve, limit) {
+                Ok(decoder) => decoder,
                 Err(e) => return decode_error_response(e, cancel),
+            };
+            if !lease.grow(decoder.header().original_len) {
+                return shed();
             }
-            match archive::decode_bounded_cancellable(
-                &req.payload,
-                resolve,
-                &ctx.pool,
-                ctx.max_decoded_bytes,
-                cancel,
-            ) {
-                Ok(bytes) => Response::Ok(bytes),
-                Err(e) => decode_error_response(e, cancel),
-            }
-        }
-        Op::Salvage => match archive::decode_salvage_bounded(
-            &req.payload,
-            resolve,
-            &ctx.pool,
-            ctx.max_decoded_bytes,
-        ) {
-            Ok((bytes, report)) => {
-                if report.is_clean() {
-                    Response::Ok(bytes)
-                } else {
+            let done = if req.op == Op::Unpack {
+                decoder
+                    .decode(&ctx.pool, Some(cancel))
+                    .map(|(bytes, _)| Response::Ok(bytes))
+            } else {
+                decoder.salvage(&ctx.pool).map(|(bytes, report)| {
+                    if report.is_clean() {
+                        return Response::Ok(bytes);
+                    }
                     Response::Err {
                         kind: ErrorKind::Salvage,
                         message: format!(
@@ -160,10 +146,10 @@ where
                             report.archive_crc_ok
                         ),
                     }
-                }
-            }
-            Err(e) => decode_error_response(e, cancel),
-        },
+                })
+            };
+            done.unwrap_or_else(|e| decode_error_response(e, cancel))
+        }
         Op::Stat => match archive::parse_header(&req.payload) {
             Ok(header) => {
                 let v = lc_json::Value::object([

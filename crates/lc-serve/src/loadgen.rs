@@ -143,7 +143,7 @@ impl Corpus {
             });
         let archives = raw
             .iter()
-            .map(|data| lc_core::archive::encode_with_stats(&pipeline, data, &pool).archive)
+            .map(|data| lc_core::archive::encode(&pipeline, data, &pool))
             .collect();
         Corpus { raw, archives }
     }

@@ -164,14 +164,14 @@ fn archive_for(slow_stage: usize) -> Vec<u8> {
     let pipeline = lc_core::Pipeline::parse("SLOW1_1 SLOW2_1 SLOW3_1", &resolve)
         .expect("test pipeline parses");
     let pool = Pool::new(1);
-    let res = lc_core::archive::encode_with_stats(&pipeline, &payload(), &pool);
+    let archive = lc_core::archive::encode(&pipeline, &payload(), &pool);
     // Applied-stage sanity: the reducer must have been applied on every
     // chunk, or the unpack cases would never execute the slow stage.
     assert!(
-        res.archive.len() < payload().len(),
+        archive.len() < payload().len(),
         "slow_stage={slow_stage}: archive did not shrink; reducer was skipped"
     );
-    res.archive
+    archive
 }
 
 /// The table: where the deadline fires.

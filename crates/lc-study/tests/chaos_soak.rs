@@ -12,16 +12,30 @@
 //! > byte-identical to the fault-free run. It never panics and never
 //! > silently produces wrong numbers.
 //!
-//! Fault injection is process-global, so this file holds a single
-//! `#[test]` that walks the seeds sequentially; as its own integration
-//! test binary it cannot interfere with other suites. Override the
-//! seed count with `LC_CHAOS_SOAK_SEEDS=n` (default 64, the CI floor).
+//! Fault injection is process-global, so every `#[test]` here holds
+//! [`CHAOS`] for its whole body (libtest would otherwise run them on
+//! parallel threads, each seeing the other's plan); as its own
+//! integration test binary it cannot interfere with other suites.
+//! Override the seed count with `LC_CHAOS_SOAK_SEEDS=n` (default 64,
+//! the CI floor).
 
 use lc_chaos::fs::SyncPolicy;
 use lc_chaos::FaultPlan;
 use lc_study::campaign::{run_campaign_with, CampaignOptions, StudyConfig};
 use lc_study::{report, Space};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file: an installed fault plan is live
+/// for every thread of the process, reference runs included.
+static CHAOS: Mutex<()> = Mutex::new(());
+
+/// Take [`CHAOS`], even after another test panicked while holding it.
+fn exclusive() -> MutexGuard<'static, ()> {
+    CHAOS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Small but non-trivial: two stage-1 families, two inputs, so the
 /// campaign journals multiple units per file and exercises the
@@ -49,6 +63,7 @@ fn seeds() -> u64 {
 
 #[test]
 fn every_seed_completes_or_resumes_to_identical_results() {
+    let _exclusive = exclusive();
     let sc = soak_config();
 
     // Fault-free reference: no journal, no chaos.
@@ -128,6 +143,7 @@ fn every_seed_completes_or_resumes_to_identical_results() {
 /// fault-free reference without any resume.
 #[test]
 fn transient_only_plans_complete_without_recovery() {
+    let _exclusive = exclusive();
     let mut sc = soak_config();
     sc.files = vec![&lc_data::SP_FILES[0]];
     let reference =

@@ -22,7 +22,7 @@ fn main() {
     // 3. Compress. Chunks are processed in parallel; output placement uses
     //    the same decoupled look-back scan as the GPU encoder.
     let pool = Pool::with_default_threads();
-    let result = archive::encode_with_stats(&pipeline, &input, &pool);
+    let result = archive::encode_with(&pipeline, &input, &pool, None).expect("no cancel token");
     println!(
         "compressed {} -> {} bytes (ratio {:.2})",
         input.len(),

@@ -30,15 +30,15 @@ fn main() {
         let mut best: Option<(&str, f64)> = None;
         for (ci, cand) in candidates.iter().enumerate() {
             let pipeline = lc_repro::lc_components::parse_pipeline(cand).expect("pipeline");
-            let res = archive::encode_with_stats(&pipeline, &data, &pool);
-            let ratio = data.len() as f64 / res.archive.len() as f64;
+            let archive = archive::encode(&pipeline, &data, &pool);
+            let ratio = data.len() as f64 / archive.len() as f64;
             grand[ci].1 += ratio.ln();
             if best.is_none() || ratio > best.unwrap().1 {
                 best = Some((cand, ratio));
             }
             // Every candidate must round-trip.
-            let back = archive::decode(&res.archive, lc_repro::lc_components::lookup, &pool)
-                .expect("decode");
+            let back =
+                archive::decode(&archive, lc_repro::lc_components::lookup, &pool).expect("decode");
             assert_eq!(back, data, "{cand} corrupted {}", file.name);
         }
         let (name, ratio) = best.unwrap();

@@ -4,8 +4,15 @@
 //! or unbounded allocation.
 
 use lc_repro::lc_components::{all, lookup, parse_pipeline};
-use lc_repro::lc_core::{archive, KernelStats, CHUNK_SIZE};
+use lc_repro::lc_core::archive::SalvageReport;
+use lc_repro::lc_core::checksum::crc32;
+use lc_repro::lc_core::stream::{decode_stream, StreamEncoder, StreamError};
+use lc_repro::lc_core::{archive, DecodeError, KernelStats, CHUNK_SIZE};
 use lc_repro::lc_parallel::Pool;
+
+fn salvage(bytes: &[u8], pool: &Pool) -> Result<(Vec<u8>, SalvageReport), DecodeError> {
+    archive::Decoder::new(bytes, lookup, None).and_then(|d| d.salvage(pool))
+}
 
 /// Deterministic pattern with mixed structure so every reducer both
 /// applies and skips somewhere.
@@ -113,7 +120,7 @@ fn archive_chunk_table_lies() {
             let _ = archive::decode(&bad, lookup, &pool);
             // Salvage must also survive table lies: it either hard-errors
             // or returns a report, never panics.
-            if let Ok((out, report)) = archive::decode_salvage(&bad, lookup, &pool) {
+            if let Ok((out, report)) = salvage(&bad, &pool) {
                 assert_eq!(out.len() as u64, h.original_len);
                 assert_eq!(report.recovered + report.lost, h.chunks);
             }
@@ -156,7 +163,7 @@ fn seeded_multibyte_corruption_decode_and_salvage() {
         let strict = archive::decode(&bad, lookup, &pool);
         // Salvage: same no-panic guarantee, plus a coherent report
         // whenever the header survived.
-        match archive::decode_salvage(&bad, lookup, &pool) {
+        match salvage(&bad, &pool) {
             Ok((out, report)) => {
                 let bh = archive::parse_header(&bad).unwrap();
                 assert_eq!(out.len() as u64, bh.original_len, "seed {seed}");
@@ -194,7 +201,7 @@ fn header_field_mutation_against_salvage() {
         for val in [0x00u8, 0xFF, 0x80, enc[pos].wrapping_add(1)] {
             let mut bad = enc.clone();
             bad[pos] = val;
-            let _ = archive::decode_salvage(&bad, lookup, &pool); // must not panic
+            let _ = salvage(&bad, &pool); // must not panic
         }
     }
 }
@@ -212,7 +219,7 @@ fn mid_stream_truncation_decode_and_salvage() {
         // Strict decode of a truncated archive must error (the payload
         // size check catches every cut past the header).
         assert!(archive::decode(trunc, lookup, &pool).is_err(), "cut {cut}");
-        match archive::decode_salvage(trunc, lookup, &pool) {
+        match salvage(trunc, &pool) {
             Ok((out, report)) => {
                 // Header + table survived: salvage recovers the chunks
                 // whose payload extent is still fully present.
@@ -227,7 +234,7 @@ fn mid_stream_truncation_decode_and_salvage() {
         }
     }
     // Full-length sanity: untruncated archive salvages cleanly.
-    let (out, report) = archive::decode_salvage(&enc, lookup, &pool).unwrap();
+    let (out, report) = salvage(&enc, &pool).unwrap();
     assert_eq!(out, data);
     assert!(report.is_clean());
 }
@@ -245,5 +252,127 @@ fn mask_lies_flip_stage_application() {
         let mut bad = enc.clone();
         bad[h.table_offset] = mask;
         let _ = archive::decode(&bad, lookup, &pool);
+    }
+}
+
+fn decode_lcrs(stream: &[u8], pool: &Pool) -> Result<Vec<u8>, StreamError> {
+    let mut out = Vec::new();
+    decode_stream(&mut &stream[..], &mut out, lookup, pool).map(|_| out)
+}
+
+/// A two-batch stream: one full window of mostly zeros with the test
+/// pattern every 64th chunk, then a ragged four-chunk tail.
+fn small_stream() -> (Vec<u8>, Vec<u8>) {
+    let mut data = vec![0u8; (StreamEncoder::WINDOW_CHUNKS + 3) * CHUNK_SIZE + 100];
+    for chunk in (0..data.len() / CHUNK_SIZE).step_by(64) {
+        data[chunk * CHUNK_SIZE..][..CHUNK_SIZE].copy_from_slice(&test_chunk());
+    }
+    let p = parse_pipeline("TCMS_4 DIFF_4 RZE_4").unwrap();
+    let mut stream = Vec::new();
+    StreamEncoder::new(&p, Pool::new(2))
+        .encode(&mut &data[..], &mut stream)
+        .unwrap();
+    (data, stream)
+}
+
+/// Where a stream's framing fields start and end, and the byte ranges
+/// of its chunk tables and payloads.
+struct Framing {
+    boundaries: Vec<usize>,
+    tables: Vec<std::ops::Range<usize>>,
+    payloads: Vec<std::ops::Range<usize>>,
+}
+
+fn framing(stream: &[u8]) -> Framing {
+    let mut boundaries = vec![0, 4, 5, 6];
+    let mut pos = 6;
+    for _ in 0..stream[5] {
+        let name = pos + 1;
+        pos = name + stream[pos] as usize;
+        boundaries.extend([name, pos]);
+    }
+    let le_u32 = |at: usize| u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+    let (mut tables, mut payloads) = (Vec::new(), Vec::new());
+    loop {
+        let n = le_u32(pos);
+        pos += 4;
+        boundaries.push(pos);
+        if n == 0 {
+            break;
+        }
+        let table = pos..pos + 5 * n;
+        boundaries.extend(table.clone().step_by(5).flat_map(|row| [row + 1, row + 5]));
+        let payload_len: usize = table.clone().step_by(5).map(|row| le_u32(row + 1)).sum();
+        pos = table.end + payload_len;
+        boundaries.push(pos);
+        payloads.push(table.end..pos);
+        tables.push(table);
+    }
+    boundaries.extend([pos + 8, pos + 12]);
+    assert_eq!(pos + 12, stream.len(), "framing walk ends at the trailer");
+    Framing {
+        boundaries,
+        tables,
+        payloads,
+    }
+}
+
+#[test]
+fn lcrs_cuts_and_flips_error_never_panic() {
+    let pool = Pool::new(2);
+    let (data, stream) = small_stream();
+    assert_eq!(decode_lcrs(&stream, &pool).unwrap(), data);
+    let f = framing(&stream);
+    assert_eq!(f.tables.len(), 2, "the stream spans two batches");
+    // Every cut is an error: at each framing boundary, and at a stride.
+    let stride = (stream.len() / 97).max(1);
+    let mut cuts: Vec<usize> = f
+        .boundaries
+        .iter()
+        .copied()
+        .filter(|&c| c < stream.len())
+        .collect();
+    cuts.extend((0..stream.len()).step_by(stride));
+    for cut in cuts {
+        assert!(decode_lcrs(&stream[..cut], &pool).is_err(), "cut at {cut}");
+    }
+    // Every flipped table or payload byte is an error too: a structural
+    // one, a per-chunk length, or the trailer's CRC.
+    let mut rng = Mix(0x51);
+    for region in f.tables.iter().chain(&f.payloads) {
+        for _ in 0..24 {
+            let pos = region.start + (rng.next() % region.len() as u64) as usize;
+            let mut bad = stream.clone();
+            bad[pos] ^= (rng.next() % 255 + 1) as u8;
+            assert!(decode_lcrs(&bad, &pool).is_err(), "flip at {pos}");
+        }
+    }
+}
+
+#[test]
+fn lcrs_wrong_length_chunk_fails_where_it_is() {
+    // A hand-framed batch of three stored (mask 0) chunks whose middle
+    // one holds 100 bytes. The trailer is consistent with the bytes, so
+    // only the per-chunk length check can reject it.
+    let chunks = [vec![1u8; CHUNK_SIZE], vec![2u8; 100], vec![3u8; CHUNK_SIZE]];
+    let mut stream = b"LCRS\x02\x01\x05RZE_4".to_vec();
+    stream.extend_from_slice(&3u32.to_le_bytes());
+    for chunk in &chunks {
+        stream.push(0);
+        stream.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+    }
+    let plain = chunks.concat();
+    stream.extend_from_slice(&plain);
+    stream.extend_from_slice(&0u32.to_le_bytes());
+    stream.extend_from_slice(&(plain.len() as u64).to_le_bytes());
+    stream.extend_from_slice(&crc32(&plain).to_le_bytes());
+    match decode_lcrs(&stream, &Pool::new(2)) {
+        Err(StreamError::Decode(DecodeError::LengthMismatch { expected, actual })) => {
+            assert_eq!((expected, actual), (CHUNK_SIZE as u64, 100));
+        }
+        other => panic!(
+            "expected the chunk's LengthMismatch, got {:?}",
+            other.map(|out| out.len())
+        ),
     }
 }
