@@ -5,9 +5,9 @@
 //! throughput and the telemetry A/B overhead, for tracking across
 //! commits.
 //!
-//! Unlike the Criterion benches (statistical, slow), this is a
-//! single-shot snapshot: medians of a few repetitions, done in seconds,
-//! with a stable JSON schema that diffs cleanly.
+//! A single-shot snapshot: medians of a few repetitions, done in
+//! seconds, with a stable JSON schema that diffs cleanly. The repo
+//! benchmark under `benchmark/` is the statistical measurement.
 
 use std::time::Instant;
 
@@ -45,8 +45,8 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_campaign.json".to_string());
 
-    // 1. The fixed tiny-scale campaign: same restricted space the figure
-    //    benches use, so numbers are comparable across harnesses.
+    // 1. The fixed tiny-scale campaign: the five-family space the repo
+    //    benchmark's campaign_sweep also sweeps.
     let sc = StudyConfig {
         space: Space::restricted_to_families(&["TCMS", "BIT", "DIFF", "RLE", "RZE"]),
         scale: Scale::tiny(),
@@ -250,23 +250,21 @@ fn main() {
     }
 
     // 5. Static analysis: contract-check the full registry and compute
-    //    the pruning plan over the paper's full 107,632-pipeline space,
-    //    so the analyzer's runtime and the pruned-pipeline count are
-    //    tracked across commits alongside the raw throughputs. (The
-    //    tiny bench space above has no commuting pairs by construction,
-    //    so its own prune report is always zero; the full space is what
-    //    the analyzer earns its keep on.)
+    //    the default (exact-tier) pruning plan over the paper's full
+    //    107,632-pipeline space, so the analyzer's runtime and the
+    //    pruned-pipeline count are tracked across commits alongside the
+    //    raw throughputs. (The tiny bench space above has no commuting
+    //    pairs by construction, so its own prune report is always zero;
+    //    the full space is what the analyzer earns its keep on.)
     let analysis = lc_analyze::analyze_registry();
     let full = Space::full();
-    let full_reducers = full.reducers.len();
-    let plan = PrunePlan::for_space(&full, PruneMode::Commute);
-    let prune = plan.report(full_reducers);
+    let prune = PrunePlan::for_space(&full, PruneMode::Exact).report();
     eprintln!(
-        "analyze: {} checks on {} components in {:.1} ms; {} commuting pairs prune {} of {} pipelines",
+        "analyze: {} checks on {} components in {:.1} ms; {} commuting pairs; exact tier prunes {} of {} pipelines",
         analysis.checks,
         analysis.components,
         analysis.runtime.as_secs_f64() * 1e3,
-        prune.commuting_pairs,
+        analysis.commuting_pairs,
         prune.pruned_pipelines,
         full.len(),
     );
@@ -279,7 +277,7 @@ fn main() {
     let t0 = Instant::now();
     let canonical_plan = PrunePlan::for_space(&full, PruneMode::Canonical);
     let canonical_s = t0.elapsed().as_secs_f64();
-    let canonical = canonical_plan.report(full_reducers);
+    let canonical = canonical_plan.report();
     eprintln!(
         "canonicalize: {} classes over {} pipelines, {} certified-redundant, class map {:016x} in {:.1} ms",
         canonical.classes,
@@ -296,7 +294,9 @@ fn main() {
     //    run's; the wall times track per-shard overhead (journal
     //    appends + input digests) and merge cost, and the full-space
     //    extrapolation is the headline the sharding exists for: what
-    //    the whole 107,632-pipeline space costs at this units/s.
+    //    the whole 107,632-pipeline space costs at this rate of pipeline
+    //    evaluations (a full-space unit holds 62 × 28 pipelines, a
+    //    snapshot unit 20 × 8, so units are the wrong scale).
     let shard_dir = std::env::temp_dir().join(format!("lc-bench-shard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&shard_dir);
     std::fs::create_dir_all(&shard_dir).expect("create shard scratch dir");
@@ -335,7 +335,7 @@ fn main() {
         && report::to_json(&m, &[]) == report::to_json(&fused.measurements, &[]);
     let _ = std::fs::remove_dir_all(&shard_dir);
     let full_units = sc.files.len() * full.components.len();
-    let full_space_est_s = full_units as f64 * (shard_total_s / units as f64);
+    let full_space_est_s = shard_total_s * full.len() as f64 / sc.space.len() as f64;
     eprintln!(
         "shard: {shard_n} shards in {shard_total_s:.2}s (max {shard_max_s:.2}s), merge {:.1} ms, \
          {} units fused, identical={identical}; full space (~{full_units} units) \u{2248} {:.0}s at this rate",
@@ -411,7 +411,7 @@ fn main() {
                 ("full_space_pipelines", Value::from(full.len() as u64)),
                 (
                     "full_space_commuting_pairs",
-                    Value::from(prune.commuting_pairs as u64),
+                    Value::from(analysis.commuting_pairs as u64),
                 ),
                 (
                     "full_space_pruned_pipelines",

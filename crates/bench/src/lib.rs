@@ -1,31 +1,15 @@
-//! Shared helpers for the Criterion benchmark harness.
-//!
-//! One bench target exists per paper artifact class:
-//!
-//! | target        | regenerates |
-//! |---------------|-------------|
-//! | `components`  | per-component kernel throughput (Tables 1/2 inventory) |
-//! | `archive`     | end-to-end chunk-parallel encode/decode |
-//! | `parallel`    | the decoupled look-back scan (the §6.1 framework op) |
-//! | `cost_model`  | GPU/compiler simulated-time evaluation |
-//! | `figures`     | Figs. 2–15 letter-value series from a campaign |
-//! | `datagen`     | Table 3 synthetic input generation |
+//! Shared helpers for the `snapshot` and `diff` binaries: the snapshot
+//! writes `BENCH_campaign.json`, and [`diff`] gates a fresh snapshot
+//! against the committed baselines.
 
 #![forbid(unsafe_code)]
 
 pub mod diff;
 
-use std::sync::OnceLock;
-
 use lc_data::{Scale, SP_FILES};
-use lc_study::{run_campaign, Measurements, Space, StudyConfig};
 
-/// A 16 kB chunk of synthetic single-precision data (one block's worth).
-pub fn sample_chunk() -> Vec<u8> {
-    lc_data::generate(&SP_FILES[12], Scale::tiny())[..16384].to_vec()
-}
-
-/// A multi-chunk input (~256 kB) for archive-level benches.
+/// A multi-chunk input (~256 kB) for the snapshot's archive and kernel
+/// sections.
 pub fn sample_input() -> Vec<u8> {
     let mut data = Vec::new();
     for f in [&SP_FILES[10], &SP_FILES[12]] {
@@ -34,28 +18,12 @@ pub fn sample_input() -> Vec<u8> {
     data
 }
 
-/// A small campaign shared by all figure benches (built once).
-pub fn shared_measurements() -> &'static Measurements {
-    static M: OnceLock<Measurements> = OnceLock::new();
-    M.get_or_init(|| {
-        run_campaign(&StudyConfig {
-            space: Space::restricted_to_families(&["TCMS", "BIT", "DIFF", "RLE", "RZE"]),
-            scale: Scale::tiny(),
-            threads: lc_parallel::default_threads(),
-            files: vec![&SP_FILES[0], &SP_FILES[5], &SP_FILES[12]],
-            opt_levels: vec![gpu_sim::OptLevel::O1, gpu_sim::OptLevel::O3],
-            verify: false,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sample_sizes() {
-        assert_eq!(sample_chunk().len(), 16384);
         assert!(sample_input().len() >= 2 * 65536);
     }
 }

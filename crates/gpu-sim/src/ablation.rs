@@ -1,6 +1,6 @@
 //! Model ablations: variants of the cost model with one mechanism
 //! disabled, used to show *which* modeling choice produces which paper
-//! phenomenon (and by the `ablation` bench to quantify it).
+//! phenomenon.
 //!
 //! | variant              | disables                         | paper phenomenon it should break |
 //! |----------------------|----------------------------------|----------------------------------|

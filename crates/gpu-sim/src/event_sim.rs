@@ -13,7 +13,7 @@
 //! homogeneous grids and that the event simulator correctly reproduces
 //! effects the shortcut only approximates (partial waves, stragglers).
 //! The campaign uses the analytical model (it is evaluated ~60 M times);
-//! `simulate_kernel` is for spot checks and the `ablation` bench.
+//! `simulate_kernel` is for spot checks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -669,34 +669,89 @@ impl ClassMap {
         (p.0 * self.components + p.1) * self.reducers + p.2
     }
 
-    /// FNV-1a fingerprint over the sorted `(pruned, representative)`
+    /// [`prune_fingerprint`] of the certified `(pruned, representative)`
     /// dense-index pairs — the campaign journal records this so resumes
     /// refuse a mismatched class map.
     pub fn fingerprint(&self) -> u64 {
-        let mut pairs: Vec<(u64, u64)> = self
+        let mut pairs: Vec<(usize, usize)> = self
             .certificates
             .iter()
-            .map(|c| {
-                (
-                    self.index(c.member) as u64,
-                    self.index(c.representative) as u64,
-                )
-            })
+            .map(|c| (self.index(c.member), self.index(c.representative)))
             .collect();
         pairs.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for (a, b) in pairs {
-            eat(a);
-            eat(b);
-        }
-        h
+        prune_fingerprint(pairs)
     }
+}
+
+/// FNV-1a over `(pruned, representative)` dense-index pairs, which the
+/// caller supplies in ascending order. Any skip table over a pipeline
+/// space has one, whichever tier produced it.
+pub fn prune_fingerprint(pairs: impl IntoIterator<Item = (usize, usize)>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (a, b) in pairs {
+        eat(a as u64);
+        eat(b as u64);
+    }
+    h
+}
+
+/// One stage-1/2 prefix after the exact phase: its normal-form atoms and
+/// the rewrite steps that produced them.
+struct ExactPrefix {
+    atoms: Vec<Atom>,
+    steps: Vec<RewriteStep>,
+}
+
+/// The exact phase: de-fuse every `(s1, s2)` prefix and rewrite it to its
+/// exact normal form, in dense prefix order `s1·nc + s2`.
+fn exact_prefixes(
+    components: &[Arc<dyn Component>],
+    shape: LenRange,
+    rules: &RuleTable,
+) -> Vec<ExactPrefix> {
+    let stage_atoms: Vec<Atom> = components.iter().map(atom_of).collect();
+    let by_name: HashMap<String, Atom> = stage_atoms
+        .iter()
+        .map(|a| (a.name.clone(), a.clone()))
+        .collect();
+    let mut prefixes = Vec::with_capacity(stage_atoms.len() * stage_atoms.len());
+    for a1 in &stage_atoms {
+        for a2 in &stage_atoms {
+            let mut steps = Vec::new();
+            let mut atoms = defuse(&[a1, a2], &by_name, &mut steps);
+            exact_fixpoint(&mut atoms, shape, rules, &mut steps);
+            prefixes.push(ExactPrefix { atoms, steps });
+        }
+    }
+    prefixes
+}
+
+/// The exact tier on its own, without the pattern phase: for every
+/// stage-1/2 prefix `s1·nc + s2`, the least prefix index with the same
+/// exact normal form. Prefixes sharing a normal form compose to identical
+/// bytes, so every reducer after them sees the same input. `lengths` is
+/// as in [`classify`].
+pub fn exact_prefix_reps(
+    components: &[Arc<dyn Component>],
+    lengths: &[usize],
+    rules: &RuleTable,
+) -> Vec<usize> {
+    let shape = LenRange::from_lengths(lengths, rules);
+    let mut first: HashMap<Vec<String>, usize> = HashMap::new();
+    exact_prefixes(components, shape, rules)
+        .into_iter()
+        .enumerate()
+        .map(|(p, prefix)| {
+            let nf = prefix.atoms.into_iter().map(|a| a.name).collect();
+            *first.entry(nf).or_insert(p)
+        })
+        .collect()
 }
 
 /// Partition the pipeline space `components × components × reducers`
@@ -713,12 +768,7 @@ pub fn classify(
     let shape = LenRange::from_lengths(lengths, rules);
     let nc = components.len();
     let nr = reducers.len();
-    let stage_atoms: Vec<Atom> = components.iter().map(atom_of).collect();
     let reducer_atoms: Vec<Atom> = reducers.iter().map(atom_of).collect();
-    let by_name: HashMap<String, Atom> = stage_atoms
-        .iter()
-        .map(|a| (a.name.clone(), a.clone()))
-        .collect();
 
     // Per-prefix exact canonicalization, then per-(relation, granularity)
     // pattern scans cached per prefix: (residual atom names, symbolic
@@ -729,19 +779,14 @@ pub fn classify(
         steps: Vec<RewriteStep>,
         pattern: HashMap<(SizeDeterminant, usize), PatternScan>,
     }
-    let mut prefixes: Vec<Prefix> = Vec::with_capacity(nc * nc);
-    for i1 in 0..nc {
-        for i2 in 0..nc {
-            let mut steps = Vec::new();
-            let mut atoms = defuse(&[&stage_atoms[i1], &stage_atoms[i2]], &by_name, &mut steps);
-            exact_fixpoint(&mut atoms, shape, rules, &mut steps);
-            prefixes.push(Prefix {
-                atoms,
-                steps,
-                pattern: HashMap::new(),
-            });
-        }
-    }
+    let mut prefixes: Vec<Prefix> = exact_prefixes(components, shape, rules)
+        .into_iter()
+        .map(|ExactPrefix { atoms, steps }| Prefix {
+            atoms,
+            steps,
+            pattern: HashMap::new(),
+        })
+        .collect();
 
     // Group pipelines by normal-form key.
     let mut groups: HashMap<NfKey, Vec<usize>> = HashMap::new();

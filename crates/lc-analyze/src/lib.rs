@@ -27,11 +27,12 @@
 //!    and differentially executes sampled classes, and its own seeded-bug
 //!    harness ([`absint::run_absint_harness`]) proves it non-vacuous.
 //!
-//! The analyzer's verdicts feed `lc-study::campaign`, which uses
-//! [`lc_core::Contract::commutes_with`] (and, in canonical mode, the full
-//! [`absint`] class map) to deduplicate provably-equivalent pipelines
-//! before a sweep, and `lc analyze` in the CLI, which renders a
-//! [`Report`] as text or JSON and exits non-zero on any violation.
+//! The analyzer's verdicts feed `lc-study::campaign`, which takes its
+//! prune plan from the [`absint`] rewrite system (the exact tier by
+//! default, the full class map in canonical mode) to deduplicate
+//! provably-equivalent pipelines before a sweep, and `lc analyze` in the
+//! CLI, which renders a [`Report`] as text or JSON and exits non-zero on
+//! any violation.
 
 #![forbid(unsafe_code)]
 
@@ -91,8 +92,8 @@ pub struct Report {
     pub checks: usize,
     /// Provably-commuting unordered stage pairs found among the set.
     pub commuting_pairs: usize,
-    /// The commuting pairs by name — exactly the stage pairs the
-    /// campaign's commute prune mode deduplicates.
+    /// The commuting pairs by name — on the shipped registry, exactly
+    /// the stage pairs the campaign's exact prune tier deduplicates.
     pub prune_pairs: Vec<(String, String)>,
     /// Violations, in discovery order. Empty ⇔ the set is clean.
     pub diagnostics: Vec<Diagnostic>,
@@ -190,13 +191,9 @@ pub fn analyze_registry() -> Report {
     report
 }
 
-/// Count unordered component pairs whose contracts provably commute.
-pub fn commuting_pairs(components: &[Arc<dyn Component>]) -> usize {
-    commuting_pair_names(components).len()
-}
-
 /// The provably-commuting unordered pairs by component name, in
-/// registry order — the campaign prunes exactly these stage pairs.
+/// registry order. On the shipped registry these are exactly the stage
+/// pairs the campaign's exact prune tier merges.
 pub fn commuting_pair_names(components: &[Arc<dyn Component>]) -> Vec<(String, String)> {
     let contracts: Vec<_> = components.iter().map(|c| c.contract()).collect();
     let mut pairs = Vec::new();

@@ -39,19 +39,18 @@
 //!
 //! Performance: the campaign memoizes shared stage-1 and (stage-1,
 //! stage-2) prefix outputs in a byte-capped per-unit cache (default
-//! 512 MB campaign-wide). `--prefix-cache-mb MB` resizes the budget;
-//! `--no-prefix-cache` re-executes every stage of every pipeline from
-//! scratch (the naive baseline the cache is benchmarked against).
+//! 512 MB campaign-wide). `--prefix-cache-mb MB` resizes the budget.
 //!
 //! Static analysis: the campaign deduplicates provably-equivalent
-//! pipelines up front from the component contracts (commuting mutator ×
-//! tuple-shuffler stage pairs — 616 of the 107,632 full-space pipelines
-//! are measured as copies of their representative ordering).
-//! `--prune canonical` deduplicates whole abstract-interpretation
-//! equivalence classes instead (8,178 certified members on the full
-//! registry; compressed sizes exact, member throughputs inherited from
-//! the class representative); `--no-analyze-prune` (alias
-//! `--prune off`) restores the paper's full enumeration.
+//! pipelines up front from the abstract interpreter's rewrite system.
+//! The default `--prune exact` tier merges stage-1/2 prefixes with one
+//! exact normal form (the commuting mutator × tuple-shuffler stage
+//! pairs — 616 of the 107,632 full-space pipelines are measured as
+//! copies of their representative ordering). `--prune canonical`
+//! deduplicates whole equivalence classes instead (8,178 certified
+//! members on the full registry; compressed sizes exact, member
+//! throughputs inherited from the class representative); `--prune off`
+//! restores the paper's full enumeration.
 //!
 //! Sharded execution: `--shard K/N` runs only the work units shard K
 //! owns (deterministic round-robin partition), journaling to
@@ -79,7 +78,7 @@ use lc_data::Scale;
 use lc_parallel::CancelToken;
 use lc_study::{
     figures, report, run_campaign_with, shard, supervise, CampaignOptions, FigId, PruneMode,
-    ShardSpec, Space, StudyConfig, SweepMode,
+    ShardSpec, Space, StudyConfig, SweepMode, DEFAULT_CACHE_MB,
 };
 
 /// Exit code when work units were quarantined (run completed, but some
@@ -107,7 +106,7 @@ struct Args {
     heartbeat: Option<Duration>,
     quiet: bool,
     telemetry_dir: Option<PathBuf>,
-    sweep: SweepMode,
+    prefix_cache_mb: usize,
     prune: PruneMode,
     fsync: SyncPolicy,
     mem_budget_mb: Option<usize>,
@@ -137,7 +136,7 @@ fn parse_args() -> Result<Args, String> {
         heartbeat: None,
         quiet: false,
         telemetry_dir: None,
-        sweep: SweepMode::default(),
+        prefix_cache_mb: DEFAULT_CACHE_MB,
         prune: PruneMode::default(),
         fsync: SyncPolicy::default(),
         mem_budget_mb: None,
@@ -218,12 +217,10 @@ fn parse_args() -> Result<Args, String> {
                 args.telemetry_dir = Some(PathBuf::from(value("--telemetry-dir")?));
             }
             "--prefix-cache-mb" => {
-                let mb: usize = value("--prefix-cache-mb")?
+                args.prefix_cache_mb = value("--prefix-cache-mb")?
                     .parse()
                     .map_err(|e| format!("--prefix-cache-mb: {e}"))?;
-                args.sweep = SweepMode::Memoized { cache_mb: mb };
             }
-            "--no-prefix-cache" => args.sweep = SweepMode::Naive,
             "--fsync" => {
                 let v = value("--fsync")?;
                 args.fsync = SyncPolicy::parse(&v)
@@ -238,12 +235,10 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.mem_budget_mb = Some(mb);
             }
-            "--no-analyze-prune" => args.prune = PruneMode::Off,
             "--prune" => {
                 let v = value("--prune")?;
-                args.prune = PruneMode::from_label(&v).ok_or_else(|| {
-                    format!("--prune: unknown mode {v:?} (commute|canonical|off)")
-                })?;
+                args.prune = PruneMode::from_label(&v)
+                    .ok_or_else(|| format!("--prune: unknown mode {v:?} (exact|canonical|off)"))?;
             }
             "--shard" => {
                 let v = value("--shard")?;
@@ -297,8 +292,8 @@ fn parse_args() -> Result<Args, String> {
                     "usage: reproduce [--figure all|2,3,…] [--tables] [--scale D] [--full] \
                      [--threads N] [--families A,B,…] [--files f,…] [--verify] [--out DIR] \
                      [--resume] [--unit-deadline SECS] [--heartbeat SECS] [--quiet] \
-                     [--telemetry-dir DIR] [--prefix-cache-mb MB] [--no-prefix-cache] \
-                     [--prune commute|canonical|off] [--no-analyze-prune] \
+                     [--telemetry-dir DIR] [--prefix-cache-mb MB] \
+                     [--prune exact|canonical|off] \
                      [--fsync never|checkpoint|always] [--mem-budget-mb MB] \
                      [--shard K/N] [--supervise N [--workers M] [--max-shard-retries R]] \
                      [--merge] [--chaos-kill SEED]"
@@ -456,27 +451,10 @@ fn main() -> ExitCode {
             }
         }
     } else if args.merge {
-        let merged = args.out.join("journal.jsonl");
-        match shard::merge_shards(&args.out, &merged) {
-            Ok(rep) => {
-                if !args.quiet {
-                    eprintln!(
-                        "merge: fused {} shard journals into {} ({} units, {} quarantined, \
-                         {} torn bytes dropped)",
-                        rep.shards,
-                        merged.display(),
-                        rep.units,
-                        rep.quarantined,
-                        rep.torn_bytes
-                    );
-                }
-                args.resume = true;
-            }
-            Err(e) => {
-                eprintln!("error: kind=merge exit=1 {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Err(code) = merge(&args) {
+            return code;
         }
+        args.resume = true;
     }
     let args = args; // mode dispatch done; immutable from here on
 
@@ -491,7 +469,9 @@ fn main() -> ExitCode {
         unit_deadline: args.unit_deadline,
         isolate: true,
         heartbeat: args.heartbeat,
-        sweep: args.sweep,
+        sweep: SweepMode::Memoized {
+            cache_mb: args.prefix_cache_mb,
+        },
         prune: args.prune,
         fsync: args.fsync,
         mem_budget_mb: args.mem_budget_mb,
@@ -547,42 +527,25 @@ fn main() -> ExitCode {
             outcome.executed_units,
             outcome.resumed_units
         );
-        match args.sweep {
-            SweepMode::Memoized { .. } => eprintln!(
-                "prefix cache: {:.1}% hit rate ({} hits, {} misses, {} evictions, \
-                 {} shed, peak {:.1} MB resident)",
-                100.0 * outcome.cache.hit_rate(),
-                outcome.cache.hits,
-                outcome.cache.misses,
-                outcome.cache.evictions,
-                outcome.cache.sheds,
-                outcome.cache.peak_resident_mb()
-            ),
-            SweepMode::Naive => eprintln!(
-                "prefix cache: disabled ({} stage evaluations recomputed)",
-                outcome.cache.misses
-            ),
-        }
-        match args.prune {
-            PruneMode::Commute => eprintln!(
-                "analyze prune: {} commuting stage pairs, {} pipelines deduplicated \
-                 (plan in {:.1} ms; --no-analyze-prune for full enumeration)",
-                outcome.prune.commuting_pairs,
-                outcome.prune.pruned_pipelines,
-                outcome.prune.analysis.as_secs_f64() * 1e3
-            ),
-            PruneMode::Canonical => eprintln!(
-                "analyze prune: canonical — {} equivalence classes, {} certified \
-                 members deduplicated, class map {:016x} (plan in {:.1} ms)",
-                outcome.prune.classes,
-                outcome.prune.pruned_pipelines,
-                outcome.prune.class_map,
-                outcome.prune.analysis.as_secs_f64() * 1e3
-            ),
-            PruneMode::Off => {
-                eprintln!("analyze prune: off (paper-faithful full enumeration)")
-            }
-        }
+        eprintln!(
+            "prefix cache: {:.1}% hit rate ({} hits, {} misses, {} evictions, \
+             {} shed, peak {:.1} MB resident)",
+            100.0 * outcome.cache.hit_rate(),
+            outcome.cache.hits,
+            outcome.cache.misses,
+            outcome.cache.evictions,
+            outcome.cache.sheds,
+            outcome.cache.peak_resident_mb()
+        );
+        eprintln!(
+            "analyze prune: {} tier, {} pipelines measured, {} deduplicated, \
+             class map {:016x} (plan in {:.1} ms)",
+            outcome.prune.mode,
+            outcome.prune.classes,
+            outcome.prune.pruned_pipelines,
+            outcome.prune.class_map,
+            outcome.prune.analysis.as_secs_f64() * 1e3
+        );
     }
 
     // Telemetry exports: everything the instrumented campaign recorded.
@@ -790,14 +753,8 @@ fn run_supervised(args: &Args, n: usize, cancel: &CancelToken) -> Result<(), Exi
         c.arg("--out").arg(&args.out);
         c.arg("--prune").arg(args.prune.label());
         c.arg("--fsync").arg(args.fsync.label());
-        match args.sweep {
-            SweepMode::Memoized { cache_mb } => {
-                c.arg("--prefix-cache-mb").arg(cache_mb.to_string());
-            }
-            SweepMode::Naive => {
-                c.arg("--no-prefix-cache");
-            }
-        }
+        c.arg("--prefix-cache-mb")
+            .arg(args.prefix_cache_mb.to_string());
         if let Some(d) = args.unit_deadline {
             c.arg("--unit-deadline").arg(d.as_secs().to_string());
         }
@@ -871,6 +828,12 @@ fn run_supervised(args: &Args, n: usize, cancel: &CancelToken) -> Result<(), Exi
         );
         return Err(ExitCode::from(EXIT_QUARANTINE));
     }
+    merge(args)
+}
+
+/// Fuse the complete shard set in `--out` into its `journal.jsonl`, from
+/// which the caller finishes the campaign by resuming.
+fn merge(args: &Args) -> Result<(), ExitCode> {
     let merged = args.out.join("journal.jsonl");
     let rep = shard::merge_shards(&args.out, &merged).map_err(|e| {
         eprintln!("error: kind=merge exit=1 {e}");

@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lc_chaos::fs::SyncPolicy;
@@ -387,13 +387,11 @@ pub fn run_campaign_with(
     let c_total = configs.len();
     let cache_stats = CacheStats::default();
 
-    // Contract-driven dedup: enumerate the provably-commuting stage
-    // pairs (commute mode) or the abstract interpreter's certified
-    // equivalence classes (canonical mode) once, before any unit runs.
-    // With PruneMode::Off the plan is empty and the sweep is the
-    // paper's full enumeration. Computed before the journal meta: in
-    // canonical mode the class-map fingerprint is part of the resume
-    // fingerprint.
+    // Dedup from the rewrite system, once, before any unit runs: the
+    // exact tier or the full certified class map. With PruneMode::Off
+    // every cell is its own representative and the sweep is the paper's
+    // full enumeration. Computed before the journal meta: the skip
+    // table's fingerprint is part of the resume fingerprint.
     let plan = PrunePlan::for_space(&sc.space, opts.prune);
     // The dataset digest list costs one generation pass over the input
     // files, so it is only computed when a journal will actually carry
@@ -412,9 +410,8 @@ pub fn run_campaign_with(
             .is_none_or(|s| s.owns(crate::shard::unit_index(fi, i1, nc)))
     };
     if lc_telemetry::enabled() {
-        lc_telemetry::counter("campaign.analyze.commuting_pairs").add(plan.dups.len() as u64);
         lc_telemetry::counter("campaign.analyze.pruned_pipelines")
-            .add(plan.pruned_pipelines(nr) as u64);
+            .add(plan.pruned_pipelines() as u64);
         lc_telemetry::counter("campaign.analyze.classes").add(plan.classes as u64);
         lc_telemetry::counter("campaign.analyze.plan_us").add(plan.analysis.as_micros() as u64);
     }
@@ -819,39 +816,19 @@ pub fn run_campaign_with(
         w.checkpoint()?;
     }
 
-    // Fill pruned slots from their representatives. The commutation
-    // proof (Contract::commutes_with, differentially validated in
-    // lc-analyze) guarantees both stage orders produce identical
-    // composed outputs and length-only kernel statistics, so the
-    // representative's accumulated sums *are* the pruned pipeline's
-    // numbers — modulo the per-pipeline jitter seed, whose run-to-run
-    // noise the pruned slot inherits from its representative.
-    for dup in &plan.dups {
-        let (pj, pi) = dup.pruned;
-        let (ri, rj) = dup.representative;
-        for r in 0..nr {
-            let p = (pj * nc + pi) * nr + r;
-            let q = (ri * nc + rj) * nr + r;
-            for c in 0..c_total {
-                enc_log[c * p_total + p] = enc_log[c * p_total + q];
-                dec_log[c * p_total + p] = dec_log[c * p_total + q];
-            }
-            compressed[p] = compressed[q];
-        }
-    }
-
-    // Canonical mode: fill each certified class member from its class
-    // representative. The certificate (checked by lc-analyze's absint
-    // checker) guarantees identical reducer output sizes on every
-    // input, so the compressed bytes are exact; the throughput numbers
-    // are the representative's — pattern-tier members may genuinely
-    // time differently, which is the mode's documented trade-off.
-    for cd in &plan.cell_dups {
+    // Fill each pruned slot from its representative. The rewrite system
+    // guarantees identical reducer output sizes, so the compressed bytes
+    // are exact. At the exact tier the stage timings are the member's
+    // own as well, modulo the per-pipeline jitter seed whose run-to-run
+    // noise the slot inherits; canonical pattern-tier members may
+    // genuinely time differently, which is that mode's documented
+    // trade-off.
+    for (p, q) in plan.pruned_cells() {
         for c in 0..c_total {
-            enc_log[c * p_total + cd.pruned] = enc_log[c * p_total + cd.representative];
-            dec_log[c * p_total + cd.pruned] = dec_log[c * p_total + cd.representative];
+            enc_log[c * p_total + p] = enc_log[c * p_total + q];
+            dec_log[c * p_total + p] = dec_log[c * p_total + q];
         }
-        compressed[cd.pruned] = compressed[cd.representative];
+        compressed[p] = compressed[q];
     }
 
     let n_files = sc.files.len() as f64;
@@ -872,7 +849,7 @@ pub fn run_campaign_with(
         resumed_units,
         executed_units,
         cache: cache_stats.report(),
-        prune: plan.report(nr),
+        prune: plan.report(),
         interrupted,
     })
 }
@@ -912,11 +889,11 @@ fn eval_prefix_stage(
     Ok(PrefixEntry { outcome, times })
 }
 
-/// Execute one work unit: every pipeline in the contiguous range
+/// Execute one work unit: every measured pipeline in the contiguous range
 /// `(i1, *, *)`. The walk is per-pipeline — for each `(s2, s3)` pair the
 /// `(s1)` and `(s1, s2)` prefixes are looked up in the unit's
-/// [`UnitPrefixCache`] (memoized mode) or recomputed from scratch
-/// (naive mode), and only the final reducer stage always executes. Every
+/// [`UnitPrefixCache`] (which retains nothing in naive mode, so every
+/// lookup recomputes), and only the final reducer stage always executes. Every
 /// stage runs behind the panic fence and watchdog of
 /// [`run_stage_checked`]; on fault, the returned trace names the stages
 /// that were executing.
@@ -948,101 +925,51 @@ fn run_unit(
     let mut row_dec = vec![0f64; c_total * stride];
     let mut row_comp = vec![0u64; stride];
 
-    let mut cache = sweep
-        .per_unit_cap_bytes(workers)
-        .map(|cap| UnitPrefixCache::new(cap, cache_stats).with_shed_limit(shed_limit));
+    let mut cache = UnitPrefixCache::new(sweep.per_unit_cap_bytes(workers), cache_stats)
+        .with_shed_limit(shed_limit);
 
     for i2 in 0..nc {
-        // Pruned (s1, s2) rows are proven equivalent to their
-        // representative ordering and never execute; their row slots
-        // stay zero (and are journaled as zeros) until the campaign's
-        // aggregation copies the representative's sums in.
-        if plan.skips(i1, i2) {
-            if lc_telemetry::enabled() {
-                lc_telemetry::counter("campaign.analyze.skipped_rows").add(1);
-            }
-            continue;
-        }
         let s2_name = sc.space.components[i2].name();
         for ir in 0..nr {
-            // Canonical mode: a certified class member never executes;
-            // its cell stays zero until aggregation copies the class
-            // representative's sums in. (Commute mode skips whole rows
-            // above; the two skip sets are never both non-empty.)
-            if plan.skips_cell((i1 * nc + i2) * nr + ir) {
+            // A pruned cell never executes; it stays zero (and is
+            // journaled as zero) until aggregation copies its
+            // representative's sums in.
+            if !plan.measures(i1 * stride + i2 * nr + ir) {
                 if lc_telemetry::enabled() {
                     lc_telemetry::counter("campaign.analyze.skipped_cells").add(1);
                 }
                 continue;
             }
             // (s1) prefix: pinned in the cache after the first pipeline.
-            let e1: Arc<PrefixEntry> = match &mut cache {
-                Some(c) => c.level1(|| {
-                    eval_prefix_stage(
-                        sc.space.components[i1].as_ref(),
-                        ctx.input,
-                        sc.verify,
-                        watchdog,
-                        configs,
-                        chunks,
-                        extrapolate,
-                        &mut stage_ns[0],
-                    )
-                    .map_err(|f| (f, format!("s1={s1_name}")))
-                })?,
-                None => {
-                    cache_stats.lookup(1);
-                    cache_stats.miss(1);
-                    Arc::new(
-                        eval_prefix_stage(
-                            sc.space.components[i1].as_ref(),
-                            ctx.input,
-                            sc.verify,
-                            watchdog,
-                            configs,
-                            chunks,
-                            extrapolate,
-                            &mut stage_ns[0],
-                        )
-                        .map_err(|f| (f, format!("s1={s1_name}")))?,
-                    )
-                }
-            };
+            let e1 = cache.level1(|| {
+                eval_prefix_stage(
+                    sc.space.components[i1].as_ref(),
+                    ctx.input,
+                    sc.verify,
+                    watchdog,
+                    configs,
+                    chunks,
+                    extrapolate,
+                    &mut stage_ns[0],
+                )
+                .map_err(|f| (f, format!("s1={s1_name}")))
+            })?;
             // (s1, s2) prefix: LRU-cached under the byte cap. A hit, a
             // fresh computation, and a post-eviction recomputation are
             // bit-identical — stages are deterministic.
-            let e2: Arc<PrefixEntry> = match &mut cache {
-                Some(c) => c.level2(i2, || {
-                    eval_prefix_stage(
-                        sc.space.components[i2].as_ref(),
-                        &e1.outcome.output,
-                        sc.verify,
-                        watchdog,
-                        configs,
-                        chunks,
-                        extrapolate,
-                        &mut stage_ns[1],
-                    )
-                    .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))
-                })?,
-                None => {
-                    cache_stats.lookup(1);
-                    cache_stats.miss(1);
-                    Arc::new(
-                        eval_prefix_stage(
-                            sc.space.components[i2].as_ref(),
-                            &e1.outcome.output,
-                            sc.verify,
-                            watchdog,
-                            configs,
-                            chunks,
-                            extrapolate,
-                            &mut stage_ns[1],
-                        )
-                        .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))?,
-                    )
-                }
-            };
+            let e2 = cache.level2(i2, || {
+                eval_prefix_stage(
+                    sc.space.components[i2].as_ref(),
+                    &e1.outcome.output,
+                    sc.verify,
+                    watchdog,
+                    configs,
+                    chunks,
+                    extrapolate,
+                    &mut stage_ns[1],
+                )
+                .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))
+            })?;
             // Final reducer: unique to this pipeline, always executed.
             let t3 = Instant::now();
             let r3 = run_stage_checked(
@@ -1127,16 +1054,13 @@ fn journal_meta(
         fields.push(("sweep".to_string(), Value::from(sweep.label())));
         // NOT informational: pruning changes journaled unit rows
         // (pruned slots are written as zeros), so a journal written
-        // under one prune mode must not be resumed under another. Off
-        // writes no field at all — a pruning-off journal is row-for-row
-        // what pre-pruning versions wrote, and stays resumable as such.
+        // under one prune tier must not be resumed under another, nor
+        // under a different skip table (a changed rewrite system must
+        // not resume old rows). Off writes neither field — a pruning-off
+        // journal is row-for-row what pre-pruning versions wrote, and
+        // stays resumable as such.
         if plan.mode != PruneMode::Off {
             fields.push(("prune".to_string(), Value::from(plan.mode.label())));
-        }
-        // Canonical skips depend on the certified class map; its
-        // fingerprint pins the exact partition the rows were journaled
-        // under (a changed rewrite system must not resume old rows).
-        if plan.mode == PruneMode::Canonical {
             fields.push((
                 "class_map".to_string(),
                 Value::from(format!("{:016x}", plan.class_map)),
@@ -1999,12 +1923,15 @@ mod tests {
         .unwrap();
 
         // Exact accounting.
-        let plan = PrunePlan::for_space(&sc.space, PruneMode::Commute);
+        let plan = PrunePlan::for_space(&sc.space, PruneMode::Exact);
         let nr = sc.space.reducers.len();
-        assert_eq!(plan.dups.len(), 10, "TCMS × TUPL commuting pairs");
-        assert_eq!(pruned.prune.commuting_pairs, plan.dups.len());
-        assert_eq!(pruned.prune.pruned_pipelines, plan.dups.len() * nr);
-        assert_eq!(pruned.prune.mode, "commute");
+        assert_eq!(
+            plan.pruned_pipelines(),
+            10 * nr,
+            "TCMS × TUPL commuting pairs"
+        );
+        assert_eq!(pruned.prune.pruned_pipelines, plan.pruned_pipelines());
+        assert_eq!(pruned.prune.mode, "exact");
         assert_eq!(full.prune.pruned_pipelines, 0);
         assert_eq!(full.prune.mode, "off");
 
@@ -2021,8 +1948,7 @@ mod tests {
         let c_total = pruned.measurements.configs.len();
         let mut dup_slots = 0usize;
         for p in 0..p_total {
-            let id = sc.space.id_at(p);
-            let is_dup = plan.skips(id.s1 as usize, id.s2 as usize);
+            let is_dup = !plan.measures(p);
             if is_dup {
                 dup_slots += 1;
             }
@@ -2045,27 +1971,20 @@ mod tests {
         assert_eq!(dup_slots, pruned.prune.pruned_pipelines);
 
         // Deduplicated slots are exact copies of their representative.
-        let nc = sc.space.components.len();
-        for dup in &plan.dups {
-            let (pj, pi) = dup.pruned;
-            let (ri, rj) = dup.representative;
-            for r in 0..nr {
-                let p = (pj * nc + pi) * nr + r;
-                let q = (ri * nc + rj) * nr + r;
+        for (p, q) in plan.pruned_cells() {
+            assert_eq!(
+                pruned.measurements.compressed[p],
+                pruned.measurements.compressed[q]
+            );
+            for c in 0..c_total {
                 assert_eq!(
-                    pruned.measurements.compressed[p],
-                    pruned.measurements.compressed[q]
+                    pruned.measurements.enc[c * p_total + p].to_bits(),
+                    pruned.measurements.enc[c * p_total + q].to_bits()
                 );
-                for c in 0..c_total {
-                    assert_eq!(
-                        pruned.measurements.enc[c * p_total + p].to_bits(),
-                        pruned.measurements.enc[c * p_total + q].to_bits()
-                    );
-                    assert_eq!(
-                        pruned.measurements.dec[c * p_total + p].to_bits(),
-                        pruned.measurements.dec[c * p_total + q].to_bits()
-                    );
-                }
+                assert_eq!(
+                    pruned.measurements.dec[c * p_total + p].to_bits(),
+                    pruned.measurements.dec[c * p_total + q].to_bits()
+                );
             }
         }
     }
@@ -2097,7 +2016,7 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("resuming across prune modes must fail"),
         };
-        assert!(err.contains("prune mode \"commute\""), "{err}");
+        assert!(err.contains("prune mode \"exact\""), "{err}");
         assert!(err.contains("uses \"off\""), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -2166,9 +2085,9 @@ mod tests {
         .unwrap();
 
         let plan = PrunePlan::for_space(&sc.space, PruneMode::Canonical);
-        assert!(!plan.cell_dups.is_empty(), "space must actually prune");
+        assert!(plan.pruned_pipelines() > 0, "space must actually prune");
         assert_eq!(canonical.prune.mode, "canonical");
-        assert_eq!(canonical.prune.pruned_pipelines, plan.cell_dups.len());
+        assert_eq!(canonical.prune.pruned_pipelines, plan.pruned_pipelines());
         assert_eq!(canonical.prune.classes, plan.classes);
         assert_eq!(canonical.prune.class_map, plan.class_map);
 
@@ -2189,7 +2108,7 @@ mod tests {
         let p_total = sc.space.len();
         let c_total = canonical.measurements.configs.len();
         for p in 0..p_total {
-            if plan.skips_cell(p) {
+            if !plan.measures(p) {
                 continue;
             }
             for c in 0..c_total {
@@ -2208,19 +2127,19 @@ mod tests {
         }
 
         // Pruned slots are exact copies of their representative.
-        for cd in &plan.cell_dups {
+        for (p, q) in plan.pruned_cells() {
             assert_eq!(
-                canonical.measurements.compressed[cd.pruned],
-                canonical.measurements.compressed[cd.representative]
+                canonical.measurements.compressed[p],
+                canonical.measurements.compressed[q]
             );
             for c in 0..c_total {
                 assert_eq!(
-                    canonical.measurements.enc[c * p_total + cd.pruned].to_bits(),
-                    canonical.measurements.enc[c * p_total + cd.representative].to_bits()
+                    canonical.measurements.enc[c * p_total + p].to_bits(),
+                    canonical.measurements.enc[c * p_total + q].to_bits()
                 );
                 assert_eq!(
-                    canonical.measurements.dec[c * p_total + cd.pruned].to_bits(),
-                    canonical.measurements.dec[c * p_total + cd.representative].to_bits()
+                    canonical.measurements.dec[c * p_total + p].to_bits(),
+                    canonical.measurements.dec[c * p_total + q].to_bits()
                 );
             }
         }
@@ -2230,13 +2149,10 @@ mod tests {
         // the representative's sizes — the equivalence is real, not an
         // artifact of the fill-in.
         let mut sampled = 0usize;
-        for cd in plan.cell_dups.iter().step_by(7) {
+        for (p, q) in plan.pruned_cells().step_by(7) {
             assert_eq!(
-                full.measurements.compressed[cd.pruned],
-                full.measurements.compressed[cd.representative],
-                "class member {} diverges from representative {} in the full run",
-                cd.pruned,
-                cd.representative
+                full.measurements.compressed[p], full.measurements.compressed[q],
+                "class member {p} diverges from representative {q} in the full run"
             );
             sampled += 1;
         }
@@ -2281,10 +2197,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Satellite guarantee: a canonical journal refuses to resume under
-    /// commute mode (and names both modes in the error).
+    /// A canonical journal refuses to resume under the exact tier (and
+    /// names both modes in the error).
     #[test]
-    fn canonical_journal_refuses_commute_resume() {
+    fn canonical_journal_refuses_exact_resume() {
         let sc = canonical_config();
         let path = temp_journal("canonical-cross");
         run_campaign_with(
@@ -2301,15 +2217,15 @@ mod tests {
             &CampaignOptions {
                 journal: Some(path.clone()),
                 resume: true,
-                prune: PruneMode::Commute,
+                prune: PruneMode::Exact,
                 ..Default::default()
             },
         ) {
             Err(e) => e,
-            Ok(_) => panic!("canonical journal must not resume under commute"),
+            Ok(_) => panic!("canonical journal must not resume under exact"),
         };
         assert!(err.contains("prune mode \"canonical\""), "{err}");
-        assert!(err.contains("uses \"commute\""), "{err}");
+        assert!(err.contains("uses \"exact\""), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -16,9 +16,9 @@
 //! With the cache, a unit of `nc` stage-2 components × `nr` reducers
 //! costs `1 + nc + nc·nr` stage executions instead of the naive
 //! `3·nc·nr` — asymptotically a 3× cut, ~2.6× at the quick space's
-//! shape. [`SweepMode::Naive`] keeps the truly-from-scratch path
-//! available as the comparison baseline (and as a memory floor for
-//! constrained hosts).
+//! shape. [`SweepMode::Naive`] is the library's test oracle: the same
+//! cache retains nothing, so every lookup misses and recomputes from
+//! scratch through the one stage-evaluation path.
 //!
 //! Observability: every lookup, miss, and eviction is counted in a
 //! campaign-wide [`CacheStats`] (returned to callers as a
@@ -51,8 +51,8 @@ pub enum SweepMode {
         cache_mb: usize,
     },
     /// Recompute every stage of every pipeline from scratch. ~3× the
-    /// stage work; exists as the perf baseline and for hosts where even
-    /// one pinned prefix per worker is too much memory.
+    /// stage work; the oracle the memoized sweep is tested and
+    /// benchmarked against.
     Naive,
 }
 
@@ -109,8 +109,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Record `n` prefix-cache lookups, before classification. Called at
-    /// every lookup entry point ([`UnitPrefixCache::level1`]/[`UnitPrefixCache::level2`]
-    /// and the naive-mode recomputation path).
+    /// every lookup entry point ([`UnitPrefixCache::level1`]/[`UnitPrefixCache::level2`]).
     pub fn lookup(&self, n: u64) {
         self.lookups.fetch_add(n, Ordering::Relaxed);
     }
@@ -259,7 +258,9 @@ impl PrefixEntry {
 /// by stage-1 component), so there is no locking on the lookup path —
 /// only the shared [`CacheStats`] atomics.
 pub struct UnitPrefixCache<'s> {
-    cap_bytes: u64,
+    /// Level-2 byte cap; `None` retains nothing (naive sweep), so every
+    /// lookup is a miss that recomputes.
+    cap_bytes: Option<u64>,
     level1: Option<Arc<PrefixEntry>>,
     /// `s2 index -> (entry, last-use tick)`.
     level2: HashMap<usize, (Arc<PrefixEntry>, u64)>,
@@ -274,11 +275,12 @@ pub struct UnitPrefixCache<'s> {
 }
 
 impl<'s> UnitPrefixCache<'s> {
-    /// Create a cache with a level-2 byte cap. The cap is *soft*: the
-    /// most-recently-inserted entry is always retained (evicting the
-    /// data a pipeline is about to read would thrash), so residency can
-    /// exceed the cap by at most one entry.
-    pub fn new(cap_bytes: u64, stats: &'s CacheStats) -> Self {
+    /// Create a cache with a level-2 byte cap ([`SweepMode::per_unit_cap_bytes`];
+    /// `None` retains nothing). The cap is *soft*: the most-recently-inserted
+    /// entry is always retained (evicting the data a pipeline is about to
+    /// read would thrash), so residency can exceed the cap by at most one
+    /// entry.
+    pub fn new(cap_bytes: Option<u64>, stats: &'s CacheStats) -> Self {
         Self {
             cap_bytes,
             level1: None,
@@ -312,6 +314,9 @@ impl<'s> UnitPrefixCache<'s> {
         }
         self.stats.miss(1);
         let entry = Arc::new(compute()?);
+        if self.cap_bytes.is_none() {
+            return Ok(entry);
+        }
         self.level1_resident = entry.bytes();
         self.stats.resident_add(self.level1_resident);
         self.level1 = Some(Arc::clone(&entry));
@@ -335,6 +340,9 @@ impl<'s> UnitPrefixCache<'s> {
         }
         self.stats.miss(1);
         let entry = Arc::new(compute()?);
+        let Some(cap_bytes) = self.cap_bytes else {
+            return Ok(entry);
+        };
         let bytes = entry.bytes();
         // Admission control: under memory pressure (global residency
         // would cross the budget's shed limit) or a chaos allocation
@@ -354,7 +362,7 @@ impl<'s> UnitPrefixCache<'s> {
         // Evict LRU entries (never the one just inserted) until under
         // cap. Entries handed out as `Arc`s stay alive for any borrower;
         // eviction only drops the cache's reference.
-        while self.level2_resident > self.cap_bytes && self.level2.len() > 1 {
+        while self.level2_resident > cap_bytes && self.level2.len() > 1 {
             let lru = self
                 .level2
                 .iter()
@@ -410,7 +418,7 @@ mod tests {
     #[test]
     fn level1_computes_once_then_hits() {
         let stats = CacheStats::default();
-        let mut cache = UnitPrefixCache::new(u64::MAX, &stats);
+        let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats);
         let mut computed = 0;
         for _ in 0..5 {
             let e = cache
@@ -430,7 +438,7 @@ mod tests {
     fn level2_lru_eviction_under_byte_cap() {
         let stats = CacheStats::default();
         // Each entry is ~4120 bytes; cap fits two entries, not three.
-        let mut cache = UnitPrefixCache::new(9000, &stats);
+        let mut cache = UnitPrefixCache::new(Some(9000), &stats);
         for key in 0..3usize {
             cache
                 .level2(key, || -> Result<_, ()> { Ok(entry(4096)) })
@@ -453,7 +461,7 @@ mod tests {
     #[test]
     fn touched_entries_survive_eviction() {
         let stats = CacheStats::default();
-        let mut cache = UnitPrefixCache::new(9000, &stats);
+        let mut cache = UnitPrefixCache::new(Some(9000), &stats);
         for key in 0..2usize {
             cache
                 .level2(key, || -> Result<_, ()> { Ok(entry(4096)) })
@@ -479,7 +487,7 @@ mod tests {
     #[test]
     fn soft_cap_always_keeps_the_live_entry() {
         let stats = CacheStats::default();
-        let mut cache = UnitPrefixCache::new(1, &stats); // absurdly small
+        let mut cache = UnitPrefixCache::new(Some(1), &stats); // absurdly small
         let e = cache
             .level2(7, || -> Result<_, ()> { Ok(entry(4096)) })
             .unwrap();
@@ -491,7 +499,7 @@ mod tests {
     fn residency_peaks_then_returns_to_zero_after_drop() {
         let stats = CacheStats::default();
         {
-            let mut cache = UnitPrefixCache::new(u64::MAX, &stats);
+            let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats);
             cache
                 .level1(|| -> Result<_, ()> { Ok(entry(1000)) })
                 .unwrap();
@@ -509,7 +517,7 @@ mod tests {
         let stats = CacheStats::default();
         // entry(500).bytes() is 540; the limit admits one entry and
         // sheds the second (540 + 540 > 1000).
-        let mut cache = UnitPrefixCache::new(u64::MAX, &stats).with_shed_limit(Some(1000));
+        let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats).with_shed_limit(Some(1000));
         cache
             .level2(0, || -> Result<_, ()> { Ok(entry(500)) })
             .unwrap();
@@ -561,9 +569,35 @@ mod tests {
     }
 
     #[test]
+    fn naive_cache_retains_nothing() {
+        let stats = CacheStats::default();
+        let mut cache = UnitPrefixCache::new(SweepMode::Naive.per_unit_cap_bytes(2), &stats);
+        let mut computed = 0;
+        for _ in 0..3 {
+            cache
+                .level1(|| -> Result<_, ()> {
+                    computed += 1;
+                    Ok(entry(100))
+                })
+                .unwrap();
+            cache
+                .level2(0, || -> Result<_, ()> {
+                    computed += 1;
+                    Ok(entry(100))
+                })
+                .unwrap();
+        }
+        assert_eq!(computed, 6, "every lookup recomputes");
+        assert_eq!(cache.level2_len(), 0);
+        let r = stats.report();
+        assert_eq!((r.hits, r.misses, r.sheds), (0, 6, 0));
+        assert_eq!(r.peak_resident_bytes, 0);
+    }
+
+    #[test]
     fn errors_propagate_without_caching() {
         let stats = CacheStats::default();
-        let mut cache = UnitPrefixCache::new(u64::MAX, &stats);
+        let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats);
         let r = cache.level1(|| -> Result<PrefixEntry, &str> { Err("boom") });
         assert_eq!(r.err(), Some("boom"));
         // The failed compute must not have pinned anything: the next

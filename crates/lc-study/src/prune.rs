@@ -1,71 +1,58 @@
-//! Contract-driven pipeline-space pruning.
+//! Pipeline-space pruning from the abstract interpreter's rewrite system.
 //!
-//! The analyzer's commutation verdicts ([`lc_core::Contract::commutes_with`])
-//! identify unordered stage pairs `{A, B}` for which the pipelines
-//! `(A, B, R)` and `(B, A, R)` are provably equivalent: both stages are
-//! size-preserving, one is a pointwise word map and the other a word
-//! permutation whose field size the map's word size divides, and both
-//! have length-only kernel statistics — so the composed stage output,
-//! the compressed size, and the simulated stage times are identical in
-//! either order. Measuring both orders is redundant; the campaign can
-//! measure the canonical order once and copy the numbers.
+//! Every pruning decision comes from `lc-analyze`'s rewrite system
+//! ([`lc_analyze::absint`]) and lands in one dense table: for each
+//! pipeline, the dense index of the pipeline measured in its place. The
+//! campaign skips every cell whose representative is not itself, and
+//! after accumulation copies the representative's finished sums into the
+//! skipped slots. The one observable difference from full enumeration is
+//! the per-pipeline measurement jitter seed: a pruned slot inherits its
+//! representative's simulated run-to-run noise (±0.4%) instead of drawing
+//! its own.
 //!
-//! [`PrunePlan::for_space`] enumerates the commuting pairs among a
-//! space's components once, up front, from the contracts alone (no
-//! encode runs — the differential evidence lives in `lc-analyze` and CI).
-//! The campaign then skips every pruned `(s1, s2)` row inside its work
-//! units and, after accumulation, copies the representative's finished
-//! sums into the pruned slots. The one observable difference is the
-//! per-pipeline measurement jitter seed: a pruned slot inherits its
-//! representative's simulated run-to-run noise (±0.4%) instead of
-//! drawing its own. [`crate::campaign::CampaignOptions::prune`] restores
-//! paper-faithful full enumeration ([`PruneMode::Off`]).
+//! Three tiers, one table:
 //!
-//! On the full 62-component registry the plan finds 22 commuting pairs —
-//! 22 × 28 reducers = 616 of the 107,632 pipelines (~0.6%) measured for
-//! free. The win is structural, not primarily wall-clock: the campaign
-//! proves (and telemetry reports, via `campaign.analyze.*`) exactly
-//! which part of the paper's enumeration is redundant.
+//! * [`PruneMode::Exact`] (the default) runs only the exact phase of the
+//!   rewrite system ([`lc_analyze::absint::exact_prefix_reps`]): each
+//!   stage-1/2 prefix is de-fused and rewritten to its exact normal form,
+//!   and every cell `(s1, s2, r)` whose prefix is not the least of its
+//!   normal-form group is measured as the least prefix's cell with the
+//!   same reducer. Group members compose to identical bytes. On the
+//!   shipped registry the groups are exactly the 22 mutator × TUPL stage
+//!   pairs that [`lc_core::Contract::commutes_with`] proves commute, whose
+//!   stages have length-only statistics — so the timing claim holds too.
+//!   22 × 28 reducers = 616 of the 107,632 pipelines (~0.6%) are copies.
+//! * [`PruneMode::Canonical`] runs the whole abstract interpreter
+//!   ([`lc_analyze::absint::classify`]) under the ⊤ input shape, with a
+//!   machine-checkable [certificate] per non-representative member. On the
+//!   full registry it certifies 8,178 of the 107,632 pipelines (~7.6%) as
+//!   redundant. The *pattern* tier among them guarantees identical reducer
+//!   **output sizes** (hence identical compressed bytes) but not identical
+//!   intermediate bytes or stage timings, so a canonical-pruned slot's
+//!   throughput is its representative's. Use it for ratio-focused studies.
+//! * [`PruneMode::Off`] measures every pipeline (paper-faithful).
 //!
-//! # Canonical mode
-//!
-//! [`PruneMode::Canonical`] goes beyond pairwise commutation: it runs the
-//! abstract interpreter ([`lc_analyze::absint::classify`]) over the whole
-//! space under the ⊤ input shape, partitioning every pipeline into
-//! equivalence classes with a machine-checkable [certificate] per
-//! non-representative member. On the full registry that certifies 8,178
-//! of the 107,632 pipelines (~7.6%) as redundant — 352 at the *exact*
-//! tier (identical composed bytes, a superset relation of the commute
-//! pairs under pattern-opaque reducers) and the rest at the *pattern*
-//! tier, which guarantees identical reducer **output sizes** (hence
-//! identical compressed bytes) but not identical intermediate bytes or
-//! stage timings. A canonical-pruned slot therefore inherits its
-//! representative's throughput numbers: compression results are exact,
-//! timing is the representative's. Use it for ratio-focused studies;
-//! the default [`PruneMode::Commute`] keeps the timing claim.
-//!
-//! Because the skipped set depends on the class map, the map's
-//! [fingerprint] is journaled (`class_map` meta field) and resume
-//! refuses a journal whose fingerprint differs.
+//! The table's [fingerprint] is journaled with the tier (`prune` and
+//! `class_map` meta fields) for every tier but `off`, and resume refuses a
+//! journal whose tier or fingerprint differs.
 //!
 //! [certificate]: lc_analyze::absint::Certificate
-//! [fingerprint]: lc_analyze::absint::ClassMap::fingerprint
+//! [fingerprint]: lc_analyze::absint::prune_fingerprint
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use lc_analyze::absint::{classify, RuleTable};
+use lc_analyze::absint::{classify, exact_prefix_reps, prune_fingerprint, RuleTable};
 
 use crate::space::Space;
 
 /// How the campaign treats provably-equivalent pipelines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PruneMode {
-    /// Deduplicate pipelines whose first two stages provably commute
-    /// (the default). The pruned pipeline's slots are copies of the
-    /// representative's measurements.
+    /// Deduplicate pipelines whose stage-1/2 prefixes share an exact
+    /// normal form (the default). The pruned pipeline's slots are copies
+    /// of the representative's measurements.
     #[default]
-    Commute,
+    Exact,
     /// Deduplicate whole equivalence classes from the abstract
     /// interpreter's certified class map: one representative pipeline is
     /// measured per class, members copy its numbers. Compressed sizes
@@ -82,7 +69,7 @@ impl PruneMode {
     /// Stable journal/report label for the mode.
     pub fn label(&self) -> &'static str {
         match self {
-            PruneMode::Commute => "commute",
+            PruneMode::Exact => "exact",
             PruneMode::Canonical => "canonical",
             PruneMode::Off => "off",
         }
@@ -91,7 +78,7 @@ impl PruneMode {
     /// Inverse of [`PruneMode::label`] (CLI flag parsing).
     pub fn from_label(label: &str) -> Option<Self> {
         match label {
-            "commute" => Some(PruneMode::Commute),
+            "exact" => Some(PruneMode::Exact),
             "canonical" => Some(PruneMode::Canonical),
             "off" => Some(PruneMode::Off),
             _ => None,
@@ -99,81 +86,35 @@ impl PruneMode {
     }
 }
 
-/// One deduplicated stage pair: for every reducer `R`, the pipeline
-/// `(pruned.0, pruned.1, R)` is not executed; its measurements are
-/// copied from `(representative.0, representative.1, R)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagePairDup {
-    /// The skipped `(s1, s2)` component positions (`s1 > s2`).
-    pub pruned: (usize, usize),
-    /// The measured `(s1, s2)` positions — the same unordered pair in
-    /// canonical (lower-dense-index) order.
-    pub representative: (usize, usize),
-}
-
-/// One deduplicated pipeline *cell* (canonical mode): the pipeline at
-/// dense index `pruned` is not executed; its measurements are copied
-/// from the class representative at dense index `representative`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellDup {
-    /// Dense index of the skipped pipeline.
-    pub pruned: usize,
-    /// Dense index of the measured class representative (always lower
-    /// than `pruned` — the representative is the class minimum).
-    pub representative: usize,
-}
-
 /// The pruning decisions for one campaign, computed once up front.
 #[derive(Debug, Clone)]
 pub struct PrunePlan {
     /// The mode the plan was computed under.
     pub mode: PruneMode,
-    /// All deduplicated stage pairs (non-empty only under
-    /// [`PruneMode::Commute`]).
-    pub dups: Vec<StagePairDup>,
-    /// Fast membership: the pruned `(s1, s2)` keys.
-    skip: HashSet<(usize, usize)>,
-    /// All deduplicated pipeline cells (non-empty only under
-    /// [`PruneMode::Canonical`]).
-    pub cell_dups: Vec<CellDup>,
-    /// Fast membership: the pruned dense pipeline indices.
-    cell_skip: HashSet<usize>,
-    /// Equivalence classes the abstract interpreter found (canonical
-    /// mode; 0 otherwise).
+    /// Dense pipeline index → dense index of the pipeline measured in its
+    /// place (always the lower of the two). `rep[p] == p` ⇔ `p` is
+    /// measured.
+    rep: Vec<usize>,
+    /// Measured pipelines: one per equivalence class.
     pub classes: usize,
-    /// [`lc_analyze::absint::ClassMap::fingerprint`] of the class map
-    /// the plan was built from (canonical mode; 0 otherwise).
+    /// [`prune_fingerprint`] of the skip table.
     pub class_map: u64,
     /// Wall time spent computing the plan.
     pub analysis: Duration,
 }
 
 impl PrunePlan {
-    /// Enumerate the provably-commuting stage pairs of `space` from the
-    /// component contracts. The representative of each unordered pair
-    /// `{i, j}` (`i < j`) is `(i, j)` — the ordering with the lower
-    /// dense pipeline index — and `(j, i)` is pruned.
+    /// Compute the skip table of `space` under `mode`.
     pub fn for_space(space: &Space, mode: PruneMode) -> Self {
         let t0 = Instant::now();
-        let mut dups = Vec::new();
-        let mut skip = HashSet::new();
-        let mut cell_dups = Vec::new();
-        let mut cell_skip = HashSet::new();
-        let mut classes = 0usize;
-        let mut class_map = 0u64;
+        let nr = space.reducers.len();
+        let mut rep: Vec<usize> = (0..space.len()).collect();
         match mode {
-            PruneMode::Commute => {
-                let contracts: Vec<_> = space.components.iter().map(|c| c.contract()).collect();
-                for i in 0..contracts.len() {
-                    for j in i + 1..contracts.len() {
-                        if contracts[i].commutes_with(&contracts[j]) {
-                            dups.push(StagePairDup {
-                                pruned: (j, i),
-                                representative: (i, j),
-                            });
-                            skip.insert((j, i));
-                        }
-                    }
+            PruneMode::Exact => {
+                // ⊤ input shape (`lengths = &[]`), as in canonical mode.
+                let prefix = exact_prefix_reps(&space.components, &[], &RuleTable::SOUND);
+                for (p, r) in rep.iter_mut().enumerate() {
+                    *r = prefix[p / nr] * nr + p % nr;
                 }
             }
             PruneMode::Canonical => {
@@ -182,53 +123,41 @@ impl PrunePlan {
                 // length-bounded absorb-noop rule never fires.
                 let map = classify(&space.components, &space.reducers, &[], &RuleTable::SOUND);
                 for cert in &map.certificates {
-                    let cd = CellDup {
-                        pruned: map.index(cert.member),
-                        representative: map.index(cert.representative),
-                    };
-                    cell_skip.insert(cd.pruned);
-                    cell_dups.push(cd);
+                    rep[map.index(cert.member)] = map.index(cert.representative);
                 }
-                classes = map.classes;
-                class_map = map.fingerprint();
             }
             PruneMode::Off => {}
         }
         Self {
             mode,
-            dups,
-            skip,
-            cell_dups,
-            cell_skip,
-            classes,
-            class_map,
+            classes: rep.len() - pruned_cells(&rep).count(),
+            class_map: prune_fingerprint(pruned_cells(&rep)),
+            rep,
             analysis: t0.elapsed(),
         }
     }
 
-    /// Whether the `(s1, s2)` stage pair is pruned (skipped by the sweep).
-    pub fn skips(&self, s1: usize, s2: usize) -> bool {
-        self.skip.contains(&(s1, s2))
+    /// Whether the sweep measures the pipeline at dense index `p`.
+    pub fn measures(&self, p: usize) -> bool {
+        self.rep[p] == p
     }
 
-    /// Whether the pipeline at dense index `p` is pruned as a certified
-    /// class member (canonical mode).
-    pub fn skips_cell(&self, p: usize) -> bool {
-        self.cell_skip.contains(&p)
+    /// Every skipped `(pipeline, representative)` pair, in ascending
+    /// pipeline order.
+    pub fn pruned_cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        pruned_cells(&self.rep)
     }
 
-    /// Number of pipelines the plan removes from a sweep over `nr`
-    /// reducers.
-    pub fn pruned_pipelines(&self, nr: usize) -> usize {
-        self.dups.len() * nr + self.cell_dups.len()
+    /// Number of pipelines the plan removes from the sweep.
+    pub fn pruned_pipelines(&self) -> usize {
+        self.rep.len() - self.classes
     }
 
     /// Snapshot for campaign outcomes and bench reports.
-    pub fn report(&self, nr: usize) -> PruneReport {
+    pub fn report(&self) -> PruneReport {
         PruneReport {
             mode: self.mode.label(),
-            commuting_pairs: self.dups.len(),
-            pruned_pipelines: self.pruned_pipelines(nr),
+            pruned_pipelines: self.pruned_pipelines(),
             classes: self.classes,
             class_map: self.class_map,
             analysis: self.analysis,
@@ -236,19 +165,23 @@ impl PrunePlan {
     }
 }
 
+fn pruned_cells(rep: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    rep.iter()
+        .enumerate()
+        .filter(|&(p, &r)| p != r)
+        .map(|(p, &r)| (p, r))
+}
+
 /// Immutable pruning summary attached to a campaign outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneReport {
     /// [`PruneMode::label`] of the plan.
     pub mode: &'static str,
-    /// Provably-commuting stage pairs found in the space.
-    pub commuting_pairs: usize,
-    /// Pipelines deduplicated (`commuting_pairs × reducers` in commute
-    /// mode; certified class members in canonical mode).
+    /// Pipelines deduplicated (copied from a representative).
     pub pruned_pipelines: usize,
-    /// Equivalence classes (canonical mode; 0 otherwise).
+    /// Pipelines measured.
     pub classes: usize,
-    /// Class-map fingerprint (canonical mode; 0 otherwise).
+    /// Skip-table fingerprint.
     pub class_map: u64,
     /// Wall time spent computing the plan.
     pub analysis: Duration,
@@ -258,28 +191,66 @@ pub struct PruneReport {
 mod tests {
     use super::*;
 
+    /// Reference skip table from pairwise contract commutation: for every
+    /// commuting unordered pair `{i, j}` (`i < j`), each `(j, i, r)` is
+    /// measured as `(i, j, r)`.
+    fn commute_oracle(space: &Space) -> Vec<usize> {
+        let contracts: Vec<_> = space.components.iter().map(|c| c.contract()).collect();
+        let (nc, nr) = (contracts.len(), space.reducers.len());
+        let mut rep: Vec<usize> = (0..space.len()).collect();
+        for i in 0..nc {
+            for j in i + 1..nc {
+                if contracts[i].commutes_with(&contracts[j]) {
+                    for r in 0..nr {
+                        rep[(j * nc + i) * nr + r] = (i * nc + j) * nr + r;
+                    }
+                }
+            }
+        }
+        rep
+    }
+
+    fn table(plan: &PrunePlan, space: &Space) -> Vec<usize> {
+        let mut rep: Vec<usize> = (0..space.len()).collect();
+        for (p, r) in plan.pruned_cells() {
+            rep[p] = r;
+        }
+        rep
+    }
+
+    #[test]
+    fn exact_tier_equals_the_pairwise_commute_oracle() {
+        for families in [
+            &["TCMS", "TUPL", "RZE"][..],
+            &["TCMS", "DIFF", "RLE", "RZE"],
+            &["TCMS", "BIT", "DIFF", "RLE", "RZE"],
+        ] {
+            let space = Space::restricted_to_families(families);
+            let plan = PrunePlan::for_space(&space, PruneMode::Exact);
+            assert_eq!(table(&plan, &space), commute_oracle(&space), "{families:?}");
+        }
+    }
+
     #[test]
     fn full_space_finds_the_registry_pairs() {
-        let plan = PrunePlan::for_space(&Space::full(), PruneMode::Commute);
-        // 22 mutator × TUPL pairs; see lc-analyze's registry test for
-        // the per-pair derivation.
-        assert_eq!(plan.dups.len(), 22);
-        assert_eq!(plan.pruned_pipelines(28), 616);
-        for d in &plan.dups {
-            let (i, j) = d.representative;
-            assert!(i < j, "representative must be the canonical order");
-            assert_eq!(d.pruned, (j, i));
-            assert!(plan.skips(j, i));
-            assert!(!plan.skips(i, j), "the representative is never skipped");
+        let space = Space::full();
+        let plan = PrunePlan::for_space(&space, PruneMode::Exact);
+        // 22 mutator × TUPL pairs × 28 reducers; see lc-analyze's registry
+        // test for the per-pair derivation.
+        assert_eq!(plan.pruned_pipelines(), 616);
+        assert_eq!(table(&plan, &space), commute_oracle(&space));
+        for (p, r) in plan.pruned_cells() {
+            assert!(r < p, "the representative is the lower index");
+            assert!(plan.measures(r), "a representative is never skipped");
         }
     }
 
     #[test]
     fn off_mode_prunes_nothing() {
         let plan = PrunePlan::for_space(&Space::full(), PruneMode::Off);
-        assert!(plan.dups.is_empty());
-        assert_eq!(plan.pruned_pipelines(28), 0);
-        assert_eq!(plan.report(28).mode, "off");
+        assert_eq!(plan.pruned_cells().count(), 0);
+        assert_eq!(plan.pruned_pipelines(), 0);
+        assert_eq!(plan.report().mode, "off");
     }
 
     #[test]
@@ -287,19 +258,18 @@ mod tests {
         // The tests' quick space (no TUPL) must be unaffected by the
         // default-on pruning: same numbers with or without it.
         let space = Space::restricted_to_families(&["TCMS", "DIFF", "RLE", "RZE"]);
-        let plan = PrunePlan::for_space(&space, PruneMode::Commute);
-        assert!(plan.dups.is_empty());
+        let plan = PrunePlan::for_space(&space, PruneMode::Exact);
+        assert_eq!(plan.pruned_pipelines(), 0);
     }
 
     #[test]
     fn report_counts() {
-        let plan = PrunePlan::for_space(&Space::full(), PruneMode::Commute);
-        let r = plan.report(28);
-        assert_eq!(r.mode, "commute");
-        assert_eq!(r.commuting_pairs, 22);
+        let plan = PrunePlan::for_space(&Space::full(), PruneMode::Exact);
+        let r = plan.report();
+        assert_eq!(r.mode, "exact");
         assert_eq!(r.pruned_pipelines, 616);
-        assert_eq!(r.classes, 0);
-        assert_eq!(r.class_map, 0);
+        assert_eq!(r.classes, 107_632 - 616);
+        assert_eq!(r.class_map, prune_fingerprint(plan.pruned_cells()));
     }
 
     #[test]
@@ -310,29 +280,17 @@ mod tests {
         // full_space_partition_counts): 107,632 pipelines fall into
         // 99,454 classes, certifying 8,178 members as redundant.
         assert_eq!(plan.classes, 99_454);
-        assert_eq!(plan.cell_dups.len(), 8_178);
-        assert_eq!(plan.pruned_pipelines(28), 8_178);
-        assert!(plan.dups.is_empty(), "canonical mode is cell-level only");
+        assert_eq!(plan.pruned_pipelines(), 8_178);
         assert_eq!(plan.class_map, 0x8434_8d3b_115f_203d);
-        for cd in &plan.cell_dups {
-            assert!(cd.representative < cd.pruned, "rep is the class min");
-            assert!(plan.skips_cell(cd.pruned));
-            assert!(
-                !plan.skips_cell(cd.representative),
-                "a representative is never itself pruned"
-            );
+        for (p, r) in plan.pruned_cells() {
+            assert!(r < p, "rep is the class min");
+            assert!(plan.measures(r), "a representative is never pruned");
         }
-        // Canonical subsumes commutation: every commute-pruned pipeline
+        // Canonical subsumes the exact tier: every exact-pruned pipeline
         // is also a certified class member.
-        let commute = PrunePlan::for_space(&space, PruneMode::Commute);
-        let nc = space.components.len();
-        let nr = space.reducers.len();
-        for d in &commute.dups {
-            let (j, i) = d.pruned;
-            for r in 0..nr {
-                let p = (j * nc + i) * nr + r;
-                assert!(plan.skips_cell(p), "commute dup {p} not canonical-pruned");
-            }
+        let exact = PrunePlan::for_space(&space, PruneMode::Exact);
+        for (p, _) in exact.pruned_cells() {
+            assert!(!plan.measures(p), "exact dup {p} not canonical-pruned");
         }
     }
 
@@ -340,12 +298,12 @@ mod tests {
     fn canonical_restricted_space_prunes_and_fingerprints() {
         let space = Space::restricted_to_families(&["TCMS", "TCNB", "TUPL", "RZE"]);
         let plan = PrunePlan::for_space(&space, PruneMode::Canonical);
-        assert!(!plan.cell_dups.is_empty(), "bijection drops must fire");
+        assert!(plan.pruned_pipelines() > 0, "bijection drops must fire");
         assert!(plan.classes > 0);
         assert_ne!(plan.class_map, 0);
-        let r = plan.report(space.reducers.len());
+        let r = plan.report();
         assert_eq!(r.mode, "canonical");
-        assert_eq!(r.pruned_pipelines, plan.cell_dups.len());
+        assert_eq!(r.pruned_pipelines, plan.pruned_cells().count());
         // Deterministic: same space, same fingerprint.
         let again = PrunePlan::for_space(&space, PruneMode::Canonical);
         assert_eq!(plan.class_map, again.class_map);

@@ -19,10 +19,11 @@
 //! * **Disjoint + complete** — `u % N` is a partition of the integers,
 //!   so the union of N shards is the full space and no unit appears in
 //!   two shards.
-//! * **Prune-stable** — pruning (`--prune commute|canonical`) skips
-//!   *cells inside* a unit, never unit membership, so the same shard
-//!   owns the same units under every prune mode. (Pruned cells are
-//!   journaled as zeros, exactly as in the single-process run.)
+//! * **Prune-stable** — every prune tier (`--prune exact|canonical`)
+//!   skips *cells inside* a unit through the one skip table, never unit
+//!   membership, so the same shard owns the same units under every
+//!   tier. (Pruned cells are journaled as zeros, exactly as in the
+//!   single-process run.)
 //! * **Balanced** — round-robin interleaves files across shards, so a
 //!   slow file's 62 units spread over all shards instead of landing on
 //!   one.
@@ -292,7 +293,7 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
     for (spec, j) in &loaded[1..] {
         for (field, what) in [
             ("prune", "prune mode"),
-            ("class_map", "canonical class-map fingerprint"),
+            ("class_map", "class-map fingerprint"),
         ] {
             let a = meta_str(&ref_j.meta, field);
             let b = meta_str(&j.meta, field);

@@ -92,7 +92,7 @@ fn run_with_state_unit_caches_keep_shared_stats_consistent() {
                 let mut rng = Rng::new(iter * 10_000 + unit as u64);
                 // A cap that fits ~2 of the ~4 KiB entries: every unit
                 // evicts, so eviction accounting races drops elsewhere.
-                let mut cache = UnitPrefixCache::new(9000, &stats);
+                let mut cache = UnitPrefixCache::new(Some(9000), &stats);
                 cache
                     .level1(|| -> Result<_, ()> {
                         computed.fetch_add(1, Ordering::Relaxed);
@@ -164,7 +164,7 @@ fn resident_gauge_never_wraps_under_concurrent_unit_churn() {
                 || (),
                 |_, unit| {
                     let mut rng = Rng::new(unit as u64);
-                    let mut cache = UnitPrefixCache::new(5000, stats);
+                    let mut cache = UnitPrefixCache::new(Some(5000), stats);
                     for _ in 0..20 {
                         let key = (rng.next() % 4) as usize;
                         cache

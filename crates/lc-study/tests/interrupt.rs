@@ -6,6 +6,7 @@
 //! * A second campaign on a locked output directory exits 1 without
 //!   touching the journal.
 //! * A stale lock left by a dead process is reclaimed, not fatal.
+//! * Removed mode flags are usage errors (exit 1), not silent no-ops.
 //!
 //! Signal delivery and `/proc`-based liveness are Linux-specific, so
 //! the whole suite is gated on `target_os = "linux"`.
@@ -136,5 +137,28 @@ fn stale_lock_from_dead_process_is_reclaimed() {
         "stale lock must be reclaimed, got {status:?}"
     );
     assert!(dir.join("run.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_mode_flags_are_usage_errors() {
+    let dir = scratch_dir("removed-flags");
+    for flags in [
+        &["--no-analyze-prune"][..],
+        &["--no-prefix-cache"],
+        &["--prune", "commute"],
+    ] {
+        let out = reproduce(&dir).args(flags).output().expect("run reproduce");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: ")),
+            "{flags:?}: {stderr}"
+        );
+        assert!(
+            !dir.join("journal.jsonl").exists(),
+            "{flags:?} must fail before any work"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

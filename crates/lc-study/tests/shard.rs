@@ -71,7 +71,7 @@ fn partition_is_disjoint_complete_and_prune_stable() {
 
     let n = 3;
     let mut per_mode: Vec<Vec<BTreeSet<(u64, u64)>>> = Vec::new();
-    for prune in [PruneMode::Commute, PruneMode::Canonical, PruneMode::Off] {
+    for prune in [PruneMode::Exact, PruneMode::Canonical, PruneMode::Off] {
         let dir = scratch_dir(&format!("partition-{}", prune.label()));
         let shards: Vec<BTreeSet<(u64, u64)>> = (0..n)
             .map(|index| run_shard(&sc, &dir, ShardSpec { index, count: n }, prune))
@@ -124,7 +124,7 @@ fn merge_refusal_matrix() {
     let dir = scratch_dir("refuse-missing");
     mk(
         ShardSpec { index: 0, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir,
     );
@@ -135,7 +135,7 @@ fn merge_refusal_matrix() {
     let dir2 = scratch_dir("refuse-prune");
     mk(
         ShardSpec { index: 0, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir2,
     );
@@ -148,7 +148,7 @@ fn merge_refusal_matrix() {
     let dir3 = scratch_dir("refuse-dataset");
     mk(
         ShardSpec { index: 0, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir3,
     );
@@ -156,7 +156,7 @@ fn merge_refusal_matrix() {
     other.files = vec![&lc_data::SP_FILES[1]];
     mk(
         ShardSpec { index: 1, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &other,
         &dir3,
     );
@@ -168,7 +168,7 @@ fn merge_refusal_matrix() {
     let dir4 = scratch_dir("refuse-renamed");
     mk(
         ShardSpec { index: 0, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir4,
     );
@@ -184,13 +184,13 @@ fn merge_refusal_matrix() {
     let dir5 = scratch_dir("refuse-counts");
     mk(
         ShardSpec { index: 0, count: 1 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir5,
     );
     mk(
         ShardSpec { index: 0, count: 2 },
-        PruneMode::Commute,
+        PruneMode::Exact,
         &sc,
         &dir5,
     );

@@ -40,9 +40,8 @@
 //!   [`flight`].
 //!
 //! The [`span!`] macros do not evaluate their argument expressions when
-//! every consumer is off. The `bench/benches/telemetry.rs` A/B bench
-//! verifies the end-to-end encode overhead of the disabled path is
-//! below the noise floor (< 1%).
+//! every consumer is off, so the disabled path costs one relaxed load
+//! per instrumented site.
 //!
 //! # Request scoping
 //!
