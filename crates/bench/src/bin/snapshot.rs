@@ -289,10 +289,11 @@ fn main() {
 
     // 7. Sharded execution: the same tiny campaign as 4 sequential
     //    in-process shards (journaled, with dataset digests), then a
-    //    merge and a resume from the merged journal. `identical` checks
-    //    the fused measurements are bit-for-bit the single-process
-    //    run's; the wall times track per-shard overhead (journal
-    //    appends + input digests) and merge cost, and the full-space
+    //    merge and a resume from the merged journal, which executes no
+    //    unit and only re-prices. `identical` checks the fused
+    //    measurements are bit-for-bit the single-process run's; the
+    //    wall times track per-shard overhead (journal appends + input
+    //    digests), merge cost and re-pricing cost, and the full-space
     //    extrapolation is the headline the sharding exists for: what
     //    the whole 107,632-pipeline space costs at this rate of pipeline
     //    evaluations (a full-space unit holds 62 × 28 pipelines, a
@@ -322,6 +323,9 @@ fn main() {
     let t0 = Instant::now();
     let merge_report = merge_shards(&shard_dir, &merged_path).expect("merge failed");
     let merge_s = t0.elapsed().as_secs_f64();
+    // The zero-unit resume executes nothing: it re-prices the merged
+    // journal's kernel statistics on every platform.
+    let t0 = Instant::now();
     let fused = run_campaign_with(
         &sc,
         &CampaignOptions {
@@ -331,6 +335,7 @@ fn main() {
         },
     )
     .expect("resume from merged journal failed");
+    let reprice_s = t0.elapsed().as_secs_f64();
     let identical = fused.executed_units == 0
         && report::to_json(&m, &[]) == report::to_json(&fused.measurements, &[]);
     let _ = std::fs::remove_dir_all(&shard_dir);
@@ -338,8 +343,10 @@ fn main() {
     let full_space_est_s = shard_total_s * full.len() as f64 / sc.space.len() as f64;
     eprintln!(
         "shard: {shard_n} shards in {shard_total_s:.2}s (max {shard_max_s:.2}s), merge {:.1} ms, \
-         {} units fused, identical={identical}; full space (~{full_units} units) \u{2248} {:.0}s at this rate",
+         re-price {:.1} ms, {} units fused, identical={identical}; full space (~{full_units} units) \
+         \u{2248} {:.0}s at this rate",
         merge_s * 1e3,
+        reprice_s * 1e3,
         merge_report.units,
         full_space_est_s,
     );
@@ -441,6 +448,7 @@ fn main() {
                 ("wall_s", Value::from(shard_total_s)),
                 ("max_shard_s", Value::from(shard_max_s)),
                 ("merge_ms", Value::from(merge_s * 1e3)),
+                ("reprice_ms", Value::from(reprice_s * 1e3)),
                 ("merged_units", Value::from(merge_report.units as u64)),
                 ("identical", Value::from(identical)),
                 (

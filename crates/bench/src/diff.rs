@@ -167,6 +167,14 @@ pub const CAMPAIGN_METRICS: &[MetricSpec] = &[
         direction: Direction::LowerIsBetter,
         gate: false,
     },
+    // Re-pricing the merged journal (a zero-unit resume): the cost of
+    // evaluating the GPU model alone. Warn-only, like the rest of the
+    // shard section.
+    MetricSpec {
+        path: "shard.reprice_ms",
+        direction: Direction::LowerIsBetter,
+        gate: false,
+    },
 ];
 
 /// A bound the current snapshot must meet on its own, whatever the
@@ -638,7 +646,7 @@ mod tests {
                            "rre_4":{"dec_mb_s":9000.0}},
                 "telemetry":{"enabled_overhead_pct":13.1},
                 "analyze":{"canonicalize_ms":222.2},
-                "shard":{"wall_s":1.9,"merge_ms":3.2}}"#,
+                "shard":{"wall_s":1.9,"merge_ms":3.2,"reprice_ms":40.0}}"#,
         )
         .unwrap();
         let out = compare(&v, &v, CAMPAIGN_METRICS, Thresholds::default());

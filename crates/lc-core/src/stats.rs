@@ -63,6 +63,45 @@ impl KernelStats {
             .saturating_add(other.divergent_branches);
     }
 
+    /// Number of counters in [`Self::counters`].
+    pub const COUNTERS: usize = 11;
+
+    /// Every counter, in declaration order: a flat encoding for
+    /// serializers (the campaign journal stores kernel statistics this
+    /// way).
+    pub fn counters(&self) -> [u64; Self::COUNTERS] {
+        [
+            self.words,
+            self.thread_ops,
+            self.global_reads,
+            self.global_writes,
+            self.shared_traffic,
+            self.warp_shuffles,
+            self.warp_syncs,
+            self.block_syncs,
+            self.atomic_ops,
+            self.scan_steps,
+            self.divergent_branches,
+        ]
+    }
+
+    /// Inverse of [`Self::counters`].
+    pub fn from_counters(c: [u64; Self::COUNTERS]) -> Self {
+        KernelStats {
+            words: c[0],
+            thread_ops: c[1],
+            global_reads: c[2],
+            global_writes: c[3],
+            shared_traffic: c[4],
+            warp_shuffles: c[5],
+            warp_syncs: c[6],
+            block_syncs: c[7],
+            atomic_ops: c[8],
+            scan_steps: c[9],
+            divergent_branches: c[10],
+        }
+    }
+
     /// Whether every counter is zero.
     pub fn is_zero(&self) -> bool {
         *self == Self::default()
@@ -196,6 +235,14 @@ mod tests {
         assert_eq!(t.words, 25);
         assert_eq!(t.thread_ops, 250);
         assert_eq!(t.global_reads, 0);
+    }
+
+    #[test]
+    fn counters_round_trip_in_declaration_order() {
+        let c: [u64; KernelStats::COUNTERS] = std::array::from_fn(|i| i as u64 + 1);
+        let s = KernelStats::from_counters(c);
+        assert_eq!((s.words, s.divergent_branches), (1, 11));
+        assert_eq!(s.counters(), c);
     }
 
     #[test]

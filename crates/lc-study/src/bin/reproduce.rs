@@ -15,9 +15,11 @@
 //!
 //! `--families` restricts the component set for a fast smoke run.
 //!
-//! Fault tolerance: every run journals completed work units to
-//! `<out>/journal.jsonl`; `--resume` picks up where a killed run left
-//! off (byte-identical `run.json`), `--unit-deadline SECS` quarantines
+//! Fault tolerance: every run journals completed work units' kernel
+//! statistics to `<out>/journal.jsonl`; `--resume` picks up where a
+//! killed run left off (byte-identical `run.json`) — and on a complete
+//! journal with a different `--figure` selection it executes nothing and
+//! only re-prices the statistics — `--unit-deadline SECS` quarantines
 //! overtime work units instead of hanging, and any quarantined unit
 //! turns the exit code to 5 after all outputs are still written.
 //! Journal appends are crash-consistent single-buffer writes with an
@@ -738,7 +740,6 @@ fn run_supervised(args: &Args, n: usize, cancel: &CancelToken) -> Result<(), Exi
         c.arg("--resume");
         // Everything fingerprint-relevant must match across shards and
         // the finishing run, or resume/merge will (correctly) refuse.
-        c.arg("--figure").arg(figure_list(&args.figures));
         c.arg("--scale").arg(args.scale.to_string());
         c.arg("--threads").arg(args.threads.to_string());
         if let Some(fams) = &args.families {
@@ -851,19 +852,6 @@ fn merge(args: &Args) -> Result<(), ExitCode> {
         );
     }
     Ok(())
-}
-
-/// Render the figure selection back into `--figure` syntax for child
-/// processes (the selection decides whether -O1 platforms are swept, so
-/// it is fingerprint-relevant and must match across shards).
-fn figure_list(figs: &[FigId]) -> String {
-    if figs == FigId::ALL {
-        return "all".to_string();
-    }
-    figs.iter()
-        .map(|f| f.number().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Publish the flight-recorder black box; failure to dump is reported

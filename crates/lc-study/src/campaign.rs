@@ -1,7 +1,18 @@
-//! The measurement campaign: run the stage tree over every input, convert
-//! kernel statistics to simulated runtimes for every (GPU, compiler,
-//! opt-level) platform, and aggregate with the paper's protocol —
-//! median of 3 runs per input, geometric mean across the 13 inputs (§5).
+//! The measurement campaign: run the stage tree over every input,
+//! journal each work unit's kernel statistics, price them as simulated
+//! runtimes for every (GPU, compiler, opt-level) platform, and aggregate
+//! with the paper's protocol — median of 3 runs per input, geometric mean
+//! across the 13 inputs (§5).
+//!
+//! A unit flows through four steps: **execute** (`run_unit` runs the
+//! real components and returns integers only — the unit's table of
+//! kernel statistics), **journal** (the table is appended as one
+//! record), **price** (`price_unit`, the only caller of the `gpu-sim`
+//! cost model) and **accumulate** (log-throughputs summed in fixed
+//! `(file, i1)` order).
+//! Resumed units skip the first two steps, so resuming a complete journal
+//! under a different set of opt levels executes nothing and only
+//! re-prices.
 //!
 //! # Fault tolerance
 //!
@@ -13,8 +24,8 @@
 //!   i.e. one task of the stage-tree fan-out) is appended to a JSON-lines
 //!   journal as soon as it finishes. With [`CampaignOptions::resume`],
 //!   units already in the journal are loaded instead of recomputed. The
-//!   journal stores the exact `f64` bits (shortest-round-trip formatting)
-//!   and the accumulation order is fixed, so a resumed campaign produces
+//!   journal stores integer kernel counters, and pricing and accumulation
+//!   run in a fixed order, so a resumed campaign produces
 //!   **byte-identical** reports to an uninterrupted one.
 //! * **Panic isolation & quarantine** — with [`CampaignOptions::isolate`],
 //!   each stage executes behind a `catch_unwind` fence with a cooperative
@@ -44,6 +55,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lc_chaos::fs::SyncPolicy;
+use lc_core::KernelStats;
 use lc_json::Value;
 use lc_parallel::{CancelToken, Pool};
 
@@ -53,10 +65,10 @@ use gpu_sim::{
 use lc_data::{Scale, SpFile, SP_FILES};
 
 use crate::journal::{self, JournalWriter};
-use crate::prefix::{CacheReport, CacheStats, PrefixEntry, SweepMode, UnitPrefixCache};
+use crate::prefix::{CacheReport, CacheStats, SweepMode, UnitPrefixCache};
 use crate::progress::Heartbeat;
 use crate::prune::{PruneMode, PrunePlan, PruneReport};
-use crate::runner::{run_stage_checked, ChunkedData, StageFault, Watchdog};
+use crate::runner::{run_stage_checked, ChunkedData, StageFault, StageOutcome, Watchdog};
 use crate::space::Space;
 
 /// Campaign parameters.
@@ -199,12 +211,6 @@ pub fn median_of_three_runs(t: f64, seed: u64) -> f64 {
     t * (1.0 + eps[1])
 }
 
-struct PlatformPre {
-    fw_enc: f64,
-    fw_dec: f64,
-    inv_bw: f64,
-}
-
 /// Fault-tolerance options for [`run_campaign_with`].
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
@@ -213,7 +219,8 @@ pub struct CampaignOptions {
     pub journal: Option<PathBuf>,
     /// Skip work units already present in the journal. Requires
     /// [`CampaignOptions::journal`]; the journal's fingerprint must match
-    /// this campaign's configuration exactly.
+    /// this campaign's configuration exactly. A complete journal resumes
+    /// with zero executed units: the campaign only re-prices it.
     pub resume: bool,
     /// Cooperative per-unit deadline. A unit still running past this
     /// budget is quarantined at the next stage boundary.
@@ -227,11 +234,11 @@ pub struct CampaignOptions {
     pub heartbeat: Option<Duration>,
     /// How to walk each unit's pipeline range: prefix-memoized (the
     /// default) or naive per-pipeline recomputation. Both produce
-    /// bit-identical measurements; see [`crate::prefix`].
+    /// bit-identical statistics; see [`crate::prefix`].
     pub sweep: SweepMode,
     /// Whether to statically deduplicate provably-equivalent pipelines
     /// before the sweep (on by default; see [`crate::prune`]). Unlike
-    /// `sweep`, this changes journaled rows — pruned slots are written
+    /// `sweep`, this changes journaled records — pruned cells are written
     /// as zeros and filled from their representative at aggregation —
     /// so the mode is part of the journal resume fingerprint.
     pub prune: PruneMode,
@@ -332,13 +339,80 @@ pub struct CampaignOutcome {
     pub interrupted: bool,
 }
 
+/// Encode and decode kernel statistics of one stage execution.
+type StagePair = [KernelStats; 2];
+
+/// Journal values per [`StagePair`].
+const PAIR: usize = 2 * KernelStats::COUNTERS;
+
+/// One work unit's measurements: stage 1 once, stage 2 once per `i2`,
+/// stage 3 once per cell (`i2 · nr + ir`) with the cell's raw output
+/// bytes. Pruned cells, and `i2` rows with no measured cell, stay zero.
+/// This is the cost model's complete input, and it holds only integers.
+struct UnitStats {
+    s1: StagePair,
+    s2: Vec<StagePair>,
+    s3: Vec<(StagePair, u64)>,
+}
+
+impl UnitStats {
+    fn zeroed(nc: usize, nr: usize) -> Self {
+        Self {
+            s1: StagePair::default(),
+            s2: vec![StagePair::default(); nc],
+            s3: vec![(StagePair::default(), 0); nc * nr],
+        }
+    }
+
+    /// Length of the flat encoding of an `nc × nr` unit.
+    fn flat_len(nc: usize, nr: usize) -> usize {
+        (1 + nc) * PAIR + nc * nr * (PAIR + 1)
+    }
+
+    /// The journal encoding: every counter of stage 1, then of each
+    /// stage-2 row, then of each cell followed by its output bytes.
+    fn to_flat(&self) -> Vec<u64> {
+        let pair = |[e, d]: &StagePair| e.counters().into_iter().chain(d.counters());
+        let cells = self
+            .s3
+            .iter()
+            .flat_map(|(p, bytes)| pair(p).chain([*bytes]));
+        pair(&self.s1)
+            .chain(self.s2.iter().flat_map(pair))
+            .chain(cells)
+            .collect()
+    }
+
+    /// Inverse of [`Self::to_flat`]; `flat` must be `flat_len(nc, nr)`
+    /// long.
+    fn from_flat(flat: &[u64], nc: usize) -> Self {
+        let one = |c: &[u64]| KernelStats::from_counters(c.try_into().unwrap_or_default());
+        let pair = |c: &[u64]| {
+            [
+                one(&c[..KernelStats::COUNTERS]),
+                one(&c[KernelStats::COUNTERS..PAIR]),
+            ]
+        };
+        let (head, cells) = flat.split_at((1 + nc) * PAIR);
+        let mut rows = head.chunks_exact(PAIR).map(pair);
+        Self {
+            s1: rows.next().unwrap_or_default(),
+            s2: rows.collect(),
+            s3: cells
+                .chunks_exact(PAIR + 1)
+                .map(|c| (pair(c), c[PAIR]))
+                .collect(),
+        }
+    }
+}
+
+/// One unit's priced rows: log-throughputs `[config][cell]` for encode
+/// and decode, and compressed bytes per cell.
 type UnitRows = (Vec<f64>, Vec<f64>, Vec<u64>);
 
-/// Per-file context shared by all of that file's work units.
-struct FileCtx<'a> {
-    configs: &'a [SimConfig],
-    pre: &'a [PlatformPre],
-    input: &'a ChunkedData,
+/// Per-file constants pricing needs: the paper-scale operating point the
+/// reduced-scale statistics are extrapolated to.
+struct FileCtx {
     extrapolate: f64,
     chunks: u64,
     unc: u64,
@@ -396,14 +470,7 @@ pub fn run_campaign_with(
     // The dataset digest list costs one generation pass over the input
     // files, so it is only computed when a journal will actually carry
     // the fingerprint.
-    let meta = journal_meta(
-        sc,
-        c_total,
-        &opts.sweep,
-        &plan,
-        opts.shard.as_ref(),
-        opts.journal.is_some(),
-    );
+    let meta = journal_meta(sc, &plan, opts.shard.as_ref(), opts.journal.is_some());
     // Shard ownership of a global work-unit index; `None` owns all.
     let owns = |fi: usize, i1: usize| {
         opts.shard
@@ -418,7 +485,7 @@ pub fn run_campaign_with(
 
     // Resume: load prior units and quarantine records, keyed by
     // (file index, stage-1 index).
-    let mut prior_units: HashMap<(usize, usize), UnitRows> = HashMap::new();
+    let mut prior_units: HashMap<(usize, usize), UnitStats> = HashMap::new();
     let mut prior_quarantine: HashMap<(usize, usize), QuarantineEntry> = HashMap::new();
     let mut journal_valid_len: Option<u64> = None;
     if opts.resume {
@@ -449,22 +516,17 @@ pub fn run_campaign_with(
                 );
             }
             // Cross-prune-mode resume gets a structured refusal naming
-            // both modes: pruned rows are journaled as zeros, so mixing
+            // both modes: pruned cells are journaled as zeros, so mixing
             // modes would silently corrupt the pruned slots.
-            let j_prune = j
-                .meta
-                .get("prune")
-                .and_then(|v| v.as_str())
-                .unwrap_or(PruneMode::Off.label());
-            if j_prune != opts.prune.label() {
+            if j.meta["prune"] != meta["prune"] {
                 return Err(format!(
-                    "journal {} was written under prune mode \"{}\" but this campaign \
-                     uses \"{}\"; pruned rows are journaled as zeros, so resuming \
+                    "journal {} was written under prune mode {} but this campaign \
+                     uses {}; pruned cells are journaled as zeros, so resuming \
                      across prune modes would corrupt results — rerun with the \
                      journal's mode or start a fresh journal",
                     path.display(),
-                    j_prune,
-                    opts.prune.label()
+                    j.meta["prune"].dump(),
+                    meta["prune"].dump()
                 ));
             }
             // Shard identity gets its own refusal: resuming shard 2/4's
@@ -505,17 +567,17 @@ pub fn run_campaign_with(
                     path.display()
                 ));
             }
-            if strip_informational(&j.meta) != strip_informational(&meta) {
+            if j.meta != meta {
                 return Err(format!(
                     "journal {} was written by a different campaign configuration \
-                     (space, files, scale, opt levels, or verify flag differ); \
-                     refusing to resume from it",
+                     (space, files, scale, or verify flag differ); refusing to \
+                     resume from it",
                     path.display()
                 ));
             }
             for u in &j.units {
-                let (key, rows) = unit_from_value(u, c_total, stride)?;
-                prior_units.insert(key, rows);
+                let (key, stats) = unit_from_value(u, nc, nr)?;
+                prior_units.insert(key, stats);
             }
             for q in &j.quarantined {
                 let entry = quarantine_from_value(q)?;
@@ -532,18 +594,16 @@ pub fn run_campaign_with(
 
     let resumed_units = prior_units.len();
     let mut executed_units = 0usize;
-    // Units this run will actually execute, known upfront from the prior
-    // maps — the heartbeat's denominator.
-    let planned: usize = (0..sc.files.len())
-        .map(|fi| {
-            (0..nc)
-                .filter(|i1| {
-                    owns(fi, *i1)
-                        && !prior_units.contains_key(&(fi, *i1))
-                        && !prior_quarantine.contains_key(&(fi, *i1))
-                })
-                .count()
-        })
+    // A unit executes when this process owns it and the journal holds
+    // neither its statistics nor its quarantine record.
+    let to_execute = |fi: usize, i1: usize| {
+        owns(fi, i1)
+            && !prior_units.contains_key(&(fi, i1))
+            && !prior_quarantine.contains_key(&(fi, i1))
+    };
+    // Units this run will actually execute — the heartbeat's denominator.
+    let planned = (0..sc.files.len())
+        .map(|fi| (0..nc).filter(|&i1| to_execute(fi, i1)).count())
         .sum();
     let heartbeat = opts.heartbeat.map(|iv| Heartbeat::start(planned, iv));
     let heartbeat = heartbeat.as_ref();
@@ -589,39 +649,23 @@ pub fn run_campaign_with(
         };
         let pool = Pool::new(workers);
         let paper_bytes = file.paper_size_tenth_mb as u64 * 100_000;
-        let extrapolate = paper_bytes as f64 / measured_bytes as f64;
-        let chunks = paper_bytes.div_ceil(lc_core::CHUNK_SIZE as u64);
-        let unc = paper_bytes;
-        let pre: Vec<PlatformPre> = configs
-            .iter()
-            .map(|cfg| PlatformPre {
-                fw_enc: framework_time(cfg, Direction::Encode, chunks),
-                fw_dec: framework_time(cfg, Direction::Decode, chunks),
-                inv_bw: 1.0 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * cfg.profile().memory_efficiency),
-            })
-            .collect();
-        total_uncompressed += unc;
-
+        total_uncompressed += paper_bytes;
         let ctx = FileCtx {
-            configs: &configs,
-            pre: &pre,
-            input: &input,
-            extrapolate,
-            chunks,
-            unc,
+            extrapolate: paper_bytes as f64 / measured_bytes as f64,
+            chunks: paper_bytes.div_ceil(lc_core::CHUNK_SIZE as u64),
+            unc: paper_bytes,
             file_i,
+        };
+        let price = |i1: usize, stats: &UnitStats| {
+            let _span =
+                lc_telemetry::span_in!("campaign", "price", file = file.name, s1_index = i1);
+            price_unit(stats, &ctx, &configs, &plan, i1)
         };
 
         // One task per stage-1 component; each owns the contiguous
         // pipeline-index range [i1·nc·nr, (i1+1)·nc·nr). Units already in
         // the journal (measured or quarantined) are not re-run.
-        let pending: Vec<usize> = (0..nc)
-            .filter(|i1| {
-                owns(file_i, *i1)
-                    && !prior_units.contains_key(&(file_i, *i1))
-                    && !prior_quarantine.contains_key(&(file_i, *i1))
-            })
-            .collect();
+        let pending: Vec<usize> = (0..nc).filter(|&i1| to_execute(file_i, i1)).collect();
 
         let journal_err: Mutex<Option<String>> = Mutex::new(None);
         let record_err = |e: String| {
@@ -645,17 +689,16 @@ pub fn run_campaign_with(
             let watchdog = opts.unit_deadline.map(Watchdog::new);
             let unit_start = Instant::now();
             let mut stage_ns = [0u64; 3];
+            let cache = UnitPrefixCache::new(opts.sweep.per_unit_cap_bytes(workers), &cache_stats)
+                .with_shed_limit(shed_limit);
             let result = run_unit(
                 sc,
-                &ctx,
+                &input,
+                &plan,
                 i1,
+                cache,
                 watchdog.as_ref(),
                 &mut stage_ns,
-                &opts.sweep,
-                &cache_stats,
-                &plan,
-                workers,
-                shed_limit,
             );
             let timing = UnitTiming {
                 elapsed_ms: unit_start.elapsed().as_millis() as u64,
@@ -663,15 +706,17 @@ pub fn run_campaign_with(
             };
             unit_span.arg("elapsed_ms", timing.elapsed_ms);
             unit_span.arg("ok", result.is_ok());
+            drop(unit_span);
             let out = match result {
-                Ok(rows) => {
+                Ok(stats) => {
                     if let Some(w) = &writer {
-                        let v = unit_value(file_i, file.name, i1, &sc.space, &rows, timing);
+                        let _span = lc_telemetry::span_in!("campaign", "journal", s1_index = i1);
+                        let v = unit_value(file_i, file.name, i1, &sc.space, &stats, timing);
                         if let Err(e) = w.append(&v) {
                             record_err(e);
                         }
                     }
-                    Ok(rows)
+                    Ok(price(i1, &stats))
                 }
                 Err((fault, stage_trace)) => {
                     // Black-box breadcrumb: quarantines are exactly the
@@ -749,8 +794,9 @@ pub fn run_campaign_with(
             w.checkpoint()?;
         }
 
-        // Assemble this file's rows in stage-1 order: journaled units
-        // slot in exactly where a live computation would have.
+        // Assemble this file's rows in stage-1 order: journaled units are
+        // priced through the same function and slot in exactly where a
+        // live computation would have.
         let mut unit_of: Vec<Option<UnitRows>> = Vec::new();
         unit_of.resize_with(nc, || None);
         for (k, res) in computed.into_iter().enumerate() {
@@ -777,10 +823,12 @@ pub fn run_campaign_with(
                 }
             }
         }
-        for (i1, slot) in unit_of.iter_mut().enumerate() {
-            if let Some(rows) = prior_units.remove(&(file_i, i1)) {
-                *slot = Some(rows);
-            }
+        let resumed: Vec<(usize, &UnitStats)> = (0..nc)
+            .filter_map(|i1| prior_units.get(&(file_i, i1)).map(|s| (i1, s)))
+            .collect();
+        let repriced = pool.map(resumed.len(), |k| price(resumed[k].0, resumed[k].1));
+        for ((i1, _), rows) in resumed.iter().zip(repriced) {
+            unit_of[*i1] = Some(rows);
         }
 
         // Sequential accumulation in fixed (file, i1) order: floating-
@@ -854,87 +902,57 @@ pub fn run_campaign_with(
     })
 }
 
-/// Run one pipeline-prefix stage and derive everything downstream
-/// pipelines need from it: the stage outcome plus per-platform
-/// (encode, decode) stage times. This is the unit of work the prefix
-/// cache stores, so a cache hit skips both the stage execution and the
-/// platform-time loop.
-///
+/// Run one stage of a unit's walk behind the panic fence and watchdog;
+/// the prefix stages' outcomes are what the prefix cache stores.
 /// `ns_slot` accrues the stage's wall nanoseconds (including a failing
 /// stage's partial time, so quarantine records show where a dying unit
 /// spent its budget).
-#[allow(clippy::too_many_arguments)]
 fn eval_prefix_stage(
     comp: &dyn lc_core::Component,
     input: &ChunkedData,
     verify: bool,
     watchdog: Option<&Watchdog>,
-    configs: &[SimConfig],
-    chunks: u64,
-    extrapolate: f64,
     ns_slot: &mut u64,
-) -> Result<PrefixEntry, StageFault> {
+) -> Result<StageOutcome, StageFault> {
     let t = Instant::now();
     let r = run_stage_checked(comp, input, verify, watchdog);
     *ns_slot += t.elapsed().as_nanos() as u64;
-    let outcome = r?;
-    let (e, d) = (
-        outcome.enc.scaled(extrapolate),
-        outcome.dec.scaled(extrapolate),
-    );
-    let times = configs
-        .iter()
-        .map(|cfg| (stage_time(cfg, &e, chunks), stage_time(cfg, &d, chunks)))
-        .collect();
-    Ok(PrefixEntry { outcome, times })
+    r
 }
 
 /// Execute one work unit: every measured pipeline in the contiguous range
-/// `(i1, *, *)`. The walk is per-pipeline — for each `(s2, s3)` pair the
-/// `(s1)` and `(s1, s2)` prefixes are looked up in the unit's
-/// [`UnitPrefixCache`] (which retains nothing in naive mode, so every
-/// lookup recomputes), and only the final reducer stage always executes. Every
-/// stage runs behind the panic fence and watchdog of
-/// [`run_stage_checked`]; on fault, the returned trace names the stages
-/// that were executing.
+/// `(i1, *, *)`, returning its [`UnitStats`] table. The walk is
+/// per-pipeline — for each `(s2, s3)` pair the `(s1)` and `(s1, s2)`
+/// prefixes are looked up in `cache` (which retains nothing in naive
+/// mode, so every lookup recomputes), and only the final reducer stage
+/// always executes. Every stage runs behind the panic fence and watchdog
+/// of [`run_stage_checked`]; on fault, the returned trace names the
+/// stages that were executing.
 ///
 /// `stage_ns` accumulates wall nanoseconds per stage position; cache
 /// hits contribute nothing there (no stage ran).
-#[allow(clippy::too_many_arguments)]
 fn run_unit(
     sc: &StudyConfig,
-    ctx: &FileCtx<'_>,
+    input: &ChunkedData,
+    plan: &PrunePlan,
     i1: usize,
+    mut cache: UnitPrefixCache<'_>,
     watchdog: Option<&Watchdog>,
     stage_ns: &mut [u64; 3],
-    sweep: &SweepMode,
-    cache_stats: &CacheStats,
-    plan: &PrunePlan,
-    workers: usize,
-    shed_limit: Option<u64>,
-) -> Result<UnitRows, (StageFault, String)> {
+) -> Result<UnitStats, (StageFault, String)> {
     let nc = sc.space.components.len();
     let nr = sc.space.reducers.len();
-    let stride = nc * nr;
-    let c_total = ctx.configs.len();
-    let (configs, pre, chunks, unc) = (ctx.configs, ctx.pre, ctx.chunks, ctx.unc);
-    let extrapolate = ctx.extrapolate;
     let s1_name = sc.space.components[i1].name();
-
-    let mut row_enc = vec![0f64; c_total * stride];
-    let mut row_dec = vec![0f64; c_total * stride];
-    let mut row_comp = vec![0u64; stride];
-
-    let mut cache = UnitPrefixCache::new(sweep.per_unit_cap_bytes(workers), cache_stats)
-        .with_shed_limit(shed_limit);
+    let mut stats = UnitStats::zeroed(nc, nr);
 
     for i2 in 0..nc {
         let s2_name = sc.space.components[i2].name();
         for ir in 0..nr {
+            let local = i2 * nr + ir;
             // A pruned cell never executes; it stays zero (and is
             // journaled as zero) until aggregation copies its
             // representative's sums in.
-            if !plan.measures(i1 * stride + i2 * nr + ir) {
+            if !plan.measures(i1 * nc * nr + local) {
                 if lc_telemetry::enabled() {
                     lc_telemetry::counter("campaign.analyze.skipped_cells").add(1);
                 }
@@ -944,12 +962,9 @@ fn run_unit(
             let e1 = cache.level1(|| {
                 eval_prefix_stage(
                     sc.space.components[i1].as_ref(),
-                    ctx.input,
+                    input,
                     sc.verify,
                     watchdog,
-                    configs,
-                    chunks,
-                    extrapolate,
                     &mut stage_ns[0],
                 )
                 .map_err(|f| (f, format!("s1={s1_name}")))
@@ -960,44 +975,97 @@ fn run_unit(
             let e2 = cache.level2(i2, || {
                 eval_prefix_stage(
                     sc.space.components[i2].as_ref(),
-                    &e1.outcome.output,
+                    &e1.output,
                     sc.verify,
                     watchdog,
-                    configs,
-                    chunks,
-                    extrapolate,
                     &mut stage_ns[1],
                 )
                 .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))
             })?;
             // Final reducer: unique to this pipeline, always executed.
-            let t3 = Instant::now();
-            let r3 = run_stage_checked(
+            let s3 = eval_prefix_stage(
                 sc.space.reducers[ir].as_ref(),
-                &e2.outcome.output,
+                &e2.output,
                 sc.verify,
                 watchdog,
-            );
-            stage_ns[2] += t3.elapsed().as_nanos() as u64;
-            let s3 = r3.map_err(|f| {
+                &mut stage_ns[2],
+            )
+            .map_err(|f| {
                 let s3_name = sc.space.reducers[ir].name();
                 (f, format!("s1={s1_name} s2={s2_name} s3={s3_name}"))
             })?;
-            let (s3e, s3d) = (s3.enc.scaled(extrapolate), s3.dec.scaled(extrapolate));
-            let comp_bytes = (s3.output.total_bytes() as f64 * extrapolate) as u64 + 5 * chunks;
-            let local = i2 * nr + ir;
-            row_comp[local] = comp_bytes;
+            stats.s1 = [e1.enc, e1.dec];
+            stats.s2[i2] = [e2.enc, e2.dec];
+            stats.s3[local] = ([s3.enc, s3.dec], s3.output.total_bytes());
+        }
+    }
+    Ok(stats)
+}
+
+/// Price one unit's statistics on every platform in `configs`: the only
+/// place the `gpu-sim` cost model is consulted. Counters are
+/// extrapolated to the paper-scale file, each measured cell's time is
+/// the roofline `max(Σ stage, DRAM) + framework`, jittered by the
+/// median-of-three protocol, and stored as a log-throughput. The f64
+/// operation order is fixed, so a unit priced straight after execution
+/// and one replayed from the journal give the same bits. Unmeasured
+/// cells stay zero.
+fn price_unit(
+    stats: &UnitStats,
+    ctx: &FileCtx,
+    configs: &[SimConfig],
+    plan: &PrunePlan,
+    i1: usize,
+) -> UnitRows {
+    let (extrapolate, chunks, unc) = (ctx.extrapolate, ctx.chunks, ctx.unc);
+    let stride = stats.s3.len();
+    let nr = stride / stats.s2.len().max(1);
+    let c_total = configs.len();
+    let mut row_enc = vec![0f64; c_total * stride];
+    let mut row_dec = vec![0f64; c_total * stride];
+    let mut row_comp = vec![0u64; stride];
+
+    // Per-platform framework terms and inverse DRAM bandwidth.
+    let pre: Vec<(f64, f64, f64)> = configs
+        .iter()
+        .map(|cfg| {
+            (
+                framework_time(cfg, Direction::Encode, chunks),
+                framework_time(cfg, Direction::Decode, chunks),
+                1.0 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * cfg.profile().memory_efficiency),
+            )
+        })
+        .collect();
+    // Per-platform (encode, decode) time of one extrapolated stage.
+    let times = |[e, d]: &StagePair| -> Vec<(f64, f64)> {
+        let (e, d) = (e.scaled(extrapolate), d.scaled(extrapolate));
+        configs
+            .iter()
+            .map(|cfg| (stage_time(cfg, &e, chunks), stage_time(cfg, &d, chunks)))
+            .collect()
+    };
+    let st1 = times(&stats.s1);
+    for (i2, s2) in stats.s2.iter().enumerate() {
+        let st2 = times(s2);
+        for local in i2 * nr..(i2 + 1) * nr {
             let p_idx = i1 * stride + local;
-            let (st1, st2) = (&e1.times, &e2.times);
+            if !plan.measures(p_idx) {
+                continue;
+            }
+            let ([s3e, s3d], bytes) = &stats.s3[local];
+            let (s3e, s3d) = (s3e.scaled(extrapolate), s3d.scaled(extrapolate));
+            let comp_bytes = (*bytes as f64 * extrapolate) as u64 + 5 * chunks;
+            row_comp[local] = comp_bytes;
             for (c, cfg) in configs.iter().enumerate() {
+                let (fw_enc, fw_dec, inv_bw) = pre[c];
                 let st3_enc = stage_time(cfg, &s3e, chunks);
                 let st3_dec = stage_time(cfg, &s3d, chunks);
                 // Roofline: in-SM work overlaps DRAM traffic; the
                 // slower of the two bounds the kernel (see
                 // gpu_sim::total_time).
-                let mem = (unc + comp_bytes) as f64 * pre[c].inv_bw;
-                let t_enc = (st1[c].0 + st2[c].0 + st3_enc).max(mem) + pre[c].fw_enc;
-                let t_dec = (st1[c].1 + st2[c].1 + st3_dec).max(mem) + pre[c].fw_dec;
+                let mem = (unc + comp_bytes) as f64 * inv_bw;
+                let t_enc = (st1[c].0 + st2[c].0 + st3_enc).max(mem) + fw_enc;
+                let t_dec = (st1[c].1 + st2[c].1 + st3_dec).max(mem) + fw_dec;
                 let seed = (ctx.file_i as u64) << 48 | (p_idx as u64) << 8 | c as u64;
                 let t_enc = median_of_three_runs(t_enc, splitmix64(seed));
                 let t_dec = median_of_three_runs(t_dec, splitmix64(seed ^ 0xDEC0));
@@ -1008,90 +1076,23 @@ fn run_unit(
             }
         }
     }
-    Ok((row_enc, row_dec, row_comp))
+    (row_enc, row_dec, row_comp)
 }
 
-/// The journal fingerprint: everything that determines a unit's numeric
-/// results. Resume refuses a journal whose meta record differs —
-/// *informational* fields (see [`strip_informational`]) excepted.
+/// The journal fingerprint: everything that determines a unit's
+/// journaled statistics. Resume refuses a journal whose meta record
+/// differs, and merge refuses shards that differ in anything but
+/// `shard`. The opt levels are not part of it: they only decide how the
+/// statistics are priced, so a journal resumes under any of them.
 fn journal_meta(
     sc: &StudyConfig,
-    c_total: usize,
-    sweep: &SweepMode,
     plan: &PrunePlan,
     shard: Option<&crate::shard::ShardSpec>,
     with_dataset: bool,
 ) -> Value {
-    let mut meta = journal_meta_fingerprint(sc, c_total);
-    if let Value::Object(fields) = &mut meta {
-        // NOT informational: a shard journal holds only its owned
-        // units, so its identity must pin both resume (same shard
-        // only) and merge (complete set only). Whole-campaign journals
-        // write no field, keeping pre-shard journals resumable.
-        if let Some(s) = shard {
-            fields.push(("shard".to_string(), Value::from(s.meta_label())));
-        }
-        // NOT informational: the digests pin the exact input bytes the
-        // rows were measured on. Two journals that disagree here were
-        // run on different data and their rows must never be mixed —
-        // resume and merge both refuse with the first differing file.
-        if with_dataset {
-            fields.push((
-                "dataset".to_string(),
-                Value::array(sc.files.iter().map(|f| {
-                    let data = lc_data::generate(f, sc.scale);
-                    Value::from(format!(
-                        "{}:{:08x}",
-                        f.name,
-                        lc_core::checksum::crc32(&data)
-                    ))
-                })),
-            ));
-        }
-        // Informational: records how the sweep was executed, but does
-        // not participate in the resume fingerprint (sweep modes are
-        // bit-identical, so mixing them across a resume is sound).
-        fields.push(("sweep".to_string(), Value::from(sweep.label())));
-        // NOT informational: pruning changes journaled unit rows
-        // (pruned slots are written as zeros), so a journal written
-        // under one prune tier must not be resumed under another, nor
-        // under a different skip table (a changed rewrite system must
-        // not resume old rows). Off writes neither field — a pruning-off
-        // journal is row-for-row what pre-pruning versions wrote, and
-        // stays resumable as such.
-        if plan.mode != PruneMode::Off {
-            fields.push(("prune".to_string(), Value::from(plan.mode.label())));
-            fields.push((
-                "class_map".to_string(),
-                Value::from(format!("{:016x}", plan.class_map)),
-            ));
-        }
-    }
-    meta
-}
-
-/// Journal-meta comparison ignores informational fields (currently just
-/// `"sweep"`): they describe execution strategy, not numbers. This also
-/// keeps journals from before the sweep field resumable. The `"prune"`
-/// field is deliberately *not* stripped — pruning changes the journaled
-/// rows themselves, so it is part of the fingerprint.
-pub(crate) fn strip_informational(meta: &Value) -> Value {
-    match meta {
-        Value::Object(fields) => Value::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "sweep")
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-fn journal_meta_fingerprint(sc: &StudyConfig, c_total: usize) -> Value {
     let comp_sig: Vec<&str> = sc.space.components.iter().map(|c| c.name()).collect();
     let red_sig: Vec<&str> = sc.space.reducers.iter().map(|c| c.name()).collect();
-    Value::object([
+    let mut fields = vec![
         ("kind", Value::from("meta")),
         ("journal_version", Value::from(journal::JOURNAL_VERSION)),
         (
@@ -1102,14 +1103,37 @@ fn journal_meta_fingerprint(sc: &StudyConfig, c_total: usize) -> Value {
             "files",
             Value::array(sc.files.iter().map(|f| Value::from(f.name))),
         ),
-        (
-            "opt_levels",
-            Value::array(sc.opt_levels.iter().map(|o| Value::from(format!("{o:?}")))),
-        ),
         ("scale", Value::from(sc.scale.divisor() as u64)),
         ("verify", Value::from(sc.verify)),
-        ("configs", Value::from(c_total as u64)),
-    ])
+    ];
+    // A shard journal holds only its owned units, so its identity pins
+    // both resume (same shard only) and merge (complete set only).
+    if let Some(s) = shard {
+        fields.push(("shard", Value::from(s.meta_label())));
+    }
+    // The digests pin the exact input bytes the statistics were measured
+    // on: two journals that disagree here must never be mixed — resume
+    // and merge both refuse with the first differing file.
+    if with_dataset {
+        fields.push((
+            "dataset",
+            Value::array(sc.files.iter().map(|f| {
+                let data = lc_data::generate(f, sc.scale);
+                Value::from(format!(
+                    "{}:{:08x}",
+                    f.name,
+                    lc_core::checksum::crc32(&data)
+                ))
+            })),
+        ));
+    }
+    // Pruned cells are journaled as zeros, so a journal written under one
+    // prune tier must not be resumed under another, nor under a
+    // different skip table (a changed rewrite system must not resume old
+    // records).
+    fields.push(("prune", Value::from(plan.mode.label())));
+    fields.push(("class_map", Value::from(format!("{:016x}", plan.class_map))));
+    Value::object(fields)
 }
 
 /// Serialize timing as a nested object — `DeadlineExceeded` records carry
@@ -1156,30 +1180,24 @@ fn unit_value(
     file_name: &str,
     i1: usize,
     space: &Space,
-    rows: &UnitRows,
+    stats: &UnitStats,
     timing: UnitTiming,
 ) -> Value {
-    let mut fields = vec![
+    Value::object([
         ("kind", Value::from("unit")),
         ("file_index", Value::from(file_i as u64)),
         ("file", Value::from(file_name)),
         ("s1_index", Value::from(i1 as u64)),
         ("s1", Value::from(space.components[i1].name())),
         ("timing", timing_value(timing)),
-    ];
-    fields.extend([
-        ("enc", Value::array(rows.0.iter().map(|&v| Value::from(v)))),
-        ("dec", Value::array(rows.1.iter().map(|&v| Value::from(v)))),
-        ("comp", Value::array(rows.2.iter().map(|&v| Value::from(v)))),
-    ]);
-    Value::object(fields)
+        (
+            "stats",
+            Value::array(stats.to_flat().into_iter().map(Value::from)),
+        ),
+    ])
 }
 
-fn unit_from_value(
-    v: &Value,
-    c_total: usize,
-    stride: usize,
-) -> Result<((usize, usize), UnitRows), String> {
+fn unit_from_value(v: &Value, nc: usize, nr: usize) -> Result<((usize, usize), UnitStats), String> {
     let idx = |key: &str| {
         v.get(key)
             .and_then(Value::as_u64)
@@ -1187,45 +1205,25 @@ fn unit_from_value(
             .ok_or_else(|| format!("unit record missing {key}"))
     };
     let key = (idx("file_index")?, idx("s1_index")?);
-    let floats = |field: &'static str| -> Result<Vec<f64>, String> {
-        let arr = v
-            .get(field)
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("unit record missing {field}"))?;
-        if arr.len() != c_total * stride {
-            return Err(format!(
-                "unit record {field} has {} values, campaign expects {}",
-                arr.len(),
-                c_total * stride
-            ));
-        }
-        arr.iter()
-            .map(|x| {
-                x.as_f64()
-                    .ok_or_else(|| format!("non-numeric value in {field}"))
-            })
-            .collect()
-    };
-    let enc = floats("enc")?;
-    let dec = floats("dec")?;
-    let comp_arr = v
-        .get("comp")
+    let arr = v
+        .get("stats")
         .and_then(Value::as_array)
-        .ok_or_else(|| "unit record missing comp".to_string())?;
-    if comp_arr.len() != stride {
+        .ok_or_else(|| "unit record missing stats".to_string())?;
+    let want = UnitStats::flat_len(nc, nr);
+    if arr.len() != want {
         return Err(format!(
-            "unit record comp has {} values, campaign expects {stride}",
-            comp_arr.len()
+            "unit record stats has {} values, campaign expects {want}",
+            arr.len()
         ));
     }
-    let comp = comp_arr
+    let flat = arr
         .iter()
         .map(|x| {
             x.as_u64()
-                .ok_or_else(|| "non-integer value in comp".to_string())
+                .ok_or_else(|| "non-integer value in stats".to_string())
         })
         .collect::<Result<Vec<u64>, String>>()?;
-    Ok((key, (enc, dec, comp)))
+    Ok((key, UnitStats::from_flat(&flat, nc)))
 }
 
 fn quarantine_value(q: &QuarantineEntry) -> Value {
@@ -1567,6 +1565,69 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Rewrite a journal's meta line as an older format version wrote it.
+    fn downgrade_journal(path: &std::path::Path, version: u64) {
+        let text = std::fs::read_to_string(path).unwrap();
+        let (meta, rest) = text.split_once('\n').unwrap();
+        let mut meta = Value::parse(meta).unwrap();
+        meta["journal_version"] = Value::from(version);
+        std::fs::write(path, format!("{}\n{rest}", meta.dump())).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_v3_journal() {
+        let sc = tiny_config();
+        let path = temp_journal("v3");
+        let opts = CampaignOptions {
+            journal: Some(path.clone()),
+            ..Default::default()
+        };
+        run_campaign_with(&sc, &opts).unwrap();
+        downgrade_journal(&path, 3);
+        let err = match run_campaign_with(
+            &sc,
+            &CampaignOptions {
+                resume: true,
+                ..opts
+            },
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("a v3 journal must not resume"),
+        };
+        assert!(err.contains("journal format v3"), "{err}");
+        assert!(err.contains("re-run the campaign"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The opt levels only decide pricing: a journal written at `[O3]`
+    /// resumes at `[O1, O3]` without executing a unit, and the result is
+    /// the fresh `[O1, O3]` campaign's, bit for bit.
+    #[test]
+    fn resume_under_other_opt_levels_only_reprices() {
+        let sc = tiny_config();
+        let path = temp_journal("reprice");
+        let opts = CampaignOptions {
+            journal: Some(path.clone()),
+            ..Default::default()
+        };
+        run_campaign_with(&sc, &opts).unwrap();
+        let mut both = sc.clone();
+        both.opt_levels = vec![OptLevel::O1, OptLevel::O3];
+        let repriced = run_campaign_with(
+            &both,
+            &CampaignOptions {
+                resume: true,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert_eq!(repriced.executed_units, 0);
+        assert_eq!(repriced.resumed_units, 2 * sc.space.components.len());
+        assert_eq!(repriced.measurements.configs.len(), 22);
+        assert_bitwise_equal(&run_campaign(&both), &repriced.measurements);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn resume_rejects_wrong_shard_identity() {
         let sc = tiny_config();
@@ -1834,9 +1895,8 @@ mod tests {
         .unwrap();
         let jm = journal::load(&path_m).unwrap();
         let jn = journal::load(&path_n).unwrap();
-        // Meta records differ only in the informational sweep label.
-        assert_ne!(jm.meta, jn.meta);
-        assert_eq!(strip_informational(&jm.meta), strip_informational(&jn.meta));
+        // The sweep mode is not recorded: the meta records are equal.
+        assert_eq!(jm.meta, jn.meta);
         // Unit records are identical modulo timing. Journal order is
         // completion order (nondeterministic under the pool), so compare
         // keyed by (file_index, s1_index).

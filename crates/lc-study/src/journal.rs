@@ -2,18 +2,22 @@
 //!
 //! The journal is a JSON-lines file. The first line is a `meta` record
 //! fingerprinting the campaign configuration; every subsequent line is
-//! either a completed work unit (`unit`, carrying the unit's full
-//! numeric results) or a `quarantine` record for a work unit that
-//! panicked or overran its deadline.
+//! either a completed work unit (`unit`, carrying the unit's kernel
+//! statistics — the cost model's complete input) or a `quarantine`
+//! record for a work unit that panicked or overran its deadline.
 //!
 //! Two properties make resume byte-identical to an uninterrupted run:
 //!
-//! * numbers are serialized with Rust's shortest-round-trip float
-//!   formatting (see `lc_json`), so a value read back from the journal
-//!   is bit-identical to the one that was computed;
-//! * the campaign accumulates unit rows in a fixed sequential order
+//! * a unit record holds only integers (kernel counters and output byte
+//!   counts), so what is read back is exactly what was measured;
+//! * the campaign prices every unit through one function with a fixed
+//!   f64 operation order and accumulates in a fixed sequential order,
 //!   regardless of which units came from the journal and which were
-//!   recomputed.
+//!   executed.
+//!
+//! Because the journal holds no priced numbers, it is independent of the
+//! platforms being priced: resuming a complete journal under other opt
+//! levels executes nothing and only re-prices.
 //!
 //! A process killed mid-write leaves at most one torn final line;
 //! [`load`] tolerates exactly that (the unit is simply re-run on resume)
@@ -38,13 +42,14 @@ use lc_json::Value;
 
 /// Journal format version, bumped on any incompatible record change.
 /// Version 2 added per-unit timing (`elapsed_ms`, `stage_ms`) to `unit`
-/// and `quarantine` records; v1 journals are refused on resume via the
-/// meta fingerprint, so their timing-less quarantine records are never
-/// parsed. Version 3 added the `dataset` digest list (and, for shard
-/// journals, the `shard` identity) to the meta fingerprint: a v2
-/// journal carries no proof of which input bytes its rows measured, so
-/// it is refused rather than trusted across the upgrade.
-pub const JOURNAL_VERSION: u64 = 3;
+/// and `quarantine` records. Version 3 added the `dataset` digest list
+/// (and, for shard journals, the `shard` identity) to the meta
+/// fingerprint. Version 4 replaced the priced `enc`/`dec`/`comp` rows
+/// of a unit record with its `stats` table of kernel counters, dropped
+/// the opt levels, platform count and informational `sweep` field from
+/// the meta, and records `prune` + `class_map` for every tier. [`load`]
+/// refuses any other version.
+pub const JOURNAL_VERSION: u64 = 4;
 
 /// Serializer half: appends one complete line per record via a single
 /// crash-consistent `write_all`.
@@ -151,13 +156,6 @@ pub struct LoadedJournal {
     pub torn_bytes: u64,
 }
 
-/// Load and validate a journal file.
-///
-/// A torn (unparseable or record-less) **final** line is tolerated — it
-/// is the expected artifact of a kill mid-append — and simply dropped.
-/// Malformed content anywhere else is an error: it means the file is not
-/// a journal or was corrupted, and resuming from it would silently lose
-/// work units.
 /// True when the file at `path` contains no complete record at all —
 /// it is empty, all blank lines, or a single torn line from a crash
 /// during the very first append. Such a journal carries nothing to
@@ -172,6 +170,15 @@ pub fn effectively_empty(path: &Path) -> Result<bool, String> {
         .any(|l| !l.trim().is_empty() && Value::parse(l).is_ok_and(|v| v.get("kind").is_some())))
 }
 
+/// Load and validate a journal file.
+///
+/// A torn (unparseable or record-less) **final** line is tolerated — it
+/// is the expected artifact of a kill mid-append — and simply dropped.
+/// Malformed content anywhere else is an error: it means the file is not
+/// a journal or was corrupted, and resuming from it would silently lose
+/// work units. So is a meta record of any version but
+/// [`JOURNAL_VERSION`]: resume, merge and `lc shards` all read through
+/// here and refuse it with the same message.
 pub fn load(path: &Path) -> Result<LoadedJournal, String> {
     let file =
         File::open(path).map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
@@ -225,6 +232,17 @@ pub fn load(path: &Path) -> Result<LoadedJournal, String> {
             ));
         }
     };
+    match meta.get("journal_version").and_then(Value::as_u64) {
+        Some(JOURNAL_VERSION) => {}
+        v => {
+            return Err(format!(
+                "journal {} was written by journal format v{}, which stores priced rows, \
+                 not kernel statistics; re-run the campaign",
+                path.display(),
+                v.map_or_else(|| "?".to_string(), |v| v.to_string())
+            ));
+        }
+    }
     let mut units = Vec::new();
     let mut quarantined = Vec::new();
     for v in it {
@@ -277,8 +295,8 @@ mod tests {
             ("kind", Value::from("unit")),
             ("s1_index", Value::from(3u64)),
             (
-                "enc",
-                Value::array([Value::from(1.5f64), Value::from(-0.25f64)]),
+                "stats",
+                Value::array([Value::from(15u64), Value::from(0u64)]),
             ),
         ]))
         .unwrap();
@@ -292,7 +310,7 @@ mod tests {
         assert_eq!(j.meta.get("kind").and_then(Value::as_str), Some("meta"));
         assert_eq!(j.units.len(), 1);
         assert_eq!(j.quarantined.len(), 1);
-        assert_eq!(j.units[0]["enc"][0].as_f64(), Some(1.5));
+        assert_eq!(j.units[0]["stats"][0].as_u64(), Some(15));
         std::fs::remove_file(&path).ok();
     }
 

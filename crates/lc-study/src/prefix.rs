@@ -4,8 +4,8 @@
 //! A work unit owns the contiguous pipeline range `(s1, *, *)`: every
 //! pipeline in it shares the stage-1 output, and every `(s1, s2, *)`
 //! row shares the stage-2 output. The campaign exploits that by keying
-//! intermediate [`StageOutcome`]s (plus their precomputed per-platform
-//! stage times) on the pipeline *prefix*:
+//! intermediate [`StageOutcome`]s (output chunks plus kernel statistics)
+//! on the pipeline *prefix*:
 //!
 //! * **level 1** — the `(s1)` prefix: one entry, computed on first use
 //!   and pinned for the unit's lifetime;
@@ -65,14 +65,6 @@ impl Default for SweepMode {
 }
 
 impl SweepMode {
-    /// Stable journal/report label for the mode.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SweepMode::Memoized { .. } => "memoized",
-            SweepMode::Naive => "naive",
-        }
-    }
-
     /// Per-unit level-2 byte budget, splitting the campaign-wide cap
     /// evenly across `workers` concurrently-running units. `None` in
     /// naive mode.
@@ -231,26 +223,10 @@ impl CacheReport {
     }
 }
 
-/// A memoized pipeline prefix: the stage's transformed data plus the
-/// per-platform (encode, decode) stage times derived from its kernel
-/// statistics — everything downstream pipelines need, so a hit skips
-/// both the stage execution and the platform-time recomputation.
-#[derive(Debug, Clone)]
-pub struct PrefixEntry {
-    /// The stage execution result (output chunks + kernel stats).
-    pub outcome: StageOutcome,
-    /// Per-platform `(encode, decode)` stage times, config-indexed.
-    pub times: Vec<(f64, f64)>,
-}
-
-impl PrefixEntry {
-    /// Approximate resident size: chunk payloads dominate; per-chunk Vec
-    /// headers and the times table are accounted as flat overhead.
-    fn bytes(&self) -> u64 {
-        self.outcome.output.total_bytes()
-            + self.outcome.output.chunk_count() as u64 * 24
-            + self.times.len() as u64 * 16
-    }
+/// Approximate resident size of a cached stage outcome: chunk payloads
+/// dominate; per-chunk Vec headers are accounted as flat overhead.
+fn entry_bytes(outcome: &StageOutcome) -> u64 {
+    outcome.output.total_bytes() + outcome.output.chunk_count() as u64 * 24
 }
 
 /// The prefix cache of one work unit. Owned by a single worker; cross-
@@ -261,9 +237,9 @@ pub struct UnitPrefixCache<'s> {
     /// Level-2 byte cap; `None` retains nothing (naive sweep), so every
     /// lookup is a miss that recomputes.
     cap_bytes: Option<u64>,
-    level1: Option<Arc<PrefixEntry>>,
+    level1: Option<Arc<StageOutcome>>,
     /// `s2 index -> (entry, last-use tick)`.
-    level2: HashMap<usize, (Arc<PrefixEntry>, u64)>,
+    level2: HashMap<usize, (Arc<StageOutcome>, u64)>,
     level2_resident: u64,
     level1_resident: u64,
     tick: u64,
@@ -305,8 +281,8 @@ impl<'s> UnitPrefixCache<'s> {
     /// the hit/miss telemetry meaningful.
     pub fn level1<E>(
         &mut self,
-        compute: impl FnOnce() -> Result<PrefixEntry, E>,
-    ) -> Result<Arc<PrefixEntry>, E> {
+        compute: impl FnOnce() -> Result<StageOutcome, E>,
+    ) -> Result<Arc<StageOutcome>, E> {
         self.stats.lookup(1);
         if let Some(e) = &self.level1 {
             self.stats.hit(1);
@@ -317,7 +293,7 @@ impl<'s> UnitPrefixCache<'s> {
         if self.cap_bytes.is_none() {
             return Ok(entry);
         }
-        self.level1_resident = entry.bytes();
+        self.level1_resident = entry_bytes(&entry);
         self.stats.resident_add(self.level1_resident);
         self.level1 = Some(Arc::clone(&entry));
         Ok(entry)
@@ -329,8 +305,8 @@ impl<'s> UnitPrefixCache<'s> {
     pub fn level2<E>(
         &mut self,
         key: usize,
-        compute: impl FnOnce() -> Result<PrefixEntry, E>,
-    ) -> Result<Arc<PrefixEntry>, E> {
+        compute: impl FnOnce() -> Result<StageOutcome, E>,
+    ) -> Result<Arc<StageOutcome>, E> {
         self.stats.lookup(1);
         self.tick += 1;
         if let Some((e, last)) = self.level2.get_mut(&key) {
@@ -343,7 +319,7 @@ impl<'s> UnitPrefixCache<'s> {
         let Some(cap_bytes) = self.cap_bytes else {
             return Ok(entry);
         };
-        let bytes = entry.bytes();
+        let bytes = entry_bytes(&entry);
         // Admission control: under memory pressure (global residency
         // would cross the budget's shed limit) or a chaos allocation
         // denial, hand the entry to the caller without caching it. The
@@ -371,7 +347,7 @@ impl<'s> UnitPrefixCache<'s> {
                 .map(|(k, _)| *k)
                 .expect("len > 1 guarantees a peer"); // invariant: len > 1 checked above
             let (victim, _) = self.level2.remove(&lru).expect("lru key present"); // invariant: key chosen from this map
-            let freed = victim.bytes();
+            let freed = entry_bytes(&victim);
             self.level2_resident -= freed;
             self.stats.resident_sub(freed);
             self.stats.evict(1);
@@ -400,18 +376,15 @@ mod tests {
     use crate::runner::ChunkedData;
     use lc_core::KernelStats;
 
-    fn entry(payload_bytes: usize) -> PrefixEntry {
-        PrefixEntry {
-            outcome: StageOutcome {
-                output: ChunkedData {
-                    chunks: vec![vec![0u8; payload_bytes]],
-                },
-                enc: KernelStats::new(),
-                dec: KernelStats::new(),
-                applied: 1,
-                skipped: 0,
+    fn entry(payload_bytes: usize) -> StageOutcome {
+        StageOutcome {
+            output: ChunkedData {
+                chunks: vec![vec![0u8; payload_bytes]],
             },
-            times: vec![(1.0, 2.0)],
+            enc: KernelStats::new(),
+            dec: KernelStats::new(),
+            applied: 1,
+            skipped: 0,
         }
     }
 
@@ -427,7 +400,7 @@ mod tests {
                     Ok(entry(100))
                 })
                 .unwrap();
-            assert_eq!(e.outcome.output.total_bytes(), 100);
+            assert_eq!(e.output.total_bytes(), 100);
         }
         assert_eq!(computed, 1);
         let r = stats.report();
@@ -492,7 +465,7 @@ mod tests {
             .level2(7, || -> Result<_, ()> { Ok(entry(4096)) })
             .unwrap();
         assert_eq!(cache.level2_len(), 1, "the sole entry is never evicted");
-        assert_eq!(e.outcome.output.total_bytes(), 4096);
+        assert_eq!(e.output.total_bytes(), 4096);
     }
 
     #[test]
@@ -515,8 +488,8 @@ mod tests {
     #[test]
     fn shed_limit_refuses_admission_under_pressure() {
         let stats = CacheStats::default();
-        // entry(500).bytes() is 540; the limit admits one entry and
-        // sheds the second (540 + 540 > 1000).
+        // entry(500) accounts 524 bytes; the limit admits one entry and
+        // sheds the second (524 + 524 > 1000).
         let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats).with_shed_limit(Some(1000));
         cache
             .level2(0, || -> Result<_, ()> { Ok(entry(500)) })
@@ -526,7 +499,7 @@ mod tests {
             .level2(1, || -> Result<_, ()> { Ok(entry(500)) })
             .unwrap();
         assert_eq!(
-            e.outcome.output.total_bytes(),
+            e.output.total_bytes(),
             500,
             "a shed entry is still handed to the caller"
         );
@@ -558,9 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_mode_labels_and_caps() {
-        assert_eq!(SweepMode::default().label(), "memoized");
-        assert_eq!(SweepMode::Naive.label(), "naive");
+    fn sweep_mode_caps() {
         assert_eq!(SweepMode::Naive.per_unit_cap_bytes(8), None);
         assert_eq!(
             SweepMode::Memoized { cache_mb: 64 }.per_unit_cap_bytes(4),
@@ -598,7 +569,7 @@ mod tests {
     fn errors_propagate_without_caching() {
         let stats = CacheStats::default();
         let mut cache = UnitPrefixCache::new(Some(u64::MAX), &stats);
-        let r = cache.level1(|| -> Result<PrefixEntry, &str> { Err("boom") });
+        let r = cache.level1(|| -> Result<StageOutcome, &str> { Err("boom") });
         assert_eq!(r.err(), Some("boom"));
         // The failed compute must not have pinned anything: the next
         // call is a miss again.

@@ -33,8 +33,8 @@
 //! * [`PruneMode::Off`] measures every pipeline (paper-faithful).
 //!
 //! The table's [fingerprint] is journaled with the tier (`prune` and
-//! `class_map` meta fields) for every tier but `off`, and resume refuses a
-//! journal whose tier or fingerprint differs.
+//! `class_map` meta fields) for every tier, `off` included, and resume
+//! refuses a journal whose tier or fingerprint differs.
 //!
 //! [certificate]: lc_analyze::absint::Certificate
 //! [fingerprint]: lc_analyze::absint::prune_fingerprint

@@ -35,9 +35,9 @@
 //! fingerprint. [`merge_shards`] fuses a complete shard set into one
 //! `journal.jsonl` with the `shard` field removed and units sorted in
 //! the campaign's canonical `(file_index, s1_index)` order; resuming
-//! from the merged journal then recomputes nothing and — because the
-//! journal stores exact shortest-round-trip float bits and the campaign
-//! accumulates in a fixed sequential order — produces a `run.json`
+//! from the merged journal then executes nothing and — because the
+//! journal stores integer kernel statistics and the campaign prices and
+//! accumulates them in a fixed order — produces a `run.json`
 //! byte-identical to the single-process sweep.
 //!
 //! The merge *refuses* (structured error, nothing written) any set of
@@ -53,7 +53,6 @@ use std::path::{Path, PathBuf};
 use lc_chaos::fs::{atomic_write, SyncPolicy};
 use lc_json::Value;
 
-use crate::campaign::strip_informational;
 use crate::journal;
 
 /// Upper bound on shard count: far above any plausible host fan-out,
@@ -210,18 +209,18 @@ fn parse_journal_name(name: &str) -> Option<ShardSpec> {
     (spec.journal_file() == name).then_some(spec)
 }
 
-/// Meta comparison for merging: the shard field is *expected* to differ
-/// between shard journals, everything else fingerprint-relevant must
-/// match.
+/// The meta without its shard field: what shard journals must agree on,
+/// and exactly the single-process meta line the merge writes.
 fn strip_shard(meta: &Value) -> Value {
-    match strip_informational(meta) {
+    match meta {
         Value::Object(fields) => Value::Object(
             fields
-                .into_iter()
+                .iter()
                 .filter(|(k, _)| k.as_str() != "shard")
+                .cloned()
                 .collect(),
         ),
-        other => other,
+        other => other.clone(),
     }
 }
 
@@ -295,17 +294,16 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
             ("prune", "prune mode"),
             ("class_map", "class-map fingerprint"),
         ] {
-            let a = meta_str(&ref_j.meta, field);
-            let b = meta_str(&j.meta, field);
+            let (a, b) = (&ref_j.meta[field], &j.meta[field]);
             if a != b {
                 return Err(format!(
                     "shard {} and shard {} were run under different {what} \
-                     ({:?} vs {:?}); their unit rows are not comparable — \
+                     ({} vs {}); their unit records are not comparable — \
                      re-run the shards under one mode",
                     ref_spec.label(),
                     spec.label(),
-                    a.unwrap_or("off"),
-                    b.unwrap_or("off"),
+                    a.dump(),
+                    b.dump(),
                 ));
             }
         }
@@ -324,8 +322,8 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
         if strip_shard(&ref_j.meta) != strip_shard(&j.meta) {
             return Err(format!(
                 "shard {} and shard {} have incompatible campaign fingerprints \
-                 (journal version, space, files, opt levels, scale, verify, or \
-                 configs differ); merge refuses mixed campaigns",
+                 (space, files, scale, or verify flag differ); merge refuses \
+                 mixed campaigns",
                 ref_spec.label(),
                 spec.label(),
             ));
@@ -375,7 +373,7 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
     // The merged journal is byte-for-byte what the single-process
     // campaign's writer emits: one dumped record per line.
     let mut buf = String::new();
-    buf.push_str(&strip_shard_keep_informational(&ref_j.meta).dump());
+    buf.push_str(&strip_shard(&ref_j.meta).dump());
     buf.push('\n');
     for (_, v) in &units {
         buf.push_str(&v.dump());
@@ -394,21 +392,6 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
         quarantined: quarantined.len(),
         torn_bytes,
     })
-}
-
-/// Remove only the `shard` field, keeping informational fields (sweep)
-/// so the merged meta is exactly a single-process meta line.
-fn strip_shard_keep_informational(meta: &Value) -> Value {
-    match meta {
-        Value::Object(fields) => Value::Object(
-            fields
-                .iter()
-                .filter(|(k, _)| k.as_str() != "shard")
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
-    }
 }
 
 fn record_key(v: &Value) -> Option<(usize, usize)> {

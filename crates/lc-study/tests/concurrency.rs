@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lc_core::KernelStats;
 use lc_parallel::Pool;
-use lc_study::prefix::{PrefixEntry, UnitPrefixCache};
+use lc_study::prefix::UnitPrefixCache;
 use lc_study::runner::{ChunkedData, StageOutcome};
 use lc_study::CacheStats;
 
@@ -58,18 +58,15 @@ impl Rng {
     }
 }
 
-fn entry(payload_bytes: usize) -> PrefixEntry {
-    PrefixEntry {
-        outcome: StageOutcome {
-            output: ChunkedData {
-                chunks: vec![vec![0u8; payload_bytes]],
-            },
-            enc: KernelStats::new(),
-            dec: KernelStats::new(),
-            applied: 1,
-            skipped: 0,
+fn entry(payload_bytes: usize) -> StageOutcome {
+    StageOutcome {
+        output: ChunkedData {
+            chunks: vec![vec![0u8; payload_bytes]],
         },
-        times: vec![(1.0, 2.0)],
+        enc: KernelStats::new(),
+        dec: KernelStats::new(),
+        applied: 1,
+        skipped: 0,
     }
 }
 

@@ -3,12 +3,14 @@
 //! Library-level: the round-robin partition is a true partition (union
 //! of N shards == the full unit space, pairwise disjoint) and is stable
 //! under every `--prune` mode; the merge refusal matrix rejects
-//! incomplete, mixed-campaign, renamed, and cross-dataset shard sets.
+//! incomplete, mixed-campaign, renamed, cross-dataset, and old-format
+//! shard sets.
 //!
 //! Binary-level: `reproduce --shard K/N` for every K followed by
 //! `reproduce --merge` produces a `run.json` byte-identical to the
-//! single-process sweep; per-shard locks neither false-conflict across
-//! shards nor lose stale-lock reclaim.
+//! single-process sweep; `--resume` with another `--figure` selection
+//! re-prices without executing; per-shard locks neither false-conflict
+//! across shards nor lose stale-lock reclaim.
 #![cfg(target_os = "linux")]
 
 use std::collections::BTreeSet;
@@ -202,26 +204,90 @@ fn merge_refusal_matrix() {
     }
 }
 
+/// A shard set written by journal format v3 is refused at merge time
+/// with the version message, not merged and left to fail at resume.
+#[test]
+fn merge_refuses_a_v3_shard_set() {
+    let sc = tiny_config();
+    let dir = scratch_dir("refuse-v3");
+    for index in 0..2 {
+        let spec = ShardSpec { index, count: 2 };
+        run_shard(&sc, &dir, spec, PruneMode::Exact);
+        let path = dir.join(spec.journal_file());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (meta, rest) = text.split_once('\n').unwrap();
+        let mut meta = lc_json::Value::parse(meta).unwrap();
+        meta["journal_version"] = lc_json::Value::from(3u64);
+        std::fs::write(&path, format!("{}\n{rest}", meta.dump())).unwrap();
+    }
+    let err = shard::merge_shards(&dir, &dir.join("journal.jsonl")).expect_err("merge must refuse");
+    assert!(err.contains("journal format v3"), "{err}");
+    assert!(!dir.join("journal.jsonl").exists(), "nothing written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- binary-level ----
+
+/// The campaign every binary-level test runs (plus `--out`).
+const CAMPAIGN: [&str; 8] = [
+    "--families",
+    "DIFF,RZE",
+    "--files",
+    "msg_bt",
+    "--scale",
+    "64",
+    "--threads",
+    "2",
+];
 
 fn reproduce(out: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
-    cmd.args([
-        "--families",
-        "DIFF,RZE",
-        "--files",
-        "msg_bt",
-        "--scale",
-        "64",
-        "--threads",
-        "2",
-        "--quiet",
-        "--out",
-    ])
-    .arg(out)
-    .stdout(Stdio::null())
-    .stderr(Stdio::piped());
+    cmd.args(CAMPAIGN)
+        .arg("--quiet")
+        .arg("--out")
+        .arg(out)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
     cmd
+}
+
+/// Switching `--figure` on `--resume` re-prices the finished journal:
+/// the `--figure 2` campaign swept only -O3 platforms, the resumed
+/// `--figure 14` run prices -O1 as well without executing a unit, and
+/// its `run.json` is the fresh `--figure 14` run's.
+#[test]
+fn resume_with_other_figures_reprices_without_executing() {
+    let fresh = scratch_dir("reprice-fresh");
+    let status = reproduce(&fresh)
+        .args(["--figure", "14"])
+        .status()
+        .expect("fresh run");
+    assert!(status.success(), "fresh --figure 14 run failed: {status:?}");
+
+    let dir = scratch_dir("reprice");
+    let status = reproduce(&dir)
+        .args(["--figure", "2"])
+        .status()
+        .expect("--figure 2 run");
+    assert!(status.success(), "--figure 2 run failed: {status:?}");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(CAMPAIGN)
+        .arg("--out")
+        .arg(&dir)
+        .args(["--resume", "--figure", "14"])
+        .stdout(Stdio::null())
+        .output()
+        .expect("resume run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume failed: {stderr}");
+    assert!(stderr.contains("(0 units executed,"), "{stderr}");
+    assert_eq!(
+        std::fs::read(dir.join("run.json")).expect("re-priced run.json"),
+        std::fs::read(fresh.join("run.json")).expect("fresh run.json"),
+        "re-priced run.json differs from a fresh --figure 14 run"
+    );
+    let _ = std::fs::remove_dir_all(&fresh);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
