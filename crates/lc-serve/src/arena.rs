@@ -16,7 +16,16 @@
 //! deadline table-test asserts exactly that.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use lc_telemetry::Gauge;
+
+/// `serve.mem_resident_bytes`, resolved once per process: every lease
+/// sets it, so the request path never takes the registry's lock.
+fn resident_gauge() -> &'static Gauge {
+    static G: OnceLock<&'static Gauge> = OnceLock::new();
+    G.get_or_init(|| lc_telemetry::gauge("serve.mem_resident_bytes"))
+}
 
 /// Shared request-memory budget and residency accounting.
 #[derive(Debug)]
@@ -70,7 +79,7 @@ impl MemGovernor {
                 Err(actual) => cur = actual,
             }
         }
-        lc_telemetry::gauge("serve.mem_resident_bytes").set(self.resident_bytes());
+        resident_gauge().set(self.resident_bytes());
         Some(MemLease {
             gov: Arc::clone(self),
             bytes,
@@ -116,7 +125,7 @@ impl MemLease {
             }
         }
         self.bytes += extra;
-        lc_telemetry::gauge("serve.mem_resident_bytes").set(self.gov.resident_bytes());
+        resident_gauge().set(self.gov.resident_bytes());
         true
     }
 }
@@ -124,7 +133,7 @@ impl MemLease {
 impl Drop for MemLease {
     fn drop(&mut self) {
         self.gov.resident.fetch_sub(self.bytes, Ordering::Relaxed);
-        lc_telemetry::gauge("serve.mem_resident_bytes").set(self.gov.resident_bytes());
+        resident_gauge().set(self.gov.resident_bytes());
     }
 }
 

@@ -234,6 +234,7 @@ pub fn run(cfg: &LoadgenConfig) -> LoadgenReport {
     let errs = AtomicU64::new(0);
     let deadline_exceeded = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
+    let latency_us = lc_telemetry::histogram("loadgen.latency_us");
 
     let start = Instant::now();
     let mut sent: u64 = 0;
@@ -259,8 +260,7 @@ pub fn run(cfg: &LoadgenConfig) -> LoadgenReport {
                             failed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    lc_telemetry::histogram("loadgen.latency_us")
-                        .record(job.scheduled.elapsed().as_micros() as u64);
+                    latency_us.record(job.scheduled.elapsed().as_micros() as u64);
                 }
             });
         }
@@ -285,7 +285,6 @@ pub fn run(cfg: &LoadgenConfig) -> LoadgenReport {
     });
 
     let wall = start.elapsed();
-    let hist = lc_telemetry::histogram("loadgen.latency_us");
     LoadgenReport {
         sent,
         ok: ok.load(Ordering::Relaxed),
@@ -294,9 +293,9 @@ pub fn run(cfg: &LoadgenConfig) -> LoadgenReport {
         failed: failed.load(Ordering::Relaxed),
         wall_ms: wall.as_millis() as u64,
         reqs_per_sec: sent as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: hist.percentile(0.50),
-        p90_us: hist.percentile(0.90),
-        p99_us: hist.percentile(0.99),
+        p50_us: latency_us.percentile(0.50),
+        p90_us: latency_us.percentile(0.90),
+        p99_us: latency_us.percentile(0.99),
     }
 }
 

@@ -41,14 +41,47 @@
 //! full are shed *before* any request frame is read; they are accounted
 //! separately as `sheds_accept` (the client still receives a shed frame
 //! with a `retry_after` hint when the wire allows it).
+//!
+//! # Connection lifecycle
+//!
+//! ```text
+//!   accept ──▶ accept queue ──▶ worker: idle ──first byte──▶ read frame
+//!   (blocks;     (bounded;        ▲   │ peek, IDLE_POLL         │
+//!   drain wakes   full = shed)    │   │                         ▼
+//!   it with a                     │   │                  execute, respond
+//!   loopback                      │   ▼                         │
+//!   connect)                      │  close: client closed,      │
+//!                                 │  drain, or yield            │
+//!                                 └──────── keep ◀──────────────┘
+//! ```
+//!
+//! The acceptor blocks in `accept`; a watcher thread connects to the
+//! listener once the drain token fires, which returns the acceptor to
+//! its drain check. A connection stays with one worker for as many
+//! frames as the client sends. After writing a response, and whenever
+//! an idle wait of [`IDLE_POLL`] passes with no frame, the worker checks
+//! two things. It closes the connection if the server is draining, or
+//! if another connection is waiting in the accept queue (the *yield*
+//! rule, counted as `serve.conn_yield`). The freed worker serves the
+//! waiting connection next. So clients beyond `worker_threads` are never
+//! starved; under oversubscription each connection carries about one
+//! request, as if the client had connected per request. A worker only
+//! closes between frames, so a yield never cuts a request: a frame that
+//! was on its way is never read, never counted, and the client resends
+//! it on a new connection.
+//!
+//! Server-side timing per request: `serve.time_in_queue_us` (accept to
+//! worker, once per connection), `serve.read_us` (first byte to frame
+//! read), `serve.execute_us` and `serve.write_us`.
 
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use lc_parallel::{CancelToken, Pool};
+use lc_telemetry::{Counter, Gauge, Histogram};
 
 use crate::arena::MemGovernor;
 use crate::exec::{execute, request_token, ExecContext, SHED_RETRY_AFTER_MS};
@@ -192,6 +225,47 @@ impl Counters {
 /// in-process test servers unambiguous.
 static NEXT_REQ: AtomicU64 = AtomicU64::new(1);
 
+/// The server's metric handles, resolved once per process so the
+/// request path never takes the telemetry registry's lock.
+struct ServeMetrics {
+    queue_depth: &'static Gauge,
+    time_in_queue_us: &'static Histogram,
+    read_us: &'static Histogram,
+    execute_us: &'static Histogram,
+    write_us: &'static Histogram,
+    requests: &'static Counter,
+    resp_ok: &'static Counter,
+    resp_err: &'static Counter,
+    resp_shed: &'static Counter,
+    resp_write_failed: &'static Counter,
+    shed_queue: &'static Counter,
+    conn_yield: &'static Counter,
+}
+
+impl ServeMetrics {
+    fn get() -> &'static ServeMetrics {
+        static METRICS: OnceLock<ServeMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| ServeMetrics {
+            queue_depth: lc_telemetry::gauge("serve.queue_depth"),
+            time_in_queue_us: lc_telemetry::histogram("serve.time_in_queue_us"),
+            read_us: lc_telemetry::histogram("serve.read_us"),
+            execute_us: lc_telemetry::histogram("serve.execute_us"),
+            write_us: lc_telemetry::histogram("serve.write_us"),
+            requests: lc_telemetry::counter("serve.requests"),
+            resp_ok: lc_telemetry::counter("serve.resp_ok"),
+            resp_err: lc_telemetry::counter("serve.resp_err"),
+            resp_shed: lc_telemetry::counter("serve.resp_shed"),
+            resp_write_failed: lc_telemetry::counter("serve.resp_write_failed"),
+            shed_queue: lc_telemetry::counter("serve.shed_queue"),
+            conn_yield: lc_telemetry::counter("serve.conn_yield"),
+        })
+    }
+}
+
+fn micros_since(t: Instant) -> u64 {
+    t.elapsed().as_micros() as u64
+}
+
 /// One accepted connection waiting for a worker.
 struct QueuedConn {
     stream: TcpStream,
@@ -209,6 +283,7 @@ struct AcceptQueue {
     state: Mutex<QueueState>,
     cond: Condvar,
     capacity: usize,
+    depth: &'static Gauge,
 }
 
 enum Pop {
@@ -218,7 +293,7 @@ enum Pop {
 }
 
 impl AcceptQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, depth: &'static Gauge) -> Self {
         Self {
             state: Mutex::new(QueueState {
                 conns: std::collections::VecDeque::new(),
@@ -226,6 +301,7 @@ impl AcceptQueue {
             }),
             cond: Condvar::new(),
             capacity: capacity.max(1),
+            depth,
         }
     }
 
@@ -241,10 +317,15 @@ impl AcceptQueue {
             return Err(conn);
         }
         st.conns.push_back(conn);
-        lc_telemetry::gauge("serve.queue_depth").set(st.conns.len() as u64);
+        self.depth.set(st.conns.len() as u64);
         drop(st);
         self.cond.notify_one();
         Ok(())
+    }
+
+    /// Whether a connection is waiting for a worker.
+    fn has_waiting(&self) -> bool {
+        !self.lock().conns.is_empty()
     }
 
     /// Stop admitting; wake every worker so it can drain and exit.
@@ -264,7 +345,7 @@ impl AcceptQueue {
         }
         match st.conns.pop_front() {
             Some(conn) => {
-                lc_telemetry::gauge("serve.queue_depth").set(st.conns.len() as u64);
+                self.depth.set(st.conns.len() as u64);
                 Pop::Conn(conn)
             }
             None if st.closed => Pop::Closed,
@@ -277,6 +358,8 @@ impl AcceptQueue {
 /// callers learn the ephemeral port and clone control tokens first.
 pub struct Server {
     listener: TcpListener,
+    /// Where the drain watcher connects to wake a blocked `accept`.
+    wake_addr: SocketAddr,
     cfg: ServeConfig,
     drain: CancelToken,
     hard: CancelToken,
@@ -291,10 +374,18 @@ impl Server {
     /// RUNNING to DRAINING.
     pub fn bind(cfg: ServeConfig, drain: CancelToken) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        // A wildcard bind is reached through loopback.
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let mem = MemGovernor::new(cfg.mem_budget_bytes);
         Ok(Server {
             listener,
+            wake_addr,
             cfg,
             drain,
             hard: CancelToken::new(),
@@ -324,9 +415,20 @@ impl Server {
             max_decoded_bytes: self.cfg.max_decoded_bytes,
             mem: Arc::clone(&self.mem),
         };
+        let metrics = ServeMetrics::get();
         let counters = Counters::default();
-        let queue = AcceptQueue::new(self.cfg.queue_capacity);
+        let queue = AcceptQueue::new(self.cfg.queue_capacity, metrics.queue_depth);
+        let worker = Worker {
+            exec: &exec,
+            counters: &counters,
+            metrics,
+            queue: &queue,
+            cfg: &self.cfg,
+            drain: &self.drain,
+            hard: &self.hard,
+        };
         let workers_done = AtomicUsize::new(0);
+        let accepting = AtomicBool::new(true);
         let signal_base = lc_parallel::signal_count();
 
         std::thread::scope(|scope| {
@@ -334,20 +436,7 @@ impl Server {
                 scope.spawn(|| {
                     loop {
                         match queue.pop(Duration::from_millis(50)) {
-                            Pop::Conn(qc) => {
-                                let queue_us = qc.enqueued.elapsed().as_micros() as u64;
-                                lc_telemetry::histogram("serve.time_in_queue_us").record(queue_us);
-                                handle_conn(
-                                    qc.stream,
-                                    qc.tag,
-                                    queue_us,
-                                    &exec,
-                                    &counters,
-                                    &self.cfg,
-                                    &self.drain,
-                                    &self.hard,
-                                );
-                            }
+                            Pop::Conn(qc) => worker.serve(qc),
                             Pop::Empty => {}
                             Pop::Closed => break,
                         }
@@ -355,11 +444,16 @@ impl Server {
                     workers_done.fetch_add(1, Ordering::Release);
                 });
             }
+            scope.spawn(|| wake_on_drain(&self.drain, self.wake_addr, &accepting));
 
-            // RUNNING: the accept loop.
+            // RUNNING: the accept loop. `accept` blocks until a client
+            // connects or the drain watcher wakes it.
             let mut conn_seq: u64 = 0;
             while !self.drain.is_cancelled() {
                 match self.listener.accept() {
+                    // The watcher's wake-up, or a client that lost the
+                    // race with drain: either way, not served.
+                    Ok(_) if self.drain.is_cancelled() => break,
                     Ok((stream, _peer)) => {
                         conn_seq += 1;
                         counters.conns_accepted.fetch_add(1, Ordering::Relaxed);
@@ -372,17 +466,15 @@ impl Server {
                         };
                         if let Err(refused) = queue.try_push(qc) {
                             counters.sheds_accept.fetch_add(1, Ordering::Relaxed);
-                            lc_telemetry::counter("serve.shed_queue").add(1);
+                            metrics.shed_queue.add(1);
                             shed_connection(refused);
                         }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
+            accepting.store(false, Ordering::Release);
 
             // DRAINING: no new work; finish or deadline-out what's in.
             lc_telemetry::flight::note("serve.drain", &[]);
@@ -409,7 +501,7 @@ impl Server {
                         )],
                     );
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(DRAIN_POLL);
             }
         });
 
@@ -452,12 +544,28 @@ impl Server {
     }
 }
 
+/// How often the drain watcher and the DRAINING loop look at the clock
+/// and the tokens.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
+
+/// Once the drain token fires, connect to the listener until the
+/// acceptor has stopped: the connection is what returns its blocking
+/// `accept`. Repeating covers a wake-up the acceptor took before it
+/// could see the token.
+fn wake_on_drain(drain: &CancelToken, wake_addr: SocketAddr, accepting: &AtomicBool) {
+    while accepting.load(Ordering::Acquire) {
+        if drain.is_cancelled() {
+            let _ = TcpStream::connect_timeout(&wake_addr, DRAIN_POLL);
+        }
+        std::thread::sleep(DRAIN_POLL);
+    }
+}
+
 /// Shed a connection at the front door: best-effort shed frame, then
 /// close. The write is bounded so a stalled client cannot wedge the
 /// acceptor.
 fn shed_connection(qc: QueuedConn) {
     let mut stream = qc.stream;
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let _ = proto::write_response(
         &mut stream,
@@ -469,8 +577,11 @@ fn shed_connection(qc: QueuedConn) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// How long an idle connection waits between shutdown checks.
-const IDLE_POLL: Duration = Duration::from_millis(100);
+/// How long an idle connection waits for a frame between checks for
+/// drain and for connections waiting in the accept queue. It bounds how
+/// long a queued connection can wait behind a worker that holds an idle
+/// one.
+pub const IDLE_POLL: Duration = Duration::from_millis(100);
 /// Upper bound on any single blocking read/write once a frame started.
 /// Bounds how long a dead client can wedge a worker past drain.
 const FRAME_IO_TIMEOUT: Duration = Duration::from_secs(5);
@@ -482,169 +593,192 @@ fn io_timed_out(e: &io::Error) -> bool {
     )
 }
 
-/// Serve one connection to completion: a sequence of request frames,
-/// each answered by exactly one response frame.
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    mut stream: TcpStream,
-    conn_tag: u64,
-    queue_us: u64,
-    exec: &ExecContext,
-    counters: &Counters,
-    cfg: &ServeConfig,
-    drain: &CancelToken,
-    hard: &CancelToken,
-) {
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_write_timeout(Some(FRAME_IO_TIMEOUT)).is_err()
-    {
-        counters
-            .conn_transport_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let mut req_seq: u64 = 0;
-    loop {
-        // Idle phase: wait for the next frame's first byte without
-        // committing to a long blocking read, so shutdown is observed
-        // within IDLE_POLL even on silent connections.
-        if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-            counters
-                .conn_transport_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => return, // clean close
-            Ok(_) => {}
-            Err(ref e) if io_timed_out(e) => {
-                if drain.is_cancelled() || hard.is_cancelled() {
-                    return; // no frame in flight; drain closes idle conns
-                }
-                continue;
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                counters
-                    .conn_transport_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-
-        // Frame phase: a request is on the wire; read it fully.
-        if stream.set_read_timeout(Some(FRAME_IO_TIMEOUT)).is_err() {
-            counters
-                .conn_transport_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        req_seq += 1;
-        let tag = conn_tag.wrapping_add(req_seq.wrapping_mul(0x9E37));
-        let req = match proto::read_request(&mut stream, cfg.max_payload_bytes, tag) {
-            Ok(req) => req,
-            Err(FrameError::CleanClose) => return,
-            Err(FrameError::OverLimit { declared, limit }) => {
-                // The head was read but the payload was refused before
-                // allocation: terminate with a structured error, then
-                // close (framing cannot resync past unread payload).
-                counters.requests_in.fetch_add(1, Ordering::Relaxed);
-                respond(
-                    &mut stream,
-                    &Response::Err {
-                        kind: ErrorKind::Limit,
-                        message: format!(
-                            "request declares {declared} bytes, above the {limit}-byte limit"
-                        ),
-                    },
-                    tag,
-                    counters,
-                );
-                return;
-            }
-            Err(FrameError::Malformed(what)) => {
-                counters.requests_in.fetch_add(1, Ordering::Relaxed);
-                respond(
-                    &mut stream,
-                    &Response::Err {
-                        kind: ErrorKind::Usage,
-                        message: format!("malformed frame: {what}"),
-                    },
-                    tag,
-                    counters,
-                );
-                return;
-            }
-            Err(FrameError::Io(_)) => {
-                counters
-                    .conn_transport_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-
-        counters.requests_in.fetch_add(1, Ordering::Relaxed);
-        lc_telemetry::counter("serve.requests").add(1);
-
-        // Request scope: every span and flight record produced while
-        // serving this request — pool workers included — carries this
-        // id, so a trace export reconstructs one request's critical
-        // path (queue wait, each stage, governor verdict, outcome).
-        let req_id = NEXT_REQ.fetch_add(1, Ordering::Relaxed);
-        let _req_scope = lc_telemetry::request_scope(req_id);
-        let mut req_span = lc_telemetry::span_in!(
-            "serve",
-            "request",
-            op = req.op.label(),
-            bytes = req.payload.len(),
-            deadline_ms = req.deadline_ms,
-            // Queue wait belongs to the frame that was waiting when the
-            // worker picked the connection up; later frames on the same
-            // connection never sat in the accept queue.
-            queue_us = if req_seq == 1 { queue_us } else { 0 },
-        );
-
-        let token = request_token(hard, req.deadline_ms, Instant::now());
-        let resp = execute(&req, &lc_components::lookup, exec, &token);
-        let outcome = match &resp {
-            Response::Ok(_) => "ok",
-            Response::Err { kind, .. } => kind.label(),
-            Response::Shed { .. } => "shed",
-        };
-        req_span.arg("outcome", outcome);
-        let delivered = respond(&mut stream, &resp, tag, counters);
-        req_span.arg("delivered", delivered);
-        drop(req_span);
-        if !delivered {
-            return;
-        }
-        if drain.is_cancelled() || hard.is_cancelled() {
-            return; // response delivered; close before the next frame
-        }
-    }
+/// What every connection-serving worker shares.
+struct Worker<'a> {
+    exec: &'a ExecContext,
+    counters: &'a Counters,
+    metrics: &'static ServeMetrics,
+    queue: &'a AcceptQueue,
+    cfg: &'a ServeConfig,
+    drain: &'a CancelToken,
+    hard: &'a CancelToken,
 }
 
-/// Write the request's one termination and bump exactly one counter.
-/// Returns whether the connection is still usable.
-fn respond(stream: &mut TcpStream, resp: &Response, tag: u64, counters: &Counters) -> bool {
-    match proto::write_response(stream, resp, tag).and_then(|()| stream.flush()) {
-        Ok(()) => {
-            let (counter, metric) = match resp {
-                Response::Ok(_) => (&counters.responses_ok, "serve.resp_ok"),
-                Response::Err { .. } => (&counters.responses_err, "serve.resp_err"),
-                Response::Shed { .. } => (&counters.sheds, "serve.resp_shed"),
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            lc_telemetry::counter(metric).add(1);
-            true
+impl Worker<'_> {
+    /// Take a connection from the accept queue and serve it.
+    fn serve(&self, qc: QueuedConn) {
+        let queue_us = micros_since(qc.enqueued);
+        self.metrics.time_in_queue_us.record(queue_us);
+        self.handle_conn(qc.stream, qc.tag, queue_us);
+    }
+
+    fn transport_error(&self) {
+        self.counters
+            .conn_transport_errors
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Whether to close the connection between frames: the server is
+    /// draining, or (the yield rule) a connection waits for a worker.
+    fn should_close(&self) -> bool {
+        if self.drain.is_cancelled() || self.hard.is_cancelled() {
+            return true;
         }
-        Err(_) => {
-            counters
-                .response_write_failed
-                .fetch_add(1, Ordering::Relaxed);
-            lc_telemetry::counter("serve.resp_write_failed").add(1);
-            false
+        let waiting = self.queue.has_waiting();
+        if waiting {
+            self.metrics.conn_yield.add(1);
+        }
+        waiting
+    }
+
+    /// Serve one connection: a sequence of request frames, each
+    /// answered by exactly one response frame, until the client closes
+    /// it or [`Self::should_close`] gives it up between frames.
+    fn handle_conn(&self, mut stream: TcpStream, conn_tag: u64, queue_us: u64) {
+        if stream.set_nodelay(true).is_err()
+            || stream.set_write_timeout(Some(FRAME_IO_TIMEOUT)).is_err()
+        {
+            self.transport_error();
+            return;
+        }
+        let mut req_seq: u64 = 0;
+        loop {
+            // Idle phase: wait for the next frame's first byte without
+            // committing to a long blocking read, so drain and waiting
+            // connections are observed within IDLE_POLL even on silent
+            // connections.
+            if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
+                self.transport_error();
+                return;
+            }
+            let mut probe = [0u8; 1];
+            loop {
+                match stream.peek(&mut probe) {
+                    Ok(0) => return, // clean close
+                    Ok(_) => break,
+                    Err(ref e) if io_timed_out(e) => {
+                        if self.should_close() {
+                            return; // no frame in flight
+                        }
+                    }
+                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        self.transport_error();
+                        return;
+                    }
+                }
+            }
+            let first_byte = Instant::now();
+
+            // Frame phase: a request is on the wire; read it fully.
+            if stream.set_read_timeout(Some(FRAME_IO_TIMEOUT)).is_err() {
+                self.transport_error();
+                return;
+            }
+            req_seq += 1;
+            let tag = conn_tag.wrapping_add(req_seq.wrapping_mul(0x9E37));
+            let req = match proto::read_request(&mut stream, self.cfg.max_payload_bytes, tag) {
+                Ok(req) => req,
+                Err(FrameError::CleanClose) => return,
+                Err(FrameError::OverLimit { declared, limit }) => {
+                    // The head was read but the payload was refused before
+                    // allocation: terminate with a structured error, then
+                    // close (framing cannot resync past unread payload).
+                    self.counters.requests_in.fetch_add(1, Ordering::Relaxed);
+                    self.respond(
+                        &mut stream,
+                        &Response::Err {
+                            kind: ErrorKind::Limit,
+                            message: format!(
+                                "request declares {declared} bytes, above the {limit}-byte limit"
+                            ),
+                        },
+                        tag,
+                    );
+                    return;
+                }
+                Err(FrameError::Malformed(what)) => {
+                    self.counters.requests_in.fetch_add(1, Ordering::Relaxed);
+                    self.respond(
+                        &mut stream,
+                        &Response::Err {
+                            kind: ErrorKind::Usage,
+                            message: format!("malformed frame: {what}"),
+                        },
+                        tag,
+                    );
+                    return;
+                }
+                Err(FrameError::Io(_)) => {
+                    self.transport_error();
+                    return;
+                }
+            };
+            self.metrics.read_us.record(micros_since(first_byte));
+            self.counters.requests_in.fetch_add(1, Ordering::Relaxed);
+            self.metrics.requests.add(1);
+
+            // Request scope: every span and flight record produced while
+            // serving this request — pool workers included — carries this
+            // id, so a trace export reconstructs one request's critical
+            // path (queue wait, each stage, governor verdict, outcome).
+            let req_id = NEXT_REQ.fetch_add(1, Ordering::Relaxed);
+            let _req_scope = lc_telemetry::request_scope(req_id);
+            let mut req_span = lc_telemetry::span_in!(
+                "serve",
+                "request",
+                op = req.op.label(),
+                bytes = req.payload.len(),
+                deadline_ms = req.deadline_ms,
+                // Queue wait belongs to the frame that was waiting when the
+                // worker picked the connection up; later frames on the same
+                // connection never sat in the accept queue.
+                queue_us = if req_seq == 1 { queue_us } else { 0 },
+            );
+
+            let started = Instant::now();
+            let token = request_token(self.hard, req.deadline_ms, started);
+            let resp = execute(&req, &lc_components::lookup, self.exec, &token);
+            self.metrics.execute_us.record(micros_since(started));
+            let outcome = match &resp {
+                Response::Ok(_) => "ok",
+                Response::Err { kind, .. } => kind.label(),
+                Response::Shed { .. } => "shed",
+            };
+            req_span.arg("outcome", outcome);
+            let delivered = self.respond(&mut stream, &resp, tag);
+            req_span.arg("delivered", delivered);
+            drop(req_span);
+            if !delivered || self.should_close() {
+                return;
+            }
+        }
+    }
+
+    /// Write the request's one termination and bump exactly one counter.
+    /// Returns whether the connection is still usable.
+    fn respond(&self, stream: &mut TcpStream, resp: &Response, tag: u64) -> bool {
+        let started = Instant::now();
+        let wrote = proto::write_response(stream, resp, tag).and_then(|()| stream.flush());
+        self.metrics.write_us.record(micros_since(started));
+        match wrote {
+            Ok(()) => {
+                let (counter, metric) = match resp {
+                    Response::Ok(_) => (&self.counters.responses_ok, self.metrics.resp_ok),
+                    Response::Err { .. } => (&self.counters.responses_err, self.metrics.resp_err),
+                    Response::Shed { .. } => (&self.counters.sheds, self.metrics.resp_shed),
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                metric.add(1);
+                true
+            }
+            Err(_) => {
+                self.counters
+                    .response_write_failed
+                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics.resp_write_failed.add(1);
+                false
+            }
         }
     }
 }

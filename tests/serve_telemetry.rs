@@ -73,13 +73,15 @@ fn queue_metrics_and_execute_spans_match_traffic() {
     assert!(summary.accounted(), "{summary:?}");
 
     // serve.time_in_queue_us: one sample per connection handed from the
-    // accept queue to a worker — connect-per-request, so one per request.
+    // accept queue to a worker. The client keeps its connection, so all
+    // five requests rode one.
     let hist = lc_telemetry::histogram("serve.time_in_queue_us");
     assert_eq!(
         hist.count(),
-        REQUESTS,
+        summary.conns_accepted,
         "one queue-wait sample per accepted connection"
     );
+    assert_eq!(summary.conns_accepted, 1, "{summary:?}");
 
     // serve.queue_depth: set on every push (with the connection still
     // queued) and every pop, so its peak is at least 1 and it ends at 0.
