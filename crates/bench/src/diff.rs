@@ -101,6 +101,11 @@ pub const CAMPAIGN_METRICS: &[MetricSpec] = &[
         gate: true,
     },
     MetricSpec {
+        path: "kernels.rle_1.enc_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
         path: "kernels.rle_4.enc_mb_s",
         direction: Direction::HigherIsBetter,
         gate: true,
@@ -115,6 +120,17 @@ pub const CAMPAIGN_METRICS: &[MetricSpec] = &[
     },
     MetricSpec {
         path: "kernels.bit_4.dec_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    // BIT_4 on chunks whose word count is not a multiple of 8.
+    MetricSpec {
+        path: "kernels.bit_4_off_grid.enc_mb_s",
+        direction: Direction::HigherIsBetter,
+        gate: true,
+    },
+    MetricSpec {
+        path: "kernels.bit_4_off_grid.dec_mb_s",
         direction: Direction::HigherIsBetter,
         gate: true,
     },
@@ -201,9 +217,10 @@ const fn parity(dec: &'static str, enc: &'static str) -> Floor {
 
 /// The floors on `BENCH_campaign.json`: 1 GB/s through the chained
 /// snapshot pipeline on one thread, both directions, and decode/encode
-/// parity for the kernels whose decode has a vector path. (`diff_4`
-/// joins the parity list with the two-chunk DIFF decode, `rle_4` with
-/// its encoder: both are open ROADMAP items.)
+/// parity for the kernels whose decode has a vector path, and for
+/// `rle_4`, whose encoder walks its records off the repeat bitmap.
+/// (`diff_4` joins the parity list with the two-chunk DIFF decode, an
+/// open ROADMAP item.)
 pub const CAMPAIGN_FLOORS: &[Floor] = &[
     Floor {
         path: "kernels.pipeline_st_enc_mb_s",
@@ -220,6 +237,7 @@ pub const CAMPAIGN_FLOORS: &[Floor] = &[
     parity("kernels.rze_1.dec_mb_s", "kernels.rze_1.enc_mb_s"),
     parity("kernels.rre_4.dec_mb_s", "kernels.rre_4.enc_mb_s"),
     parity("kernels.rze_4.dec_mb_s", "kernels.rze_4.enc_mb_s"),
+    parity("kernels.rle_4.dec_mb_s", "kernels.rle_4.enc_mb_s"),
 ];
 
 /// The gated metric set for `BENCH_serve.json`.
@@ -639,8 +657,10 @@ mod tests {
                            "diff_4":{"enc_mb_s":3000.0,"dec_mb_s":2500.0},
                            "rze_4":{"enc_mb_s":2000.0},
                            "bit_1":{"enc_mb_s":1500.0},
+                           "rle_1":{"enc_mb_s":1100.0},
                            "rle_4":{"enc_mb_s":1800.0},
                            "bit_4":{"enc_mb_s":5000.0,"dec_mb_s":5500.0},
+                           "bit_4_off_grid":{"enc_mb_s":2500.0,"dec_mb_s":2500.0},
                            "rre_1":{"enc_mb_s":3000.0,"dec_mb_s":4000.0},
                            "rze_1":{"enc_mb_s":3000.0,"dec_mb_s":4000.0},
                            "rre_4":{"dec_mb_s":9000.0}},

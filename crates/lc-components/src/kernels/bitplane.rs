@@ -19,14 +19,19 @@
 //!   byte-plane register from its 8 rows with the delta-swap transpose
 //!   on four 64-bit lanes at once, then undoes the byte transpose
 //!   (DESIGN §15);
-//! * when `n % 8 != 0` (short trailing chunks), plane boundaries straddle
-//!   bytes and the exact [`BitWriter`]-equivalent reference runs instead.
+//! * when `n % 8 != 0` (reducer outputs of any length, short trailing
+//!   chunks), plane boundaries straddle bytes: the first `n & !7` words
+//!   go through the same tiered transpose into temporary plane rows, and
+//!   each row is then shifted into place at bit offset `r·n` of the
+//!   stream, followed by its `n % 8` tail bits. Decode gathers each row
+//!   back with a shifted read, runs the aligned decode, and rebuilds the
+//!   ≤ 7 tail words bit by bit.
 //!
-//! All three produce bit-identical streams (differential tests below and
-//! in `tests/kernels_differential.rs`).
+//! Every tier produces the stream of the bit-at-a-time reference
+//! encoder, which the tests below keep as their oracle (with the
+//! differential tests in `tests/kernels_differential.rs`).
 
 use super::Variant;
-use crate::util::bitpack::{BitReader, BitWriter};
 use crate::util::words;
 use lc_core::DecodeError;
 
@@ -55,37 +60,6 @@ fn transpose8(mut x: u64) -> u64 {
     let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
     x ^= t ^ (t << 28);
     x
-}
-
-/// Exact reference encoder: the original bit-at-a-time stream writer.
-fn reference_encode<const W: usize>(input: &[u8], n: usize, out: &mut Vec<u8>) {
-    let b = words::bits::<W>();
-    let vals = words::to_vec::<W>(input);
-    let mut writer = BitWriter::new(out);
-    for bit in (0..b).rev() {
-        for &v in vals.iter().take(n) {
-            writer.put((v >> bit) & 1, 1);
-        }
-    }
-    writer.finish();
-}
-
-/// Exact reference decoder (only path that can observe truncation).
-fn reference_decode<const W: usize>(
-    src: &[u8],
-    n: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), DecodeError> {
-    let b = words::bits::<W>();
-    let mut vals = vec![0u64; n];
-    let mut reader = BitReader::new(src);
-    for bit in (0..b).rev() {
-        for v in vals.iter_mut() {
-            *v |= reader.get(1)? << bit;
-        }
-    }
-    words::extend_from_words::<W>(out, &vals);
-    Ok(())
 }
 
 /// Grouped portable encoder over words `from..n` (`n % 8 == 0`,
@@ -166,31 +140,68 @@ pub fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>) -> Variant {
 /// [`encode`] pinned to a tier (clamped to the detected CPU).
 pub fn encode_with<const W: usize>(v: Variant, input: &[u8], out: &mut Vec<u8>) {
     let n = input.len() / W;
-    if !n.is_multiple_of(8) {
-        // Plane boundaries straddle bytes: only the streaming reference
-        // produces the exact layout.
-        reference_encode::<W>(input, n, out);
+    let start = out.len();
+    out.resize(start + n * W, 0);
+    let dst = &mut out[start..];
+    if n.is_multiple_of(8) {
+        encode_aligned::<W>(v, &input[..n * W], dst, n);
     } else {
-        let start = out.len();
-        out.resize(start + n * W, 0);
-        let src = &input[..n * W];
-        let dst = &mut out[start..];
-        // safety: tier clamped to CPUID detection before calling
-        // `#[target_feature]` bodies.
-        #[cfg(target_arch = "x86_64")]
-        let done = match v.min(super::detected()) {
-            Variant::Avx2 => unsafe { x86::encode_avx2::<W>(src, dst, n) },
-            Variant::Sse2 => unsafe { x86::encode_sse2::<W>(src, dst, n) },
-            Variant::Scalar => 0,
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = {
-            let _ = v;
-            0
-        };
-        portable_encode_grouped::<W>(src, dst, n, done);
+        encode_off_grid::<W>(v, &input[..n * W], dst, n);
     }
     out.extend_from_slice(&input[n * W..]);
+}
+
+/// The tiered transpose of `n` words (`n % 8 == 0`) into `n/8`-byte
+/// plane rows.
+fn encode_aligned<const W: usize>(v: Variant, src: &[u8], dst: &mut [u8], n: usize) {
+    // safety: tier clamped to CPUID detection before calling
+    // `#[target_feature]` bodies.
+    #[cfg(target_arch = "x86_64")]
+    let done = match v.min(super::detected()) {
+        Variant::Avx2 => unsafe { x86::encode_avx2::<W>(src, dst, n) },
+        Variant::Sse2 => unsafe { x86::encode_sse2::<W>(src, dst, n) },
+        Variant::Scalar => 0,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = {
+        let _ = v;
+        0
+    };
+    portable_encode_grouped::<W>(src, dst, n, done);
+}
+
+/// Encode `n` words (`n % 8 != 0`) into the zeroed `n·W`-byte `dst`:
+/// the aligned transpose of the first `m = n & !7` words, then row `r`
+/// shifted to bit offset `r·n` and followed by its `n − m` tail bits.
+fn encode_off_grid<const W: usize>(v: Variant, src: &[u8], dst: &mut [u8], n: usize) {
+    let m = n & !7;
+    let stride = m / 8;
+    let mut rows = vec![0u8; m * W];
+    encode_aligned::<W>(v, &src[..m * W], &mut rows, m);
+    let mut tail = [0u64; 7];
+    for (word, w) in tail.iter_mut().zip(m..n) {
+        *word = words::get::<W>(src, w);
+    }
+    for r in 0..8 * W {
+        let row = &rows[r * stride..(r + 1) * stride];
+        let (at, s) = ((r * n) / 8, (r * n) % 8);
+        // `dst[at]` may already hold the previous row's last bits in its
+        // top `s` bits; every later byte of this row is still zero.
+        if s == 0 {
+            dst[at..at + stride].copy_from_slice(row);
+        } else if let (Some(&first), Some(&last)) = (row.first(), row.last()) {
+            dst[at] |= first >> s;
+            for (d, pair) in dst[at + 1..at + stride].iter_mut().zip(row.windows(2)) {
+                *d = (pair[0] << (8 - s)) | (pair[1] >> s);
+            }
+            dst[at + stride] = last << (8 - s);
+        }
+        let plane = 8 * W - 1 - r;
+        for (i, &word) in tail[..n - m].iter().enumerate() {
+            let k = r * n + m + i;
+            dst[k / 8] |= (((word >> plane) & 1) as u8) << (7 - k % 8);
+        }
+    }
 }
 
 /// Invert [`encode`], appending the reconstructed words then the tail.
@@ -200,37 +211,74 @@ pub fn decode<const W: usize>(input: &[u8], out: &mut Vec<u8>) -> Result<Variant
     Ok(v)
 }
 
-/// [`decode`] pinned to a tier (clamped to the detected CPU).
+/// [`decode`] pinned to a tier (clamped to the detected CPU). Every input
+/// decodes: the word count is read off its length.
 pub fn decode_with<const W: usize>(
     v: Variant,
     input: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), DecodeError> {
     let n = input.len() / W;
-    if !n.is_multiple_of(8) {
-        reference_decode::<W>(&input[..n * W], n, out)?;
+    let start = out.len();
+    out.resize(start + n * W, 0);
+    let dst = &mut out[start..];
+    if n.is_multiple_of(8) {
+        decode_aligned::<W>(v, &input[..n * W], dst, n);
     } else {
-        let start = out.len();
-        out.resize(start + n * W, 0);
-        let src = &input[..n * W];
-        let dst = &mut out[start..];
-        // safety: tier clamped to CPUID detection before calling
-        // `#[target_feature]` bodies.
-        #[cfg(target_arch = "x86_64")]
-        let done = match v.min(super::detected()) {
-            Variant::Avx2 => unsafe { x86::decode_avx2::<W>(src, dst, n) },
-            Variant::Sse2 => unsafe { x86::decode_sse2::<W>(src, dst, n) },
-            Variant::Scalar => 0,
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = {
-            let _ = v;
-            0
-        };
-        portable_decode_grouped::<W>(src, dst, n, done);
+        decode_off_grid::<W>(v, &input[..n * W], dst, n);
     }
     out.extend_from_slice(&input[n * W..]);
     Ok(())
+}
+
+/// Inverse of [`encode_aligned`].
+fn decode_aligned<const W: usize>(v: Variant, src: &[u8], dst: &mut [u8], n: usize) {
+    // safety: tier clamped to CPUID detection before calling
+    // `#[target_feature]` bodies.
+    #[cfg(target_arch = "x86_64")]
+    let done = match v.min(super::detected()) {
+        Variant::Avx2 => unsafe { x86::decode_avx2::<W>(src, dst, n) },
+        Variant::Sse2 => unsafe { x86::decode_sse2::<W>(src, dst, n) },
+        Variant::Scalar => 0,
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = {
+        let _ = v;
+        0
+    };
+    portable_decode_grouped::<W>(src, dst, n, done);
+}
+
+/// Inverse of [`encode_off_grid`]: gather row `r` from bit offset `r·n`
+/// into an aligned plane row, decode the first `m` words through
+/// [`decode_aligned`], then rebuild the tail words from their bits.
+fn decode_off_grid<const W: usize>(v: Variant, src: &[u8], dst: &mut [u8], n: usize) {
+    let m = n & !7;
+    let stride = m / 8;
+    let mut rows = vec![0u8; m * W];
+    let mut tail = [0u64; 7];
+    for r in 0..8 * W {
+        let (at, s) = ((r * n) / 8, (r * n) % 8);
+        let row = &mut rows[r * stride..(r + 1) * stride];
+        if s == 0 {
+            row.copy_from_slice(&src[at..at + stride]);
+        } else {
+            // The row's bits end before its tail bits do, so the byte
+            // after its last whole byte is still inside `src`.
+            for (d, pair) in row.iter_mut().zip(src[at..=at + stride].windows(2)) {
+                *d = (pair[0] << s) | (pair[1] >> (8 - s));
+            }
+        }
+        let plane = 8 * W - 1 - r;
+        for (i, word) in tail[..n - m].iter_mut().enumerate() {
+            let k = r * n + m + i;
+            *word |= u64::from((src[k / 8] >> (7 - k % 8)) & 1) << plane;
+        }
+    }
+    decode_aligned::<W>(v, &rows, &mut dst[..m * W], m);
+    for (d, word) in dst[m * W..].chunks_exact_mut(W).zip(tail) {
+        d.copy_from_slice(&word.to_le_bytes()[..W]);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -558,42 +606,69 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::bitpack::{BitReader, BitWriter};
+
+    /// The oracle encoder: the bit-at-a-time stream writer.
+    fn reference_encode<const W: usize>(input: &[u8], n: usize, out: &mut Vec<u8>) {
+        let b = words::bits::<W>();
+        let vals = words::to_vec::<W>(input);
+        let mut writer = BitWriter::new(out);
+        for bit in (0..b).rev() {
+            for &v in vals.iter().take(n) {
+                writer.put((v >> bit) & 1, 1);
+            }
+        }
+        writer.finish();
+    }
+
+    /// The oracle decoder: the bit-at-a-time stream reader.
+    fn reference_decode<const W: usize>(src: &[u8], n: usize) -> Vec<u8> {
+        let b = words::bits::<W>();
+        let mut vals = vec![0u64; n];
+        let mut reader = BitReader::new(src);
+        for bit in (0..b).rev() {
+            for v in vals.iter_mut() {
+                *v |= reader.get(1).unwrap() << bit;
+            }
+        }
+        let mut out = Vec::new();
+        words::extend_from_words::<W>(&mut out, &vals);
+        out
+    }
 
     fn sample(len: usize) -> Vec<u8> {
-        (0..len).map(|i| ((i * 197 + 43) % 256) as u8).collect()
+        (0..len as u64)
+            .map(|i| (i.wrapping_add(43).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
     }
 
     fn check<const W: usize>() {
-        // Word counts both on and off the 8-word grouping, including SIMD
-        // group boundaries (16/32 words) ± 1 group.
-        for len in [
-            0usize,
-            W,
-            3 * W,
-            7 * W,
-            8 * W,
-            9 * W,
-            15 * W,
-            16 * W,
-            17 * W,
-            24 * W,
-            32 * W,
-            40 * W,
-            64 * W + 3,
-            256 * W,
-        ] {
-            let input = sample(len);
-            let mut reference = Vec::new();
-            let n = input.len() / W;
-            reference_encode::<W>(&input, n, &mut reference);
-            reference.extend_from_slice(&input[n * W..]);
-            for v in super::super::available() {
-                let mut enc = Vec::new();
-                encode_with::<W>(v, &input, &mut enc);
-                assert_eq!(enc, reference, "enc W={W} {v:?} len={len}");
-                let mut dec = Vec::new();
-                decode_with::<W>(v, &enc, &mut dec).unwrap();
-                assert_eq!(dec, input, "roundtrip W={W} {v:?} len={len}");
+        // Every residue of the word count mod 8, on and around the 8-,
+        // 16- and 32-word SIMD group boundaries and a 16 KiB chunk, each
+        // with and without an incomplete trailing word.
+        for base in [0usize, 8, 16, 24, 32, 40, 64, 96, 256, 16384 / W - 8] {
+            for n in base..base + 8 {
+                for len in [n * W, n * W + W - 1] {
+                    let input = sample(len);
+                    let mut reference = Vec::new();
+                    reference_encode::<W>(&input, n, &mut reference);
+                    reference.extend_from_slice(&input[n * W..]);
+                    // Any byte string is a valid stream: decode the input
+                    // itself as one too.
+                    let mut unplaned = reference_decode::<W>(&input[..n * W], n);
+                    unplaned.extend_from_slice(&input[n * W..]);
+                    for v in super::super::available() {
+                        let mut enc = vec![0xEE]; // both directions append
+                        encode_with::<W>(v, &input, &mut enc);
+                        assert_eq!(enc[1..], reference, "enc W={W} {v:?} len={len}");
+                        let mut dec = vec![0xEE];
+                        decode_with::<W>(v, &enc[1..], &mut dec).unwrap();
+                        assert_eq!(dec[1..], input, "roundtrip W={W} {v:?} len={len}");
+                        let mut dec = Vec::new();
+                        decode_with::<W>(v, &input, &mut dec).unwrap();
+                        assert_eq!(dec, unplaned, "dec W={W} {v:?} len={len}");
+                    }
+                }
             }
         }
     }

@@ -86,27 +86,19 @@ impl<const W: usize> Component for Rle<W> {
         let n = write_frame::<W>(input, out);
         let src = &input[..n * W];
         // Neighbor-repeat bitmap (bit j ⇔ word j equals word j−1), built
-        // 16–32 words per step by the SIMD bitmap kernel; the run/literal
-        // scans below then walk bits instead of comparing words.
+        // 16–32 words per step by the SIMD bitmap kernel; the record walk
+        // then reads run and literal boundaries off it 64 words at a time
+        // instead of comparing words.
         let mut rb = Vec::new();
         bitmap::build::<W>(bitmap::Mark::RepeatsPrior, src, &mut rb);
         let mut records = 0u64;
-        let mut i = 0usize;
-        while i < n {
-            // Maximal run of equal values starting at i.
-            let run = 1 + kernels::rle::count_set_from(&rb, n, i + 1);
-            let run_end = i + run;
-            // Literals: values up to (excluding) the start of the next run
-            // of length ≥ 2, i.e. just before the next repeat bit.
-            let q = kernels::rle::next_set_bit(&rb, n, run_end + 1);
-            let lit_end = if q < n { q - 1 } else { n };
-            varint::write(out, run as u64);
+        kernels::rle::for_each_record(&rb, n, |i, run_end, lit_end| {
+            varint::write(out, (run_end - i) as u64);
             varint::write(out, (lit_end - run_end) as u64);
             out.extend_from_slice(&src[i * W..(i + 1) * W]);
             out.extend_from_slice(&src[run_end * W..lit_end * W]);
             records += 1;
-            i = lit_end;
-        }
+        });
         stats.words += n as u64;
         stats.thread_ops += n as u64 * 4;
         stats.global_reads += input.len() as u64;
