@@ -93,96 +93,108 @@ pub struct CodegenProfile {
     pub launch_us: f64,
 }
 
-/// The calibrated profile for a (compiler, opt level, vendor) combination.
-///
-/// # Panics
-///
-/// Panics if the compiler does not support the vendor (NVCC/Clang on AMD).
-pub fn profile(compiler: CompilerId, opt: OptLevel, vendor: Vendor) -> CodegenProfile {
-    assert!(
-        compiler.supports(vendor),
-        "{} cannot target {:?} GPUs",
-        compiler.label(),
-        vendor
-    );
-    match (compiler, vendor) {
-        // NVCC: the baseline. -O1 costs a few percent of ALU quality but
-        // nothing else (§6.5: "negligible speedups").
-        (CompilerId::Nvcc, Vendor::Nvidia) => match opt {
-            OptLevel::O3 => CodegenProfile {
-                compute: 1.0,
-                memory_efficiency: 0.65,
-                shuffle: 1.0,
-                lookback: 1.0,
-                block_scan: 1.0,
-                launch_us: 4.0,
-            },
-            OptLevel::O1 => CodegenProfile {
-                compute: 1.04,
-                memory_efficiency: 0.65,
-                shuffle: 1.0,
-                lookback: 1.02,
-                block_scan: 1.02,
-                launch_us: 4.0,
-            },
-        },
-        // HIPCC on NVIDIA invokes NVCC; only the HIP header shims differ,
-        // a sub-percent effect (§6.1: "distributions are always close").
-        (CompilerId::Hipcc, Vendor::Nvidia) => {
-            let mut p = profile(CompilerId::Nvcc, opt, vendor);
-            p.compute *= 1.006;
-            p.launch_us += 0.3;
-            p
-        }
-        // Clang on NVIDIA: slightly weaker component codegen (register
-        // allocation; §6.5 conclusion), a much slower decoupled look-back
-        // (consistently slower encode, §6.1) and a faster block scan
-        // (consistently faster decode, §6.1). -O3 *hurts* its encoder
-        // (§6.5 Fig. 14) and helps its decoder by < 10% (Fig. 15).
-        (CompilerId::Clang, Vendor::Nvidia) => match opt {
-            OptLevel::O3 => CodegenProfile {
-                compute: 1.02,
-                memory_efficiency: 0.65,
-                shuffle: 0.97,
-                lookback: 1.45,
-                block_scan: 0.72,
-                launch_us: 3.5,
-            },
-            // Clang's -O1/-O3 delta is concentrated in the framework
-            // operations (the paper localizes the compiler split there,
-            // §6.1/§6.5): -O3 regresses the look-back and improves the
-            // block scan; component codegen barely moves.
-            OptLevel::O1 => CodegenProfile {
-                compute: 1.02,
-                memory_efficiency: 0.65,
-                shuffle: 0.97,
-                lookback: 1.22,   // -O3 regresses the look-back (Fig. 14)
-                block_scan: 0.78, // -O3 gains < 10% on decode (Fig. 15)
-                launch_us: 3.5,
-            },
-        },
-        // HIPCC on AMD: its own baseline; -O1 ≈ -O3 (§6.5: "quite stable").
-        (CompilerId::Hipcc, Vendor::Amd) => match opt {
-            OptLevel::O3 => CodegenProfile {
-                compute: 1.0,
-                memory_efficiency: 0.60,
-                shuffle: 1.05,
-                lookback: 1.08,
-                block_scan: 1.0,
-                launch_us: 6.0,
-            },
-            OptLevel::O1 => CodegenProfile {
-                compute: 1.02,
-                memory_efficiency: 0.60,
-                shuffle: 1.05,
-                lookback: 1.09,
-                block_scan: 1.01,
-                launch_us: 6.0,
-            },
-        },
-        _ => unreachable!("supports() check above"),
+/// Codegen profiles for every (compiler, vendor, opt level) the study
+/// builds, indexed `[platform][opt]`: platform rows are NVCC, Clang and
+/// HIPCC on NVIDIA, then HIPCC on AMD; columns are `-O1`, `-O3`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfileTable(pub [[CodegenProfile; 2]; 4]);
+
+impl ProfileTable {
+    /// The profile for a (compiler, opt level, vendor) combination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compiler does not support the vendor (NVCC/Clang on
+    /// AMD).
+    pub fn get(&self, compiler: CompilerId, opt: OptLevel, vendor: Vendor) -> &CodegenProfile {
+        assert!(
+            compiler.supports(vendor),
+            "{} cannot target {:?} GPUs",
+            compiler.label(),
+            vendor
+        );
+        let platform = match (compiler, vendor) {
+            (CompilerId::Nvcc, _) => 0,
+            (CompilerId::Clang, _) => 1,
+            (CompilerId::Hipcc, Vendor::Nvidia) => 2,
+            (CompilerId::Hipcc, Vendor::Amd) => 3,
+        };
+        &self.0[platform][opt as usize]
     }
 }
+
+// NVCC: the baseline. -O1 costs a few percent of ALU quality but nothing
+// else (§6.5: "negligible speedups").
+const NVCC_O3: CodegenProfile = CodegenProfile {
+    compute: 1.0,
+    memory_efficiency: 0.65,
+    shuffle: 1.0,
+    lookback: 1.0,
+    block_scan: 1.0,
+    launch_us: 4.0,
+};
+const NVCC_O1: CodegenProfile = CodegenProfile {
+    compute: 1.04,
+    lookback: 1.02,
+    block_scan: 1.02,
+    ..NVCC_O3
+};
+
+// HIPCC on NVIDIA invokes NVCC; only the HIP header shims differ, a
+// sub-percent effect (§6.1: "distributions are always close").
+const fn hipcc_on_nvidia(nvcc: CodegenProfile) -> CodegenProfile {
+    CodegenProfile {
+        compute: nvcc.compute * 1.006,
+        launch_us: nvcc.launch_us + 0.3,
+        ..nvcc
+    }
+}
+
+// Clang on NVIDIA: slightly weaker component codegen (register
+// allocation; §6.5 conclusion), a much slower decoupled look-back
+// (consistently slower encode, §6.1) and a faster block scan
+// (consistently faster decode, §6.1). -O3 *hurts* its encoder (§6.5
+// Fig. 14) and helps its decoder by < 10% (Fig. 15).
+const CLANG_O3: CodegenProfile = CodegenProfile {
+    compute: 1.02,
+    memory_efficiency: 0.65,
+    shuffle: 0.97,
+    lookback: 1.45,
+    block_scan: 0.72,
+    launch_us: 3.5,
+};
+// Clang's -O1/-O3 delta is concentrated in the framework operations (the
+// paper localizes the compiler split there, §6.1/§6.5): -O3 regresses the
+// look-back and improves the block scan; component codegen barely moves.
+const CLANG_O1: CodegenProfile = CodegenProfile {
+    lookback: 1.22,   // -O3 regresses the look-back (Fig. 14)
+    block_scan: 0.78, // -O3 gains < 10% on decode (Fig. 15)
+    ..CLANG_O3
+};
+
+// HIPCC on AMD: its own baseline; -O1 ≈ -O3 (§6.5: "quite stable").
+const HIPCC_AMD_O3: CodegenProfile = CodegenProfile {
+    compute: 1.0,
+    memory_efficiency: 0.60,
+    shuffle: 1.05,
+    lookback: 1.08,
+    block_scan: 1.0,
+    launch_us: 6.0,
+};
+const HIPCC_AMD_O1: CodegenProfile = CodegenProfile {
+    compute: 1.02,
+    lookback: 1.09,
+    block_scan: 1.01,
+    ..HIPCC_AMD_O3
+};
+
+/// The calibrated profiles of [`crate::Model::PAPER`].
+pub(crate) const PAPER_PROFILES: ProfileTable = ProfileTable([
+    [NVCC_O1, NVCC_O3],
+    [CLANG_O1, CLANG_O3],
+    [hipcc_on_nvidia(NVCC_O1), hipcc_on_nvidia(NVCC_O3)],
+    [HIPCC_AMD_O1, HIPCC_AMD_O3],
+]);
 
 #[cfg(test)]
 mod tests {
@@ -209,13 +221,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot target")]
     fn nvcc_on_amd_panics() {
-        profile(CompilerId::Nvcc, OptLevel::O3, Vendor::Amd);
+        PAPER_PROFILES.get(CompilerId::Nvcc, OptLevel::O3, Vendor::Amd);
     }
 
     #[test]
     fn nvcc_and_hipcc_nearly_identical_on_nvidia() {
-        let n = profile(CompilerId::Nvcc, OptLevel::O3, Vendor::Nvidia);
-        let h = profile(CompilerId::Hipcc, OptLevel::O3, Vendor::Nvidia);
+        let n = PAPER_PROFILES.get(CompilerId::Nvcc, OptLevel::O3, Vendor::Nvidia);
+        let h = PAPER_PROFILES.get(CompilerId::Hipcc, OptLevel::O3, Vendor::Nvidia);
         assert!((h.compute / n.compute - 1.0).abs() < 0.01);
         assert_eq!(h.lookback, n.lookback);
         assert_eq!(h.block_scan, n.block_scan);
@@ -223,16 +235,16 @@ mod tests {
 
     #[test]
     fn clang_slower_lookback_faster_block_scan() {
-        let n = profile(CompilerId::Nvcc, OptLevel::O3, Vendor::Nvidia);
-        let c = profile(CompilerId::Clang, OptLevel::O3, Vendor::Nvidia);
+        let n = PAPER_PROFILES.get(CompilerId::Nvcc, OptLevel::O3, Vendor::Nvidia);
+        let c = PAPER_PROFILES.get(CompilerId::Clang, OptLevel::O3, Vendor::Nvidia);
         assert!(c.lookback > n.lookback * 1.2, "encode framework slower");
         assert!(c.block_scan < n.block_scan * 0.9, "decode framework faster");
     }
 
     #[test]
     fn clang_o3_regresses_encode_and_improves_decode() {
-        let o1 = profile(CompilerId::Clang, OptLevel::O1, Vendor::Nvidia);
-        let o3 = profile(CompilerId::Clang, OptLevel::O3, Vendor::Nvidia);
+        let o1 = PAPER_PROFILES.get(CompilerId::Clang, OptLevel::O1, Vendor::Nvidia);
+        let o3 = PAPER_PROFILES.get(CompilerId::Clang, OptLevel::O3, Vendor::Nvidia);
         assert!(o3.lookback > o1.lookback, "Fig. 14: -O3 encode slowdown");
         assert!(o3.block_scan < o1.block_scan, "Fig. 15: -O3 decode speedup");
         // Decode framework gain is < 10% (Fig. 15).
@@ -241,8 +253,8 @@ mod tests {
 
     #[test]
     fn amd_opt_levels_are_stable() {
-        let o1 = profile(CompilerId::Hipcc, OptLevel::O1, Vendor::Amd);
-        let o3 = profile(CompilerId::Hipcc, OptLevel::O3, Vendor::Amd);
+        let o1 = PAPER_PROFILES.get(CompilerId::Hipcc, OptLevel::O1, Vendor::Amd);
+        let o3 = PAPER_PROFILES.get(CompilerId::Hipcc, OptLevel::O3, Vendor::Amd);
         assert!((o1.compute / o3.compute - 1.0).abs() < 0.03);
         assert!((o1.lookback / o3.lookback - 1.0).abs() < 0.02);
     }

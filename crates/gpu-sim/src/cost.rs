@@ -15,46 +15,20 @@
 //!   the encoder's decoupled look-back chain and the decoder's block
 //!   prefix sum, both with a per-chunk serial term and a per-wave term.
 //!
-//! All constants live in [`tuning`] and are calibrated to reproduce the
+//! The split between supplied and calibrated inputs is the split between
+//! two types. A [`GpuSpec`] holds spec-sheet and paper-table values; a
+//! [`Model`] holds every calibrated constant, and [`Model::PAPER`] is the
+//! calibration the study prices with. The calibration reproduces the
 //! *shape* of the paper's figures, not absolute numbers (the substitution
-//! contract in DESIGN.md).
+//! contract in DESIGN.md). An ablation is a transformed `Model`
+//! ([`Model::no_framework`] and friends) and a multi-socket build a
+//! transformed `GpuSpec` ([`GpuSpec::numa`]); both are priced by the same
+//! methods as the campaign.
 
 use lc_core::KernelStats;
 
-use crate::compiler::{profile, CodegenProfile, CompilerId, OptLevel};
+use crate::compiler::{CodegenProfile, CompilerId, OptLevel, ProfileTable, PAPER_PROFILES};
 use crate::specs::GpuSpec;
-
-/// Model constants. Units are cycles unless noted.
-pub mod tuning {
-    /// Effective cycles per recorded ALU op (dependency stalls, address
-    /// arithmetic, imperfect ILP fold into this).
-    pub const CYCLES_PER_OP: f64 = 40.0;
-    /// Extra ops charged per divergent branch (a warp's masked lanes
-    /// re-execute).
-    pub const DIVERGENCE_OPS: f64 = 24.0;
-    /// Cycles per warp-shuffle per lane.
-    pub const SHUFFLE_CYCLES: f64 = 4.0;
-    /// Achieved shared-memory bytes per SM per cycle (bank conflicts and
-    /// ld/st issue limits fold into this; peak is 128).
-    pub const SHARED_BYTES_PER_SM_CYCLE: f64 = 32.0;
-    /// Serialized latency of one `__syncthreads`.
-    pub const BLOCK_SYNC_CYCLES: f64 = 40.0;
-    /// Serialized latency of one `__syncwarp`.
-    pub const WARP_SYNC_CYCLES: f64 = 8.0;
-    /// Serialized latency of one intra-chunk scan/reduction step
-    /// (shared-memory round trip + sync for a 512-thread block).
-    pub const SCAN_STEP_CYCLES: f64 = 600.0;
-    /// Cycles per global atomic, serialized per SM.
-    pub const ATOMIC_CYCLES: f64 = 20.0;
-    /// Encoder: serial decoupled look-back chain cycles per chunk.
-    pub const ENC_LOOKBACK_CHAIN_CYCLES: f64 = 60.0;
-    /// Encoder: per-wave look-back polling/publication overhead.
-    pub const ENC_LOOKBACK_WAVE_CYCLES: f64 = 400.0;
-    /// Decoder: serial block-prefix-sum chain cycles per chunk.
-    pub const DEC_SCAN_CHAIN_CYCLES: f64 = 45.0;
-    /// Decoder: per-wave prefix-sum overhead.
-    pub const DEC_SCAN_WAVE_CYCLES: f64 = 300.0;
-}
 
 /// Direction of a pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,7 +43,7 @@ pub enum Direction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Target GPU.
-    pub gpu: &'static GpuSpec,
+    pub gpu: GpuSpec,
     /// Compiler that produced the executable.
     pub compiler: CompilerId,
     /// Optimization flag of the build.
@@ -93,19 +67,18 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics if the compiler cannot target the GPU's vendor.
-    pub fn new(gpu: &'static GpuSpec, compiler: CompilerId, opt: OptLevel) -> Self {
+    pub fn new(gpu: &GpuSpec, compiler: CompilerId, opt: OptLevel) -> Self {
         assert!(
             compiler.supports(gpu.vendor),
             "{} cannot target {}",
             compiler.label(),
             gpu.name
         );
-        Self { gpu, compiler, opt }
-    }
-
-    /// The calibrated codegen profile for this config.
-    pub fn profile(&self) -> CodegenProfile {
-        profile(self.compiler, self.opt, self.gpu.vendor)
+        Self {
+            gpu: *gpu,
+            compiler,
+            opt,
+        }
     }
 
     /// Short label like `"RTX 4090/Clang/-O3"`.
@@ -119,6 +92,262 @@ impl SimConfig {
                 OptLevel::O3 => "-O3",
             }
         )
+    }
+}
+
+/// How a pipeline's in-SM work and its DRAM traffic combine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// `max(Σ stage, DRAM)`: the two overlap and the slower bounds the
+    /// kernel.
+    Roofline,
+    /// `Σ stage + DRAM`: no overlap.
+    Additive,
+}
+
+/// The cost model's calibrated constants. Units are cycles unless noted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Model {
+    /// Effective cycles per recorded ALU op (dependency stalls, address
+    /// arithmetic, imperfect ILP fold into this).
+    pub cycles_per_op: f64,
+    /// Extra ops charged per divergent branch (a warp's masked lanes
+    /// re-execute).
+    pub divergence_ops: f64,
+    /// Cycles per warp-shuffle per lane.
+    pub shuffle_cycles: f64,
+    /// Achieved shared-memory bytes per SM per cycle (bank conflicts and
+    /// ld/st issue limits fold into this; peak is 128).
+    pub shared_bytes_per_sm_cycle: f64,
+    /// Serialized latency of one `__syncthreads`.
+    pub block_sync_cycles: f64,
+    /// Serialized latency of one `__syncwarp`.
+    pub warp_sync_cycles: f64,
+    /// Serialized latency of one intra-chunk scan/reduction step
+    /// (shared-memory round trip + sync for a 512-thread block).
+    pub scan_step_cycles: f64,
+    /// Cycles per global atomic, serialized per SM.
+    pub atomic_cycles: f64,
+    /// Encoder: serial decoupled look-back chain cycles per chunk.
+    pub enc_lookback_chain_cycles: f64,
+    /// Encoder: per-wave look-back polling/publication overhead.
+    pub enc_lookback_wave_cycles: f64,
+    /// Decoder: serial block-prefix-sum chain cycles per chunk.
+    pub dec_scan_chain_cycles: f64,
+    /// Decoder: per-wave prefix-sum overhead.
+    pub dec_scan_wave_cycles: f64,
+    /// Codegen multipliers per compiler, vendor and opt level.
+    pub profiles: ProfileTable,
+    /// How stage time and DRAM time add up.
+    pub combine: Combine,
+    /// Width of the run-to-run jitter the median-of-three protocol draws
+    /// each run's relative time error from (0.008 = ±0.4 %).
+    pub run_jitter: f64,
+}
+
+/// One stage's cycle counts before the GPU's lanes, clock and waves turn
+/// them into seconds: the terms [`Model::stage_time`] and the event
+/// simulator both price.
+pub(crate) struct CycleTerms {
+    /// ALU lane-cycles, divergence penalty included.
+    pub compute: f64,
+    /// Warp-shuffle lane-cycles.
+    pub shuffle: f64,
+    /// Serialized `__syncthreads`, `__syncwarp` and scan-step cycles.
+    pub latency: f64,
+}
+
+/// Framework time and DRAM seconds per byte of one direction on one
+/// platform and grid; see [`Model::grid_terms`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridTerms {
+    framework: f64,
+    dram_seconds_per_byte: f64,
+}
+
+impl Model {
+    /// The calibration every figure is priced with.
+    pub const PAPER: Model = Model {
+        cycles_per_op: 40.0,
+        divergence_ops: 24.0,
+        shuffle_cycles: 4.0,
+        shared_bytes_per_sm_cycle: 32.0,
+        block_sync_cycles: 40.0,
+        warp_sync_cycles: 8.0,
+        scan_step_cycles: 600.0,
+        atomic_cycles: 20.0,
+        enc_lookback_chain_cycles: 60.0,
+        enc_lookback_wave_cycles: 400.0,
+        dec_scan_chain_cycles: 45.0,
+        dec_scan_wave_cycles: 300.0,
+        profiles: PAPER_PROFILES,
+        combine: Combine::Roofline,
+        run_jitter: 0.008,
+    };
+
+    /// Ablation: framework operations (look-back, block scan, launch) cost
+    /// nothing. The §6.1 Clang/NVCC split should vanish.
+    pub fn no_framework(&self) -> Model {
+        let mut m = *self;
+        for p in m.profiles.0.iter_mut().flatten() {
+            p.lookback = 0.0;
+            p.block_scan = 0.0;
+            p.launch_us = 0.0;
+        }
+        m
+    }
+
+    /// Ablation: divergent branches cost nothing.
+    pub fn no_divergence(&self) -> Model {
+        Model {
+            divergence_ops: 0.0,
+            ..*self
+        }
+    }
+
+    /// Ablation: syncs and scan steps cost nothing.
+    pub fn no_latency(&self) -> Model {
+        Model {
+            block_sync_cycles: 0.0,
+            warp_sync_cycles: 0.0,
+            scan_step_cycles: 0.0,
+            ..*self
+        }
+    }
+
+    /// Ablation: stage time and DRAM time add instead of overlapping.
+    pub fn no_roofline(&self) -> Model {
+        Model {
+            combine: Combine::Additive,
+            ..*self
+        }
+    }
+
+    /// The codegen profile of `cfg`'s compiler, opt level and vendor.
+    pub fn profile(&self, cfg: &SimConfig) -> &CodegenProfile {
+        self.profiles.get(cfg.compiler, cfg.opt, cfg.gpu.vendor)
+    }
+
+    pub(crate) fn cycle_terms(
+        &self,
+        gpu: &GpuSpec,
+        p: &CodegenProfile,
+        stats: &KernelStats,
+    ) -> CycleTerms {
+        // Warp-64 GPUs pay double per divergent branch (twice as many
+        // masked lanes).
+        let div_ops = stats.divergent_branches as f64
+            * self.divergence_ops
+            * (f64::from(gpu.warp_size) / 32.0);
+        // log2(warp) shuffle steps were recorded per scan; a warp-64
+        // machine runs one extra shuffle level but over half as many warps.
+        let shuffle_scale = (f64::from(gpu.warp_size).log2() / 5.0).max(1.0);
+        CycleTerms {
+            compute: (stats.thread_ops as f64 + div_ops) * self.cycles_per_op * p.compute,
+            shuffle: stats.warp_shuffles as f64 * self.shuffle_cycles * shuffle_scale * p.shuffle,
+            latency: stats.block_syncs as f64 * self.block_sync_cycles
+                + stats.warp_syncs as f64 * self.warp_sync_cycles
+                + stats.scan_steps as f64 * self.scan_step_cycles,
+        }
+    }
+
+    /// Time for one pipeline-stage kernel phase, excluding global memory
+    /// (charged once per direction by [`Model::pipeline_time`]).
+    pub fn stage_time(&self, cfg: &SimConfig, stats: &KernelStats, chunks: u64) -> f64 {
+        if chunks == 0 {
+            return 0.0;
+        }
+        let gpu = &cfg.gpu;
+        let clock = gpu.clock_hz();
+        let occupancy = occupancy(gpu, chunks);
+        let lanes = f64::from(gpu.alu_per_sm) * f64::from(gpu.sms) * occupancy;
+        let terms = self.cycle_terms(gpu, self.profile(cfg), stats);
+        let t_compute = terms.compute / lanes / clock;
+        let t_shuffle = terms.shuffle / lanes / clock;
+        // Inter-stage data stays in shared memory.
+        let shared_bw = self.shared_bytes_per_sm_cycle * f64::from(gpu.sms) * occupancy * clock;
+        let t_shared = stats.shared_traffic as f64 / shared_bw;
+        // Serialized per-block latency, overlapped across a wave.
+        let t_latency = waves(gpu, chunks) * (terms.latency / chunks as f64) / clock;
+        let t_atomic = stats.atomic_ops as f64 * self.atomic_cycles / f64::from(gpu.sms) / clock;
+        t_compute + t_shuffle + t_shared + t_latency + t_atomic
+    }
+
+    /// Framework overhead for one direction: kernel launch plus the
+    /// inter-block synchronization (encoder look-back / decoder block
+    /// scan).
+    pub fn framework_time(&self, cfg: &SimConfig, direction: Direction, chunks: u64) -> f64 {
+        let p = self.profile(cfg);
+        let (chain, wave, multiplier) = match direction {
+            Direction::Encode => (
+                self.enc_lookback_chain_cycles,
+                self.enc_lookback_wave_cycles,
+                p.lookback,
+            ),
+            Direction::Decode => (
+                self.dec_scan_chain_cycles,
+                self.dec_scan_wave_cycles,
+                p.block_scan,
+            ),
+        };
+        let w = waves(&cfg.gpu, chunks);
+        p.launch_us * 1e-6 + (chunks as f64 * chain + w * wave) * multiplier / cfg.gpu.clock_hz()
+    }
+
+    /// Seconds per byte of DRAM traffic at the achieved bandwidth.
+    pub(crate) fn dram_seconds_per_byte(&self, cfg: &SimConfig) -> f64 {
+        1.0 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * self.profile(cfg).memory_efficiency)
+    }
+
+    /// The terms of one direction's time that the platform and the chunk
+    /// count fix, whatever the stages: a caller pricing many pipelines
+    /// over one grid computes them once per platform.
+    pub fn grid_terms(&self, cfg: &SimConfig, direction: Direction, chunks: u64) -> GridTerms {
+        GridTerms {
+            framework: self.framework_time(cfg, direction, chunks),
+            dram_seconds_per_byte: self.dram_seconds_per_byte(cfg),
+        }
+    }
+
+    /// A pipeline's time from its summed stage time and the bytes it
+    /// moves through DRAM, over the grid `grid` describes.
+    ///
+    /// The roofline matters for the figures' *shape*: cheap kernels
+    /// (mutator decoders, skipped reducers) pile up against the bandwidth
+    /// ceiling, which produces the dense top edge — the "skews towards
+    /// higher throughputs" — of the paper's decoding distributions (§6.1),
+    /// while work-heavy encoders spread out below it.
+    pub fn time_on_grid(&self, grid: &GridTerms, stages: f64, dram_bytes: u64) -> f64 {
+        let dram = dram_bytes as f64 * grid.dram_seconds_per_byte;
+        match self.combine {
+            Combine::Roofline => stages.max(dram) + grid.framework,
+            Combine::Additive => stages + dram + grid.framework,
+        }
+    }
+
+    /// Total simulated time for one pipeline run.
+    ///
+    /// * `stage_kernels` — per-stage aggregated [`KernelStats`] for this
+    ///   direction (encode stats when encoding, decode stats when
+    ///   decoding).
+    /// * `chunks` — number of 16 kB chunks.
+    /// * `uncompressed`/`compressed` — bytes on the two sides of the
+    ///   archive; both cross DRAM exactly once per direction.
+    pub fn pipeline_time(
+        &self,
+        cfg: &SimConfig,
+        direction: Direction,
+        stage_kernels: &[KernelStats],
+        chunks: u64,
+        uncompressed: u64,
+        compressed: u64,
+    ) -> f64 {
+        let stages: f64 = stage_kernels
+            .iter()
+            .map(|s| self.stage_time(cfg, s, chunks))
+            .sum();
+        let grid = self.grid_terms(cfg, direction, chunks);
+        self.time_on_grid(&grid, stages, uncompressed + compressed)
     }
 }
 
@@ -148,105 +377,7 @@ fn occupancy(gpu: &GpuSpec, chunks: u64) -> f64 {
     (chunks as f64 / (w * bif)).min(1.0)
 }
 
-/// Time for one pipeline-stage kernel phase, excluding global memory
-/// (charged once per direction by [`pipeline_time`]).
-pub fn stage_time(cfg: &SimConfig, stats: &KernelStats, chunks: u64) -> f64 {
-    if chunks == 0 {
-        return 0.0;
-    }
-    let gpu = cfg.gpu;
-    let p = cfg.profile();
-    let clock = gpu.clock_hz();
-    let lanes = f64::from(gpu.alu_per_sm) * f64::from(gpu.sms) * occupancy(gpu, chunks);
-    let w = waves(gpu, chunks);
-
-    // ALU with divergence penalty; warp-64 GPUs pay double per divergent
-    // branch (twice as many masked lanes).
-    let div_ops = stats.divergent_branches as f64
-        * tuning::DIVERGENCE_OPS
-        * (f64::from(gpu.warp_size) / 32.0);
-    let t_compute =
-        (stats.thread_ops as f64 + div_ops) * tuning::CYCLES_PER_OP * p.compute / lanes / clock;
-
-    // Warp shuffles: log2(warp) steps were recorded per scan; a warp-64
-    // machine runs one extra shuffle level but over half as many warps.
-    let shuffle_scale = (f64::from(gpu.warp_size).log2() / 5.0).max(1.0);
-    let t_shuffle = stats.warp_shuffles as f64 * tuning::SHUFFLE_CYCLES * shuffle_scale * p.shuffle
-        / lanes
-        / clock;
-
-    // Shared-memory traffic (inter-stage data stays in shared memory).
-    let shared_bw =
-        tuning::SHARED_BYTES_PER_SM_CYCLE * f64::from(gpu.sms) * occupancy(gpu, chunks) * clock;
-    let t_shared = stats.shared_traffic as f64 / shared_bw;
-
-    // Serialized per-block latency, overlapped across a wave.
-    let per_block = (stats.block_syncs as f64 * tuning::BLOCK_SYNC_CYCLES
-        + stats.warp_syncs as f64 * tuning::WARP_SYNC_CYCLES
-        + stats.scan_steps as f64 * tuning::SCAN_STEP_CYCLES)
-        / chunks as f64;
-    let t_latency = w * per_block / clock;
-
-    let t_atomic = stats.atomic_ops as f64 * tuning::ATOMIC_CYCLES / f64::from(gpu.sms) / clock;
-
-    t_compute + t_shuffle + t_shared + t_latency + t_atomic
-}
-
-/// Global-memory time for moving `bytes` through DRAM.
-pub fn memory_time(cfg: &SimConfig, bytes: u64) -> f64 {
-    let p = cfg.profile();
-    bytes as f64 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * p.memory_efficiency)
-}
-
-/// Framework overhead for one direction: kernel launch plus the
-/// inter-block synchronization (encoder look-back / decoder block scan).
-pub fn framework_time(cfg: &SimConfig, direction: Direction, chunks: u64) -> f64 {
-    let p = cfg.profile();
-    let clock = cfg.gpu.clock_hz();
-    let w = waves(cfg.gpu, chunks);
-    let launch = p.launch_us * 1e-6;
-    match direction {
-        Direction::Encode => {
-            launch
-                + (chunks as f64 * tuning::ENC_LOOKBACK_CHAIN_CYCLES
-                    + w * tuning::ENC_LOOKBACK_WAVE_CYCLES)
-                    * p.lookback
-                    / clock
-        }
-        Direction::Decode => {
-            launch
-                + (chunks as f64 * tuning::DEC_SCAN_CHAIN_CYCLES + w * tuning::DEC_SCAN_WAVE_CYCLES)
-                    * p.block_scan
-                    / clock
-        }
-    }
-}
-
-/// Combine precomputed pieces into a total pipeline time: a roofline
-/// `max` of in-SM work against DRAM traffic, plus the framework overhead.
-///
-/// The roofline matters for the figures' *shape*: cheap kernels (mutator
-/// decoders, skipped reducers) pile up against the bandwidth ceiling,
-/// which produces the dense top edge — the "skews towards higher
-/// throughputs" — of the paper's decoding distributions (§6.1), while
-/// work-heavy encoders spread out below it.
-pub fn total_time(
-    cfg: &SimConfig,
-    direction: Direction,
-    stage_seconds: f64,
-    dram_bytes: u64,
-    chunks: u64,
-) -> f64 {
-    stage_seconds.max(memory_time(cfg, dram_bytes)) + framework_time(cfg, direction, chunks)
-}
-
-/// Total simulated time for one pipeline run.
-///
-/// * `stage_kernels` — per-stage aggregated [`KernelStats`] for this
-///   direction (encode stats when encoding, decode stats when decoding).
-/// * `chunks` — number of 16 kB chunks.
-/// * `uncompressed`/`compressed` — bytes on the two sides of the archive;
-///   both cross DRAM exactly once per direction.
+/// [`Model::pipeline_time`] under [`Model::PAPER`].
 pub fn pipeline_time(
     cfg: &SimConfig,
     direction: Direction,
@@ -255,11 +386,14 @@ pub fn pipeline_time(
     uncompressed: u64,
     compressed: u64,
 ) -> f64 {
-    let stages: f64 = stage_kernels
-        .iter()
-        .map(|s| stage_time(cfg, s, chunks))
-        .sum();
-    total_time(cfg, direction, stages, uncompressed + compressed, chunks)
+    Model::PAPER.pipeline_time(
+        cfg,
+        direction,
+        stage_kernels,
+        chunks,
+        uncompressed,
+        compressed,
+    )
 }
 
 /// Throughput in uncompressed GB/s for a run of `uncompressed` bytes
@@ -310,16 +444,16 @@ mod tests {
     #[test]
     fn zero_chunks_zero_stage_time() {
         let c = cfg(CompilerId::Nvcc, OptLevel::O3);
-        assert_eq!(stage_time(&c, &KernelStats::new(), 0), 0.0);
+        assert_eq!(Model::PAPER.stage_time(&c, &KernelStats::new(), 0), 0.0);
     }
 
     #[test]
     fn more_work_takes_longer() {
         let c = cfg(CompilerId::Nvcc, OptLevel::O3);
-        let t1 = stage_time(&c, &typical_stats(64), 64);
+        let t1 = Model::PAPER.stage_time(&c, &typical_stats(64), 64);
         let mut heavy = typical_stats(64);
         heavy.thread_ops *= 10;
-        let t2 = stage_time(&c, &heavy, 64);
+        let t2 = Model::PAPER.stage_time(&c, &heavy, 64);
         assert!(t2 > t1);
     }
 
@@ -422,8 +556,8 @@ mod tests {
     #[test]
     fn framework_time_scales_with_chunks() {
         let c = cfg(CompilerId::Nvcc, OptLevel::O3);
-        let t1 = framework_time(&c, Direction::Encode, 100);
-        let t2 = framework_time(&c, Direction::Encode, 10_000);
+        let t1 = Model::PAPER.framework_time(&c, Direction::Encode, 100);
+        let t2 = Model::PAPER.framework_time(&c, Direction::Encode, 10_000);
         assert!(t2 > t1 * 10.0, "chain term dominates for large grids");
     }
 
@@ -439,7 +573,8 @@ mod tests {
             s.divergent_branches = 0;
             s
         };
-        let penalty64 = stage_time(&c64, &divergent, 64) / stage_time(&c64, &smooth, 64);
+        let penalty64 = Model::PAPER.stage_time(&c64, &divergent, 64)
+            / Model::PAPER.stage_time(&c64, &smooth, 64);
         assert!(penalty64 > 1.0);
     }
 
@@ -452,8 +587,8 @@ mod tests {
     fn occupancy_partial_grid() {
         // 1 chunk on a 4090 (384 blocks in flight) → heavy underutilization.
         let c = cfg(CompilerId::Nvcc, OptLevel::O3);
-        let t_small = stage_time(&c, &typical_stats(1), 1);
-        let t_full = stage_time(&c, &typical_stats(384), 384);
+        let t_small = Model::PAPER.stage_time(&c, &typical_stats(1), 1);
+        let t_full = Model::PAPER.stage_time(&c, &typical_stats(384), 384);
         // Full grid processes 384× the work in far less than 384× the time.
         assert!(t_full < t_small * 96.0);
     }

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 use lc_core::KernelStats;
 
-use crate::cost::{tuning, SimConfig};
+use crate::cost::{Model, SimConfig};
 
 /// Cost of one block (one 16 kB chunk), in device-independent units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,31 +38,27 @@ pub struct BlockCost {
 /// Split an aggregate [`KernelStats`] into `chunks` equal per-block costs
 /// (the campaign's stats are aggregates; per-chunk heterogeneity can be
 /// fed in directly by building the `Vec<BlockCost>` by hand).
-pub fn per_block_costs(cfg: &SimConfig, stats: &KernelStats, chunks: u64) -> Vec<BlockCost> {
+pub fn per_block_costs(
+    model: &Model,
+    cfg: &SimConfig,
+    stats: &KernelStats,
+    chunks: u64,
+) -> Vec<BlockCost> {
     assert!(chunks > 0, "need at least one block");
-    let p = cfg.profile();
     let n = chunks as f64;
-    let div_ops = stats.divergent_branches as f64
-        * tuning::DIVERGENCE_OPS
-        * (f64::from(cfg.gpu.warp_size) / 32.0);
-    let shuffle_scale = (f64::from(cfg.gpu.warp_size).log2() / 5.0).max(1.0);
-    // Shared-memory traffic runs at SHARED_BYTES_PER_SM_CYCLE per SM; fold
-    // it into lane-cycles (the unit `simulate_kernel` divides by lanes) by
-    // scaling with the SM's lane count.
+    let terms = model.cycle_terms(&cfg.gpu, model.profile(cfg), stats);
+    // Shared-memory traffic runs at `shared_bytes_per_sm_cycle` per SM;
+    // fold it into lane-cycles (the unit `simulate_kernel` divides by
+    // lanes) by scaling with the SM's lane count.
     let shared_lane_cycles = stats.shared_traffic as f64 * f64::from(cfg.gpu.alu_per_sm)
-        / tuning::SHARED_BYTES_PER_SM_CYCLE;
-    let alu = (stats.thread_ops as f64 + div_ops) * tuning::CYCLES_PER_OP * p.compute
-        + stats.warp_shuffles as f64 * tuning::SHUFFLE_CYCLES * shuffle_scale * p.shuffle
-        + shared_lane_cycles;
-    let latency = stats.block_syncs as f64 * tuning::BLOCK_SYNC_CYCLES
-        + stats.warp_syncs as f64 * tuning::WARP_SYNC_CYCLES
-        + stats.scan_steps as f64 * tuning::SCAN_STEP_CYCLES;
+        / model.shared_bytes_per_sm_cycle;
+    let alu = terms.compute + terms.shuffle + shared_lane_cycles;
     let mem = (stats.global_reads + stats.global_writes) as f64;
     vec![
         BlockCost {
             alu_cycles: alu / n,
             mem_bytes: mem / n,
-            latency_cycles: latency / n,
+            latency_cycles: terms.latency / n,
         };
         chunks as usize
     ]
@@ -77,18 +73,17 @@ pub fn per_block_costs(cfg: &SimConfig, stats: &KernelStats, chunks: u64) -> Vec
 /// computed from steady-state residency (blocks per SM and blocks in
 /// flight), which matches the analytical model's assumptions while still
 /// capturing wave boundaries and stragglers exactly.
-pub fn simulate_kernel(cfg: &SimConfig, blocks: &[BlockCost]) -> f64 {
+pub fn simulate_kernel(model: &Model, cfg: &SimConfig, blocks: &[BlockCost]) -> f64 {
     if blocks.is_empty() {
         return 0.0;
     }
-    let gpu = cfg.gpu;
-    let p = cfg.profile();
+    let gpu = &cfg.gpu;
     let clock = gpu.clock_hz();
     let blocks_per_sm =
         f64::from(gpu.max_threads_per_sm / crate::specs::GpuSpec::THREADS_PER_BLOCK);
     let slots = gpu.blocks_in_flight() as usize;
     let alu_per_block = f64::from(gpu.alu_per_sm) / blocks_per_sm; // lanes per resident block
-    let bw = gpu.mem_bandwidth_gbs * 1e9 * p.memory_efficiency;
+    let bw = 1.0 / model.dram_seconds_per_byte(cfg);
     let bw_per_block = bw / f64::from(gpu.blocks_in_flight());
 
     let duration = |b: &BlockCost| -> f64 {
@@ -116,18 +111,22 @@ pub fn simulate_kernel(cfg: &SimConfig, blocks: &[BlockCost]) -> f64 {
 
 /// Convenience: simulate a kernel from aggregate stats (homogeneous
 /// blocks) and return seconds.
-pub fn simulate_from_stats(cfg: &SimConfig, stats: &KernelStats, chunks: u64) -> f64 {
+pub fn simulate_from_stats(
+    model: &Model,
+    cfg: &SimConfig,
+    stats: &KernelStats,
+    chunks: u64,
+) -> f64 {
     if chunks == 0 {
         return 0.0;
     }
-    simulate_kernel(cfg, &per_block_costs(cfg, stats, chunks))
+    simulate_kernel(model, cfg, &per_block_costs(model, cfg, stats, chunks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::{CompilerId, OptLevel};
-    use crate::cost::stage_time;
     use crate::specs::RTX_4090;
 
     fn cfg() -> SimConfig {
@@ -153,8 +152,11 @@ mod tests {
 
     #[test]
     fn empty_grid_is_free() {
-        assert_eq!(simulate_from_stats(&cfg(), &KernelStats::new(), 0), 0.0);
-        assert_eq!(simulate_kernel(&cfg(), &[]), 0.0);
+        assert_eq!(
+            simulate_from_stats(&Model::PAPER, &cfg(), &KernelStats::new(), 0),
+            0.0
+        );
+        assert_eq!(simulate_kernel(&Model::PAPER, &cfg(), &[]), 0.0);
     }
 
     #[test]
@@ -163,8 +165,8 @@ mod tests {
         // block duration; one more block doubles the makespan.
         let c = cfg();
         let bif = c.gpu.blocks_in_flight() as u64;
-        let t_full = simulate_from_stats(&c, &stats(bif), bif);
-        let t_plus1 = simulate_from_stats(&c, &stats(bif + 1), bif + 1);
+        let t_full = simulate_from_stats(&Model::PAPER, &c, &stats(bif), bif);
+        let t_plus1 = simulate_from_stats(&Model::PAPER, &c, &stats(bif + 1), bif + 1);
         let ratio = t_plus1 / t_full;
         assert!((ratio - 2.0).abs() < 0.05, "wave boundary: ratio {ratio}");
     }
@@ -173,8 +175,8 @@ mod tests {
     fn makespan_scales_linearly_with_full_waves() {
         let c = cfg();
         let bif = c.gpu.blocks_in_flight() as u64;
-        let t1 = simulate_from_stats(&c, &stats(bif), bif);
-        let t4 = simulate_from_stats(&c, &stats(4 * bif), 4 * bif);
+        let t1 = simulate_from_stats(&Model::PAPER, &c, &stats(bif), bif);
+        let t4 = simulate_from_stats(&Model::PAPER, &c, &stats(4 * bif), 4 * bif);
         let ratio = t4 / t1;
         assert!((ratio - 4.0).abs() < 0.05, "4 waves: ratio {ratio}");
     }
@@ -188,9 +190,10 @@ mod tests {
         let c = cfg();
         for chunks in [2000u64, 6400, 20_000] {
             let s = stats(chunks);
-            let analytical = stage_time(&c, &s, chunks)
-                + crate::cost::memory_time(&c, s.global_reads + s.global_writes);
-            let event = simulate_from_stats(&c, &s, chunks);
+            let analytical = Model::PAPER.stage_time(&c, &s, chunks)
+                + (s.global_reads + s.global_writes) as f64
+                    * Model::PAPER.dram_seconds_per_byte(&c);
+            let event = simulate_from_stats(&Model::PAPER, &c, &s, chunks);
             let ratio = event / analytical;
             assert!(
                 (0.5..2.0).contains(&ratio),
@@ -203,8 +206,8 @@ mod tests {
     fn stragglers_extend_the_makespan() {
         let c = cfg();
         let bif = c.gpu.blocks_in_flight() as usize;
-        let uniform = per_block_costs(&c, &stats(bif as u64), bif as u64);
-        let t_uniform = simulate_kernel(&c, &uniform);
+        let uniform = per_block_costs(&Model::PAPER, &c, &stats(bif as u64), bif as u64);
+        let t_uniform = simulate_kernel(&Model::PAPER, &c, &uniform);
         // Same total work, but one block carries 32x the ALU cycles.
         let mut skewed = uniform.clone();
         let extra = skewed[0].alu_cycles * 31.0;
@@ -212,7 +215,7 @@ mod tests {
         for b in skewed.iter_mut().skip(1) {
             b.alu_cycles -= extra / (bif as f64 - 1.0);
         }
-        let t_skewed = simulate_kernel(&c, &skewed);
+        let t_skewed = simulate_kernel(&Model::PAPER, &c, &skewed);
         assert!(t_skewed > t_uniform * 1.5, "{t_skewed} vs {t_uniform}");
     }
 
@@ -227,10 +230,10 @@ mod tests {
         s.warp_syncs = 0;
         s.warp_shuffles = 0;
         s.shared_traffic = 0;
-        let t = simulate_from_stats(&c, &s, 6400);
+        let t = simulate_from_stats(&Model::PAPER, &c, &s, 6400);
         let bytes = (s.global_reads + s.global_writes) as f64;
         let achieved = bytes / t / 1e9;
-        let peak_eff = c.gpu.mem_bandwidth_gbs * c.profile().memory_efficiency;
+        let peak_eff = c.gpu.mem_bandwidth_gbs * Model::PAPER.profile(&c).memory_efficiency;
         assert!(
             (achieved / peak_eff - 1.0).abs() < 0.05,
             "achieved {achieved} GB/s vs effective peak {peak_eff}"
@@ -241,7 +244,7 @@ mod tests {
     fn per_block_costs_divide_the_aggregate() {
         let c = cfg();
         let s = stats(100);
-        let blocks = per_block_costs(&c, &s, 100);
+        let blocks = per_block_costs(&Model::PAPER, &c, &s, 100);
         assert_eq!(blocks.len(), 100);
         let total_mem: f64 = blocks.iter().map(|b| b.mem_bytes).sum();
         assert!((total_mem - (s.global_reads + s.global_writes) as f64).abs() < 1.0);
@@ -250,6 +253,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one block")]
     fn zero_chunk_costs_panic() {
-        per_block_costs(&cfg(), &KernelStats::new(), 0);
+        per_block_costs(&Model::PAPER, &cfg(), &KernelStats::new(), 0);
     }
 }

@@ -7,23 +7,26 @@
 //! crate converts those counters into simulated kernel time for any
 //! (GPU, compiler, optimization level) combination.
 //!
+//! A [`GpuSpec`] holds what the paper's tables and vendor spec sheets
+//! supply; one [`Model`] value holds everything calibrated, and
+//! [`Model::PAPER`] is the calibration the study prices with. The paper's
+//! two mechanism claims are tests over transformed values priced by the
+//! campaign's own methods: §6.1's compiler split lives in the framework
+//! terms ([`Model::no_framework`] and the other ablations), and §7's
+//! findings survive a multi-socket build ([`GpuSpec::numa`]).
+//!
 //! See DESIGN.md §"GPU + compiler model" for the substitution argument and
 //! `compiler.rs` for the provenance of every calibration constant.
 
 #![forbid(unsafe_code)]
 
-pub mod ablation;
 pub mod compiler;
 pub mod cost;
 pub mod event_sim;
-pub mod numa;
 pub mod specs;
 
-pub use compiler::{profile, CodegenProfile, CompilerId, OptLevel};
-pub use cost::{
-    framework_time, memory_time, pipeline_time, stage_time, throughput_gbs, total_time, Direction,
-    SimConfig,
-};
+pub use compiler::{CodegenProfile, CompilerId, OptLevel, ProfileTable};
+pub use cost::{pipeline_time, throughput_gbs, Combine, Direction, Model, SimConfig};
 pub use specs::{
     fastest, GpuSpec, Vendor, ALL_GPUS, MI100, RTX_3080_TI, RTX_4090, RX_7900_XTX, TITAN_V,
 };
@@ -59,4 +62,15 @@ mod tests {
         let c = SimConfig::new(&RTX_4090, CompilerId::Clang, OptLevel::O1);
         assert_eq!(c.label(), "RTX 4090/Clang/-O1");
     }
+}
+
+// The §6.1 and §7 claims, each priced under a transformed `Model` or
+// `GpuSpec` by the same methods the campaign uses.
+#[cfg(test)]
+mod ablation {
+    mod tests;
+}
+#[cfg(test)]
+mod numa {
+    mod tests;
 }

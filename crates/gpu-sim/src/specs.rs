@@ -16,7 +16,7 @@ pub enum Vendor {
 ///
 /// NVIDIA's SMs ≈ AMD's CUs and NVIDIA's compute capability ≈ AMD's target
 /// processor (paper §5), so both vendors share this struct.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"RTX 4090"`.
     pub name: &'static str,
@@ -66,6 +66,27 @@ impl GpuSpec {
     /// Clock in Hz.
     pub fn clock_hz(&self) -> f64 {
         self.clock_mhz as f64 * 1e6
+    }
+
+    /// The paper's §7 what-if: this (monolithic) GPU built as `sockets`
+    /// sockets or chips joined by a link of `link_bandwidth_fraction` ×
+    /// one socket's DRAM bandwidth (e.g. 0.4 for an NVLink-class
+    /// interconnect). SMs, memory and aggregate bandwidth scale with the
+    /// socket count. Under uniform chunk placement `(sockets − 1) /
+    /// sockets` of the chunk loads and stores are remote and run at the
+    /// link's bandwidth, so the effective bandwidth is the aggregate
+    /// divided by `(1 − remote) + remote / link`. Only that one-time
+    /// traffic crosses — a chunk stays in shared memory through all
+    /// stages (§7) — and one socket returns this spec unchanged.
+    pub fn numa(&self, sockets: u32, link_bandwidth_fraction: f64) -> GpuSpec {
+        let remote = f64::from(sockets - 1) / f64::from(sockets);
+        let link_factor = (1.0 - remote) + remote / link_bandwidth_fraction.max(1e-6);
+        GpuSpec {
+            sms: self.sms * sockets,
+            memory_gb: self.memory_gb * sockets,
+            mem_bandwidth_gbs: self.mem_bandwidth_gbs * f64::from(sockets) / link_factor,
+            ..*self
+        }
     }
 }
 

@@ -1226,47 +1226,18 @@ fn cmd_simulate(rest: &[String]) -> Result<(), CliError> {
     }
     let cfg = SimConfig::new(gpu, compiler, opt);
 
-    let pipeline: Vec<_> = pipeline_text.split_whitespace().collect();
-    let components: Vec<_> = pipeline
-        .iter()
+    let components: Vec<_> = pipeline_text
+        .split_whitespace()
         .map(|n| lc_components::lookup(n).ok_or_else(|| format!("unknown component {n:?}")))
         .collect::<Result<_, _>>()?;
 
     let sp =
         lc_data::file_by_name(file_name).ok_or_else(|| format!("unknown file {file_name:?}"))?;
-    let data = lc_data::generate(sp, lc_data::Scale::denominator(512));
-    let mut chunked = lc_study::runner::ChunkedData::from_bytes(&data);
-    let measured = chunked.total_bytes();
-    let paper_bytes = sp.paper_size_tenth_mb as u64 * 100_000;
-    let factor = paper_bytes as f64 / measured as f64;
-    let chunks = paper_bytes.div_ceil(lc_core::CHUNK_SIZE as u64);
-
-    let mut enc_stats = Vec::new();
-    let mut dec_stats = Vec::new();
-    let mut comp_bytes = 0;
-    for c in &components {
-        let outcome = lc_study::runner::run_stage(c.as_ref(), &chunked, true);
-        enc_stats.push(outcome.enc.scaled(factor));
-        dec_stats.push(outcome.dec.scaled(factor));
-        comp_bytes = (outcome.output.total_bytes() as f64 * factor) as u64 + 5 * chunks;
-        chunked = outcome.output;
-    }
-    let t_enc = gpu_sim::pipeline_time(
-        &cfg,
-        Direction::Encode,
-        &enc_stats,
-        chunks,
-        paper_bytes,
-        comp_bytes,
-    );
-    let t_dec = gpu_sim::pipeline_time(
-        &cfg,
-        Direction::Decode,
-        &dec_stats,
-        chunks,
-        paper_bytes,
-        comp_bytes,
-    );
+    let run =
+        lc_study::runner::run_at_paper_scale(sp, lc_data::Scale::denominator(512), &components);
+    let (paper_bytes, comp_bytes) = (run.uncompressed, run.compressed);
+    let t_enc = run.time(&cfg, Direction::Encode);
+    let t_dec = run.time(&cfg, Direction::Decode);
     println!("pipeline : {pipeline_text}");
     println!("input    : {file_name} ({paper_bytes} bytes at paper scale)");
     println!("platform : {}", cfg.label());

@@ -59,16 +59,16 @@ use lc_core::KernelStats;
 use lc_json::Value;
 use lc_parallel::{CancelToken, Pool};
 
-use gpu_sim::{
-    all_platforms, framework_time, stage_time, throughput_gbs, Direction, OptLevel, SimConfig,
-};
+use gpu_sim::{all_platforms, throughput_gbs, Direction, Model, OptLevel, SimConfig};
 use lc_data::{Scale, SpFile, SP_FILES};
 
 use crate::journal::{self, JournalWriter};
 use crate::prefix::{CacheReport, CacheStats, SweepMode, UnitPrefixCache};
 use crate::progress::Heartbeat;
 use crate::prune::{PruneMode, PrunePlan, PruneReport};
-use crate::runner::{run_stage_checked, ChunkedData, StageFault, StageOutcome, Watchdog};
+use crate::runner::{
+    paper_compressed_bytes, run_stage_checked, ChunkedData, StageFault, StageOutcome, Watchdog,
+};
 use crate::space::Space;
 
 /// Campaign parameters.
@@ -200,12 +200,13 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Simulate the paper's "run three times, keep the median" protocol:
-/// apply three deterministic jitters of up to ±0.4% and take the median.
-pub fn median_of_three_runs(t: f64, seed: u64) -> f64 {
+/// apply three deterministic jitters drawn from `±jitter / 2` (the
+/// model's [`Model::run_jitter`]) and take the median.
+pub fn median_of_three_runs(t: f64, seed: u64, jitter: f64) -> f64 {
     let mut eps = [0f64; 3];
     for (k, e) in eps.iter_mut().enumerate() {
         let h = splitmix64(seed ^ (k as u64).wrapping_mul(0xA24BAED4963EE407));
-        *e = ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.008;
+        *e = ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * jitter;
     }
     eps.sort_by(|a, b| a.partial_cmp(b).unwrap()); // invariant: eps values are finite
     t * (1.0 + eps[1])
@@ -659,7 +660,7 @@ pub fn run_campaign_with(
         let price = |i1: usize, stats: &UnitStats| {
             let _span =
                 lc_telemetry::span_in!("campaign", "price", file = file.name, s1_index = i1);
-            price_unit(stats, &ctx, &configs, &plan, i1)
+            price_unit(&Model::PAPER, stats, &ctx, &configs, &plan, i1)
         };
 
         // One task per stage-1 component; each owns the contiguous
@@ -1004,13 +1005,16 @@ fn run_unit(
 
 /// Price one unit's statistics on every platform in `configs`: the only
 /// place the `gpu-sim` cost model is consulted. Counters are
-/// extrapolated to the paper-scale file, each measured cell's time is
-/// the roofline `max(Σ stage, DRAM) + framework`, jittered by the
+/// extrapolated to the paper-scale file, each measured cell is timed by
+/// `model`'s own methods (per-stage times, then [`Model::time_on_grid`]
+/// over the platform's precomputed [`Model::grid_terms`] — the path
+/// [`Model::pipeline_time`] takes), jittered by the
 /// median-of-three protocol, and stored as a log-throughput. The f64
 /// operation order is fixed, so a unit priced straight after execution
 /// and one replayed from the journal give the same bits. Unmeasured
 /// cells stay zero.
 fn price_unit(
+    model: &Model,
     stats: &UnitStats,
     ctx: &FileCtx,
     configs: &[SimConfig],
@@ -1025,14 +1029,13 @@ fn price_unit(
     let mut row_dec = vec![0f64; c_total * stride];
     let mut row_comp = vec![0u64; stride];
 
-    // Per-platform framework terms and inverse DRAM bandwidth.
-    let pre: Vec<(f64, f64, f64)> = configs
+    // Per-platform (encode, decode) framework and DRAM terms.
+    let grids: Vec<_> = configs
         .iter()
         .map(|cfg| {
             (
-                framework_time(cfg, Direction::Encode, chunks),
-                framework_time(cfg, Direction::Decode, chunks),
-                1.0 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * cfg.profile().memory_efficiency),
+                model.grid_terms(cfg, Direction::Encode, chunks),
+                model.grid_terms(cfg, Direction::Decode, chunks),
             )
         })
         .collect();
@@ -1041,7 +1044,12 @@ fn price_unit(
         let (e, d) = (e.scaled(extrapolate), d.scaled(extrapolate));
         configs
             .iter()
-            .map(|cfg| (stage_time(cfg, &e, chunks), stage_time(cfg, &d, chunks)))
+            .map(|cfg| {
+                (
+                    model.stage_time(cfg, &e, chunks),
+                    model.stage_time(cfg, &d, chunks),
+                )
+            })
             .collect()
     };
     let st1 = times(&stats.s1);
@@ -1054,21 +1062,19 @@ fn price_unit(
             }
             let ([s3e, s3d], bytes) = &stats.s3[local];
             let (s3e, s3d) = (s3e.scaled(extrapolate), s3d.scaled(extrapolate));
-            let comp_bytes = (*bytes as f64 * extrapolate) as u64 + 5 * chunks;
+            let comp_bytes = paper_compressed_bytes(*bytes, extrapolate, chunks);
             row_comp[local] = comp_bytes;
             for (c, cfg) in configs.iter().enumerate() {
-                let (fw_enc, fw_dec, inv_bw) = pre[c];
-                let st3_enc = stage_time(cfg, &s3e, chunks);
-                let st3_dec = stage_time(cfg, &s3d, chunks);
-                // Roofline: in-SM work overlaps DRAM traffic; the
-                // slower of the two bounds the kernel (see
-                // gpu_sim::total_time).
-                let mem = (unc + comp_bytes) as f64 * inv_bw;
-                let t_enc = (st1[c].0 + st2[c].0 + st3_enc).max(mem) + fw_enc;
-                let t_dec = (st1[c].1 + st2[c].1 + st3_dec).max(mem) + fw_dec;
+                let (grid_enc, grid_dec) = &grids[c];
+                let st3_enc = model.stage_time(cfg, &s3e, chunks);
+                let st3_dec = model.stage_time(cfg, &s3d, chunks);
+                let bytes = unc + comp_bytes;
+                let t_enc = model.time_on_grid(grid_enc, st1[c].0 + st2[c].0 + st3_enc, bytes);
+                let t_dec = model.time_on_grid(grid_dec, st1[c].1 + st2[c].1 + st3_dec, bytes);
                 let seed = (ctx.file_i as u64) << 48 | (p_idx as u64) << 8 | c as u64;
-                let t_enc = median_of_three_runs(t_enc, splitmix64(seed));
-                let t_dec = median_of_three_runs(t_dec, splitmix64(seed ^ 0xDEC0));
+                let t_enc = median_of_three_runs(t_enc, splitmix64(seed), model.run_jitter);
+                let t_dec =
+                    median_of_three_runs(t_dec, splitmix64(seed ^ 0xDEC0), model.run_jitter);
                 row_enc[c * stride + local] =
                     throughput_gbs(unc, t_enc).max(f64::MIN_POSITIVE).ln();
                 row_dec[c * stride + local] =
@@ -1372,12 +1378,181 @@ mod tests {
 
     #[test]
     fn median_of_three_runs_is_deterministic_and_small() {
-        let a = median_of_three_runs(1.0, 42);
-        let b = median_of_three_runs(1.0, 42);
+        let a = median_of_three_runs(1.0, 42, Model::PAPER.run_jitter);
+        let b = median_of_three_runs(1.0, 42, Model::PAPER.run_jitter);
         assert_eq!(a, b);
         assert!((a - 1.0).abs() < 0.005);
-        let c = median_of_three_runs(1.0, 43);
+        let c = median_of_three_runs(1.0, 43, Model::PAPER.run_jitter);
         assert_ne!(a, c, "different seeds give different jitter");
+    }
+
+    // ---- pricing ---------------------------------------------------------
+
+    /// One stage's statistics over `n` measured chunks, every counter
+    /// nonzero. A light stage leaves every platform DRAM-bound; a heavy
+    /// one (divergent, atomics, scans) makes every platform compute-bound.
+    fn stage_stats(n: u64, heavy: bool) -> KernelStats {
+        let k = |light: u64, heavy_value: u64| n * if heavy { heavy_value } else { light };
+        KernelStats {
+            words: n * 4096,
+            thread_ops: k(256, 4096 * 20),
+            global_reads: n * 16384,
+            global_writes: n * 16384,
+            shared_traffic: k(1024, 65536),
+            warp_shuffles: k(8, 4096),
+            warp_syncs: k(1, 64),
+            block_syncs: k(1, 32),
+            atomic_ops: k(1, 64),
+            scan_steps: k(1, 26),
+            divergent_branches: k(1, 2000),
+        }
+    }
+
+    /// A 4 × 4 unit (RZE_{1,2,4,8} in stages 1–2, same as reducers) whose
+    /// light first stages are shared by alternating light and heavy
+    /// reducers, extrapolated ×2 to 6400 chunks, priced on all 22
+    /// platform × opt configs with no pruning.
+    struct PricingFixture {
+        stats: UnitStats,
+        ctx: FileCtx,
+        configs: Vec<SimConfig>,
+        plan: PrunePlan,
+    }
+
+    impl PricingFixture {
+        fn new() -> Self {
+            let (n, nc, nr) = (3200, 4, 4);
+            let pair = |heavy| [stage_stats(n, heavy), stage_stats(n, heavy)];
+            let mut stats = UnitStats::zeroed(nc, nr);
+            stats.s1 = pair(false);
+            stats.s2 = vec![pair(false); nc];
+            for (local, cell) in stats.s3.iter_mut().enumerate() {
+                let heavy = local % 2 == 1;
+                *cell = (pair(heavy), n * if heavy { 8000 } else { 16384 });
+            }
+            Self {
+                stats,
+                ctx: FileCtx {
+                    extrapolate: 2.0,
+                    chunks: 2 * n,
+                    unc: 2 * n * 16384,
+                    file_i: 1,
+                },
+                configs: [OptLevel::O1, OptLevel::O3]
+                    .iter()
+                    .flat_map(|&o| all_platforms(o))
+                    .collect(),
+                plan: PrunePlan::for_space(
+                    &Space::restricted_to_families(&["RZE"]),
+                    PruneMode::Off,
+                ),
+            }
+        }
+
+        fn price(&self, model: &Model) -> UnitRows {
+            price_unit(model, &self.stats, &self.ctx, &self.configs, &self.plan, 0)
+        }
+    }
+
+    #[test]
+    fn price_unit_is_model_pipeline_time() {
+        // Without jitter, every cell price_unit writes is the
+        // log-throughput of `Model::pipeline_time` on the cell's three
+        // extrapolated stages, bit for bit: the campaign has no pricing
+        // formula of its own.
+        let f = PricingFixture::new();
+        assert_eq!(f.configs.len(), 22);
+        let (x, chunks, unc) = (f.ctx.extrapolate, f.ctx.chunks, f.ctx.unc);
+        let nr = f.stats.s3.len() / f.stats.s2.len();
+        for model in [Model::PAPER, Model::PAPER.no_roofline()] {
+            let model = Model {
+                run_jitter: 0.0,
+                ..model
+            };
+            let (enc, dec, comp) = f.price(&model);
+            for (local, (s3, bytes)) in f.stats.s3.iter().enumerate() {
+                assert_eq!(comp[local], paper_compressed_bytes(*bytes, x, chunks));
+                let stages = |d: usize| {
+                    [&f.stats.s1, &f.stats.s2[local / nr], s3].map(|pair| pair[d].scaled(x))
+                };
+                for (c, cfg) in f.configs.iter().enumerate() {
+                    for (row, dir, d) in
+                        [(&enc, Direction::Encode, 0), (&dec, Direction::Decode, 1)]
+                    {
+                        let t = model.pipeline_time(cfg, dir, &stages(d), chunks, unc, comp[local]);
+                        let want = throughput_gbs(unc, t).max(f64::MIN_POSITIVE).ln();
+                        let got = row[c * f.stats.s3.len() + local];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} cell {local} {dir:?}: {got} vs {want}",
+                            cfg.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A named accessor of one calibrated value inside `T`.
+    type Field<T> = (&'static str, fn(&mut T) -> &mut f64);
+
+    #[test]
+    fn every_calibrated_constant_moves_the_prices() {
+        // A 0.1 % change to any calibrated value must change what the
+        // campaign reports; a constant that moves nothing is dead.
+        let f = PricingFixture::new();
+        let base = f.price(&Model::PAPER);
+        let moves = |model: &Model| {
+            let rows = f.price(model);
+            rows.0 != base.0 || rows.1 != base.1
+        };
+        let fields: [Field<Model>; 13] = [
+            ("cycles_per_op", |m| &mut m.cycles_per_op),
+            ("divergence_ops", |m| &mut m.divergence_ops),
+            ("shuffle_cycles", |m| &mut m.shuffle_cycles),
+            ("shared_bytes_per_sm_cycle", |m| {
+                &mut m.shared_bytes_per_sm_cycle
+            }),
+            ("block_sync_cycles", |m| &mut m.block_sync_cycles),
+            ("warp_sync_cycles", |m| &mut m.warp_sync_cycles),
+            ("scan_step_cycles", |m| &mut m.scan_step_cycles),
+            ("atomic_cycles", |m| &mut m.atomic_cycles),
+            ("enc_lookback_chain_cycles", |m| {
+                &mut m.enc_lookback_chain_cycles
+            }),
+            ("enc_lookback_wave_cycles", |m| {
+                &mut m.enc_lookback_wave_cycles
+            }),
+            ("dec_scan_chain_cycles", |m| &mut m.dec_scan_chain_cycles),
+            ("dec_scan_wave_cycles", |m| &mut m.dec_scan_wave_cycles),
+            ("run_jitter", |m| &mut m.run_jitter),
+        ];
+        for (name, field) in fields {
+            let mut m = Model::PAPER;
+            *field(&mut m) *= 1.001;
+            assert!(moves(&m), "{name} +0.1 % changes no price");
+        }
+        let profile_fields: [Field<gpu_sim::CodegenProfile>; 6] = [
+            ("compute", |p| &mut p.compute),
+            ("memory_efficiency", |p| &mut p.memory_efficiency),
+            ("shuffle", |p| &mut p.shuffle),
+            ("lookback", |p| &mut p.lookback),
+            ("block_scan", |p| &mut p.block_scan),
+            ("launch_us", |p| &mut p.launch_us),
+        ];
+        for platform in 0..4 {
+            for opt in 0..2 {
+                for (name, field) in profile_fields {
+                    let mut m = Model::PAPER;
+                    *field(&mut m.profiles.0[platform][opt]) *= 1.001;
+                    assert!(
+                        moves(&m),
+                        "profile [{platform}][{opt}].{name} +0.1 % changes no price"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! a pipeline's cost is the sum of its three stages' costs (kernel
 //! statistics are additive per stage by construction).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gpu_sim::{Direction, SimConfig};
 use lc_core::chunk::CHUNK_SIZE;
 use lc_core::{Component, KernelStats};
+use lc_data::{Scale, SpFile};
 
 /// Chunked data flowing between pipeline stages. Chunks stay separate
 /// through the whole pipeline (each is one thread block's private data;
@@ -178,6 +181,82 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
         }
     }
     outcome
+}
+
+/// Bytes the GPU archive adds per chunk: LC's table entry of stage mask
+/// (u8) and stored length (u32) — `lc_core`'s v2 entry, without the v3
+/// per-chunk CRC.
+const CHUNK_TABLE_ENTRY_BYTES: u64 = lc_core::archive::TABLE_ENTRY_V2 as u64;
+
+/// Archive bytes at paper scale for a final stage output of `measured`
+/// bytes: the payload extrapolated by `factor`, plus one table entry per
+/// chunk.
+pub fn paper_compressed_bytes(measured: u64, factor: f64, chunks: u64) -> u64 {
+    (measured as f64 * factor) as u64 + CHUNK_TABLE_ENTRY_BYTES * chunks
+}
+
+/// A pipeline run on reduced-scale input with its statistics
+/// extrapolated to the paper's file size, the operating point the
+/// campaign prices at (every tested input fully occupies every tested
+/// GPU, §5).
+#[derive(Debug, Clone)]
+pub struct PaperScaleRun {
+    /// Per-stage encode statistics.
+    pub enc: Vec<KernelStats>,
+    /// Per-stage decode statistics.
+    pub dec: Vec<KernelStats>,
+    /// 16 kB chunks of the paper-size file.
+    pub chunks: u64,
+    /// Paper-size uncompressed bytes.
+    pub uncompressed: u64,
+    /// Paper-scale archive bytes.
+    pub compressed: u64,
+}
+
+impl PaperScaleRun {
+    /// Simulated seconds for the run in `direction` on `cfg`, priced by
+    /// [`gpu_sim::pipeline_time`].
+    pub fn time(&self, cfg: &SimConfig, direction: Direction) -> f64 {
+        let stats = match direction {
+            Direction::Encode => &self.enc,
+            Direction::Decode => &self.dec,
+        };
+        gpu_sim::pipeline_time(
+            cfg,
+            direction,
+            stats,
+            self.chunks,
+            self.uncompressed,
+            self.compressed,
+        )
+    }
+}
+
+/// Run `stages` in order, round-trip verified, over `file` generated at
+/// `scale`, and extrapolate the statistics to the paper-size file.
+pub fn run_at_paper_scale(
+    file: &SpFile,
+    scale: Scale,
+    stages: &[Arc<dyn Component>],
+) -> PaperScaleRun {
+    let mut data = ChunkedData::from_bytes(&lc_data::generate(file, scale));
+    let uncompressed = file.paper_size_tenth_mb as u64 * 100_000;
+    let factor = uncompressed as f64 / data.total_bytes() as f64;
+    let chunks = uncompressed.div_ceil(CHUNK_SIZE as u64);
+    let (mut enc, mut dec) = (Vec::new(), Vec::new());
+    for stage in stages {
+        let o = run_stage(stage.as_ref(), &data, true);
+        enc.push(o.enc.scaled(factor));
+        dec.push(o.dec.scaled(factor));
+        data = o.output;
+    }
+    PaperScaleRun {
+        enc,
+        dec,
+        chunks,
+        uncompressed,
+        compressed: paper_compressed_bytes(data.total_bytes(), factor, chunks),
+    }
 }
 
 /// A monotonic deadline for one campaign work unit.

@@ -11,18 +11,12 @@
 //! cargo run --release --example warp64_port
 //! ```
 
-use gpu_sim::{
-    pipeline_time, throughput_gbs, CompilerId, Direction, OptLevel, SimConfig, MI100, RTX_4090,
-};
-use lc_repro::lc_data::{file_by_name, generate, Scale};
-use lc_repro::lc_study::runner::{run_stage, ChunkedData};
+use gpu_sim::{throughput_gbs, CompilerId, Direction, OptLevel, SimConfig, MI100, RTX_4090};
+use lc_repro::lc_data::{file_by_name, Scale};
+use lc_repro::lc_study::runner::run_at_paper_scale;
 
 fn main() {
     let file = file_by_name("num_plasma").unwrap();
-    let data = generate(file, Scale::denominator(1024));
-    let paper_bytes = file.paper_size_tenth_mb as u64 * 100_000;
-    let factor = paper_bytes as f64 / data.len() as f64;
-    let chunks = paper_bytes.div_ceil(lc_repro::lc_core::CHUNK_SIZE as u64);
 
     // Pipelines with different warp-level behaviour: BIT_8 (shuffle-based
     // transpose), DIFF decode (warp-scan heavy), RLE (divergent).
@@ -31,37 +25,14 @@ fn main() {
         "TCMS_4 DIFF_4 RLE_4",
         "DBEFS_4 DIFFMS_4 RARE_4",
     ] {
-        let mut chunked = ChunkedData::from_bytes(&data);
-        let mut enc = Vec::new();
-        let mut dec = Vec::new();
-        let mut comp_bytes = 0u64;
-        for name in desc.split_whitespace() {
-            let c = lc_repro::lc_components::lookup(name).expect(name);
-            let o = run_stage(c.as_ref(), &chunked, true);
-            enc.push(o.enc.scaled(factor));
-            dec.push(o.dec.scaled(factor));
-            comp_bytes = (o.output.total_bytes() as f64 * factor) as u64 + 5 * chunks;
-            chunked = o.output;
-        }
+        let stages: Vec<_> = desc
+            .split_whitespace()
+            .map(|name| lc_repro::lc_components::lookup(name).expect(name))
+            .collect();
+        let run = run_at_paper_scale(file, Scale::denominator(1024), &stages);
         println!("pipeline: {desc}");
         for gpu in [&RTX_4090, &MI100] {
             let cfg = SimConfig::new(gpu, CompilerId::Hipcc, OptLevel::O3);
-            let te = pipeline_time(
-                &cfg,
-                Direction::Encode,
-                &enc,
-                chunks,
-                paper_bytes,
-                comp_bytes,
-            );
-            let td = pipeline_time(
-                &cfg,
-                Direction::Decode,
-                &dec,
-                chunks,
-                paper_bytes,
-                comp_bytes,
-            );
             println!(
                 "  {:12} (warp {:2}, {:3} {}): encode {:7.1} GB/s   decode {:7.1} GB/s",
                 gpu.name,
@@ -72,8 +43,8 @@ fn main() {
                 } else {
                     "SMs"
                 },
-                throughput_gbs(paper_bytes, te),
-                throughput_gbs(paper_bytes, td),
+                throughput_gbs(run.uncompressed, run.time(&cfg, Direction::Encode)),
+                throughput_gbs(run.uncompressed, run.time(&cfg, Direction::Decode)),
             );
         }
         println!();

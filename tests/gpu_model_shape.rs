@@ -6,72 +6,25 @@ use gpu_sim::{
     pipeline_time, throughput_gbs, CompilerId, Direction, OptLevel, SimConfig, ALL_GPUS, MI100,
     RTX_4090,
 };
-use lc_repro::lc_data::{file_by_name, generate, Scale};
-use lc_repro::lc_study::runner::{run_stage, ChunkedData};
+use lc_repro::lc_data::{file_by_name, Scale};
+use lc_repro::lc_study::runner::{run_at_paper_scale, PaperScaleRun};
 
-/// Run a pipeline's stage tree on a synthetic file and return
-/// (enc stats, dec stats, chunks, uncompressed, compressed) extrapolated
-/// to paper scale.
-fn measure(
-    desc: &str,
-    file: &str,
-) -> (
-    Vec<lc_repro::lc_core::KernelStats>,
-    Vec<lc_repro::lc_core::KernelStats>,
-    u64,
-    u64,
-    u64,
-) {
-    let sp = file_by_name(file).unwrap();
-    let data = generate(sp, Scale::tiny());
-    let paper_bytes = sp.paper_size_tenth_mb as u64 * 100_000;
-    let factor = paper_bytes as f64 / data.len() as f64;
-    let chunks = paper_bytes.div_ceil(16384);
-    let mut chunked = ChunkedData::from_bytes(&data);
-    let mut enc = Vec::new();
-    let mut dec = Vec::new();
-    let mut comp = 0u64;
-    for name in desc.split_whitespace() {
-        let c = lc_repro::lc_components::lookup(name).expect(name);
-        let o = run_stage(c.as_ref(), &chunked, true);
-        enc.push(o.enc.scaled(factor));
-        dec.push(o.dec.scaled(factor));
-        comp = (o.output.total_bytes() as f64 * factor) as u64 + 5 * chunks;
-        chunked = o.output;
-    }
-    (enc, dec, chunks, paper_bytes, comp)
+/// Run a pipeline's stages on a synthetic file, extrapolated to paper
+/// scale.
+fn measure(desc: &str, file: &str) -> PaperScaleRun {
+    let stages: Vec<_> = desc
+        .split_whitespace()
+        .map(|name| lc_repro::lc_components::lookup(name).expect(name))
+        .collect();
+    run_at_paper_scale(file_by_name(file).unwrap(), Scale::tiny(), &stages)
 }
 
-fn enc_tp(
-    cfg: &SimConfig,
-    m: &(
-        Vec<lc_repro::lc_core::KernelStats>,
-        Vec<lc_repro::lc_core::KernelStats>,
-        u64,
-        u64,
-        u64,
-    ),
-) -> f64 {
-    throughput_gbs(
-        m.3,
-        pipeline_time(cfg, Direction::Encode, &m.0, m.2, m.3, m.4),
-    )
+fn enc_tp(cfg: &SimConfig, m: &PaperScaleRun) -> f64 {
+    throughput_gbs(m.uncompressed, m.time(cfg, Direction::Encode))
 }
 
-fn dec_tp(
-    cfg: &SimConfig,
-    m: &(
-        Vec<lc_repro::lc_core::KernelStats>,
-        Vec<lc_repro::lc_core::KernelStats>,
-        u64,
-        u64,
-        u64,
-    ),
-) -> f64 {
-    throughput_gbs(
-        m.3,
-        pipeline_time(cfg, Direction::Decode, &m.1, m.2, m.3, m.4),
-    )
+fn dec_tp(cfg: &SimConfig, m: &PaperScaleRun) -> f64 {
+    throughput_gbs(m.uncompressed, m.time(cfg, Direction::Decode))
 }
 
 #[test]
@@ -135,28 +88,14 @@ fn mi100_uses_warp64_accounting() {
     // (RLE-heavy) must pay more on the warp-64 machine (§4's porting
     // trade-off as the cost model sees it).
     let divergent = measure("RLE_4 RLE_4 RLE_4", "obs_temp");
-    let mi_w32: &'static gpu_sim::GpuSpec = Box::leak(Box::new(gpu_sim::GpuSpec {
+    let mi_w32 = gpu_sim::GpuSpec {
         warp_size: 32,
-        ..MI100.clone()
-    }));
+        ..MI100
+    };
     let w64 = SimConfig::new(&MI100, CompilerId::Hipcc, OptLevel::O3);
-    let w32 = SimConfig::new(mi_w32, CompilerId::Hipcc, OptLevel::O3);
-    let t64 = pipeline_time(
-        &w64,
-        Direction::Encode,
-        &divergent.0,
-        divergent.2,
-        divergent.3,
-        divergent.4,
-    );
-    let t32 = pipeline_time(
-        &w32,
-        Direction::Encode,
-        &divergent.0,
-        divergent.2,
-        divergent.3,
-        divergent.4,
-    );
+    let w32 = SimConfig::new(&mi_w32, CompilerId::Hipcc, OptLevel::O3);
+    let t64 = divergent.time(&w64, Direction::Encode);
+    let t32 = divergent.time(&w32, Direction::Encode);
     assert!(t64 > t32, "warp-64 divergence penalty: {t64} vs {t32}");
 }
 
@@ -166,15 +105,11 @@ fn compression_reduces_decode_memory_traffic() {
     // doesn't — and the model must therefore decode it faster than an
     // identical-cost pipeline with incompressible output.
     let good = measure("DBESF_4 DIFFMS_4 RARE_4", "obs_temp");
-    assert!(
-        good.4 < good.3,
-        "pipeline compresses: {} < {}",
-        good.4,
-        good.3
-    );
+    let (unc, comp) = (good.uncompressed, good.compressed);
+    assert!(comp < unc, "pipeline compresses: {comp} < {unc}");
     let cfg = SimConfig::new(&RTX_4090, CompilerId::Nvcc, OptLevel::O3);
-    let t_small = pipeline_time(&cfg, Direction::Decode, &good.1, good.2, good.3, good.4);
-    let t_big = pipeline_time(&cfg, Direction::Decode, &good.1, good.2, good.3, good.3);
+    let t_small = good.time(&cfg, Direction::Decode);
+    let t_big = pipeline_time(&cfg, Direction::Decode, &good.dec, good.chunks, unc, unc);
     assert!(t_small <= t_big, "less DRAM traffic cannot be slower");
 }
 
