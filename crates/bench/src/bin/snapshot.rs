@@ -64,6 +64,7 @@ fn main() {
         };
         let t0 = Instant::now();
         let outcome = run_campaign_with(&sc, &opts).expect("campaign failed");
+        assert!(outcome.quarantined.is_empty(), "campaign quarantined units");
         (outcome, t0.elapsed().as_secs_f64())
     };
     let (outcome, campaign_s) = run_sweep(SweepMode::default());
@@ -328,7 +329,8 @@ fn main() {
             ..Default::default()
         };
         let t0 = Instant::now();
-        run_campaign_with(&sc, &opts).expect("shard campaign failed");
+        let outcome = run_campaign_with(&sc, &opts).expect("shard campaign failed");
+        assert!(outcome.quarantined.is_empty(), "shard quarantined units");
         shard_walls.push(t0.elapsed().as_secs_f64());
     }
     let shard_total_s: f64 = shard_walls.iter().sum();
@@ -354,15 +356,12 @@ fn main() {
         && report::to_json(&m, &[]) == report::to_json(&fused.measurements, &[]);
     let _ = std::fs::remove_dir_all(&shard_dir);
     let full_units = sc.files.len() * full.components.len();
-    let full_space_est_s = shard_total_s * full.len() as f64 / sc.space.len() as f64;
     eprintln!(
         "shard: {shard_n} shards in {shard_total_s:.2}s (max {shard_max_s:.2}s), merge {:.1} ms, \
-         re-price {:.1} ms, {} units fused, identical={identical}; full space (~{full_units} units) \
-         \u{2248} {:.0}s at this rate",
+         re-price {:.1} ms, {} units fused, identical={identical}",
         merge_s * 1e3,
         reprice_s * 1e3,
         merge_report.units,
-        full_space_est_s,
     );
 
     let snapshot = Value::object([
@@ -470,7 +469,6 @@ fn main() {
                     Value::from(shard_total_s / campaign_s),
                 ),
                 ("full_space_units", Value::from(full_units as u64)),
-                ("full_space_est_s", Value::from(full_space_est_s)),
             ]),
         ),
     ]);

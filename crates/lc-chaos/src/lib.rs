@@ -26,8 +26,8 @@
 //! * **Fsync failure** — `sync_data` fails. Never retried: after a
 //!   failed fsync the kernel may have dropped the dirty pages, so the
 //!   only safe response is to treat the file state as unknown.
-//! * **Allocation denial** — a cache admission is refused, forcing the
-//!   prefix cache to shed instead of grow.
+//! * **Allocation denial** — an `lc-serve` arena lease or growth is
+//!   refused, forcing the server to shed the request instead of grow.
 //! * **Worker stall** — a pool worker sleeps briefly mid-claim,
 //!   perturbing completion order the way an oversubscribed host would.
 //!
@@ -75,7 +75,7 @@ pub enum FaultKind {
     TornCrash,
     /// `sync_data` fails.
     FsyncFail,
-    /// Refuse a cache admission.
+    /// Refuse an arena allocation.
     AllocDeny,
     /// Sleep briefly (worker-schedule perturbation).
     Stall,
@@ -98,7 +98,7 @@ pub enum Site {
     Sync,
     /// The rename that publishes an atomic whole-file write.
     Rename,
-    /// A prefix-cache admission decision.
+    /// An `lc-serve` arena lease or growth ([`alloc_allowed`]).
     Alloc,
     /// A pool worker claiming its next task.
     Worker,
@@ -160,7 +160,7 @@ impl FaultPlan {
             sync_permille: 100,
             create_permille: 30,
             rename_permille: 30,
-            alloc_permille: 120,
+            alloc_permille: 0,
             worker_permille: 20,
             net_read_permille: 0,
             net_write_permille: 0,
@@ -169,8 +169,8 @@ impl FaultPlan {
     }
 
     /// The serving-soak mix: faults land on the live socket paths
-    /// (interrupted and short reads/writes, dropped connections), cache
-    /// admissions, and worker schedules, while the durable-file sites
+    /// (interrupted and short reads/writes, dropped connections), arena
+    /// allocations, and worker schedules, while the durable-file sites
     /// stay clean so drain-time telemetry flushes are not the thing
     /// under test. Every fault here is one a correct server absorbs
     /// into exactly one of {response, structured error, shed} — never
@@ -456,9 +456,9 @@ pub fn fault_at(site: Site) -> Option<FaultKind> {
     fault
 }
 
-/// Cache-admission gate: `false` means the chaos plan denies this
-/// allocation and the caller must shed instead of grow. Always `true`
-/// with no plan installed.
+/// Allocation gate for `lc-serve`'s arena: `false` means the chaos plan
+/// denies this allocation and the caller must shed instead of grow.
+/// Always `true` with no plan installed.
 pub fn alloc_allowed(_bytes: u64) -> bool {
     !matches!(fault_at(Site::Alloc), Some(FaultKind::AllocDeny))
 }

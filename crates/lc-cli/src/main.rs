@@ -1077,11 +1077,9 @@ fn cmd_shards(rest: &[String]) -> Result<(), CliError> {
         if done < owned || j.torn_bytes > 0 {
             complete = false;
         }
-        let prune = j
-            .meta
-            .get("prune")
-            .and_then(|v| v.as_str())
-            .unwrap_or("off");
+        // `off` is a real mode (full enumeration): a meta without a
+        // `prune` field prints `-`, not a mode it never recorded.
+        let prune = j.meta.get("prune").and_then(|v| v.as_str()).unwrap_or("-");
         let lock_path = dir.join(spec.lock_name());
         let lock = match std::fs::read_to_string(&lock_path) {
             Err(_) => "-".to_string(),

@@ -598,3 +598,36 @@ fn analyze_canonicalize_snapshot_drift_exits_6_in_both_formats() {
     }
     std::fs::remove_file(&snap).ok();
 }
+
+#[test]
+fn shards_prints_dash_for_a_journal_without_a_prune_mode() {
+    let dir = tmp("shards-prune");
+    std::fs::create_dir_all(&dir).unwrap();
+    let meta = |prune: &str| {
+        format!(
+            r#"{{"kind":"meta","journal_version":{},"space":"DIFF_1|RZE_1","files":["msg_bt"]{prune}}}"#,
+            lc_study::journal::JOURNAL_VERSION
+        ) + "\n"
+    };
+    let journal = |spec: &str| dir.join(lc_study::ShardSpec::parse(spec).unwrap().journal_file());
+    std::fs::write(journal("1/2"), meta("")).unwrap();
+    std::fs::write(journal("2/2"), meta(r#","prune":"off""#)).unwrap();
+    let out = lc().arg("shards").arg(&dir).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    // Columns: shard, done/owned, quarantined, torn, prune, lock.
+    let prune_of = |label: &str| -> String {
+        let row = text
+            .lines()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no row for {label}: {text}"));
+        row.split_whitespace().nth(4).unwrap().to_string()
+    };
+    assert_eq!(prune_of("1-of-2"), "-", "{text}");
+    assert_eq!(prune_of("2-of-2"), "off", "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

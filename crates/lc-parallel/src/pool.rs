@@ -23,7 +23,6 @@ use lc_telemetry::{span_in, ArgValue, Event};
 fn worker_loop<F>(
     next: &AtomicUsize,
     tasks: usize,
-    grain: usize,
     mut f: F,
     telemetry: bool,
     cancel: Option<&crate::CancelToken>,
@@ -36,13 +35,11 @@ fn worker_loop<F>(
                 return;
             }
             lc_chaos::maybe_stall();
-            let start = next.fetch_add(grain, Ordering::Relaxed);
-            if start >= tasks {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
                 return;
             }
-            for i in start..(start + grain).min(tasks) {
-                f(i);
-            }
+            f(i);
         }
     }
     // Resolve histogram handles once per worker, not per task.
@@ -56,18 +53,16 @@ fn worker_loop<F>(
             break;
         }
         lc_chaos::maybe_stall();
-        let start = next.fetch_add(grain, Ordering::Relaxed);
-        if start >= tasks {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
             break;
         }
-        for i in start..(start + grain).min(tasks) {
-            let t0 = lc_telemetry::now_ns();
-            f(i);
-            let dt = lc_telemetry::now_ns().saturating_sub(t0);
-            run_hist.record(dt);
-            busy_ns += dt;
-            claimed += 1;
-        }
+        let t0 = lc_telemetry::now_ns();
+        f(i);
+        let dt = lc_telemetry::now_ns().saturating_sub(t0);
+        run_hist.record(dt);
+        busy_ns += dt;
+        claimed += 1;
     }
     let total_ns = lc_telemetry::now_ns().saturating_sub(start_ns);
     let wait_ns = total_ns.saturating_sub(busy_ns);
@@ -106,10 +101,11 @@ fn worker_loop<F>(
 ///
 /// A panic in a task closure propagates out of [`Pool::run`] / [`Pool::map`]
 /// / [`Pool::fold`] on the caller's thread once all workers have stopped —
-/// one bad task aborts the whole call. Callers that must survive individual
-/// task failures (the campaign runner quarantining a panicking pipeline)
-/// use [`Pool::try_map`], which fences each task with `catch_unwind` and
-/// reports per-task outcomes instead.
+/// one bad task aborts the whole call. The pool never catches a panic:
+/// callers that must survive a failing task fence the work inside it
+/// (the campaign runner runs each stage through
+/// `lc_study::runner::run_stage_checked`, which catches the panic and
+/// quarantines the unit).
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -134,50 +130,26 @@ impl Pool {
     }
 
     /// Run `tasks` independent work items, calling `f(index)` exactly once
-    /// for every `index in 0..tasks`, with dynamic scheduling (grain 1).
+    /// for every `index in 0..tasks`, with dynamic scheduling.
     ///
     /// Indices are claimed in increasing order across all workers.
     pub fn run<F>(&self, tasks: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        self.run_grained(tasks, 1, f)
+        self.run_cancellable(tasks, None, f)
     }
 
-    /// Like [`Pool::run`] but each claim takes `grain` consecutive indices,
-    /// reducing counter contention for very short tasks.
-    pub fn run_grained<F>(&self, tasks: usize, grain: usize, f: F)
+    /// Like [`Pool::run`], but workers additionally poll `cancel` (when
+    /// given) before every claim and stop once it trips. Tasks already
+    /// claimed finish normally; unclaimed indices are never started.
+    fn run_cancellable<F>(&self, tasks: usize, cancel: Option<&crate::CancelToken>, f: F)
     where
-        F: Fn(usize) + Sync,
-    {
-        self.run_grained_cancellable(tasks, grain, None, f)
-    }
-
-    /// Like [`Pool::run`], but workers additionally poll `cancel` before
-    /// every claim and stop once it trips. Tasks already claimed finish
-    /// normally; unclaimed indices are never started. The caller decides
-    /// what a partial drain means (for the campaign runner: checkpoint
-    /// and exit resumable).
-    pub fn run_cancellable<F>(&self, tasks: usize, cancel: &crate::CancelToken, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.run_grained_cancellable(tasks, 1, Some(cancel), f)
-    }
-
-    fn run_grained_cancellable<F>(
-        &self,
-        tasks: usize,
-        grain: usize,
-        cancel: Option<&crate::CancelToken>,
-        f: F,
-    ) where
         F: Fn(usize) + Sync,
     {
         if tasks == 0 {
             return;
         }
-        let grain = grain.max(1);
         let workers = self.threads.min(tasks);
         // Hoisted once per call: workers below branch on a plain bool, so a
         // disabled-telemetry run costs this single relaxed load in total.
@@ -186,26 +158,20 @@ impl Pool {
         // workers, so per-chunk stage spans stay linked to the request
         // that triggered them.
         let req = lc_telemetry::current_request();
-        let _span = span_in!(
-            "pool",
-            "run",
-            tasks = tasks,
-            workers = workers,
-            grain = grain
-        );
+        let _span = span_in!("pool", "run", tasks = tasks, workers = workers);
         let next = AtomicUsize::new(0);
         let f = &f;
         let next = &next;
         if workers == 1 {
             // Runs on the caller's thread, which already carries `req`.
-            worker_loop(next, tasks, grain, f, telemetry, cancel);
+            worker_loop(next, tasks, f, telemetry, cancel);
             return;
         }
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(move || {
                     let _scope = lc_telemetry::request_scope(req);
-                    worker_loop(next, tasks, grain, f, telemetry, cancel)
+                    worker_loop(next, tasks, f, telemetry, cancel)
                 });
             }
         });
@@ -270,34 +236,13 @@ impl Pool {
         out.resize_with(tasks, || None);
         {
             let slots = crate::DisjointSlice::new(&mut out);
-            self.run_cancellable(tasks, cancel, |i| {
+            self.run_cancellable(tasks, Some(cancel), |i| {
                 // SAFETY: each index in 0..tasks is claimed at most once by
                 // `run_cancellable`, so no two tasks touch the same slot.
                 unsafe { *slots.get_mut(i) = Some(f(i)) };
             });
         }
         out
-    }
-
-    /// Like [`Pool::map`], but each task runs under `catch_unwind`: a
-    /// panicking task yields `Err(panic message)` in its slot while every
-    /// other task completes normally.
-    ///
-    /// This is the isolation primitive for long fan-out jobs (the study
-    /// campaign) where one poisoned work unit must not abort thousands of
-    /// healthy ones. The closure runs behind an `AssertUnwindSafe` fence;
-    /// callers must not rely on shared state mutated by a task that
-    /// panicked midway.
-    pub fn try_map<T, F>(&self, tasks: usize, f: F) -> Vec<Result<T, String>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let f = &f;
-        self.map(tasks, |i| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                .map_err(|payload| crate::panic_message(payload.as_ref()))
-        })
     }
 
     /// Fold each worker's locally-accumulated state into a final reduction.
@@ -354,7 +299,7 @@ impl Pool {
                     s.spawn(move || {
                         let _scope = lc_telemetry::request_scope(req);
                         let mut acc = init();
-                        worker_loop(next, tasks, 1, |i| step(&mut acc, i), telemetry, cancel);
+                        worker_loop(next, tasks, |i| step(&mut acc, i), telemetry, cancel);
                         acc
                     })
                 })
@@ -404,17 +349,6 @@ mod tests {
         let order = std::sync::Mutex::new(Vec::new());
         pool.run(10, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_grained_visits_every_index_once() {
-        let pool = Pool::new(3);
-        let n = 997; // prime, not a multiple of the grain
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_grained(n, 8, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -508,37 +442,6 @@ mod tests {
         let pool = Pool::new(4);
         let v = pool.fold(0, || 42u64, |_, _| panic!(), |a, _| a);
         assert_eq!(v, 42);
-    }
-
-    #[test]
-    fn try_map_isolates_panicking_tasks() {
-        let pool = Pool::new(4);
-        let out = pool.try_map(100, |i| {
-            if i % 10 == 3 {
-                panic!("task {i} poisoned");
-            }
-            i * 2
-        });
-        assert_eq!(out.len(), 100);
-        for (i, r) in out.iter().enumerate() {
-            if i % 10 == 3 {
-                let msg = r.as_ref().unwrap_err();
-                assert!(msg.contains("poisoned"), "unexpected message: {msg}");
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_all_ok_matches_map() {
-        let pool = Pool::new(3);
-        let out: Vec<usize> = pool
-            .try_map(57, |i| i + 1)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(out, (1..=57).collect::<Vec<_>>());
     }
 
     #[test]

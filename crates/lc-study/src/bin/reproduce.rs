@@ -29,8 +29,7 @@
 //! concurrent campaigns on the same directory. SIGINT/SIGTERM stop the
 //! campaign cooperatively at the next unit boundary, checkpoint the
 //! journal, and exit with code 7 (interrupted-but-resumable);
-//! `--mem-budget-mb MB` caps memory by shedding prefix-cache bytes and
-//! degrading the worker count.
+//! `--mem-budget-mb MB` caps memory by degrading the worker count.
 //!
 //! Observability: a progress heartbeat (units done, units/s, ETA,
 //! quarantine count) prints to stderr every 10 s when stderr is a
@@ -39,9 +38,9 @@
 //! collection and writes `trace.json` (Chrome trace-event format,
 //! loadable in Perfetto), `events.jsonl`, and `metrics.json` there.
 //!
-//! Performance: the campaign memoizes shared stage-1 and (stage-1,
-//! stage-2) prefix outputs in a byte-capped per-unit cache (default
-//! 512 MB campaign-wide). `--prefix-cache-mb MB` resizes the budget.
+//! Performance: each work unit computes its shared stage-1 output once
+//! and each (stage-1, stage-2) row's output once, holding one row at a
+//! time (see `lc_study::prefix`).
 //!
 //! Static analysis: the campaign deduplicates provably-equivalent
 //! pipelines up front from the abstract interpreter's rewrite system.
@@ -80,7 +79,7 @@ use lc_data::Scale;
 use lc_parallel::CancelToken;
 use lc_study::{
     figures, report, run_campaign_with, shard, supervise, CampaignOptions, FigId, PruneMode,
-    ShardSpec, Space, StudyConfig, SweepMode, DEFAULT_CACHE_MB,
+    ShardSpec, Space, StudyConfig,
 };
 
 /// Exit code when work units were quarantined (run completed, but some
@@ -108,7 +107,6 @@ struct Args {
     heartbeat: Option<Duration>,
     quiet: bool,
     telemetry_dir: Option<PathBuf>,
-    prefix_cache_mb: usize,
     prune: PruneMode,
     fsync: SyncPolicy,
     mem_budget_mb: Option<usize>,
@@ -138,7 +136,6 @@ fn parse_args() -> Result<Args, String> {
         heartbeat: None,
         quiet: false,
         telemetry_dir: None,
-        prefix_cache_mb: DEFAULT_CACHE_MB,
         prune: PruneMode::default(),
         fsync: SyncPolicy::default(),
         mem_budget_mb: None,
@@ -218,11 +215,6 @@ fn parse_args() -> Result<Args, String> {
             "--telemetry-dir" => {
                 args.telemetry_dir = Some(PathBuf::from(value("--telemetry-dir")?));
             }
-            "--prefix-cache-mb" => {
-                args.prefix_cache_mb = value("--prefix-cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--prefix-cache-mb: {e}"))?;
-            }
             "--fsync" => {
                 let v = value("--fsync")?;
                 args.fsync = SyncPolicy::parse(&v)
@@ -294,8 +286,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: reproduce [--figure all|2,3,…] [--tables] [--scale D] [--full] \
                      [--threads N] [--families A,B,…] [--files f,…] [--verify] [--out DIR] \
                      [--resume] [--unit-deadline SECS] [--heartbeat SECS] [--quiet] \
-                     [--telemetry-dir DIR] [--prefix-cache-mb MB] \
-                     [--prune exact|canonical|off] \
+                     [--telemetry-dir DIR] [--prune exact|canonical|off] \
                      [--fsync never|checkpoint|always] [--mem-budget-mb MB] \
                      [--shard K/N] [--supervise N [--workers M] [--max-shard-retries R]] \
                      [--merge] [--chaos-kill SEED]"
@@ -469,16 +460,13 @@ fn main() -> ExitCode {
         journal: Some(journal_path),
         resume: args.resume,
         unit_deadline: args.unit_deadline,
-        isolate: true,
         heartbeat: args.heartbeat,
-        sweep: SweepMode::Memoized {
-            cache_mb: args.prefix_cache_mb,
-        },
         prune: args.prune,
         fsync: args.fsync,
         mem_budget_mb: args.mem_budget_mb,
         cancel: Some(cancel.clone()),
         shard: args.shard,
+        ..Default::default()
     };
     let outcome = match run_campaign_with(&sc, &opts) {
         Ok(o) => o,
@@ -530,13 +518,10 @@ fn main() -> ExitCode {
             outcome.resumed_units
         );
         eprintln!(
-            "prefix cache: {:.1}% hit rate ({} hits, {} misses, {} evictions, \
-             {} shed, peak {:.1} MB resident)",
+            "prefix cache: {:.1}% hit rate ({} hits, {} misses, peak {:.1} MB held by one unit)",
             100.0 * outcome.cache.hit_rate(),
             outcome.cache.hits,
             outcome.cache.misses,
-            outcome.cache.evictions,
-            outcome.cache.sheds,
             outcome.cache.peak_resident_mb()
         );
         eprintln!(
@@ -754,8 +739,6 @@ fn run_supervised(args: &Args, n: usize, cancel: &CancelToken) -> Result<(), Exi
         c.arg("--out").arg(&args.out);
         c.arg("--prune").arg(args.prune.label());
         c.arg("--fsync").arg(args.fsync.label());
-        c.arg("--prefix-cache-mb")
-            .arg(args.prefix_cache_mb.to_string());
         if let Some(d) = args.unit_deadline {
             c.arg("--unit-deadline").arg(d.as_secs().to_string());
         }

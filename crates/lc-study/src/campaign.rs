@@ -27,14 +27,14 @@
 //!   journal stores integer kernel counters, and pricing and accumulation
 //!   run in a fixed order, so a resumed campaign produces
 //!   **byte-identical** reports to an uninterrupted one.
-//! * **Panic isolation & quarantine** — with [`CampaignOptions::isolate`],
-//!   each stage executes behind a `catch_unwind` fence with a cooperative
-//!   monotonic-deadline watchdog ([`crate::runner::run_stage_checked`]).
-//!   A work unit that panics or overruns [`CampaignOptions::unit_deadline`]
-//!   is recorded as a [`QuarantineEntry`] (with a stage trace pinpointing
-//!   where it died) and the campaign continues; the pipelines covered by
-//!   a quarantined unit keep zero contributions and must be interpreted
-//!   via [`CampaignOutcome::quarantined`].
+//! * **Panic isolation & quarantine** — each stage executes behind a
+//!   `catch_unwind` fence with a cooperative monotonic-deadline watchdog
+//!   ([`crate::runner::run_stage_checked`]). A work unit that panics or
+//!   overruns [`CampaignOptions::unit_deadline`] is recorded as a
+//!   [`QuarantineEntry`] (with a stage trace pinpointing where it died)
+//!   and the campaign continues; the pipelines covered by a quarantined
+//!   unit keep zero contributions and must be interpreted via
+//!   [`CampaignOutcome::quarantined`]. [`run_campaign`] panics on any.
 //! * **Crash consistency & interruption** — journal appends are single-
 //!   buffer crash-consistent writes ([`lc_chaos::fs::DurableFile`]) under
 //!   a [`SyncPolicy`]; the journal is fsynced at each completed input
@@ -44,10 +44,8 @@
 //!   [`CampaignOutcome::interrupted`] set — every completed unit is
 //!   already journaled, so the run is resumable.
 //! * **Memory governance** — [`CampaignOptions::mem_budget_mb`] caps the
-//!   worker count (degrading to serial under pressure) and makes the
-//!   prefix cache shed insertions once global residency crosses half the
-//!   budget. Sweep results are bit-identical either way; only speed
-//!   changes.
+//!   worker count (degrading to serial under pressure). Sweep results are
+//!   bit-identical either way; only speed changes.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -63,7 +61,7 @@ use gpu_sim::{all_platforms, throughput_gbs, Direction, Model, OptLevel, SimConf
 use lc_data::{Scale, SpFile, SP_FILES};
 
 use crate::journal::{self, JournalWriter};
-use crate::prefix::{CacheReport, CacheStats, SweepMode, UnitPrefixCache};
+use crate::prefix::{CacheReport, CacheStats, SweepMode};
 use crate::progress::Heartbeat;
 use crate::prune::{PruneMode, PrunePlan, PruneReport};
 use crate::runner::{
@@ -226,10 +224,6 @@ pub struct CampaignOptions {
     /// Cooperative per-unit deadline. A unit still running past this
     /// budget is quarantined at the next stage boundary.
     pub unit_deadline: Option<Duration>,
-    /// Quarantine panicking/overtime units and continue instead of
-    /// propagating the failure. Off by default so [`run_campaign`] keeps
-    /// its historical fail-fast behavior.
-    pub isolate: bool,
     /// Emit a progress line to stderr at this interval (units done,
     /// units/s, ETA, quarantine count). `None` disables the heartbeat.
     pub heartbeat: Option<Duration>,
@@ -248,12 +242,10 @@ pub struct CampaignOptions {
     /// resume fingerprint, so a campaign may be resumed under a
     /// different policy than it started with.
     pub fsync: SyncPolicy,
-    /// Soft memory budget in MiB. Caps the per-file worker count (a
+    /// Soft memory budget in MiB. Caps the per-file worker count: a
     /// file whose working set would overflow the budget runs with fewer
-    /// workers, down to serial) and sheds prefix-cache insertions once
-    /// the cache's global residency crosses half the budget. Purely a
-    /// resource governor: measurements are bit-identical with or
-    /// without it.
+    /// workers, down to serial. Purely a resource governor: measurements
+    /// are bit-identical with or without it.
     pub mem_budget_mb: Option<usize>,
     /// Cooperative cancellation (SIGINT/SIGTERM in `reproduce`).
     /// When the token trips, workers stop claiming new units, the
@@ -326,7 +318,7 @@ pub struct CampaignOutcome {
     pub resumed_units: usize,
     /// Work units actually executed this run (including quarantined).
     pub executed_units: usize,
-    /// Prefix-cache totals for the run (all zeros when nothing executed;
+    /// Prefix lookup totals for the run (all zeros when nothing executed;
     /// in naive mode every lookup is a miss).
     pub cache: CacheReport,
     /// Contract-driven pruning summary: which part of the enumeration
@@ -420,24 +412,41 @@ struct FileCtx {
     file_i: usize,
 }
 
-/// Run the campaign with default options (no journal, fail-fast).
+/// Run the campaign with default options (no journal).
+///
+/// # Panics
+///
+/// Panics if a work unit was quarantined, naming the first one.
 pub fn run_campaign(sc: &StudyConfig) -> Measurements {
-    run_campaign_with(sc, &CampaignOptions::default())
-        .expect("campaign without journal cannot fail recoverably") // invariant: no journal => no recoverable error
-        .measurements
+    let outcome = run_campaign_with(sc, &CampaignOptions::default())
+        .expect("campaign without journal cannot fail recoverably"); // invariant: no journal => no recoverable error
+    if let Some(entry) = outcome.quarantined.first() {
+        panic!(
+            "campaign unit file={} s1={} failed ({}): {}",
+            entry.file,
+            entry.component,
+            entry.stage_trace,
+            match &entry.reason {
+                QuarantineReason::Panic(m) => m.clone(),
+                QuarantineReason::DeadlineExceeded {
+                    elapsed_ms,
+                    limit_ms,
+                } => format!("deadline: {elapsed_ms} ms of {limit_ms} ms"),
+            }
+        );
+    }
+    outcome.measurements
 }
 
 /// Run the campaign with checkpoint/resume and quarantine support.
 ///
 /// Errors are reserved for journal problems (I/O failures, fingerprint
-/// mismatch on resume, corrupt journal); measurement faults either
-/// propagate as panics (`isolate: false`) or land in
-/// [`CampaignOutcome::quarantined`] (`isolate: true`).
+/// mismatch on resume, corrupt journal); a work unit that panics or
+/// overruns its deadline lands in [`CampaignOutcome::quarantined`].
 ///
 /// # Panics
 ///
-/// Panics if `sc` has no files or no opt levels, or (with
-/// `isolate: false`) if a work unit panics or overruns its deadline.
+/// Panics if `sc` has no files or no opt levels.
 pub fn run_campaign_with(
     sc: &StudyConfig,
     opts: &CampaignOptions,
@@ -460,7 +469,7 @@ pub fn run_campaign_with(
     let stride = nc * nr;
     let p_total = sc.space.len();
     let c_total = configs.len();
-    let cache_stats = CacheStats::default();
+    let cache_stats = CacheStats::new(opts.sweep);
 
     // Dedup from the rewrite system, once, before any unit runs: the
     // exact tier or the full certified class map. With PruneMode::Off
@@ -610,10 +619,8 @@ pub fn run_campaign_with(
     let heartbeat = heartbeat.as_ref();
     let mut quarantined: Vec<QuarantineEntry> = prior_quarantine.values().cloned().collect();
 
-    // Soft memory budget: half for the prefix cache (the shed limit),
-    // the rest for per-worker working sets.
+    // Soft memory budget for the per-worker working sets.
     let budget_bytes = opts.mem_budget_mb.map(|mb| (mb as u64) << 20);
-    let shed_limit = budget_bytes.map(|b| b / 2);
     let mut interrupted = false;
 
     let mut enc_log = vec![0f64; c_total * p_total];
@@ -631,15 +638,15 @@ pub fn run_campaign_with(
         // §5 notes every tested input fully occupies every tested GPU —
         // instead of letting fixed costs dominate tiny inputs.
         let measured_bytes = input.total_bytes();
-        // Memory governor: a work unit holds the input plus stage
-        // outputs and scratch arenas — conservatively ~8× the measured
-        // input bytes. Run only as many workers as fit in the half of
-        // the budget not reserved for the prefix cache, degrading to
-        // serial rather than failing.
+        // Memory governor: a work unit holds the input plus its held
+        // prefix outputs, the current stage's output and scratch arenas —
+        // conservatively ~8× the measured input bytes. Run only as many
+        // workers as fit in the budget, degrading to serial rather than
+        // failing.
         let workers = match budget_bytes {
             Some(budget) => {
                 let est_unit = measured_bytes.saturating_mul(8).max(1);
-                let fit = ((budget / 2) / est_unit).max(1) as usize;
+                let fit = (budget / est_unit).max(1) as usize;
                 let w = sc.threads.min(fit).max(1);
                 if w < sc.threads && lc_telemetry::enabled() {
                     lc_telemetry::counter("campaign.mem.shed_workers").add((sc.threads - w) as u64);
@@ -690,14 +697,12 @@ pub fn run_campaign_with(
             let watchdog = opts.unit_deadline.map(Watchdog::new);
             let unit_start = Instant::now();
             let mut stage_ns = [0u64; 3];
-            let cache = UnitPrefixCache::new(opts.sweep.per_unit_cap_bytes(workers), &cache_stats)
-                .with_shed_limit(shed_limit);
             let result = run_unit(
                 sc,
                 &input,
                 &plan,
                 i1,
-                cache,
+                &cache_stats,
                 watchdog.as_ref(),
                 &mut stage_ns,
             );
@@ -804,24 +809,7 @@ pub fn run_campaign_with(
             match res {
                 None => {} // cancelled before this unit was claimed
                 Some(Ok(rows)) => unit_of[pending[k]] = Some(rows),
-                Some(Err(entry)) => {
-                    if !opts.isolate {
-                        panic!(
-                            "campaign unit file={} s1={} failed ({}): {}",
-                            entry.file,
-                            entry.component,
-                            entry.stage_trace,
-                            match &entry.reason {
-                                QuarantineReason::Panic(m) => m.clone(),
-                                QuarantineReason::DeadlineExceeded {
-                                    elapsed_ms,
-                                    limit_ms,
-                                } => format!("deadline: {elapsed_ms} ms of {limit_ms} ms"),
-                            }
-                        );
-                    }
-                    quarantined.push(*entry);
-                }
+                Some(Err(entry)) => quarantined.push(*entry),
             }
         }
         let resumed: Vec<(usize, &UnitStats)> = (0..nc)
@@ -903,12 +891,11 @@ pub fn run_campaign_with(
     })
 }
 
-/// Run one stage of a unit's walk behind the panic fence and watchdog;
-/// the prefix stages' outcomes are what the prefix cache stores.
+/// Run one stage of a unit's walk behind the panic fence and watchdog.
 /// `ns_slot` accrues the stage's wall nanoseconds (including a failing
 /// stage's partial time, so quarantine records show where a dying unit
 /// spent its budget).
-fn eval_prefix_stage(
+fn eval_stage(
     comp: &dyn lc_core::Component,
     input: &ChunkedData,
     verify: bool,
@@ -922,22 +909,23 @@ fn eval_prefix_stage(
 }
 
 /// Execute one work unit: every measured pipeline in the contiguous range
-/// `(i1, *, *)`, returning its [`UnitStats`] table. The walk is
-/// per-pipeline — for each `(s2, s3)` pair the `(s1)` and `(s1, s2)`
-/// prefixes are looked up in `cache` (which retains nothing in naive
-/// mode, so every lookup recomputes), and only the final reducer stage
-/// always executes. Every stage runs behind the panic fence and watchdog
-/// of [`run_stage_checked`]; on fault, the returned trace names the
-/// stages that were executing.
+/// `(i1, *, *)`, returning its [`UnitStats`] table. The loop nest is the
+/// prefix memoization (see [`crate::prefix`]): the `(s1)` outcome lives
+/// for the whole unit and the `(s1, s2)` outcome for one row, each
+/// computed at the first measured cell that needs it, so fully pruned
+/// rows never run stage 2. Only the final reducer stage runs per cell.
+/// Every stage runs behind the panic fence and watchdog of
+/// [`run_stage_checked`]; on fault, the returned trace names the stages
+/// that were executing.
 ///
-/// `stage_ns` accumulates wall nanoseconds per stage position; cache
-/// hits contribute nothing there (no stage ran).
+/// `stage_ns` accumulates wall nanoseconds per stage position; reused
+/// prefixes contribute nothing there (no stage ran).
 fn run_unit(
     sc: &StudyConfig,
     input: &ChunkedData,
     plan: &PrunePlan,
     i1: usize,
-    mut cache: UnitPrefixCache<'_>,
+    prefixes: &CacheStats,
     watchdog: Option<&Watchdog>,
     stage_ns: &mut [u64; 3],
 ) -> Result<UnitStats, (StageFault, String)> {
@@ -945,9 +933,12 @@ fn run_unit(
     let nr = sc.space.reducers.len();
     let s1_name = sc.space.components[i1].name();
     let mut stats = UnitStats::zeroed(nc, nr);
+    let mut s1: Option<StageOutcome> = None;
+    let mut held = 0u64;
 
     for i2 in 0..nc {
         let s2_name = sc.space.components[i2].name();
+        let mut s2: Option<StageOutcome> = None;
         for ir in 0..nr {
             let local = i2 * nr + ir;
             // A pruned cell never executes; it stays zero (and is
@@ -959,9 +950,8 @@ fn run_unit(
                 }
                 continue;
             }
-            // (s1) prefix: pinned in the cache after the first pipeline.
-            let e1 = cache.level1(|| {
-                eval_prefix_stage(
+            let e1 = prefixes.prefix(&mut s1, || {
+                eval_stage(
                     sc.space.components[i1].as_ref(),
                     input,
                     sc.verify,
@@ -970,11 +960,8 @@ fn run_unit(
                 )
                 .map_err(|f| (f, format!("s1={s1_name}")))
             })?;
-            // (s1, s2) prefix: LRU-cached under the byte cap. A hit, a
-            // fresh computation, and a post-eviction recomputation are
-            // bit-identical — stages are deterministic.
-            let e2 = cache.level2(i2, || {
-                eval_prefix_stage(
+            let e2 = prefixes.prefix(&mut s2, || {
+                eval_stage(
                     sc.space.components[i2].as_ref(),
                     &e1.output,
                     sc.verify,
@@ -983,8 +970,9 @@ fn run_unit(
                 )
                 .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))
             })?;
+            held = held.max(e1.output.total_bytes() + e2.output.total_bytes());
             // Final reducer: unique to this pipeline, always executed.
-            let s3 = eval_prefix_stage(
+            let s3 = eval_stage(
                 sc.space.reducers[ir].as_ref(),
                 &e2.output,
                 sc.verify,
@@ -1000,6 +988,7 @@ fn run_unit(
             stats.s3[local] = ([s3.enc, s3.dec], s3.output.total_bytes());
         }
     }
+    prefixes.held(held);
     Ok(stats)
 }
 
@@ -1900,7 +1889,6 @@ mod tests {
         let path = temp_journal("quarantine");
         let opts = CampaignOptions {
             journal: Some(path.clone()),
-            isolate: true,
             ..Default::default()
         };
         let outcome = run_campaign_with(&sc, &opts).unwrap();
@@ -1951,7 +1939,7 @@ mod tests {
     #[should_panic(expected = "intentional test panic")]
     fn without_isolation_a_unit_panic_propagates() {
         let (sc, _) = booby_trapped_config();
-        let _ = run_campaign_with(&sc, &CampaignOptions::default());
+        let _ = run_campaign(&sc);
     }
 
     #[test]
@@ -2013,22 +2001,39 @@ mod tests {
         assert_eq!(n.hit_rate(), 0.0);
     }
 
-    /// An eviction-heavy cache (cap 0 ⇒ only the live entry survives)
-    /// recomputes evicted prefixes — and still changes nothing.
+    /// A unit holds its stage-1 output and one row's stage-2 output at a
+    /// time, never every row it has walked: on one thread the campaign's
+    /// peak is bounded by the largest unit's stage-1 output plus its
+    /// largest stage-2 output.
     #[test]
-    fn evicting_cache_is_still_bitwise_identical() {
-        let sc = tiny_config();
-        let reference = run_campaign(&sc);
-        let capped = run_campaign_with(
-            &sc,
-            &CampaignOptions {
-                sweep: SweepMode::Memoized { cache_mb: 0 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_bitwise_equal(&reference, &capped.measurements);
-        assert!(capped.cache.evictions > 0, "cap 0 must evict");
+    fn a_unit_holds_one_row_of_prefixes_at_a_time() {
+        let mut sc = tiny_config();
+        sc.threads = 1;
+        sc.files.truncate(1);
+        let outcome = run_campaign_with(&sc, &CampaignOptions::default()).unwrap();
+        let input = ChunkedData::from_bytes(&lc_data::generate(sc.files[0], sc.scale));
+        let comps = &sc.space.components;
+        let bound = comps
+            .iter()
+            .map(|c1| {
+                let e1 = crate::runner::run_stage(c1.as_ref(), &input, sc.verify);
+                let widest_row = comps
+                    .iter()
+                    .map(|c2| {
+                        crate::runner::run_stage(c2.as_ref(), &e1.output, sc.verify)
+                            .output
+                            .total_bytes()
+                    })
+                    .max()
+                    .unwrap_or(0);
+                e1.output.total_bytes() + widest_row
+            })
+            .max()
+            .unwrap();
+        let peak = outcome.cache.peak_resident_bytes;
+        assert!(comps.len() > 1, "needs more than one row per unit");
+        assert!(peak > 0);
+        assert!(peak <= bound, "peak {peak} B exceeds one row's {bound} B");
     }
 
     /// Strip the `timing` field from a journal unit record — the only

@@ -44,7 +44,7 @@ pub use campaign::{
     QuarantineEntry, QuarantineReason, StudyConfig, UnitTiming,
 };
 pub use figures::{figure, render, to_csv, FigId, Figure, Group};
-pub use prefix::{CacheReport, CacheStats, SweepMode, DEFAULT_CACHE_MB};
+pub use prefix::{CacheReport, SweepMode};
 pub use progress::Heartbeat;
 pub use prune::{PruneMode, PrunePlan, PruneReport};
 pub use runner::{StageFault, Watchdog};

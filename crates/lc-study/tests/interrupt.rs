@@ -147,6 +147,7 @@ fn removed_mode_flags_are_usage_errors() {
         &["--no-analyze-prune"][..],
         &["--no-prefix-cache"],
         &["--prune", "commute"],
+        &["--prefix-cache-mb", "64"],
     ] {
         let out = reproduce(&dir).args(flags).output().expect("run reproduce");
         assert_eq!(out.status.code(), Some(1), "{flags:?}");
