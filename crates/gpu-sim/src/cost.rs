@@ -21,9 +21,10 @@
 //! calibration the study prices with. The calibration reproduces the
 //! *shape* of the paper's figures, not absolute numbers (the substitution
 //! contract in DESIGN.md). An ablation is a transformed `Model`
-//! ([`Model::no_framework`] and friends) and a multi-socket build a
-//! transformed `GpuSpec` ([`GpuSpec::numa`]); both are priced by the same
-//! methods as the campaign.
+//! (`Model::no_framework` and friends) and a multi-socket build a
+//! transformed `GpuSpec` (`GpuSpec::numa`); both are priced by the same
+//! methods as the campaign, and both exist only under `#[cfg(test)]`,
+//! behind the §6.1/§7 tests in `ablation/tests.rs` and `numa/tests.rs`.
 
 use lc_core::KernelStats;
 
@@ -157,14 +158,6 @@ pub(crate) struct CycleTerms {
     pub latency: f64,
 }
 
-/// Framework time and DRAM seconds per byte of one direction on one
-/// platform and grid; see [`Model::grid_terms`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridTerms {
-    framework: f64,
-    dram_seconds_per_byte: f64,
-}
-
 impl Model {
     /// The calibration every figure is priced with.
     pub const PAPER: Model = Model {
@@ -184,44 +177,6 @@ impl Model {
         combine: Combine::Roofline,
         run_jitter: 0.008,
     };
-
-    /// Ablation: framework operations (look-back, block scan, launch) cost
-    /// nothing. The §6.1 Clang/NVCC split should vanish.
-    pub fn no_framework(&self) -> Model {
-        let mut m = *self;
-        for p in m.profiles.0.iter_mut().flatten() {
-            p.lookback = 0.0;
-            p.block_scan = 0.0;
-            p.launch_us = 0.0;
-        }
-        m
-    }
-
-    /// Ablation: divergent branches cost nothing.
-    pub fn no_divergence(&self) -> Model {
-        Model {
-            divergence_ops: 0.0,
-            ..*self
-        }
-    }
-
-    /// Ablation: syncs and scan steps cost nothing.
-    pub fn no_latency(&self) -> Model {
-        Model {
-            block_sync_cycles: 0.0,
-            warp_sync_cycles: 0.0,
-            scan_step_cycles: 0.0,
-            ..*self
-        }
-    }
-
-    /// Ablation: stage time and DRAM time add instead of overlapping.
-    pub fn no_roofline(&self) -> Model {
-        Model {
-            combine: Combine::Additive,
-            ..*self
-        }
-    }
 
     /// The codegen profile of `cfg`'s compiler, opt level and vendor.
     pub fn profile(&self, cfg: &SimConfig) -> &CodegenProfile {
@@ -276,7 +231,7 @@ impl Model {
     /// Framework overhead for one direction: kernel launch plus the
     /// inter-block synchronization (encoder look-back / decoder block
     /// scan).
-    pub fn framework_time(&self, cfg: &SimConfig, direction: Direction, chunks: u64) -> f64 {
+    pub(crate) fn framework_time(&self, cfg: &SimConfig, direction: Direction, chunks: u64) -> f64 {
         let p = self.profile(cfg);
         let (chain, wave, multiplier) = match direction {
             Direction::Encode => (
@@ -299,29 +254,32 @@ impl Model {
         1.0 / (cfg.gpu.mem_bandwidth_gbs * 1e9 * self.profile(cfg).memory_efficiency)
     }
 
-    /// The terms of one direction's time that the platform and the chunk
-    /// count fix, whatever the stages: a caller pricing many pipelines
-    /// over one grid computes them once per platform.
-    pub fn grid_terms(&self, cfg: &SimConfig, direction: Direction, chunks: u64) -> GridTerms {
-        GridTerms {
-            framework: self.framework_time(cfg, direction, chunks),
-            dram_seconds_per_byte: self.dram_seconds_per_byte(cfg),
-        }
-    }
-
-    /// A pipeline's time from its summed stage time and the bytes it
-    /// moves through DRAM, over the grid `grid` describes.
+    /// One direction's pipeline time on `cfg` over a grid of `chunks`,
+    /// as a function of the summed stage time and the bytes the pipeline
+    /// moves through DRAM. The framework and DRAM terms the platform and
+    /// the chunk count fix are computed here, once: a caller pricing many
+    /// pipelines over one grid calls this once per platform and direction.
     ///
     /// The roofline matters for the figures' *shape*: cheap kernels
     /// (mutator decoders, skipped reducers) pile up against the bandwidth
     /// ceiling, which produces the dense top edge — the "skews towards
     /// higher throughputs" — of the paper's decoding distributions (§6.1),
     /// while work-heavy encoders spread out below it.
-    pub fn time_on_grid(&self, grid: &GridTerms, stages: f64, dram_bytes: u64) -> f64 {
-        let dram = dram_bytes as f64 * grid.dram_seconds_per_byte;
-        match self.combine {
-            Combine::Roofline => stages.max(dram) + grid.framework,
-            Combine::Additive => stages + dram + grid.framework,
+    pub fn grid_time(
+        &self,
+        cfg: &SimConfig,
+        direction: Direction,
+        chunks: u64,
+    ) -> impl Fn(f64, u64) -> f64 {
+        let framework = self.framework_time(cfg, direction, chunks);
+        let dram_seconds_per_byte = self.dram_seconds_per_byte(cfg);
+        let combine = self.combine;
+        move |stages, dram_bytes| {
+            let dram = dram_bytes as f64 * dram_seconds_per_byte;
+            match combine {
+                Combine::Roofline => stages.max(dram) + framework,
+                Combine::Additive => stages + dram + framework,
+            }
         }
     }
 
@@ -346,8 +304,7 @@ impl Model {
             .iter()
             .map(|s| self.stage_time(cfg, s, chunks))
             .sum();
-        let grid = self.grid_terms(cfg, direction, chunks);
-        self.time_on_grid(&grid, stages, uncompressed + compressed)
+        self.grid_time(cfg, direction, chunks)(stages, uncompressed + compressed)
     }
 }
 
@@ -404,6 +361,49 @@ pub fn throughput_gbs(uncompressed: u64, seconds: f64) -> f64 {
         0.0
     } else {
         uncompressed as f64 / 1e9 / seconds
+    }
+}
+
+/// The §6.1 ablations: transformed models priced by the campaign's own
+/// methods. Only the tests in `ablation/` consume them.
+#[cfg(test)]
+impl Model {
+    /// Ablation: framework operations (look-back, block scan, launch) cost
+    /// nothing. The §6.1 Clang/NVCC split should vanish.
+    pub(crate) fn no_framework(&self) -> Model {
+        let mut m = *self;
+        for p in m.profiles.0.iter_mut().flatten() {
+            p.lookback = 0.0;
+            p.block_scan = 0.0;
+            p.launch_us = 0.0;
+        }
+        m
+    }
+
+    /// Ablation: divergent branches cost nothing.
+    pub(crate) fn no_divergence(&self) -> Model {
+        Model {
+            divergence_ops: 0.0,
+            ..*self
+        }
+    }
+
+    /// Ablation: syncs and scan steps cost nothing.
+    pub(crate) fn no_latency(&self) -> Model {
+        Model {
+            block_sync_cycles: 0.0,
+            warp_sync_cycles: 0.0,
+            scan_step_cycles: 0.0,
+            ..*self
+        }
+    }
+
+    /// Ablation: stage time and DRAM time add instead of overlapping.
+    pub(crate) fn no_roofline(&self) -> Model {
+        Model {
+            combine: Combine::Additive,
+            ..*self
+        }
     }
 }
 

@@ -12,8 +12,8 @@
 //! `analytical_agreement` tests assert the two agree within tolerance on
 //! homogeneous grids and that the event simulator correctly reproduces
 //! effects the shortcut only approximates (partial waves, stragglers).
-//! The campaign uses the analytical model (it is evaluated ~60 M times);
-//! `simulate_kernel` is for spot checks.
+//! The campaign uses the analytical model (it is evaluated ~60 M times),
+//! so this module is compiled only under `#[cfg(test)]`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -24,7 +24,7 @@ use crate::cost::{Model, SimConfig};
 
 /// Cost of one block (one 16 kB chunk), in device-independent units.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockCost {
+pub(crate) struct BlockCost {
     /// ALU cycles the block needs from its SM (already includes the
     /// cycles-per-op expansion and divergence penalty).
     pub alu_cycles: f64,
@@ -38,7 +38,7 @@ pub struct BlockCost {
 /// Split an aggregate [`KernelStats`] into `chunks` equal per-block costs
 /// (the campaign's stats are aggregates; per-chunk heterogeneity can be
 /// fed in directly by building the `Vec<BlockCost>` by hand).
-pub fn per_block_costs(
+pub(crate) fn per_block_costs(
     model: &Model,
     cfg: &SimConfig,
     stats: &KernelStats,
@@ -73,7 +73,7 @@ pub fn per_block_costs(
 /// computed from steady-state residency (blocks per SM and blocks in
 /// flight), which matches the analytical model's assumptions while still
 /// capturing wave boundaries and stragglers exactly.
-pub fn simulate_kernel(model: &Model, cfg: &SimConfig, blocks: &[BlockCost]) -> f64 {
+pub(crate) fn simulate_kernel(model: &Model, cfg: &SimConfig, blocks: &[BlockCost]) -> f64 {
     if blocks.is_empty() {
         return 0.0;
     }
@@ -111,7 +111,7 @@ pub fn simulate_kernel(model: &Model, cfg: &SimConfig, blocks: &[BlockCost]) -> 
 
 /// Convenience: simulate a kernel from aggregate stats (homogeneous
 /// blocks) and return seconds.
-pub fn simulate_from_stats(
+pub(crate) fn simulate_from_stats(
     model: &Model,
     cfg: &SimConfig,
     stats: &KernelStats,

@@ -12,8 +12,11 @@
 //! [`Model::PAPER`] is the calibration the study prices with. The paper's
 //! two mechanism claims are tests over transformed values priced by the
 //! campaign's own methods: §6.1's compiler split lives in the framework
-//! terms ([`Model::no_framework`] and the other ablations), and §7's
-//! findings survive a multi-socket build ([`GpuSpec::numa`]).
+//! terms (`Model::no_framework` and the other ablations), and §7's
+//! findings survive a multi-socket build (`GpuSpec::numa`). The ablations,
+//! the multi-socket transform and the discrete-event simulator
+//! (`event_sim`, the wave model's cross-check) are test-only: they live
+//! under `#[cfg(test)]` with the tests that consume them.
 //!
 //! See DESIGN.md §"GPU + compiler model" for the substitution argument and
 //! `compiler.rs` for the provenance of every calibration constant.
@@ -22,7 +25,6 @@
 
 pub mod compiler;
 pub mod cost;
-pub mod event_sim;
 pub mod specs;
 
 pub use compiler::{CodegenProfile, CompilerId, OptLevel, ProfileTable};
@@ -74,3 +76,7 @@ mod ablation {
 mod numa {
     mod tests;
 }
+// The discrete-event simulator: the wave model's cross-check, consumed by
+// its own tests and `numa::tests::event_simulator_pays_the_same_link`.
+#[cfg(test)]
+mod event_sim;

@@ -44,18 +44,12 @@ pub struct GpuSpec {
 
 impl GpuSpec {
     /// Threads per LC block (one 16 kB chunk per 512-thread block; §5).
-    pub const THREADS_PER_BLOCK: u32 = 512;
+    pub(crate) const THREADS_PER_BLOCK: u32 = 512;
 
     /// Blocks resident at once: `SMs × (max_threads_per_SM / 512)`
     /// (paper §5 occupancy discussion).
-    pub fn blocks_in_flight(&self) -> u32 {
+    pub(crate) fn blocks_in_flight(&self) -> u32 {
         self.sms * (self.max_threads_per_sm / Self::THREADS_PER_BLOCK)
-    }
-
-    /// Bytes of input needed to fully occupy the GPU (paper §5: 6 MB for
-    /// the RTX 4090, 9.375 MB for the MI100).
-    pub fn full_occupancy_bytes(&self) -> u64 {
-        u64::from(self.blocks_in_flight()) * 16 * 1024
     }
 
     /// Warps per 512-thread block (16 at warp 32, 8 at warp 64).
@@ -64,29 +58,8 @@ impl GpuSpec {
     }
 
     /// Clock in Hz.
-    pub fn clock_hz(&self) -> f64 {
+    pub(crate) fn clock_hz(&self) -> f64 {
         self.clock_mhz as f64 * 1e6
-    }
-
-    /// The paper's §7 what-if: this (monolithic) GPU built as `sockets`
-    /// sockets or chips joined by a link of `link_bandwidth_fraction` ×
-    /// one socket's DRAM bandwidth (e.g. 0.4 for an NVLink-class
-    /// interconnect). SMs, memory and aggregate bandwidth scale with the
-    /// socket count. Under uniform chunk placement `(sockets − 1) /
-    /// sockets` of the chunk loads and stores are remote and run at the
-    /// link's bandwidth, so the effective bandwidth is the aggregate
-    /// divided by `(1 − remote) + remote / link`. Only that one-time
-    /// traffic crosses — a chunk stays in shared memory through all
-    /// stages (§7) — and one socket returns this spec unchanged.
-    pub fn numa(&self, sockets: u32, link_bandwidth_fraction: f64) -> GpuSpec {
-        let remote = f64::from(sockets - 1) / f64::from(sockets);
-        let link_factor = (1.0 - remote) + remote / link_bandwidth_fraction.max(1e-6);
-        GpuSpec {
-            sms: self.sms * sockets,
-            memory_gb: self.memory_gb * sockets,
-            mem_bandwidth_gbs: self.mem_bandwidth_gbs * f64::from(sockets) / link_factor,
-            ..*self
-        }
     }
 }
 
@@ -168,6 +141,38 @@ pub fn fastest(vendor: Vendor) -> &'static GpuSpec {
     match vendor {
         Vendor::Nvidia => &RTX_4090,
         Vendor::Amd => &RX_7900_XTX,
+    }
+}
+
+/// Test-only spec arithmetic: §5's occupancy figures and §7's
+/// multi-socket build (consumed by `numa/tests.rs`).
+#[cfg(test)]
+impl GpuSpec {
+    /// Bytes of input needed to fully occupy the GPU (paper §5: 6 MB for
+    /// the RTX 4090, 9.375 MB for the MI100).
+    pub(crate) fn full_occupancy_bytes(&self) -> u64 {
+        u64::from(self.blocks_in_flight()) * 16 * 1024
+    }
+
+    /// The paper's §7 what-if: this (monolithic) GPU built as `sockets`
+    /// sockets or chips joined by a link of `link_bandwidth_fraction` ×
+    /// one socket's DRAM bandwidth (e.g. 0.4 for an NVLink-class
+    /// interconnect). SMs, memory and aggregate bandwidth scale with the
+    /// socket count. Under uniform chunk placement `(sockets − 1) /
+    /// sockets` of the chunk loads and stores are remote and run at the
+    /// link's bandwidth, so the effective bandwidth is the aggregate
+    /// divided by `(1 − remote) + remote / link`. Only that one-time
+    /// traffic crosses — a chunk stays in shared memory through all
+    /// stages (§7) — and one socket returns this spec unchanged.
+    pub(crate) fn numa(&self, sockets: u32, link_bandwidth_fraction: f64) -> GpuSpec {
+        let remote = f64::from(sockets - 1) / f64::from(sockets);
+        let link_factor = (1.0 - remote) + remote / link_bandwidth_fraction.max(1e-6);
+        GpuSpec {
+            sms: self.sms * sockets,
+            memory_gb: self.memory_gb * sockets,
+            mem_bandwidth_gbs: self.mem_bandwidth_gbs * f64::from(sockets) / link_factor,
+            ..*self
+        }
     }
 }
 

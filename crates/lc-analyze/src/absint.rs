@@ -96,7 +96,7 @@ impl LenRange {
     /// set means "unknown" and yields ⊤. The `rules` table lets the
     /// mutation harness seed a wrong join (meet-instead-of-join on the
     /// upper bound), which mis-narrows the interval.
-    pub fn from_lengths(lengths: &[usize], rules: &RuleTable) -> Self {
+    pub(crate) fn from_lengths(lengths: &[usize], rules: &RuleTable) -> Self {
         let mut it = lengths.iter();
         let Some(&first) = it.next() else {
             return Self::top();

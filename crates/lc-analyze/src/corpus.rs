@@ -73,7 +73,7 @@ pub fn inputs(len: usize) -> Vec<Vec<u8>> {
 /// The reduced corpus used for the expensive structure probes
 /// (permutation reconstruction, pointwise locality): two unaligned and
 /// one aligned length, large enough to cover several 8-byte tuples.
-pub const PROBE_LENGTHS: &[usize] = &[64, 197, 256];
+pub(crate) const PROBE_LENGTHS: &[usize] = &[64, 197, 256];
 
 /// Near-miss refuters for the abstract interpreter's certificate checker:
 /// inputs on which *almost*-sound rewrites diverge. Each entry targets a
@@ -90,7 +90,7 @@ pub const PROBE_LENGTHS: &[usize] = &[64, 197, 256];
 /// * `f32` data containing exact zeros — refutes treating DBEFS/DBESF as
 ///   zero-fixing (the de-biased exponent of 0.0 is nonzero);
 /// * sub-word and sub-tuple lengths — refutes over-wide no-op claims.
-pub fn refuters() -> Vec<Vec<u8>> {
+pub(crate) fn refuters() -> Vec<Vec<u8>> {
     let mut rng = xorshift(0xD1F7_0000_5EED_CAFE);
     let mut out: Vec<Vec<u8>> = Vec::new();
     for len in [10usize, 20] {

@@ -38,9 +38,9 @@
 
 pub mod absint;
 pub mod corpus;
-pub mod differential;
+pub(crate) mod differential;
 pub mod mutation;
-pub mod structural;
+pub(crate) mod structural;
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -194,7 +194,7 @@ pub fn analyze_registry() -> Report {
 /// The provably-commuting unordered pairs by component name, in
 /// registry order. On the shipped registry these are exactly the stage
 /// pairs the campaign's exact prune tier merges.
-pub fn commuting_pair_names(components: &[Arc<dyn Component>]) -> Vec<(String, String)> {
+pub(crate) fn commuting_pair_names(components: &[Arc<dyn Component>]) -> Vec<(String, String)> {
     let contracts: Vec<_> = components.iter().map(|c| c.contract()).collect();
     let mut pairs = Vec::new();
     for i in 0..contracts.len() {

@@ -44,7 +44,7 @@ impl Mutation {
 const PAD: usize = 8192;
 
 /// A component that delegates to a real one except for its seeded lie.
-pub struct Mutant {
+pub(crate) struct Mutant {
     inner: Arc<dyn Component>,
     mutation: Mutation,
 }
@@ -123,7 +123,7 @@ pub struct Case {
 
 /// Representatives: one component per kind, so each violation class is
 /// exercised against each component family's real implementation.
-pub const TARGETS: [&str; 4] = ["TCMS_4", "TUPL4_2", "DIFF_4", "RLE_4"];
+pub(crate) const TARGETS: [&str; 4] = ["TCMS_4", "TUPL4_2", "DIFF_4", "RLE_4"];
 
 /// Run the full harness: every target × every violation class, one
 /// seeded violation per analyzer run. Returns all cases.

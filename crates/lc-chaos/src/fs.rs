@@ -72,9 +72,9 @@ pub const MAX_ATTEMPTS: u32 = 5;
 /// EINTR is retried immediately (no backoff) with its own, much higher
 /// bound: "interrupted" means "call again", and the bound only exists so
 /// a pathological fault plan cannot spin forever.
-pub const MAX_EINTR: u32 = 64;
+pub(crate) const MAX_EINTR: u32 = 64;
 /// Base backoff unit; attempt `k` sleeps ~`BASE << k` plus jitter.
-pub const BACKOFF_BASE_US: u64 = 200;
+pub(crate) const BACKOFF_BASE_US: u64 = 200;
 
 /// The exact sleep (µs) before retrying attempt `attempt` (0-based) of
 /// the operation tagged `tag`: an exponential step plus seed-pure jitter.
@@ -95,7 +95,7 @@ pub fn backoff_us(tag: u64, attempt: u32) -> u64 {
 /// Whether `e` is worth a bounded retry. Interrupted and StorageFull are
 /// the kinds the chaos layer injects; WouldBlock/TimedOut are their
 /// real-world cousins.
-pub fn is_transient(e: &io::Error) -> bool {
+pub(crate) fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted
@@ -108,7 +108,7 @@ pub fn is_transient(e: &io::Error) -> bool {
 /// Run `f`, retrying transient failures up to [`MAX_ATTEMPTS`] times with
 /// exponential backoff and deterministic jitter. Non-transient errors
 /// (including injected torn-crashes) propagate immediately.
-pub fn retry_io<T>(tag: u64, mut f: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+pub(crate) fn retry_io<T>(tag: u64, mut f: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut attempt: u32 = 0;
     let mut eintr: u32 = 0;
     loop {
@@ -302,11 +302,6 @@ impl DurableFile {
         self.good_len == 0
     }
 
-    /// Whether an earlier failure froze the file.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// The underlying path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -457,6 +452,14 @@ fn pid_alive(_pid: u32) -> bool {
 impl Drop for LockFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+#[cfg(test)]
+impl DurableFile {
+    /// Whether an earlier failure froze the file.
+    pub(crate) fn is_failed(&self) -> bool {
+        self.failed
     }
 }
 

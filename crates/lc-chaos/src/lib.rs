@@ -64,7 +64,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// The faults a plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Fail with `ErrorKind::Interrupted` before touching the file.
     Eintr,
     /// Accept only a prefix of the buffer (`Ok(n)`, `n < len`).
@@ -89,7 +89,7 @@ pub enum FaultKind {
 /// Instrumented call sites. Each site draws independently from the plan,
 /// so (for example) a high write-fault rate does not starve sync faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Site {
+pub(crate) enum Site {
     /// File creation (journal create, temp files for atomic writes).
     Create,
     /// A `write` syscall on a durable file.
@@ -240,7 +240,7 @@ impl FaultPlan {
 
     /// Decide the fault (if any) for operation number `op` at `site`.
     /// Pure: no global state involved.
-    pub fn decide(&self, site: Site, op: u64) -> Option<FaultKind> {
+    pub(crate) fn decide(&self, site: Site, op: u64) -> Option<FaultKind> {
         let rate = match site {
             Site::Create => self.create_permille,
             Site::Write => self.write_permille,
@@ -442,7 +442,7 @@ pub fn active() -> bool {
 /// Consult the installed plan for the next operation at `site`.
 /// Returns `None` (at the cost of one relaxed load) when no plan is
 /// installed.
-pub fn fault_at(site: Site) -> Option<FaultKind> {
+pub(crate) fn fault_at(site: Site) -> Option<FaultKind> {
     if !active() {
         return None;
     }
@@ -498,12 +498,12 @@ impl std::fmt::Display for CrashMarker {
 impl std::error::Error for CrashMarker {}
 
 /// Build the error a torn-crash injection surfaces as.
-pub fn crash_error() -> std::io::Error {
+pub(crate) fn crash_error() -> std::io::Error {
     std::io::Error::other(CrashMarker)
 }
 
 /// Whether `e` is an injected torn-crash (see [`crash_error`]).
-pub fn is_crash(e: &std::io::Error) -> bool {
+pub(crate) fn is_crash(e: &std::io::Error) -> bool {
     e.get_ref().is_some_and(|inner| inner.is::<CrashMarker>())
 }
 

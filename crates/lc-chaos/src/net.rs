@@ -26,7 +26,7 @@ use crate::{fault_at, FaultKind, Site};
 
 /// One `read` with chaos consulted first. A torn-crash draw surfaces as
 /// `ConnectionReset` *before* consuming bytes (the peer vanished).
-pub fn chaos_read(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+pub(crate) fn chaos_read(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     match fault_at(Site::NetRead) {
         Some(FaultKind::Eintr) => Err(io::Error::from(io::ErrorKind::Interrupted)),
         Some(FaultKind::TornCrash) => Err(io::Error::from(io::ErrorKind::ConnectionReset)),
@@ -36,7 +36,7 @@ pub fn chaos_read(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
 
 /// One `write` with chaos consulted first. Short writes accept a real
 /// prefix; a torn crash puts a prefix on the wire and then resets.
-pub fn chaos_write(w: &mut impl Write, buf: &[u8]) -> io::Result<usize> {
+pub(crate) fn chaos_write(w: &mut impl Write, buf: &[u8]) -> io::Result<usize> {
     match fault_at(Site::NetWrite) {
         Some(FaultKind::Eintr) => Err(io::Error::from(io::ErrorKind::Interrupted)),
         Some(FaultKind::ShortWrite) => {

@@ -131,7 +131,6 @@ fn main() -> ExitCode {
         "gen-data" => cmd_gen_data(rest),
         "profile" => cmd_profile(rest),
         "simulate" => cmd_simulate(rest),
-        "bench-components" => cmd_bench_components(rest),
         "verify" => cmd_verify(rest),
         "analyze" => cmd_analyze(rest),
         "serve" => cmd_serve(rest),
@@ -148,7 +147,6 @@ fn main() -> ExitCode {
                  gen-data   [--file NAME] [--scale D] [--out DIR]\n  \
                  profile    FILE\n  \
                  simulate   --pipeline P [--file NAME] [--gpu NAME] [--compiler nvcc|clang|hipcc] [--opt 1|3]\n  \
-                 bench-components [--file NAME]  CPU throughput of every component\n  \
                  verify     ARCHIVE [ORIGINAL]    check an archive decodes (and matches ORIGINAL)\n  \
                  analyze    [--format text|json] [--mutation]  check every component contract\n             \
                  [--canonicalize [--check quick|full] [--snapshot PATH]]  class census of the\n             \
@@ -1126,76 +1124,6 @@ fn cmd_shards(rest: &[String]) -> Result<(), CliError> {
         );
     } else {
         println!("all {n} shards complete — ready for reproduce --merge");
-    }
-    Ok(())
-}
-
-fn cmd_bench_components(rest: &[String]) -> Result<(), CliError> {
-    let file_name = flag_value(rest, "--file").unwrap_or("obs_temp");
-    let sp =
-        lc_data::file_by_name(file_name).ok_or_else(|| format!("unknown file {file_name:?}"))?;
-    let data = lc_data::generate(sp, lc_data::Scale::denominator(2048));
-    let reps = 8;
-    println!(
-        "CPU component throughput on {file_name} ({} bytes, median of {reps} reps)",
-        data.len()
-    );
-    println!(
-        "{:10} {:>12} {:>12} {:>8}",
-        "component", "enc MB/s", "dec MB/s", "ratio"
-    );
-    for c in lc_components::all() {
-        // One scratch buffer reused across chunks and reps, same as the
-        // archive's arena layer — the bench measures the kernel, not the
-        // allocator.
-        let mut scratch = Vec::with_capacity(lc_core::CHUNK_SIZE + lc_core::CHUNK_SIZE / 2);
-        let mut enc_times = Vec::new();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for chunk in data.chunks(lc_core::CHUNK_SIZE) {
-                lc_core::encode_stage(
-                    c.as_ref(),
-                    chunk,
-                    &mut scratch,
-                    &mut lc_core::KernelStats::new(),
-                );
-            }
-            enc_times.push(t0.elapsed().as_secs_f64());
-        }
-        enc_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let enc_mbs = data.len() as f64 / 1e6 / enc_times[reps / 2];
-
-        // Decode each chunk's encoding separately.
-        let mut encoded_chunks = Vec::new();
-        for chunk in data.chunks(lc_core::CHUNK_SIZE) {
-            lc_core::encode_stage(
-                c.as_ref(),
-                chunk,
-                &mut scratch,
-                &mut lc_core::KernelStats::new(),
-            );
-            encoded_chunks.push(scratch.clone());
-        }
-        let enc_total: usize = encoded_chunks.iter().map(Vec::len).sum();
-        let mut dec_times = Vec::new();
-        let mut out = Vec::new();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for e in &encoded_chunks {
-                lc_core::decode_stage(c.as_ref(), e, &mut out, &mut lc_core::KernelStats::new())
-                    .map_err(|err| format!("{}: {err}", c.name()))?;
-            }
-            dec_times.push(t0.elapsed().as_secs_f64());
-        }
-        dec_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let dec_mbs = data.len() as f64 / 1e6 / dec_times[reps / 2];
-        println!(
-            "{:10} {:>12.1} {:>12.1} {:>8.3}",
-            c.name(),
-            enc_mbs,
-            dec_mbs,
-            data.len() as f64 / enc_total as f64
-        );
     }
     Ok(())
 }

@@ -500,6 +500,17 @@ fn analyze_mutation_harness_catches_all_seeded_violations() {
 }
 
 #[test]
+fn unknown_subcommand_is_a_usage_error() {
+    // Component timing belongs to the benchmark harness and the snapshot
+    // kernel table, so `lc` has no subcommand for it.
+    let out = lc().arg("bench-components").output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown subcommand"), "{err}");
+    assert!(err.contains("bench-components"), "{err}");
+}
+
+#[test]
 fn analyze_rejects_unknown_format() {
     let out = lc().args(["analyze", "--format", "yaml"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));

@@ -90,7 +90,7 @@ pub fn build_with<const W: usize>(v: Variant, mk: Mark, src: &[u8], bm: &mut Vec
 
 /// [`build`] into a caller-provided slice of exactly `(n+7)/8` zeroed
 /// bytes (the bitmap recursion keeps all its levels in one buffer).
-pub fn build_into<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8]) -> usize {
+pub(crate) fn build_into<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8]) -> usize {
     mark_with::<W>(variant::<W>(), mk, src, bm)
 }
 

@@ -169,7 +169,7 @@ pub(crate) mod vecio {
 
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub fn load128(s: &[u8]) -> __m128i {
+    pub(crate) fn load128(s: &[u8]) -> __m128i {
         let s = &s[..16];
         // safety: `s` is exactly 16 readable bytes; `loadu` has no
         // alignment requirement.
@@ -178,7 +178,7 @@ pub(crate) mod vecio {
 
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub fn store128(d: &mut [u8], v: __m128i) {
+    pub(crate) fn store128(d: &mut [u8], v: __m128i) {
         let d = &mut d[..16];
         // safety: `d` is exactly 16 writable bytes.
         unsafe { _mm_storeu_si128(d.as_mut_ptr().cast(), v) }
@@ -186,7 +186,7 @@ pub(crate) mod vecio {
 
     #[inline]
     #[target_feature(enable = "avx")]
-    pub fn load256(s: &[u8]) -> __m256i {
+    pub(crate) fn load256(s: &[u8]) -> __m256i {
         let s = &s[..32];
         // safety: `s` is exactly 32 readable bytes.
         unsafe { _mm256_loadu_si256(s.as_ptr().cast()) }
@@ -194,7 +194,7 @@ pub(crate) mod vecio {
 
     #[inline]
     #[target_feature(enable = "avx")]
-    pub fn store256(d: &mut [u8], v: __m256i) {
+    pub(crate) fn store256(d: &mut [u8], v: __m256i) {
         let d = &mut d[..32];
         // safety: `d` is exactly 32 writable bytes.
         unsafe { _mm256_storeu_si256(d.as_mut_ptr().cast(), v) }

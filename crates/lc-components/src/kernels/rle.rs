@@ -105,7 +105,7 @@ pub fn for_each_record(bm: &[u8], n: usize, mut emit: impl FnMut(usize, usize, u
 /// Append `count` copies of the `W`-byte word at `word[..W]` — the RLE
 /// run replay, shaped as resize + fixed-width block copies so LLVM
 /// lowers it to a wide fill instead of per-word `Vec` pushes.
-pub fn fill_words<const W: usize>(word: &[u8], count: usize, out: &mut Vec<u8>) {
+pub(crate) fn fill_words<const W: usize>(word: &[u8], count: usize, out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + count * W, 0);
     for d in out[start..].chunks_exact_mut(W) {

@@ -24,15 +24,14 @@
 #![deny(unsafe_code)]
 
 pub mod kernels;
-pub mod mutators;
+pub(crate) mod mutators;
 pub mod predictors;
 pub mod presets;
 pub mod reducers;
 pub mod registry;
-pub mod shufflers;
-pub mod util;
+pub(crate) mod shufflers;
+pub(crate) mod util;
 
 pub use registry::{
-    all, families, index_of, lookup, of_kind, parse_pipeline, reducers, COMPONENT_COUNT,
-    PIPELINE_COUNT, REDUCER_COUNT,
+    all, families, lookup, parse_pipeline, reducers, COMPONENT_COUNT, PIPELINE_COUNT, REDUCER_COUNT,
 };

@@ -58,7 +58,7 @@ macro_rules! mutator {
 
         impl<const W: usize> $name<W> {
             /// ALU operations the GPU kernel performs per word.
-            pub const OPS_PER_WORD: u64 = $ops;
+            pub(crate) const OPS_PER_WORD: u64 = $ops;
         }
 
         impl<const W: usize> Component for $name<W> {

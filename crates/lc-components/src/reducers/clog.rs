@@ -27,7 +27,7 @@ use crate::util::codec;
 use crate::util::words;
 
 /// Number of subchunks a chunk is split into (paper §3.2.4).
-pub const SUBCHUNKS: usize = 32;
+pub(crate) const SUBCHUNKS: usize = 32;
 
 /// Word range of subchunk `j` when splitting `n` words into
 /// [`SUBCHUNKS`] nearly-equal parts (first `n % SUBCHUNKS` parts get one

@@ -16,14 +16,14 @@
 //! freely "fail" to compress — the frame overhead then simply makes the
 //! chunk expand and the stage is dropped for that chunk.
 
-pub mod clog;
+pub(crate) mod clog;
 pub mod rare;
 pub mod rle;
 pub mod rre;
 
 pub use clog::{Clog, Hclog};
 pub use rare::{Rare, Raze};
-pub use rle::Rle;
+pub(crate) use rle::Rle;
 pub use rre::{Rre, Rze};
 
 use lc_core::{DecodeError, KernelStats};
@@ -151,7 +151,7 @@ mod tests {
     fn compaction_scan_accounting() {
         let mut s = KernelStats::new();
         account_compaction_scan(&mut s, 1);
-        assert!(s.is_zero(), "single word needs no scan");
+        assert_eq!(s, KernelStats::default(), "single word needs no scan");
         account_compaction_scan(&mut s, 4096);
         assert_eq!(s.scan_steps, 13);
         assert_eq!(s.block_syncs, 13);

@@ -32,7 +32,7 @@ use crate::kernels::{self, bitmap};
 use crate::util::varint;
 
 /// RLE_i: run-length encoding at word size `W`.
-pub struct Rle<const W: usize>;
+pub(crate) struct Rle<const W: usize>;
 
 impl<const W: usize> Component for Rle<W> {
     fn name(&self) -> &'static str {

@@ -33,7 +33,7 @@ pub(crate) use crate::kernels::bitmap::Mark;
 
 /// Bitmaps at or below this many bytes are stored verbatim instead of
 /// recursing further.
-pub const BITMAP_RAW_LIMIT: usize = 16;
+pub(crate) const BITMAP_RAW_LIMIT: usize = 16;
 
 /// Recursively emit the bitmap block for `bm`.
 ///

@@ -95,11 +95,6 @@ pub fn reducers() -> Vec<Arc<dyn Component>> {
         .collect()
 }
 
-/// Components of a given kind, in stable order.
-pub fn of_kind(kind: ComponentKind) -> Vec<Arc<dyn Component>> {
-    all().iter().filter(|c| c.kind() == kind).cloned().collect()
-}
-
 /// Look a component up by canonical name (e.g. `"RLE_4"`).
 ///
 /// ```
@@ -111,11 +106,6 @@ pub fn of_kind(kind: ComponentKind) -> Vec<Arc<dyn Component>> {
 pub fn lookup(name: &str) -> Option<Arc<dyn Component>> {
     let (all, index) = registry();
     index.get(name).map(|&i| all[i].clone())
-}
-
-/// Dense registry index of a component name (stable across a process).
-pub fn index_of(name: &str) -> Option<usize> {
-    registry().1.get(name).copied()
 }
 
 /// Parse a pipeline description against this registry.
@@ -144,6 +134,11 @@ pub fn families() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Components of a given kind, in stable order.
+    fn of_kind(kind: ComponentKind) -> Vec<Arc<dyn Component>> {
+        all().iter().filter(|c| c.kind() == kind).cloned().collect()
+    }
 
     #[test]
     fn exactly_62_components() {
@@ -193,7 +188,6 @@ mod tests {
     #[test]
     fn unknown_name_is_none() {
         assert!(lookup("NOPE_4").is_none());
-        assert!(index_of("NOPE_4").is_none());
     }
 
     #[test]

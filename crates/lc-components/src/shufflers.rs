@@ -23,7 +23,7 @@ use crate::kernels::{bitplane, tuple};
 use crate::util::words;
 
 /// BIT_i: bit-plane transpose at word size `W`.
-pub struct Bit<const W: usize>;
+pub(crate) struct Bit<const W: usize>;
 
 impl<const W: usize> Bit<W> {
     fn account(stats: &mut KernelStats, n: usize, len: usize) {
@@ -99,7 +99,7 @@ impl<const W: usize> Component for Bit<W> {
 }
 
 /// TUPLk_i: AoS → SoA rearrangement of k-tuples of `W`-byte words.
-pub struct Tupl<const K: usize, const W: usize>;
+pub(crate) struct Tupl<const K: usize, const W: usize>;
 
 impl<const K: usize, const W: usize> Tupl<K, W> {
     fn account(stats: &mut KernelStats, n_tuples: usize, len: usize) {

@@ -8,7 +8,7 @@
 use lc_core::DecodeError;
 
 /// Streaming MSB-first bit writer appending to a `Vec<u8>`.
-pub struct BitWriter<'a> {
+pub(crate) struct BitWriter<'a> {
     out: &'a mut Vec<u8>,
     acc: u64,
     /// Bits currently buffered in `acc` (< 8 after every `put`).
@@ -33,7 +33,7 @@ impl<'a> BitWriter<'a> {
     /// overflow the accumulator; callers never exceed 64-bit fields split
     /// below that bound (enforced by an assert).
     #[inline]
-    pub fn put(&mut self, v: u64, width: u32) {
+    pub(crate) fn put(&mut self, v: u64, width: u32) {
         debug_assert!(width <= 64);
         if width == 0 {
             return;
@@ -57,12 +57,6 @@ impl<'a> BitWriter<'a> {
         }
     }
 
-    /// Append a single bit.
-    #[inline]
-    pub fn put_bit(&mut self, bit: bool) {
-        self.put(u64::from(bit), 1);
-    }
-
     /// Flush a trailing partial byte (zero-padded).
     pub fn finish(mut self) {
         if self.nbits > 0 {
@@ -73,7 +67,7 @@ impl<'a> BitWriter<'a> {
 }
 
 /// Streaming MSB-first bit reader over a byte slice.
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     buf: &'a [u8],
     pos: usize,
     acc: u64,
@@ -120,22 +114,29 @@ impl<'a> BitReader<'a> {
             };
         Ok(v)
     }
-
-    /// Read a single bit.
-    #[inline]
-    pub fn get_bit(&mut self) -> Result<bool, DecodeError> {
-        Ok(self.get(1)? != 0)
-    }
-
-    /// Bytes consumed so far (rounding the current partial byte up).
-    pub fn bytes_consumed(&self) -> usize {
-        self.pos
-    }
 }
 
 /// Bytes needed for `bits` packed bits.
-pub const fn bytes_for_bits(bits: u64) -> u64 {
+pub(crate) const fn bytes_for_bits(bits: u64) -> u64 {
     bits.div_ceil(8)
+}
+
+#[cfg(test)]
+impl BitWriter<'_> {
+    /// Append a single bit.
+    #[inline]
+    pub(crate) fn put_bit(&mut self, bit: bool) {
+        self.put(u64::from(bit), 1);
+    }
+}
+
+#[cfg(test)]
+impl BitReader<'_> {
+    /// Read a single bit.
+    #[inline]
+    pub(crate) fn get_bit(&mut self) -> Result<bool, DecodeError> {
+        Ok(self.get(1)? != 0)
+    }
 }
 
 #[cfg(test)]

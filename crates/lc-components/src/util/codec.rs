@@ -10,7 +10,7 @@ use super::words::{bits, mask};
 /// Two's complement → magnitude-sign ("zigzag"): 0, −1, 1, −2, … map to
 /// 0, 1, 2, 3, … so small-magnitude values get small codes (TCMS).
 #[inline(always)]
-pub fn to_magnitude_sign<const W: usize>(v: u64) -> u64 {
+pub(crate) fn to_magnitude_sign<const W: usize>(v: u64) -> u64 {
     let b = bits::<W>();
     // Sign-extend the W-byte value to 64 bits, zigzag, re-mask.
     let sx = ((v << (64 - b)) as i64) >> (64 - b);
@@ -19,34 +19,34 @@ pub fn to_magnitude_sign<const W: usize>(v: u64) -> u64 {
 
 /// Inverse of [`to_magnitude_sign`].
 #[inline(always)]
-pub fn from_magnitude_sign<const W: usize>(v: u64) -> u64 {
+pub(crate) fn from_magnitude_sign<const W: usize>(v: u64) -> u64 {
     ((v >> 1) ^ (v & 1).wrapping_neg()) & mask::<W>()
 }
 
 /// Alternating-bit mask 0b…1010 of the word width, used by the negabinary
 /// conversion trick.
 #[inline(always)]
-pub const fn negabinary_mask<const W: usize>() -> u64 {
+pub(crate) const fn negabinary_mask<const W: usize>() -> u64 {
     0xAAAA_AAAA_AAAA_AAAAu64 & mask::<W>()
 }
 
 /// Two's complement → base −2 (negabinary) representation (TCNB):
 /// `nb = (v + M) ^ M` with `M = 0b…1010`, arithmetic mod 2^bits.
 #[inline(always)]
-pub fn to_negabinary<const W: usize>(v: u64) -> u64 {
+pub(crate) fn to_negabinary<const W: usize>(v: u64) -> u64 {
     let m = negabinary_mask::<W>();
     (v.wrapping_add(m) & mask::<W>()) ^ m
 }
 
 /// Inverse of [`to_negabinary`]: `v = (nb ^ M) − M`.
 #[inline(always)]
-pub fn from_negabinary<const W: usize>(v: u64) -> u64 {
+pub(crate) fn from_negabinary<const W: usize>(v: u64) -> u64 {
     let m = negabinary_mask::<W>();
     (v ^ m).wrapping_sub(m) & mask::<W>()
 }
 
 /// IEEE-754 geometry for a `W`-byte float (W = 4 or 8).
-pub struct FloatGeometry {
+pub(crate) struct FloatGeometry {
     /// Exponent field width in bits (8 or 11).
     pub exp_bits: u32,
     /// Fraction field width in bits (23 or 52).
@@ -60,7 +60,7 @@ pub struct FloatGeometry {
 /// # Panics
 ///
 /// Panics for other widths (DBEFS/DBESF only exist at 4 and 8 bytes).
-pub const fn float_geometry<const W: usize>() -> FloatGeometry {
+pub(crate) const fn float_geometry<const W: usize>() -> FloatGeometry {
     match W {
         4 => FloatGeometry {
             exp_bits: 8,
@@ -79,7 +79,7 @@ pub const fn float_geometry<const W: usize>() -> FloatGeometry {
 /// DBEFS: de-bias the exponent and rearrange the fields from
 /// (sign, exponent, fraction) to (de-biased exponent, fraction, sign).
 #[inline(always)]
-pub fn dbefs_encode<const W: usize>(v: u64) -> u64 {
+pub(crate) fn dbefs_encode<const W: usize>(v: u64) -> u64 {
     let g = float_geometry::<W>();
     let emask = (1u64 << g.exp_bits) - 1;
     let fmask = (1u64 << g.frac_bits) - 1;
@@ -92,7 +92,7 @@ pub fn dbefs_encode<const W: usize>(v: u64) -> u64 {
 
 /// Inverse of [`dbefs_encode`].
 #[inline(always)]
-pub fn dbefs_decode<const W: usize>(v: u64) -> u64 {
+pub(crate) fn dbefs_decode<const W: usize>(v: u64) -> u64 {
     let g = float_geometry::<W>();
     let emask = (1u64 << g.exp_bits) - 1;
     let fmask = (1u64 << g.frac_bits) - 1;
@@ -105,7 +105,7 @@ pub fn dbefs_decode<const W: usize>(v: u64) -> u64 {
 
 /// DBESF: like DBEFS but rearranges to (de-biased exponent, sign, fraction).
 #[inline(always)]
-pub fn dbesf_encode<const W: usize>(v: u64) -> u64 {
+pub(crate) fn dbesf_encode<const W: usize>(v: u64) -> u64 {
     let g = float_geometry::<W>();
     let emask = (1u64 << g.exp_bits) - 1;
     let fmask = (1u64 << g.frac_bits) - 1;
@@ -118,7 +118,7 @@ pub fn dbesf_encode<const W: usize>(v: u64) -> u64 {
 
 /// Inverse of [`dbesf_encode`].
 #[inline(always)]
-pub fn dbesf_decode<const W: usize>(v: u64) -> u64 {
+pub(crate) fn dbesf_decode<const W: usize>(v: u64) -> u64 {
     let g = float_geometry::<W>();
     let emask = (1u64 << g.exp_bits) - 1;
     let fmask = (1u64 << g.frac_bits) - 1;

@@ -1,6 +1,6 @@
 //! Shared low-level utilities for the component library.
 
-pub mod bitpack;
+pub(crate) mod bitpack;
 pub mod codec;
-pub mod varint;
+pub(crate) mod varint;
 pub mod words;

@@ -69,7 +69,8 @@ fn read_slow(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
 }
 
 /// Encoded size of `v` in bytes.
-pub fn size(v: u64) -> usize {
+#[cfg(test)]
+fn size(v: u64) -> usize {
     if v == 0 {
         1
     } else {

@@ -6,7 +6,7 @@
 //! `W` (one `match` per chunk, zero per word).
 
 /// Bit width of a `W`-byte word.
-pub const fn bits<const W: usize>() -> u32 {
+pub(crate) const fn bits<const W: usize>() -> u32 {
     8 * W as u32
 }
 
@@ -29,7 +29,7 @@ pub fn get<const W: usize>(buf: &[u8], i: usize) -> u64 {
 
 /// Append word `v` (little-endian, `W` bytes) to `out`.
 #[inline(always)]
-pub fn put<const W: usize>(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put<const W: usize>(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes()[..W]);
 }
 
@@ -37,12 +37,6 @@ pub fn put<const W: usize>(out: &mut Vec<u8>, v: u64) {
 #[inline(always)]
 pub fn count<const W: usize>(len: usize) -> usize {
     len / W
-}
-
-/// Number of trailing bytes of `len` that do not form a complete word.
-#[inline(always)]
-pub fn tail_len<const W: usize>(len: usize) -> usize {
-    len % W
 }
 
 /// Decode the complete-word region of `buf` into a `u64` vector.
@@ -55,8 +49,16 @@ pub fn to_vec<const W: usize>(buf: &[u8]) -> Vec<u64> {
     v
 }
 
+/// Number of trailing bytes of `len` that do not form a complete word.
+#[cfg(test)]
+#[inline(always)]
+pub(crate) fn tail_len<const W: usize>(len: usize) -> usize {
+    len % W
+}
+
 /// Append all of `words` to `out`, `W` bytes each.
-pub fn extend_from_words<const W: usize>(out: &mut Vec<u8>, words: &[u64]) {
+#[cfg(test)]
+pub(crate) fn extend_from_words<const W: usize>(out: &mut Vec<u8>, words: &[u64]) {
     out.reserve(words.len() * W);
     for &w in words {
         put::<W>(out, w);

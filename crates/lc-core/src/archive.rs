@@ -73,18 +73,18 @@ use crate::scratch::{decode_stage, encode_stage, Scratch};
 use crate::stats::{KernelStats, PipelineStats, StageStats};
 
 /// Archive magic bytes.
-pub const MAGIC: [u8; 4] = *b"LCRP";
+pub(crate) const MAGIC: [u8; 4] = *b"LCRP";
 /// Current format version (2 added the whole-input CRC-32; 3 added a
 /// per-chunk CRC-32 to the table, enabling chunk-granular salvage).
-pub const VERSION: u8 = 3;
+pub(crate) const VERSION: u8 = 3;
 /// Oldest format version the decoder still accepts.
-pub const MIN_VERSION: u8 = 2;
+pub(crate) const MIN_VERSION: u8 = 2;
 /// Maximum number of stages representable in the per-chunk mask.
-pub const MAX_STAGES: usize = 8;
+pub(crate) const MAX_STAGES: usize = 8;
 /// Bytes per chunk-table entry in format v2: mask u8 + stored_len u32.
 pub const TABLE_ENTRY_V2: usize = 5;
 /// Bytes per chunk-table entry in format v3: v2 fields + chunk CRC-32.
-pub const TABLE_ENTRY_V3: usize = 9;
+pub(crate) const TABLE_ENTRY_V3: usize = 9;
 
 /// Parsed archive header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1151,8 +1151,8 @@ mod tests {
         let decoder = Decoder::new(&archive, resolver, None).unwrap();
         let (_, stats) = decoder.decode(&pool, None).unwrap();
         assert_eq!(stats.stages[1].chunks_applied, 0);
-        assert!(stats.stages[1].kernel.is_zero());
-        assert!(!stats.stages[0].kernel.is_zero());
+        assert_eq!(stats.stages[1].kernel, KernelStats::default());
+        assert_ne!(stats.stages[0].kernel, KernelStats::default());
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -77,7 +77,7 @@ impl Crc32 {
     /// Absorb bytes. Digest-identical to [`Crc32::update_scalar`] at
     /// every split point, so streaming callers may mix chunk sizes
     /// freely.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         let data = if data.len() >= clmul::MIN_LEN && clmul::enabled() {
             // SAFETY: `enabled()` saw the CPU report the two features
@@ -112,15 +112,6 @@ impl Crc32 {
             state = t[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
         }
         self.state = state;
-    }
-
-    /// Absorb bytes one at a time — the reference implementation the
-    /// other bodies are differentially tested against.
-    pub fn update_scalar(&mut self, data: &[u8]) {
-        let t = &tables()[0];
-        for &b in data {
-            self.state = t[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
     }
 
     /// Final digest.
@@ -279,6 +270,18 @@ mod clmul {
         let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), barrett);
         let acc = _mm_xor_si128(acc, t);
         (_mm_cvtsi128_si32(_mm_srli_si128::<4>(acc)) as u32, tail)
+    }
+}
+
+#[cfg(test)]
+impl Crc32 {
+    /// Absorb bytes one at a time — the reference implementation the
+    /// other bodies are differentially tested against.
+    pub(crate) fn update_scalar(&mut self, data: &[u8]) {
+        let t = &tables()[0];
+        for &b in data {
+            self.state = t[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
+        }
     }
 }
 

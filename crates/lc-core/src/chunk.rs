@@ -18,7 +18,7 @@ pub fn chunk_count(len: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `i >= chunk_count(len)`.
-pub fn chunk_range(i: usize, len: usize) -> std::ops::Range<usize> {
+pub(crate) fn chunk_range(i: usize, len: usize) -> std::ops::Range<usize> {
     let start = i * CHUNK_SIZE;
     assert!(start < len, "chunk index {i} out of range for {len} bytes");
     start..(start + CHUNK_SIZE).min(len)

@@ -236,12 +236,6 @@ impl Contract {
         self
     }
 
-    /// Declare `encode ∘ encode == encode`. See [`Contract::idempotent`].
-    pub const fn with_idempotent(mut self) -> Self {
-        self.idempotent = true;
-        self
-    }
-
     /// Declare the encoder is the identity on inputs shorter than `n`
     /// bytes. See [`Contract::noop_below`].
     pub const fn with_noop_below(mut self, n: usize) -> Self {

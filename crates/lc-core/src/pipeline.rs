@@ -8,7 +8,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::component::{Component, ComponentKind};
+use crate::component::Component;
 use crate::error::PipelineError;
 
 /// An ordered chain of components.
@@ -24,18 +24,6 @@ impl Pipeline {
             return Err(PipelineError::Empty);
         }
         Ok(Self { stages })
-    }
-
-    /// Build a study pipeline: exactly three stages with a reducer last.
-    pub fn three_stage(
-        s1: Arc<dyn Component>,
-        s2: Arc<dyn Component>,
-        s3: Arc<dyn Component>,
-    ) -> Result<Self, PipelineError> {
-        if s3.kind() != ComponentKind::Reducer {
-            return Err(PipelineError::LastStageNotReducer(s3.name().to_string()));
-        }
-        Self::new(vec![s1, s2, s3])
     }
 
     /// Parse a whitespace-separated pipeline description such as
@@ -99,7 +87,7 @@ pub(crate) mod test_support {
     //! lives in `lc-components`; these keep lc-core's tests dependency-free).
 
     use super::*;
-    use crate::component::{Complexity, SpanClass, WorkClass};
+    use crate::component::{Complexity, ComponentKind, SpanClass, WorkClass};
     use crate::error::DecodeError;
     use crate::stats::KernelStats;
 
@@ -192,6 +180,21 @@ pub(crate) mod test_support {
             out.resize(out.len() + (total - kept), 0);
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+impl Pipeline {
+    /// Build a study pipeline: exactly three stages with a reducer last.
+    pub(crate) fn three_stage(
+        s1: Arc<dyn Component>,
+        s2: Arc<dyn Component>,
+        s3: Arc<dyn Component>,
+    ) -> Result<Self, PipelineError> {
+        if s3.kind() != crate::component::ComponentKind::Reducer {
+            return Err(PipelineError::LastStageNotReducer(s3.name().to_string()));
+        }
+        Self::new(vec![s1, s2, s3])
     }
 }
 

@@ -102,11 +102,6 @@ impl KernelStats {
         }
     }
 
-    /// Whether every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Scale every counter by `factor` (rounding to nearest).
     ///
     /// Kernel counters are extensive quantities — proportional to the
@@ -243,16 +238,6 @@ mod tests {
         let s = KernelStats::from_counters(c);
         assert_eq!((s.words, s.divergent_branches), (1, 11));
         assert_eq!(s.counters(), c);
-    }
-
-    #[test]
-    fn zero_detection() {
-        assert!(KernelStats::new().is_zero());
-        let s = KernelStats {
-            atomic_ops: 1,
-            ..Default::default()
-        };
-        assert!(!s.is_zero());
     }
 
     #[test]

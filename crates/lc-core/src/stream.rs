@@ -45,7 +45,7 @@ use crate::pipeline::Pipeline;
 /// Streaming-format magic bytes.
 pub const STREAM_MAGIC: [u8; 4] = *b"LCRS";
 /// Streaming-format version (2 added the CRC-32 trailer field).
-pub const STREAM_VERSION: u8 = 2;
+pub(crate) const STREAM_VERSION: u8 = 2;
 
 /// Streaming encoder state.
 pub struct StreamEncoder<'p> {

@@ -42,6 +42,7 @@ where
 ///
 /// Panics (with a diagnostic) if the component is not invertible on this
 /// input — this is a test helper.
+// pub-api: the round-trip assertion of lc-components' per-component unit tests.
 pub fn roundtrip_component(component: &dyn Component, input: &[u8]) -> usize {
     let mut stats = KernelStats::new();
     let mut encoded = Vec::new();

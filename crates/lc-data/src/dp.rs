@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{seed_of, Domain, Scale, SpFile, SP_FILES};
+use crate::{seed_of, Domain, Scale, SpFile};
 
 /// Generate the double-precision variant of `file` at `scale`.
 ///
@@ -37,14 +37,6 @@ pub fn generate_dp(file: &SpFile, scale: Scale) -> Vec<u8> {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     out
-}
-
-/// Generate the whole DP dataset at `scale`, Table 3 order.
-pub fn generate_all_dp(scale: Scale) -> Vec<(&'static str, Vec<u8>)> {
-    SP_FILES
-        .iter()
-        .map(|f| (f.name, generate_dp(f, scale)))
-        .collect()
 }
 
 fn salt(name: &str) -> f64 {
@@ -111,6 +103,15 @@ fn observation_dp(rng: &mut StdRng, n: usize, name: &str) -> Vec<f64> {
     }
     out.truncate(n);
     out
+}
+
+/// Generate the whole DP dataset at `scale`, Table 3 order.
+#[cfg(test)]
+pub(crate) fn generate_all_dp(scale: Scale) -> Vec<(&'static str, Vec<u8>)> {
+    crate::SP_FILES
+        .iter()
+        .map(|f| (f.name, generate_dp(f, scale)))
+        .collect()
 }
 
 #[cfg(test)]

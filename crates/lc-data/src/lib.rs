@@ -180,7 +180,7 @@ impl Scale {
     }
 
     /// Generated byte size for `file` at this scale.
-    pub fn bytes_for(&self, file: &SpFile) -> usize {
+    pub(crate) fn bytes_for(&self, file: &SpFile) -> usize {
         let full = file.paper_size_tenth_mb as u64 * 1_000_000 / 10;
         let scaled = (full / self.denominator as u64) as usize;
         let aligned = scaled / 4 * 4;
@@ -215,14 +215,6 @@ pub fn generate(file: &SpFile, scale: Scale) -> Vec<u8> {
     out
 }
 
-/// Generate the whole dataset at `scale`, in Table 3 order.
-pub fn generate_all(scale: Scale) -> Vec<(&'static str, Vec<u8>)> {
-    SP_FILES
-        .iter()
-        .map(|f| (f.name, generate(f, scale)))
-        .collect()
-}
-
 /// Look up a file descriptor by name.
 pub fn file_by_name(name: &str) -> Option<&'static SpFile> {
     SP_FILES.iter().find(|f| f.name == name)
@@ -236,6 +228,15 @@ pub(crate) fn seed_of(name: &str) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// Generate the whole dataset at `scale`, in Table 3 order.
+#[cfg(test)]
+pub(crate) fn generate_all(scale: Scale) -> Vec<(&'static str, Vec<u8>)> {
+    SP_FILES
+        .iter()
+        .map(|f| (f.name, generate(f, scale)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -107,11 +107,6 @@ impl Value {
         matches!(self, Value::Array(_))
     }
 
-    /// True if this is an `Object`.
-    pub fn is_object(&self) -> bool {
-        matches!(self, Value::Object(_))
-    }
-
     /// True if this is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -288,10 +288,13 @@ impl CancelToken {
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
+}
 
+#[cfg(test)]
+impl CancelToken {
     /// Whether this token's cancellation came from a signal rather than
     /// a manual [`cancel`](Self::cancel) call or a deadline.
-    pub fn cancelled_by_signal(&self) -> bool {
+    pub(crate) fn cancelled_by_signal(&self) -> bool {
         self.watch_signals && SIGNAL_FLAG.load(Ordering::Relaxed)
     }
 }

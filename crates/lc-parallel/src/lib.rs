@@ -21,11 +21,10 @@ pub mod cancel;
 pub mod pool;
 pub mod scan;
 pub mod slice;
-pub mod warp;
 
 pub use cancel::{signal_count, CancelToken, SignalWatchError};
 pub use pool::Pool;
-pub use scan::{LookbackScan, SCAN_STATUS_AGGREGATE, SCAN_STATUS_INVALID, SCAN_STATUS_PREFIX};
+pub use scan::LookbackScan;
 pub use slice::DisjointSlice;
 
 /// Default worker count: the machine's available parallelism, clamped to
@@ -83,3 +82,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "panic with non-string payload".to_string()
     }
 }
+
+// The §4 Listing 1 warp-64 port, kept as its bug test.
+#[cfg(test)]
+mod warp;

@@ -15,11 +15,11 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Entry has published nothing yet.
-pub const SCAN_STATUS_INVALID: u8 = 0;
+pub(crate) const SCAN_STATUS_INVALID: u8 = 0;
 /// Entry has published its local aggregate.
-pub const SCAN_STATUS_AGGREGATE: u8 = 1;
+pub(crate) const SCAN_STATUS_AGGREGATE: u8 = 1;
 /// Entry has published its inclusive prefix.
-pub const SCAN_STATUS_PREFIX: u8 = 2;
+pub(crate) const SCAN_STATUS_PREFIX: u8 = 2;
 
 /// Spins a waiter in [`LookbackScan::publish`] makes between two
 /// `yield_now` calls: about 0.7 ms of `pause`, longer than the 0.5 ms a

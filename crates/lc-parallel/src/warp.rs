@@ -6,12 +6,14 @@
 //! module reproduces those primitives *functionally* — lane-array in,
 //! lane-array out — so the ported code path can be executed and tested on
 //! the CPU at both warp sizes, including the exact bug the port fixes
-//! (see `truncated_scan_is_wrong_at_warp64` below).
+//! (see `truncated_scan_is_wrong_at_warp64` below). Nothing outside these
+//! tests runs the port, so the module is compiled only under
+//! `#[cfg(test)]`.
 
 /// Emulated `__shfl_up_sync`: every lane receives the value of the lane
 /// `delta` below it; lanes whose source would be negative keep their own
 /// value (CUDA semantics for out-of-range sources).
-pub fn shfl_up<const WS: usize, T: Copy>(vals: &[T; WS], delta: usize) -> [T; WS] {
+fn shfl_up<const WS: usize, T: Copy>(vals: &[T; WS], delta: usize) -> [T; WS] {
     let mut out = *vals;
     for lane in 0..WS {
         if lane >= delta {
@@ -21,20 +23,9 @@ pub fn shfl_up<const WS: usize, T: Copy>(vals: &[T; WS], delta: usize) -> [T; WS
     out
 }
 
-/// Emulated `__shfl_down_sync` (own value when the source overflows).
-pub fn shfl_down<const WS: usize, T: Copy>(vals: &[T; WS], delta: usize) -> [T; WS] {
-    let mut out = *vals;
-    for lane in 0..WS {
-        if lane + delta < WS {
-            out[lane] = vals[lane + delta];
-        }
-    }
-    out
-}
-
 /// Emulated `__shfl_xor_sync`: lane `i` receives the value of lane
 /// `i ^ mask` (the butterfly used by BIT_4/BIT_8's transposes, §6.4).
-pub fn shfl_xor<const WS: usize, T: Copy>(vals: &[T; WS], mask: usize) -> [T; WS] {
+fn shfl_xor<const WS: usize, T: Copy>(vals: &[T; WS], mask: usize) -> [T; WS] {
     let mut out = *vals;
     for (lane, slot) in out.iter_mut().enumerate() {
         let src = lane ^ mask;
@@ -46,7 +37,7 @@ pub fn shfl_xor<const WS: usize, T: Copy>(vals: &[T; WS], mask: usize) -> [T; WS
 }
 
 /// Emulated `__ballot_sync`: bit `i` of the result is lane `i`'s predicate.
-pub fn ballot<const WS: usize>(preds: &[bool; WS]) -> u64 {
+fn ballot<const WS: usize>(preds: &[bool; WS]) -> u64 {
     let mut word = 0u64;
     for (lane, &p) in preds.iter().enumerate() {
         if p {
@@ -70,7 +61,7 @@ pub fn ballot<const WS: usize>(preds: &[bool; WS]) -> u64 {
 ///
 /// The const generic replaces the preprocessor: `WS = 32` runs five
 /// doubling steps, `WS = 64` runs six.
-pub fn warp_inclusive_scan<const WS: usize>(vals: &[i64; WS]) -> [i64; WS] {
+fn warp_inclusive_scan<const WS: usize>(vals: &[i64; WS]) -> [i64; WS] {
     let mut val = *vals;
     let mut delta = 1;
     while delta < WS {
@@ -87,9 +78,9 @@ pub fn warp_inclusive_scan<const WS: usize>(vals: &[i64; WS]) -> [i64; WS] {
 
 /// The *unported* Listing 1: the loop stops after the `delta = 16` step
 /// regardless of warp size — correct at `WS = 32`, silently wrong at
-/// `WS = 64`. Kept public so tests (and readers) can see exactly what the
+/// `WS = 64`. Kept so the tests (and readers) can see exactly what the
 /// §4 port fixes.
-pub fn warp_inclusive_scan_truncated<const WS: usize>(vals: &[i64; WS]) -> [i64; WS] {
+fn warp_inclusive_scan_truncated<const WS: usize>(vals: &[i64; WS]) -> [i64; WS] {
     let mut val = *vals;
     let mut delta = 1;
     while delta < WS.min(32) {
@@ -107,7 +98,7 @@ pub fn warp_inclusive_scan_truncated<const WS: usize>(vals: &[i64; WS]) -> [i64;
 /// Block-level inclusive prefix sum built from warp scans, the way LC's
 /// decoder kernels do it: scan each warp, scan the warp totals, add the
 /// carry — exercised here over `WARPS · WS` lanes.
-pub fn block_inclusive_scan<const WS: usize>(vals: &[i64]) -> Vec<i64> {
+fn block_inclusive_scan<const WS: usize>(vals: &[i64]) -> Vec<i64> {
     assert!(vals.len().is_multiple_of(WS), "block must be whole warps");
     let warps = vals.len() / WS;
     let mut out = vec![0i64; vals.len()];

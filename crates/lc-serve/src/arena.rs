@@ -58,7 +58,7 @@ impl MemGovernor {
     /// would be exceeded or the chaos plan denies the admission; the
     /// caller sheds. The gauge `serve.mem_resident_bytes` tracks the
     /// post-decision level either way.
-    pub fn try_lease(self: &Arc<Self>, bytes: u64) -> Option<MemLease> {
+    pub(crate) fn try_lease(self: &Arc<Self>, bytes: u64) -> Option<MemLease> {
         if !lc_chaos::alloc_allowed(bytes) {
             return None;
         }
@@ -89,22 +89,17 @@ impl MemGovernor {
 
 /// RAII lease of request memory; dropping returns the bytes.
 #[derive(Debug)]
-pub struct MemLease {
+pub(crate) struct MemLease {
     gov: Arc<MemGovernor>,
     bytes: u64,
 }
 
 impl MemLease {
-    /// Bytes this lease currently holds.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Grow the lease by `extra` bytes (an unpack that learned its
     /// declared output size). `false` leaves the lease unchanged — the
     /// caller sheds or errors, and the original bytes still release on
     /// drop.
-    pub fn grow(&mut self, extra: u64) -> bool {
+    pub(crate) fn grow(&mut self, extra: u64) -> bool {
         if !lc_chaos::alloc_allowed(extra) {
             return false;
         }
@@ -134,6 +129,14 @@ impl Drop for MemLease {
     fn drop(&mut self) {
         self.gov.resident.fetch_sub(self.bytes, Ordering::Relaxed);
         resident_gauge().set(self.gov.resident_bytes());
+    }
+}
+
+#[cfg(test)]
+impl MemLease {
+    /// Bytes this lease currently holds.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 

@@ -38,7 +38,7 @@ const LEASE_FLOOR_BYTES: u64 = 64 * 1024;
 
 /// What a refused admission tells the client to do: spread retries a
 /// few tens of milliseconds out rather than hammering a loaded server.
-pub const SHED_RETRY_AFTER_MS: u32 = 25;
+pub(crate) const SHED_RETRY_AFTER_MS: u32 = 25;
 
 fn shed() -> Response {
     lc_telemetry::counter("serve.shed_mem").add(1);
@@ -186,7 +186,11 @@ where
 
 /// Build the per-request cancel token: the server's abort token (tripped
 /// by forced drain) plus this request's deadline, if any.
-pub fn request_token(abort: &CancelToken, deadline_ms: u32, received: Instant) -> CancelToken {
+pub(crate) fn request_token(
+    abort: &CancelToken,
+    deadline_ms: u32,
+    received: Instant,
+) -> CancelToken {
     if deadline_ms == 0 {
         abort.clone()
     } else {

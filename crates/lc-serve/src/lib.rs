@@ -26,8 +26,8 @@ pub mod loadgen;
 pub mod proto;
 pub mod server;
 
-pub use arena::{MemGovernor, MemLease};
+pub use arena::MemGovernor;
 pub use client::{Client, ClientError};
-pub use exec::{execute, request_token, ExecContext};
+pub use exec::{execute, ExecContext};
 pub use proto::{ErrorKind, Op, Request, Response};
 pub use server::{ServeConfig, ServeSummary, Server};

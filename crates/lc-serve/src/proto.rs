@@ -32,7 +32,7 @@ use lc_chaos::net::{read_full, write_all};
 /// Hard wire-format cap on any single length field. Guards the frame
 /// parser against hostile 4 GiB declarations before the configurable
 /// per-server limits are even consulted.
-pub const MAX_FRAME_BYTES: u32 = 1 << 30;
+pub(crate) const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// The operations the server exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,7 +310,11 @@ pub fn write_response(w: &mut impl Write, resp: &Response, tag: u64) -> io::Resu
 
 /// Read one response frame. `max_body` bounds the ok-body and error
 /// message allocations against a hostile or corrupted server.
-pub fn read_response(r: &mut impl Read, max_body: u64, tag: u64) -> Result<Response, FrameError> {
+pub(crate) fn read_response(
+    r: &mut impl Read,
+    max_body: u64,
+    tag: u64,
+) -> Result<Response, FrameError> {
     let mut status = [0u8; 1];
     read_full(r, &mut status, tag)?;
     match status[0] {

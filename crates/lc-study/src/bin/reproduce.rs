@@ -609,11 +609,11 @@ fn main() -> ExitCode {
                     "decode"
                 }
             );
-            let _ = atomic_write(
-                &args.out.join(name),
-                figures::to_csv(&fig).as_bytes(),
-                args.fsync,
-            );
+            let csv_path = args.out.join(name);
+            if let Err(e) = atomic_write(&csv_path, figures::to_csv(&fig).as_bytes(), args.fsync) {
+                eprintln!("error: cannot write {}: {e}", csv_path.display());
+                return ExitCode::FAILURE;
+            }
         }
     }
     if args.ratio {

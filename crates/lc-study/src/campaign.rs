@@ -158,7 +158,7 @@ impl Measurements {
     }
 
     /// Throughputs of a pipeline subset on a platform.
-    pub fn select(
+    pub(crate) fn select(
         &self,
         config: usize,
         dir: Direction,
@@ -200,7 +200,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Simulate the paper's "run three times, keep the median" protocol:
 /// apply three deterministic jitters drawn from `±jitter / 2` (the
 /// model's [`Model::run_jitter`]) and take the median.
-pub fn median_of_three_runs(t: f64, seed: u64, jitter: f64) -> f64 {
+pub(crate) fn median_of_three_runs(t: f64, seed: u64, jitter: f64) -> f64 {
     let mut eps = [0f64; 3];
     for (k, e) in eps.iter_mut().enumerate() {
         let h = splitmix64(seed ^ (k as u64).wrapping_mul(0xA24BAED4963EE407));
@@ -995,8 +995,8 @@ fn run_unit(
 /// Price one unit's statistics on every platform in `configs`: the only
 /// place the `gpu-sim` cost model is consulted. Counters are
 /// extrapolated to the paper-scale file, each measured cell is timed by
-/// `model`'s own methods (per-stage times, then [`Model::time_on_grid`]
-/// over the platform's precomputed [`Model::grid_terms`] — the path
+/// `model`'s own methods (per-stage times, then the platform's
+/// [`Model::grid_time`], built once per unit — the path
 /// [`Model::pipeline_time`] takes), jittered by the
 /// median-of-three protocol, and stored as a log-throughput. The f64
 /// operation order is fixed, so a unit priced straight after execution
@@ -1018,13 +1018,13 @@ fn price_unit(
     let mut row_dec = vec![0f64; c_total * stride];
     let mut row_comp = vec![0u64; stride];
 
-    // Per-platform (encode, decode) framework and DRAM terms.
+    // Per-platform (encode, decode) time over this unit's grid.
     let grids: Vec<_> = configs
         .iter()
         .map(|cfg| {
             (
-                model.grid_terms(cfg, Direction::Encode, chunks),
-                model.grid_terms(cfg, Direction::Decode, chunks),
+                model.grid_time(cfg, Direction::Encode, chunks),
+                model.grid_time(cfg, Direction::Decode, chunks),
             )
         })
         .collect();
@@ -1058,8 +1058,8 @@ fn price_unit(
                 let st3_enc = model.stage_time(cfg, &s3e, chunks);
                 let st3_dec = model.stage_time(cfg, &s3d, chunks);
                 let bytes = unc + comp_bytes;
-                let t_enc = model.time_on_grid(grid_enc, st1[c].0 + st2[c].0 + st3_enc, bytes);
-                let t_dec = model.time_on_grid(grid_dec, st1[c].1 + st2[c].1 + st3_dec, bytes);
+                let t_enc = grid_enc(st1[c].0 + st2[c].0 + st3_enc, bytes);
+                let t_dec = grid_dec(st1[c].1 + st2[c].1 + st3_dec, bytes);
                 let seed = (ctx.file_i as u64) << 48 | (p_idx as u64) << 8 | c as u64;
                 let t_enc = median_of_three_runs(t_enc, splitmix64(seed), model.run_jitter);
                 let t_dec =
@@ -1282,7 +1282,7 @@ fn quarantine_from_value(v: &Value) -> Result<QuarantineEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::CompilerId;
+    use gpu_sim::{Combine, CompilerId};
 
     fn quick_measurements() -> Measurements {
         run_campaign(&StudyConfig::quick())
@@ -1453,10 +1453,11 @@ mod tests {
         assert_eq!(f.configs.len(), 22);
         let (x, chunks, unc) = (f.ctx.extrapolate, f.ctx.chunks, f.ctx.unc);
         let nr = f.stats.s3.len() / f.stats.s2.len();
-        for model in [Model::PAPER, Model::PAPER.no_roofline()] {
+        for combine in [Combine::Roofline, Combine::Additive] {
             let model = Model {
                 run_jitter: 0.0,
-                ..model
+                combine,
+                ..Model::PAPER
             };
             let (enc, dec, comp) = f.price(&model);
             for (local, (s3, bytes)) in f.stats.s3.iter().enumerate() {

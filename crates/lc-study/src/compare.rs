@@ -24,7 +24,7 @@ pub struct Drift {
 
 impl Drift {
     /// Relative change, signed (`+0.08` = 8% higher than baseline).
-    pub fn relative(&self) -> f64 {
+    pub(crate) fn relative(&self) -> f64 {
         if self.baseline == 0.0 {
             f64::INFINITY
         } else {

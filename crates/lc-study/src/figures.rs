@@ -108,7 +108,7 @@ impl FigId {
     }
 
     /// Paper caption.
-    pub fn title(&self) -> &'static str {
+    pub(crate) fn title(&self) -> &'static str {
         match self {
             FigId::Fig2 => "Encoding throughputs by GPU",
             FigId::Fig3 => "Decoding throughputs by GPU",

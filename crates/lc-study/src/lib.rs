@@ -45,9 +45,7 @@ pub use campaign::{
 };
 pub use figures::{figure, render, to_csv, FigId, Figure, Group};
 pub use prefix::{CacheReport, SweepMode};
-pub use progress::Heartbeat;
 pub use prune::{PruneMode, PrunePlan, PruneReport};
-pub use runner::{StageFault, Watchdog};
-pub use shard::{discover_shards, merge_shards, MergeReport, ShardSpec};
+pub use shard::{merge_shards, MergeReport, ShardSpec};
 pub use space::{PipelineId, Space};
 pub use supervise::{run_supervisor, ShardOutcome, ShardRun, SupervisorReport};

@@ -23,7 +23,7 @@ struct HeartbeatState {
 /// Dropping the heartbeat stops and joins the reporter thread (emitting
 /// one final line if any units completed), so it cannot outlive the
 /// campaign even on early-error returns.
-pub struct Heartbeat {
+pub(crate) struct Heartbeat {
     state: Arc<HeartbeatState>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -80,14 +80,14 @@ impl Heartbeat {
     }
 
     /// Record one finished work unit (healthy or quarantined).
-    pub fn unit_done(&self) {
+    pub(crate) fn unit_done(&self) {
         self.state.done.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one quarantined work unit (in addition to [`unit_done`]).
     ///
     /// [`unit_done`]: Heartbeat::unit_done
-    pub fn unit_quarantined(&self) {
+    pub(crate) fn unit_quarantined(&self) {
         self.state.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -103,7 +103,12 @@ impl Drop for Heartbeat {
 
 /// Render one progress line, e.g.
 /// `heartbeat: 42/160 units (26%), 3.4 units/s, ETA 35s, 1 quarantined`.
-pub fn format_line(done: usize, planned: usize, elapsed_secs: f64, quarantined: usize) -> String {
+pub(crate) fn format_line(
+    done: usize,
+    planned: usize,
+    elapsed_secs: f64,
+    quarantined: usize,
+) -> String {
     let pct = (done * 100).checked_div(planned).unwrap_or(100);
     let rate = if elapsed_secs > 0.0 {
         done as f64 / elapsed_secs

@@ -138,13 +138,13 @@ impl PrunePlan {
     }
 
     /// Whether the sweep measures the pipeline at dense index `p`.
-    pub fn measures(&self, p: usize) -> bool {
+    pub(crate) fn measures(&self, p: usize) -> bool {
         self.rep[p] == p
     }
 
     /// Every skipped `(pipeline, representative)` pair, in ascending
     /// pipeline order.
-    pub fn pruned_cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn pruned_cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         pruned_cells(&self.rep)
     }
 

@@ -20,7 +20,7 @@ use crate::stats::{letter_values, LetterValues};
 
 /// Ratio distribution of one (stage, family) pin.
 #[derive(Debug, Clone)]
-pub struct FamilyImportance {
+pub(crate) struct FamilyImportance {
     /// Pipeline stage (0-based) the family was pinned to.
     pub stage: usize,
     /// Component family (e.g. `"DIFF"`).
@@ -33,7 +33,7 @@ pub struct FamilyImportance {
 /// Per-(stage, family) ratio distributions, stages 0..3, families in
 /// registry order. Families that cannot occupy a stage (non-reducers at
 /// stage 3) are omitted.
-pub fn family_importance(m: &Measurements) -> Vec<FamilyImportance> {
+pub(crate) fn family_importance(m: &Measurements) -> Vec<FamilyImportance> {
     let mut out = Vec::new();
     let families = lc_components::families();
     for stage in 0..3usize {
@@ -59,7 +59,7 @@ pub fn family_importance(m: &Measurements) -> Vec<FamilyImportance> {
 
 /// One entry of the best-pipeline leaderboard.
 #[derive(Debug, Clone)]
-pub struct Leader {
+pub(crate) struct Leader {
     /// Pipeline description.
     pub pipeline: String,
     /// Dataset-level compression ratio.
@@ -73,7 +73,7 @@ pub struct Leader {
 /// The `n` best pipelines by ratio, with throughputs from the fastest
 /// NVIDIA platform at `-O3` (falling back to config 0 for restricted
 /// campaigns).
-pub fn leaderboard(m: &Measurements, n: usize) -> Vec<Leader> {
+pub(crate) fn leaderboard(m: &Measurements, n: usize) -> Vec<Leader> {
     let cfg = m
         .config_index("RTX 4090", CompilerId::Nvcc, OptLevel::O3)
         .unwrap_or(0);

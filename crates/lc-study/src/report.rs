@@ -421,7 +421,7 @@ pub fn experiments_markdown(m: &Measurements, figs: &[Figure]) -> String {
 
 /// JSON rendering of a letter-value summary (field order mirrors the
 /// struct so run dumps stay stable across refactors).
-pub fn letter_values_json(lv: &crate::stats::LetterValues) -> lc_json::Value {
+pub(crate) fn letter_values_json(lv: &crate::stats::LetterValues) -> lc_json::Value {
     use lc_json::Value;
     Value::object([
         ("n", Value::from(lv.n)),

@@ -191,7 +191,7 @@ const CHUNK_TABLE_ENTRY_BYTES: u64 = lc_core::archive::TABLE_ENTRY_V2 as u64;
 /// Archive bytes at paper scale for a final stage output of `measured`
 /// bytes: the payload extrapolated by `factor`, plus one table entry per
 /// chunk.
-pub fn paper_compressed_bytes(measured: u64, factor: f64, chunks: u64) -> u64 {
+pub(crate) fn paper_compressed_bytes(measured: u64, factor: f64, chunks: u64) -> u64 {
     (measured as f64 * factor) as u64 + CHUNK_TABLE_ENTRY_BYTES * chunks
 }
 
@@ -267,7 +267,7 @@ pub fn run_at_paper_scale(
 /// [`run_stage_checked`]), which is the honest granularity on a thread
 /// pool where a stage cannot be interrupted mid-kernel.
 #[derive(Debug, Clone, Copy)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     start: Instant,
     limit: Duration,
 }
@@ -287,7 +287,7 @@ impl Watchdog {
     }
 
     /// Whether the deadline has passed.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         self.start.elapsed() > self.limit
     }
 
@@ -299,7 +299,7 @@ impl Watchdog {
 
 /// Why a checked stage execution did not produce an outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageFault {
+pub(crate) enum StageFault {
     /// The component panicked; payload message attached.
     Panic(String),
     /// The unit's watchdog expired before or during this stage.
@@ -335,7 +335,7 @@ impl std::fmt::Display for StageFault {
 /// before the stage runs and again after it returns, so an overtime
 /// stage is reported even though it could not be interrupted — yields
 /// `StageFault::DeadlineExceeded`.
-pub fn run_stage_checked(
+pub(crate) fn run_stage_checked(
     component: &dyn Component,
     input: &ChunkedData,
     verify: bool,
@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(out.applied, 2);
         assert_eq!(out.skipped, 0);
         assert_eq!(out.output.total_bytes(), data.total_bytes());
-        assert!(!out.dec.is_zero());
+        assert_ne!(out.dec, KernelStats::default());
     }
 
     #[test]
@@ -402,7 +402,7 @@ mod tests {
         assert_eq!(out.applied, 0);
         // Skipped chunk: output is the input, decoder does nothing.
         assert_eq!(out.output.chunks[0], data);
-        assert!(out.dec.is_zero());
+        assert_eq!(out.dec, KernelStats::default());
     }
 
     #[test]
@@ -412,7 +412,7 @@ mod tests {
         let out = run_stage(comp("RZE_4").as_ref(), &chunked, true);
         assert_eq!(out.applied, 1);
         assert!(out.output.total_bytes() < data.len() as u64);
-        assert!(!out.dec.is_zero());
+        assert_ne!(out.dec, KernelStats::default());
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl ShardSpec {
 }
 
 /// The global work-unit index sharding partitions on.
-pub fn unit_index(file_i: usize, i1: usize, nc: usize) -> usize {
+pub(crate) fn unit_index(file_i: usize, i1: usize, nc: usize) -> usize {
     file_i * nc + i1
 }
 
@@ -152,7 +152,7 @@ pub struct MergeReport {
 /// Find every shard journal (`journal.K-of-N.jsonl`) in `dir` and
 /// return them sorted by shard index, refusing inconsistent or
 /// incomplete sets.
-pub fn discover_shards(dir: &Path) -> Result<Vec<(ShardSpec, PathBuf)>, String> {
+pub(crate) fn discover_shards(dir: &Path) -> Result<Vec<(ShardSpec, PathBuf)>, String> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read output directory {}: {e}", dir.display()))?;
     let mut found: Vec<(ShardSpec, PathBuf)> = Vec::new();

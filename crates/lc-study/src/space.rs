@@ -139,7 +139,7 @@ impl Space {
     }
 
     /// §6.4: pipelines with one specific component pinned to stage 1.
-    pub fn stage1_component(&self, name: &str) -> Vec<PipelineId> {
+    pub(crate) fn stage1_component(&self, name: &str) -> Vec<PipelineId> {
         self.iter()
             .filter(|&id| self.stages(id)[0].name() == name)
             .collect()
@@ -148,7 +148,7 @@ impl Space {
     /// §6.4 (prose): pipelines with a given family pinned to stage 2 —
     /// the paper omits the Stage 2 plots but discusses RLE's behaviour
     /// there.
-    pub fn stage2_family(&self, family: &str) -> Vec<PipelineId> {
+    pub(crate) fn stage2_family(&self, family: &str) -> Vec<PipelineId> {
         self.iter()
             .filter(|&id| family_of(self.stages(id)[1].name()) == family)
             .collect()

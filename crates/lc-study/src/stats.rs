@@ -29,7 +29,7 @@ pub struct LetterValues {
 }
 
 /// Fixed outlier rate of the paper's plots (0.7% total, §6).
-pub const OUTLIER_RATE: f64 = 0.007;
+pub(crate) const OUTLIER_RATE: f64 = 0.007;
 
 fn quantile_sorted(sorted: &[f64], depth: f64) -> f64 {
     // `depth` is a 1-based (possibly fractional) rank from the low end.
@@ -111,7 +111,7 @@ impl LetterValues {
     /// Skewness indicator used in the paper's prose: > 0 when the upper
     /// half of the middle box is shorter than the lower half, i.e. the
     /// distribution "skews towards higher throughputs" (§6.1).
-    pub fn upward_skew(&self) -> f64 {
+    pub(crate) fn upward_skew(&self) -> f64 {
         let (lo, hi) = self.fourths();
         let below = self.median - lo;
         let above = hi - self.median;
@@ -153,7 +153,8 @@ pub fn median(values: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics on an empty slice or non-positive values.
-pub fn geometric_mean(values: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn geometric_mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geometric mean of empty slice");
     let log_sum: f64 = values
         .iter()

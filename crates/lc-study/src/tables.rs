@@ -10,7 +10,7 @@ use lc_core::component::family_of;
 use lc_core::{ComponentKind, SpanClass, WorkClass};
 
 /// Table 1: the component list by category.
-pub fn table1() -> String {
+pub(crate) fn table1() -> String {
     let mut out = String::from("Table 1: List of LC components by category\n");
     let mut columns: Vec<(ComponentKind, Vec<&'static str>)> = ComponentKind::ALL
         .iter()
@@ -81,7 +81,7 @@ pub fn table2() -> String {
 }
 
 /// Table 3: the SP dataset.
-pub fn table3() -> String {
+pub(crate) fn table3() -> String {
     let mut out = String::from("Table 3: SP dataset\n");
     out.push_str(&format!("{:14} {:>10}\n", "file", "size (MB)"));
     for f in &lc_data::SP_FILES {
@@ -142,12 +142,12 @@ fn gpu_table(title: &str, vendor: Vendor) -> String {
 }
 
 /// Table 4: NVIDIA GPU specifications.
-pub fn table4() -> String {
+pub(crate) fn table4() -> String {
     gpu_table("Table 4: NVIDIA GPU specifications", Vendor::Nvidia)
 }
 
 /// Table 5: AMD GPU specifications.
-pub fn table5() -> String {
+pub(crate) fn table5() -> String {
     gpu_table("Table 5: AMD GPU specifications", Vendor::Amd)
 }
 

@@ -7,6 +7,8 @@
 //!   touching the journal.
 //! * A stale lock left by a dead process is reclaimed, not fatal.
 //! * Removed mode flags are usage errors (exit 1), not silent no-ops.
+//! * A stage-2 CSV that cannot be written fails the run (exit 1), like
+//!   every other figure output.
 //!
 //! Signal delivery and `/proc`-based liveness are Linux-specific, so
 //! the whole suite is gated on `target_os = "linux"`.
@@ -161,5 +163,29 @@ fn removed_mode_flags_are_usage_errors() {
             "{flags:?} must fail before any work"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_stage2_csv_exits_1() {
+    let dir = scratch_dir("stage2-csv");
+    // A directory where the CSV goes: the atomic rename onto it fails.
+    std::fs::create_dir(dir.join("stage2_encode.csv")).expect("plant directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--figure", "2", "--stage2", "--families", "DIFF,RZE"])
+        .args(["--files", "msg_bt", "--scale", "4096", "--threads", "2"])
+        .args(["--quiet", "--out"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .output()
+        .expect("run reproduce");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error: cannot write") && l.contains("stage2_encode.csv")),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

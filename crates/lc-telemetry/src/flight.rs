@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex, Once, OnceLock};
 use crate::{ArgValue, Event};
 
 /// Default per-thread ring capacity (slots), used when [`arm`] is given 0.
-pub const DEFAULT_CAPACITY: usize = 2048;
+pub(crate) const DEFAULT_CAPACITY: usize = 2048;
 
 /// Slots-per-ring for rings created after [`arm`]; 0 until armed.
 static CAPACITY: AtomicUsize = AtomicUsize::new(0);
@@ -315,7 +315,7 @@ fn arg_as_u64(v: &ArgValue) -> Option<u64> {
 /// [`crate::emit`] when armed). The first two integer-valued arguments
 /// are kept; string/float arguments are dropped — the flight recorder
 /// trades fidelity for a guaranteed-bounded, allocation-free record.
-pub fn record_event(event: &Event) {
+pub(crate) fn record_event(event: &Event) {
     if !armed() {
         return;
     }

@@ -106,7 +106,7 @@ pub fn enabled() -> bool {
 
 /// Whether metrics are recording. One relaxed atomic load.
 #[inline(always)]
-pub fn metrics_on() -> bool {
+pub(crate) fn metrics_on() -> bool {
     STATE.load(Ordering::Relaxed) & MODE_METRICS != 0
 }
 
@@ -422,11 +422,6 @@ impl Span {
     #[inline(always)]
     pub fn disabled() -> Span {
         Span(None)
-    }
-
-    /// Whether this span is live.
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Attach an argument after the span was opened (e.g. an outcome only

@@ -85,7 +85,7 @@ impl Gauge {
 }
 
 /// Number of power-of-two buckets.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A fixed-bucket log₂ histogram of `u64` samples.
 pub struct Histogram {
@@ -111,12 +111,12 @@ pub struct HistogramSummary {
 
 /// Bucket index for a sample: `floor(log2(v))`, with 0 and 1 in bucket 0.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (63 - v.max(1).leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of bucket `i`.
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i >= 63 {
         u64::MAX
     } else {
@@ -125,7 +125,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 }
 
 /// Inclusive lower bound of bucket `i` (bucket 0 starts at 0).
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -308,7 +308,7 @@ pub fn gauge_snapshot() -> Vec<(&'static str, u64, u64)> {
 }
 
 /// Snapshot every registered histogram as `(name, summary)`, name-sorted.
-pub fn histogram_snapshot() -> Vec<(String, HistogramSummary)> {
+pub(crate) fn histogram_snapshot() -> Vec<(String, HistogramSummary)> {
     let reg = registry()
         .histograms
         .lock()

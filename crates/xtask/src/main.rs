@@ -13,7 +13,8 @@
 //!    a stray `unsafe` block is a compile error, not a review nit.
 //! 2. **No `.unwrap()`/`.expect()` in library code.** Panics in
 //!    library paths defeat the campaign runner's panic quarantine.
-//!    Test modules, `src/bin/` targets, and doc comments are exempt;
+//!    Test modules (and module files declared under `#[cfg(test)]`),
+//!    `src/bin/` targets, and doc comments are exempt;
 //!    a deliberate panic on a checked invariant may stay if the line
 //!    (or the line above it) carries an `// invariant:` comment
 //!    explaining why it cannot fire.
@@ -38,13 +39,37 @@
 //!    member manifest may only reference workspace entries
 //!    (`name.workspace = true`) or path dependencies. A version,
 //!    `git`, or registry dependency anywhere fails the lint.
+//! 7. **The public surface is what something consumes.** Every `pub`
+//!    fn, struct, enum, union, const, static, type, trait or mod of a
+//!    library crate under `crates/` must be named, as a word, by one of:
+//!    another crate's non-test code (a bin of the same package counts
+//!    as another crate), `benchmark/src` (the frozen measuring harness),
+//!    `examples/`, a `tests/` directory, or a doctest (each compiles as
+//!    a crate of its own). A type named in the signature of a live item
+//!    (a fn header, a struct's `pub` fields, an enum or trait body) is
+//!    live too, since rustc's `private_interfaces` lint rejects
+//!    narrowing it. Otherwise the item needs a
+//!    `// pub-api: <reason>` line on it or in the comment and attribute
+//!    block above it. A flagged item is narrowed to `pub(crate)`, moved
+//!    under `#[cfg(test)]`, or deleted; after narrowing, rustc's
+//!    `dead_code` lint (fatal under CI's `clippy -D warnings`) is the
+//!    reachability check inside the crate. Because the rule reads
+//!    `benchmark/src`, a refactor that would break the harness fails
+//!    here rather than in the benchmark run. The scan is name-level,
+//!    not path-level, so it has known limits: it may miss an unused
+//!    item whose name another crate writes for something else (a method
+//!    called `new` or `len` always passes), but it never flags a name
+//!    that another crate writes. Whole-line comments and `#[cfg(test)]`
+//!    code (including module files declared under it) do not count as
+//!    consumers. Trait-impl methods (which cannot be `pub`), `pub use`
+//!    re-exports, struct fields and enum variants are not checked.
 //!
 //! Exit status is non-zero iff any diagnostic fires, so CI can run
 //! `cargo run -p xtask -- lint` as a gate.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -90,6 +115,7 @@ fn lint() -> ExitCode {
     check_unique_registration(&mut diagnostics);
     check_hardened_durable_writes(&root, &mut diagnostics);
     check_deps_frozen(&root, &mut diagnostics);
+    check_pub_reachability(&root, &mut diagnostics);
 
     if diagnostics.is_empty() {
         println!("xtask lint: clean");
@@ -202,9 +228,13 @@ fn check_no_allow_unsafe_escapes(root: &Path, diagnostics: &mut Vec<String>) {
             .find(|(c, _)| *c == name)
             .map(|(_, s)| *s);
         let src = crate_dir.join("src");
+        let test_files = test_only_files(&src);
         for file in rs_files(&src) {
             if subtree.is_some_and(|s| rel(&src, &file).starts_with(s)) {
                 continue; // the audited module subtree
+            }
+            if test_files.contains(&file) {
+                continue;
             }
             let text = fs::read_to_string(&file).unwrap_or_default();
             for_each_non_test_line(&text, |i, line, _| {
@@ -284,11 +314,11 @@ fn check_deps_frozen(root: &Path, diagnostics: &mut Vec<String>) {
 fn check_no_panics_in_libraries(root: &Path, diagnostics: &mut Vec<String>) {
     for crate_dir in crate_dirs(root) {
         let src = crate_dir.join("src");
+        let test_files = test_only_files(&src);
         for file in rs_files(&src) {
             // Binary targets and the crate's own test trees are exempt:
             // panicking on bad CLI input or in a test is fine.
-            let relpath = rel(&src, &file);
-            if relpath.starts_with("bin/") || relpath == "main.rs" {
+            if is_bin(&src, &file) || test_files.contains(&file) {
                 continue;
             }
             scan_file_for_panics(root, &file, diagnostics);
@@ -383,8 +413,11 @@ fn check_hardened_durable_writes(root: &Path, diagnostics: &mut Vec<String>) {
             continue; // owns the hardened writer and its raw syscalls
         }
         let src = crate_dir.join("src");
+        let test_files = test_only_files(&src);
         for file in rs_files(&src) {
-            scan_file_for_durable_writes(root, &file, diagnostics);
+            if !test_files.contains(&file) {
+                scan_file_for_durable_writes(root, &file, diagnostics);
+            }
         }
     }
 }
@@ -447,6 +480,343 @@ fn check_unique_registration(diagnostics: &mut Vec<String>) {
     }
 }
 
+/// Rule 7: every `pub` item of a library crate under `crates/` is named
+/// by a consumer outside that crate's library source, is named in the
+/// signature of such an item, or carries a `// pub-api: <reason>` line.
+fn check_pub_reachability(root: &Path, diagnostics: &mut Vec<String>) {
+    let crates = crate_dirs(root);
+    // Consumers that are not part of any crate's `src/`: the frozen
+    // harness, the examples and every integration-test tree. Their test
+    // code is the point, so all of it counts.
+    let mut outside = BTreeSet::new();
+    let trees = [
+        root.join("benchmark/src"),
+        root.join("examples"),
+        root.join("tests"),
+    ];
+    for dir in trees
+        .into_iter()
+        .chain(crates.iter().map(|c| c.join("tests")))
+    {
+        for file in rs_files(&dir) {
+            let text = fs::read_to_string(&file).unwrap_or_default();
+            add_code_words(text.lines(), &mut outside);
+        }
+    }
+    // Non-test words of each compilation unit: (crate dir, is a bin).
+    // The root package's `src/` is one more consumer crate. Doctests
+    // compile as crates of their own, so they count with `outside`.
+    let mut units: BTreeMap<(PathBuf, bool), BTreeSet<String>> = BTreeMap::new();
+    let mut pub_items: BTreeMap<PathBuf, Vec<PubItem>> = BTreeMap::new();
+    for dir in crates.iter().chain(std::iter::once(&root.to_path_buf())) {
+        let src = dir.join("src");
+        let test_files = test_only_files(&src);
+        for file in rs_files(&src) {
+            if test_files.contains(&file) {
+                continue;
+            }
+            let text = fs::read_to_string(&file).unwrap_or_default();
+            add_code_words(doctest_lines(&text).into_iter(), &mut outside);
+            let mut lines = Vec::new();
+            for_each_non_test_line(&text, |_, line, _| lines.push(line));
+            let bin = is_bin(&src, &file);
+            add_code_words(
+                lines.into_iter(),
+                units.entry((dir.clone(), bin)).or_default(),
+            );
+            if !bin && dir != root && src.join("lib.rs").is_file() {
+                let items = pub_items.entry(dir.clone()).or_default();
+                items.extend(file_pub_items(&file, &text));
+            }
+        }
+    }
+    for (dir, items) in &pub_items {
+        // An item is live when a consumer names it or it is marked; a
+        // type named in a live item's signature is live too (rustc's
+        // `private_interfaces` would reject narrowing it).
+        let mut live: BTreeSet<&str> = items
+            .iter()
+            .filter(|it| {
+                it.marked
+                    || outside.contains(&it.name)
+                    || units
+                        .iter()
+                        .any(|((d, bin), words)| (d != dir || *bin) && words.contains(&it.name))
+            })
+            .map(|it| it.name.as_str())
+            .collect();
+        loop {
+            let exposed: BTreeSet<&str> = items
+                .iter()
+                .filter(|it| live.contains(it.name.as_str()))
+                .flat_map(|it| it.exposes.iter().map(String::as_str))
+                .collect();
+            let before = live.len();
+            live.extend(
+                items
+                    .iter()
+                    .map(|it| it.name.as_str())
+                    .filter(|n| exposed.contains(n)),
+            );
+            if live.len() == before {
+                break;
+            }
+        }
+        for it in items.iter().filter(|it| !live.contains(it.name.as_str())) {
+            diagnostics.push(format!(
+                "{}:{}: pub {} `{}` is named by no other crate, benchmark/src, examples/, \
+                 tests/ or live signature (narrow it to pub(crate), move it under \
+                 #[cfg(test)], delete it, or mark it `// pub-api: <reason>`)",
+                rel(root, &it.file),
+                it.line,
+                it.kind,
+                it.name
+            ));
+        }
+    }
+}
+
+/// One `pub` item of a library crate, as rule 7 sees it.
+struct PubItem {
+    file: PathBuf,
+    /// 1-based line of the declaration.
+    line: usize,
+    kind: String,
+    name: String,
+    /// Words of the item's public signature: a fn header, the `pub`
+    /// fields of a struct, the body of an enum or trait, the line(s) of
+    /// a const, static or type alias.
+    exposes: BTreeSet<String>,
+    /// Carries a `// pub-api:` line.
+    marked: bool,
+}
+
+/// Every non-test `pub` item declared in `text`, the source of `file`.
+fn file_pub_items(file: &Path, text: &str) -> Vec<PubItem> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut items = Vec::new();
+    for_each_non_test_line(text, |i, line, _| {
+        let Some((kind, name)) = pub_item(line) else {
+            return;
+        };
+        let mut exposes = BTreeSet::new();
+        add_code_words(signature_lines(&lines[i..], kind).into_iter(), &mut exposes);
+        exposes.remove(name);
+        items.push(PubItem {
+            file: file.to_path_buf(),
+            line: i + 1,
+            kind: kind.to_string(),
+            name: name.to_string(),
+            exposes,
+            marked: has_pub_api_marker(&lines, i),
+        });
+    });
+    items
+}
+
+/// The public-signature part of the item declared on `lines[0]`.
+fn signature_lines<'a>(lines: &[&'a str], kind: &str) -> Vec<&'a str> {
+    match kind {
+        "mod" => Vec::new(),
+        "fn" => {
+            let mut out = Vec::new();
+            for line in lines {
+                let code = line.split("//").next().unwrap_or("");
+                if let Some((head, _)) = code.split_once('{') {
+                    out.push(head);
+                    break;
+                }
+                out.push(code);
+                if code.trim_end().ends_with(';') {
+                    break;
+                }
+            }
+            out
+        }
+        _ => {
+            // The declaration through its closing brace or semicolon;
+            // for a struct only the header and its `pub` fields.
+            let mut out = Vec::new();
+            let mut depth = 0i64;
+            for (n, line) in lines.iter().enumerate() {
+                let code = line.split("//").next().unwrap_or("");
+                if n == 0 || kind != "struct" || code.trim_start().starts_with("pub ") {
+                    out.push(code);
+                }
+                depth += brace_delta(code);
+                if depth <= 0 && (code.contains('}') || code.trim_end().ends_with(';')) {
+                    break;
+                }
+            }
+            out
+        }
+    }
+}
+
+/// `(kind, name)` when `line` declares a `pub` item that rule 7 checks.
+/// `pub(crate)`, `pub use`, fields and variants are not such items.
+fn pub_item(line: &str) -> Option<(&str, &str)> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    loop {
+        let (token, tail) = rest.split_once(' ')?;
+        match token {
+            "unsafe" | "async" | "extern" | "\"C\"" => rest = tail,
+            "const" if tail.starts_with("fn ") || tail.starts_with("unsafe ") => rest = tail,
+            "fn" | "struct" | "enum" | "union" | "const" | "static" | "type" | "trait" | "mod" => {
+                let tail = tail.strip_prefix("mut ").unwrap_or(tail);
+                let end = tail
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(tail.len());
+                return (end > 0).then(|| (token, &tail[..end]));
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// A `// pub-api:` comment on the item's line or anywhere in the
+/// contiguous comment and attribute block directly above it.
+fn has_pub_api_marker(lines: &[&str], item: usize) -> bool {
+    const MARKER: &str = "// pub-api:";
+    lines[item].contains(MARKER)
+        || lines[..item]
+            .iter()
+            .rev()
+            .map(|l| l.trim())
+            .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+            .any(|l| l.contains(MARKER))
+}
+
+/// Adds every identifier-like word of `lines` to `words`, skipping
+/// whole-line comments so a doc mention is not a consumer.
+fn add_code_words<'a>(lines: impl Iterator<Item = &'a str>, words: &mut BTreeSet<String>) {
+    for line in lines.filter(|l| !l.trim_start().starts_with("//")) {
+        for word in line.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if !word.is_empty() && !words.contains(word) {
+                words.insert(word.to_string());
+            }
+        }
+    }
+}
+
+/// The code lines of every doctest in `text`: the lines of a fenced
+/// block in `///` or `//!` comments, except ```` ```text ```` blocks.
+fn doctest_lines(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    // Inside a fenced block: whether it is doctest code.
+    let mut fence: Option<bool> = None;
+    for line in text.lines() {
+        let trimmed = line.trim_start();
+        let Some(doc) = trimmed
+            .strip_prefix("///")
+            .or_else(|| trimmed.strip_prefix("//!"))
+        else {
+            fence = None;
+            continue;
+        };
+        let doc = doc.trim_start();
+        if let Some(info) = doc.strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(!info.trim_start().starts_with("text")),
+            };
+        } else if fence == Some(true) {
+            out.push(doc);
+        }
+    }
+    out
+}
+
+/// Whether `file` belongs to a bin target of the package rooted at `src`.
+fn is_bin(src: &Path, file: &Path) -> bool {
+    let relpath = rel(src, file);
+    relpath.starts_with("bin/") || relpath == "main.rs"
+}
+
+/// Files under `src` whose module is declared inside a `#[cfg(test)]`
+/// item (`#[cfg(test)] mod foo;`, or `mod tests;` inside a gated inline
+/// module), directly or through a test-only parent module.
+fn test_only_files(src: &Path) -> BTreeSet<PathBuf> {
+    let files = rs_files(src);
+    let mut gated = BTreeSet::new();
+    let mut parent_of = BTreeMap::new();
+    for file in &files {
+        let text = fs::read_to_string(file).unwrap_or_default();
+        for (child, test) in declared_module_files(&text, &module_dir(file)) {
+            if test {
+                gated.insert(child.clone());
+            }
+            parent_of.insert(child, file.clone());
+        }
+    }
+    files
+        .into_iter()
+        .filter(|f| {
+            let mut cur = Some(f);
+            while let Some(c) = cur {
+                if gated.contains(c) {
+                    return true;
+                }
+                cur = parent_of.get(c);
+            }
+            false
+        })
+        .collect()
+}
+
+/// The directory that holds the files of `file`'s child modules.
+fn module_dir(file: &Path) -> PathBuf {
+    let parent = file.parent().unwrap_or(Path::new(""));
+    match file.file_stem().and_then(|s| s.to_str()) {
+        Some("lib" | "main" | "mod") | None => parent.to_path_buf(),
+        Some(stem) => parent.join(stem),
+    }
+}
+
+/// Every out-of-line `mod name;` in `text`, as (file, declared under
+/// `#[cfg(test)]` here), with inline `mod outer { .. }` nesting applied
+/// to the path.
+fn declared_module_files(text: &str, dir: &Path) -> Vec<(PathBuf, bool)> {
+    let mut out = Vec::new();
+    // (name, brace depth where it opened, gated)
+    let mut inline: Vec<(String, i64, bool)> = Vec::new();
+    let mut depth = 0i64;
+    let mut pending_cfg_test = false;
+    for line in text.lines() {
+        let trimmed = line.trim();
+        if trimmed.starts_with("#[cfg(test)]") {
+            pending_cfg_test = true;
+            continue;
+        }
+        let test = pending_cfg_test || inline.last().is_some_and(|m| m.2);
+        let decl = trimmed
+            .trim_start_matches("pub(crate) ")
+            .trim_start_matches("pub ");
+        if let Some(rest) = decl.strip_prefix("mod ") {
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let (name, after) = rest.split_at(end);
+            if after.trim_start().starts_with(';') {
+                let base = inline.iter().fold(dir.to_path_buf(), |p, m| p.join(&m.0));
+                let flat = base.join(format!("{name}.rs"));
+                let nested = base.join(name).join("mod.rs");
+                out.push((if nested.is_file() { nested } else { flat }, test));
+            } else if after.contains('{') {
+                inline.push((name.to_string(), depth, test));
+            }
+        }
+        if !trimmed.starts_with('#') && !trimmed.is_empty() {
+            pending_cfg_test = false;
+        }
+        depth += brace_delta(trimmed);
+        while inline.last().is_some_and(|m| depth <= m.1) {
+            inline.pop();
+        }
+    }
+    out
+}
+
 /// All immediate subdirectories of `crates/` that contain a Cargo.toml.
 fn crate_dirs(root: &Path) -> Vec<PathBuf> {
     let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
@@ -503,7 +873,134 @@ mod tests {
         check_unique_registration(&mut diagnostics);
         check_hardened_durable_writes(&root, &mut diagnostics);
         check_deps_frozen(&root, &mut diagnostics);
+        check_pub_reachability(&root, &mut diagnostics);
         assert!(diagnostics.is_empty(), "{diagnostics:#?}");
+    }
+
+    /// Rule 7 over a throwaway tree: library crates `demo` and `user`
+    /// (each with a `Cargo.toml`), plus `files` as (path, text) pairs.
+    fn reachability(tag: &str, files: &[(&str, &str)]) -> Vec<String> {
+        let root = std::env::temp_dir().join(format!("xtask-lint-reach-{tag}"));
+        fs::remove_dir_all(&root).ok();
+        for name in ["demo", "user"] {
+            let dir = root.join("crates").join(name);
+            fs::create_dir_all(dir.join("src")).unwrap();
+            fs::write(
+                dir.join("Cargo.toml"),
+                format!("[package]\nname = \"{name}\"\n"),
+            )
+            .unwrap();
+            fs::write(dir.join("src/lib.rs"), "").unwrap();
+        }
+        for (path, text) in files {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let mut diagnostics = Vec::new();
+        check_pub_reachability(&root, &mut diagnostics);
+        fs::remove_dir_all(&root).ok();
+        diagnostics
+    }
+
+    #[test]
+    fn unused_pub_fn_is_flagged_and_a_pub_api_line_excuses_it() {
+        let user = ("crates/user/src/lib.rs", "fn call() { demo::used(); }\n");
+        let lib = "pub fn used() {}\npub fn unused() {}\n";
+        let d = reachability("unused", &[("crates/demo/src/lib.rs", lib), user]);
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert!(
+            d[0].contains("crates/demo/src/lib.rs:2: pub fn `unused`"),
+            "{d:#?}"
+        );
+
+        // The marker counts on the item's line or anywhere in the comment
+        // and attribute block above it.
+        let lib = "pub fn used() {}\n/// Docs.\n// pub-api: a stated reason\n#[inline]\npub fn unused() {}\n";
+        let d = reachability("marked", &[("crates/demo/src/lib.rs", lib), user]);
+        assert!(d.is_empty(), "{d:#?}");
+    }
+
+    #[test]
+    fn a_name_written_only_in_benchmark_src_is_consumed() {
+        let d = reachability(
+            "bench",
+            &[
+                ("crates/demo/src/lib.rs", "pub fn harness_only() {}\n"),
+                (
+                    "benchmark/src/main.rs",
+                    "fn main() { demo::harness_only(); }\n",
+                ),
+            ],
+        );
+        assert!(d.is_empty(), "{d:#?}");
+    }
+
+    #[test]
+    fn doctests_are_consumers_but_text_blocks_are_not() {
+        let lib = "/// ```\n/// demo::in_doctest();\n/// ```\npub fn in_doctest() {}\n/// ```text\n/// demo::in_text();\n/// ```\npub fn in_text() {}\n";
+        let d = reachability("doctest", &[("crates/demo/src/lib.rs", lib)]);
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert!(d[0].contains("`in_text`"), "{d:#?}");
+    }
+
+    #[test]
+    fn test_code_and_comments_are_not_consumers() {
+        let lib = "pub fn tested() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        super::tested();\n    }\n}\n";
+        let user = "// demo::tested() in a comment\n#[cfg(test)]\nmod tests {\n    fn t() {\n        demo::tested();\n    }\n}\n";
+        let d = reachability(
+            "own-tests",
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/user/src/lib.rs", user),
+            ],
+        );
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert!(d[0].contains("`tested`"), "{d:#?}");
+    }
+
+    #[test]
+    fn trait_impl_methods_and_pub_use_are_not_checked() {
+        let lib = "pub use std::fmt::Display as Shown;\npub struct S;\nimpl std::fmt::Display for S {\n    fn fmt(&self, _: &mut std::fmt::Formatter) -> std::fmt::Result {\n        Ok(())\n    }\n}\n";
+        let d = reachability(
+            "trait-impl",
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/user/src/lib.rs", "fn f(_: demo::S) {}\n"),
+            ],
+        );
+        assert!(d.is_empty(), "{d:#?}");
+        assert_eq!(pub_item("pub use inner::Thing;"), None);
+        assert_eq!(pub_item("    pub(crate) fn narrowed() {}"), None);
+        assert_eq!(pub_item("    pub name: String,"), None);
+        assert_eq!(pub_item("pub const fn f() {}"), Some(("fn", "f")));
+        assert_eq!(pub_item("pub static mut X: u8 = 0;"), Some(("static", "X")));
+        assert_eq!(pub_item("pub const N: usize = 1;"), Some(("const", "N")));
+    }
+
+    #[test]
+    fn signatures_bins_and_test_modules_are_followed() {
+        // `Out` is named only in the signature of a consumed fn; `Hidden`
+        // is named nowhere; `bin_only` is named by a bin of the same
+        // package; `helper` lives in a module file gated by cfg(test).
+        let lib = "pub struct Out;\npub fn make() -> Out {\n    Out\n}\npub struct Hidden;\npub fn bin_only() {}\n#[cfg(test)]\nmod helpers;\n";
+        let d = reachability(
+            "signatures",
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/demo/src/helpers.rs", "pub fn helper() {}\n"),
+                (
+                    "crates/demo/src/bin/tool.rs",
+                    "fn main() { demo::bin_only(); }\n",
+                ),
+                (
+                    "crates/user/src/lib.rs",
+                    "fn f() {\n    let _ = demo::make();\n}\n",
+                ),
+            ],
+        );
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert!(d[0].contains("`Hidden`"), "{d:#?}");
     }
 
     #[test]
