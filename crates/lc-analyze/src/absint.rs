@@ -188,16 +188,16 @@ pub enum RewriteStep {
     /// `fused` was replaced by `base` then `post` (`Contract::fused_of`).
     Defuse {
         at: usize,
-        fused: String,
-        base: String,
-        post: String,
+        fused: &'static str,
+        base: &'static str,
+        post: &'static str,
     },
     /// The atom at `at` is the identity on every possible chunk:
     /// `noop_below == Some(bound)` and the abstract shape's upper length
     /// bound `len_hi < bound`.
     AbsorbNoop {
         at: usize,
-        name: String,
+        name: &'static str,
         bound: usize,
         len_hi: usize,
     },
@@ -205,29 +205,35 @@ pub enum RewriteStep {
     /// (`first.inverse_of == second`).
     CancelInverse {
         at: usize,
-        first: String,
-        second: String,
+        first: &'static str,
+        second: &'static str,
     },
     /// Two adjacent copies of an `idempotent` atom collapsed to one.
-    CollapseIdempotent { at: usize, name: String },
+    CollapseIdempotent { at: usize, name: &'static str },
     /// Adjacent `(perm, pointwise)` swapped to canonical `(pointwise,
     /// perm)` order (`Contract::commutes_with`).
     CommuteSwap {
         at: usize,
-        perm: String,
-        pointwise: String,
+        perm: &'static str,
+        pointwise: &'static str,
     },
     /// Pattern tier: a pointwise bijection whose word size divides the
     /// reducer granularity preserves the reducer-relevant pattern and
     /// was dropped.
-    DropBijection { name: String, granularity: usize },
+    DropBijection {
+        name: &'static str,
+        granularity: usize,
+    },
     /// Pattern tier: a tuple permutation whose field size the
     /// granularity divides maps the pattern by a fixed permutation and
     /// was kept symbolically.
-    TuplPermutation { name: String, granularity: usize },
+    TuplPermutation {
+        name: &'static str,
+        granularity: usize,
+    },
     /// Pattern tier: an atom with no pattern structure ended the
     /// backward scan; everything up to it must match byte-exactly.
-    StopOpaque { name: String },
+    StopOpaque { name: &'static str },
 }
 
 impl RewriteStep {
@@ -256,9 +262,9 @@ impl RewriteStep {
                 post,
             } => {
                 fields.push(("at", Value::from(*at as u64)));
-                fields.push(("fused", Value::from(fused.as_str())));
-                fields.push(("base", Value::from(base.as_str())));
-                fields.push(("post", Value::from(post.as_str())));
+                fields.push(("fused", Value::from(*fused)));
+                fields.push(("base", Value::from(*base)));
+                fields.push(("post", Value::from(*post)));
             }
             RewriteStep::AbsorbNoop {
                 at,
@@ -267,18 +273,18 @@ impl RewriteStep {
                 len_hi,
             } => {
                 fields.push(("at", Value::from(*at as u64)));
-                fields.push(("component", Value::from(name.as_str())));
+                fields.push(("component", Value::from(*name)));
                 fields.push(("bound", Value::from(*bound as u64)));
                 fields.push(("len_hi", Value::from(*len_hi as u64)));
             }
             RewriteStep::CancelInverse { at, first, second } => {
                 fields.push(("at", Value::from(*at as u64)));
-                fields.push(("first", Value::from(first.as_str())));
-                fields.push(("second", Value::from(second.as_str())));
+                fields.push(("first", Value::from(*first)));
+                fields.push(("second", Value::from(*second)));
             }
             RewriteStep::CollapseIdempotent { at, name } => {
                 fields.push(("at", Value::from(*at as u64)));
-                fields.push(("component", Value::from(name.as_str())));
+                fields.push(("component", Value::from(*name)));
             }
             RewriteStep::CommuteSwap {
                 at,
@@ -286,16 +292,16 @@ impl RewriteStep {
                 pointwise,
             } => {
                 fields.push(("at", Value::from(*at as u64)));
-                fields.push(("perm", Value::from(perm.as_str())));
-                fields.push(("pointwise", Value::from(pointwise.as_str())));
+                fields.push(("perm", Value::from(*perm)));
+                fields.push(("pointwise", Value::from(*pointwise)));
             }
             RewriteStep::DropBijection { name, granularity }
             | RewriteStep::TuplPermutation { name, granularity } => {
-                fields.push(("component", Value::from(name.as_str())));
+                fields.push(("component", Value::from(*name)));
                 fields.push(("granularity", Value::from(*granularity as u64)));
             }
             RewriteStep::StopOpaque { name } => {
-                fields.push(("component", Value::from(name.as_str())));
+                fields.push(("component", Value::from(*name)));
             }
         }
         Value::object(fields)
@@ -387,13 +393,13 @@ fn triple_json(t: (usize, usize, usize)) -> Value {
 
 #[derive(Debug, Clone)]
 struct Atom {
-    name: String,
+    name: &'static str,
     c: Contract,
 }
 
 fn atom_of(c: &Arc<dyn Component>) -> Atom {
     Atom {
-        name: c.name().to_string(),
+        name: c.name(),
         c: c.contract(),
     }
 }
@@ -417,7 +423,7 @@ fn is_word_perm(c: &Contract, rules: &RuleTable) -> bool {
 /// restricted space keeps it opaque — conservative, still sound).
 fn defuse(
     stages: &[&Atom],
-    by_name: &HashMap<String, Atom>,
+    by_name: &HashMap<&'static str, Atom>,
     steps: &mut Vec<RewriteStep>,
 ) -> Vec<Atom> {
     let mut atoms = Vec::with_capacity(stages.len() + 2);
@@ -426,9 +432,9 @@ fn defuse(
             if let (Some(b), Some(p)) = (by_name.get(base), by_name.get(post)) {
                 steps.push(RewriteStep::Defuse {
                     at: atoms.len(),
-                    fused: stage.name.clone(),
-                    base: base.to_string(),
-                    post: post.to_string(),
+                    fused: stage.name,
+                    base,
+                    post,
                 });
                 atoms.push(b.clone());
                 atoms.push(p.clone());
@@ -459,7 +465,7 @@ fn exact_fixpoint(
                 if rules.absorb_noop_unbounded || shape.hi < bound {
                     steps.push(RewriteStep::AbsorbNoop {
                         at: i,
-                        name: atoms[i].name.clone(),
+                        name: atoms[i].name,
                         bound,
                         len_hi: shape.hi,
                     });
@@ -481,8 +487,8 @@ fn exact_fixpoint(
             if witnessed || (rules.cancel_without_inverse && atoms[i].name == atoms[i + 1].name) {
                 steps.push(RewriteStep::CancelInverse {
                     at: i,
-                    first: atoms[i].name.clone(),
-                    second: atoms[i + 1].name.clone(),
+                    first: atoms[i].name,
+                    second: atoms[i + 1].name,
                 });
                 atoms.drain(i..i + 2);
                 changed = true;
@@ -499,7 +505,7 @@ fn exact_fixpoint(
             {
                 steps.push(RewriteStep::CollapseIdempotent {
                     at: i,
-                    name: atoms[i].name.clone(),
+                    name: atoms[i].name,
                 });
                 atoms.remove(i);
                 changed = true;
@@ -521,8 +527,8 @@ fn exact_fixpoint(
             {
                 steps.push(RewriteStep::CommuteSwap {
                     at: i,
-                    perm: a.name.clone(),
-                    pointwise: b.name.clone(),
+                    perm: a.name,
+                    pointwise: b.name,
                 });
                 atoms.swap(i, i + 1);
                 changed = true;
@@ -545,9 +551,9 @@ fn pattern_scan(
     gran: usize,
     rules: &RuleTable,
     steps: &mut Vec<RewriteStep>,
-) -> (Vec<String>, Vec<String>) {
-    let mut perms_rev: Vec<String> = Vec::new();
-    let mut residual: Vec<String> = Vec::new();
+) -> (Vec<&'static str>, Vec<&'static str>) {
+    let mut perms_rev: Vec<&'static str> = Vec::new();
+    let mut residual: Vec<&'static str> = Vec::new();
     for i in (0..atoms.len()).rev() {
         let a = &atoms[i];
         let div_ok = rules.drop_ignores_divisibility || gran.is_multiple_of(a.c.word_size);
@@ -556,7 +562,7 @@ fn pattern_scan(
             || rules.drop_ignores_fixes_zero;
         if is_pointwise_bijection(&a.c) && div_ok && zero_ok {
             steps.push(RewriteStep::DropBijection {
-                name: a.name.clone(),
+                name: a.name,
                 granularity: gran,
             });
             continue;
@@ -564,65 +570,48 @@ fn pattern_scan(
         let perm_ok = rules.tupl_ignores_granularity || a.c.word_size.is_multiple_of(gran);
         if is_word_perm(&a.c, rules) && perm_ok {
             steps.push(RewriteStep::TuplPermutation {
-                name: a.name.clone(),
+                name: a.name,
                 granularity: gran,
             });
             perms_rev.push(if rules.merge_all_tupl_perms {
-                "TUPL*".to_string()
+                "TUPL*"
             } else {
-                a.name.clone()
+                a.name
             });
             continue;
         }
-        steps.push(RewriteStep::StopOpaque {
-            name: a.name.clone(),
-        });
-        residual = atoms[..=i].iter().map(|x| x.name.clone()).collect();
+        steps.push(RewriteStep::StopOpaque { name: a.name });
+        residual = atoms[..=i].iter().map(|x| x.name).collect();
         break;
     }
     perms_rev.reverse();
     (residual, perms_rev)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum NfKey {
-    Exact {
-        atoms: Vec<String>,
-        reducer: String,
-    },
-    Pattern {
-        residual: Vec<String>,
-        perms: Vec<String>,
-        relation: SizeDeterminant,
-        gran: usize,
-        reducer: String,
-    },
+/// Rendered exact normal form: the prefix atoms, then the reducer.
+fn render_exact(atoms: &[Atom], reducer: &str) -> String {
+    let names: Vec<&str> = atoms.iter().map(|a| a.name).collect();
+    format!("[{}] > {reducer} (exact)", names.join(" "))
 }
 
-fn render_nf(key: &NfKey) -> String {
-    match key {
-        NfKey::Exact { atoms, reducer } => {
-            format!("[{}] > {reducer} (exact)", atoms.join(" "))
-        }
-        NfKey::Pattern {
-            residual,
-            perms,
-            relation,
-            gran,
-            reducer,
-        } => {
-            let rel = match relation {
-                SizeDeterminant::ZeroPattern => "zero",
-                SizeDeterminant::EqualityPattern => "eq",
-                SizeDeterminant::Opaque => "opaque",
-            };
-            format!(
-                "[{}] perm[{}] > {reducer} ({rel}@{gran})",
-                residual.join(" "),
-                perms.join(" ")
-            )
-        }
-    }
+/// Rendered pattern normal form: a pattern scan's residual and symbolic
+/// permutations, then the reducer and the relation it is read under.
+fn render_pattern(
+    scan: &PatternScan,
+    relation: SizeDeterminant,
+    gran: usize,
+    reducer: &str,
+) -> String {
+    let rel = match relation {
+        SizeDeterminant::ZeroPattern => "zero",
+        SizeDeterminant::EqualityPattern => "eq",
+        SizeDeterminant::Opaque => "opaque",
+    };
+    format!(
+        "[{}] perm[{}] > {reducer} ({rel}@{gran})",
+        scan.residual.join(" "),
+        scan.perms.join(" ")
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -716,10 +705,8 @@ fn exact_prefixes(
     rules: &RuleTable,
 ) -> Vec<ExactPrefix> {
     let stage_atoms: Vec<Atom> = components.iter().map(atom_of).collect();
-    let by_name: HashMap<String, Atom> = stage_atoms
-        .iter()
-        .map(|a| (a.name.clone(), a.clone()))
-        .collect();
+    let by_name: HashMap<&'static str, Atom> =
+        stage_atoms.iter().map(|a| (a.name, a.clone())).collect();
     let mut prefixes = Vec::with_capacity(stage_atoms.len() * stage_atoms.len());
     for a1 in &stage_atoms {
         for a2 in &stage_atoms {
@@ -743,13 +730,168 @@ pub fn exact_prefix_reps(
     rules: &RuleTable,
 ) -> Vec<usize> {
     let shape = LenRange::from_lengths(lengths, rules);
-    let mut first: HashMap<Vec<String>, usize> = HashMap::new();
+    let mut first: HashMap<Vec<&'static str>, usize> = HashMap::new();
     exact_prefixes(components, shape, rules)
         .into_iter()
         .enumerate()
         .map(|(p, prefix)| {
             let nf = prefix.atoms.into_iter().map(|a| a.name).collect();
             *first.entry(nf).or_insert(p)
+        })
+        .collect()
+}
+
+/// One backward pattern scan of a prefix's exact normal form: the
+/// residual atom names, the symbolic permutation names, and the rewrite
+/// steps that produced them.
+struct PatternScan {
+    residual: Vec<&'static str>,
+    perms: Vec<&'static str>,
+    steps: Vec<RewriteStep>,
+}
+
+/// A pipeline space's classes before certificates: every prefix's exact
+/// phase and pattern scans, and the class of every pipeline.
+struct Partition {
+    shape: LenRange,
+    /// Per prefix `s1·nc + s2`: the exact phase, then one scan per entry
+    /// of `scans`.
+    prefixes: Vec<(ExactPrefix, Vec<PatternScan>)>,
+    /// The distinct `(relation, granularity)` pairs the reducers are read
+    /// under.
+    scans: Vec<(SizeDeterminant, usize)>,
+    /// Per reducer, its entry in `scans`; `None` for an opaque reducer,
+    /// whose classes are exact normal forms.
+    scan_of: Vec<Option<usize>>,
+    /// Dense pipeline index → class id, numbered by least member.
+    class_of: Vec<u32>,
+    classes: usize,
+}
+
+/// Group the pipelines of `components × components × reducers` by normal
+/// form. Normal forms are interned once per prefix (the exact form, and
+/// one pattern form per scan), so a pipeline's class key is a reducer
+/// index and an id: no key is built or hashed per pipeline. Walking the
+/// pipelines in dense order and numbering each key at its first sight
+/// numbers the classes by least member. The pattern scans keep their
+/// rewrite steps only when `keep_steps` is set (certificates need them,
+/// the class table does not).
+fn partition(
+    components: &[Arc<dyn Component>],
+    reducers: &[Arc<dyn Component>],
+    lengths: &[usize],
+    rules: &RuleTable,
+    keep_steps: bool,
+) -> Partition {
+    let shape = LenRange::from_lengths(lengths, rules);
+    let nr = reducers.len();
+    let mut scans: Vec<(SizeDeterminant, usize)> = Vec::new();
+    let scan_of: Vec<Option<usize>> = reducers
+        .iter()
+        .map(|r| {
+            let c = r.contract();
+            let mut relation = c.size_determinant;
+            if rules.relation_confuses_zero_eq && relation == SizeDeterminant::ZeroPattern {
+                relation = SizeDeterminant::EqualityPattern;
+            }
+            (relation != SizeDeterminant::Opaque).then(|| {
+                let key = (relation, c.word_size);
+                scans.iter().position(|&k| k == key).unwrap_or_else(|| {
+                    scans.push(key);
+                    scans.len() - 1
+                })
+            })
+        })
+        .collect();
+    let mut scratch = Vec::new();
+    let prefixes: Vec<(ExactPrefix, Vec<PatternScan>)> = exact_prefixes(components, shape, rules)
+        .into_iter()
+        .map(|prefix| {
+            let pattern = scans
+                .iter()
+                .map(|&(relation, gran)| {
+                    let (residual, perms) =
+                        pattern_scan(&prefix.atoms, relation, gran, rules, &mut scratch);
+                    let steps = if keep_steps {
+                        scratch.clone()
+                    } else {
+                        Vec::new()
+                    };
+                    scratch.clear();
+                    PatternScan {
+                        residual,
+                        perms,
+                        steps,
+                    }
+                })
+                .collect();
+            (prefix, pattern)
+        })
+        .collect();
+
+    // Per prefix, the id of its exact form and of each pattern form.
+    let per_prefix = 1 + scans.len();
+    let mut exact_ids: HashMap<Vec<&'static str>, u32> = HashMap::new();
+    let mut pattern_ids: HashMap<(&[&'static str], &[&'static str]), u32> = HashMap::new();
+    let mut nf_ids: Vec<u32> = Vec::with_capacity(prefixes.len() * per_prefix);
+    for (exact, pattern) in &prefixes {
+        let names = exact.atoms.iter().map(|a| a.name).collect();
+        let next = exact_ids.len() as u32;
+        nf_ids.push(*exact_ids.entry(names).or_insert(next));
+        for scan in pattern {
+            let next = pattern_ids.len() as u32;
+            nf_ids.push(
+                *pattern_ids
+                    .entry((&scan.residual, &scan.perms))
+                    .or_insert(next),
+            );
+        }
+    }
+
+    let ids = exact_ids.len().max(pattern_ids.len());
+    let mut class_at = vec![u32::MAX; nr * ids];
+    let mut class_of = Vec::with_capacity(prefixes.len() * nr);
+    let mut classes = 0u32;
+    for p in 0..prefixes.len() {
+        for (ir, scan) in scan_of.iter().enumerate() {
+            let id = nf_ids[p * per_prefix + scan.map_or(0, |k| 1 + k)] as usize;
+            let class = &mut class_at[ir * ids + id];
+            if *class == u32::MAX {
+                *class = classes;
+                classes += 1;
+            }
+            class_of.push(*class);
+        }
+    }
+    Partition {
+        shape,
+        prefixes,
+        scans,
+        scan_of,
+        class_of,
+        classes: classes as usize,
+    }
+}
+
+/// [`classify`]'s partition without its certificates: for every pipeline
+/// (dense index `(s1·nc + s2)·nr + s3`), the dense index of the least
+/// member of its class, which is the pipeline measured in its place.
+pub fn class_reps(
+    components: &[Arc<dyn Component>],
+    reducers: &[Arc<dyn Component>],
+    lengths: &[usize],
+    rules: &RuleTable,
+) -> Vec<usize> {
+    let mut least: Vec<usize> = Vec::new();
+    partition(components, reducers, lengths, rules, false)
+        .class_of
+        .iter()
+        .enumerate()
+        .map(|(p, &c)| {
+            if c as usize == least.len() {
+                least.push(p);
+            }
+            least[c as usize]
         })
         .collect()
 }
@@ -765,95 +907,27 @@ pub fn classify(
     rules: &RuleTable,
 ) -> ClassMap {
     let t0 = Instant::now();
-    let shape = LenRange::from_lengths(lengths, rules);
+    let Partition {
+        shape,
+        prefixes,
+        scans,
+        scan_of,
+        class_of,
+        classes,
+    } = partition(components, reducers, lengths, rules, true);
     let nc = components.len();
     let nr = reducers.len();
-    let reducer_atoms: Vec<Atom> = reducers.iter().map(atom_of).collect();
-
-    // Per-prefix exact canonicalization, then per-(relation, granularity)
-    // pattern scans cached per prefix: (residual atom names, symbolic
-    // permutation names, the rewrite steps that produced them).
-    type PatternScan = (Vec<String>, Vec<String>, Vec<RewriteStep>);
-    struct Prefix {
-        atoms: Vec<Atom>,
-        steps: Vec<RewriteStep>,
-        pattern: HashMap<(SizeDeterminant, usize), PatternScan>,
-    }
-    let mut prefixes: Vec<Prefix> = exact_prefixes(components, shape, rules)
-        .into_iter()
-        .map(|ExactPrefix { atoms, steps }| Prefix {
-            atoms,
-            steps,
-            pattern: HashMap::new(),
-        })
-        .collect();
-
-    // Group pipelines by normal-form key.
-    let mut groups: HashMap<NfKey, Vec<usize>> = HashMap::new();
-    for i1 in 0..nc {
-        for i2 in 0..nc {
-            let pidx = i1 * nc + i2;
-            for (ir, r) in reducer_atoms.iter().enumerate() {
-                let mut relation = r.c.size_determinant;
-                if rules.relation_confuses_zero_eq && relation == SizeDeterminant::ZeroPattern {
-                    relation = SizeDeterminant::EqualityPattern;
-                }
-                let dense = (i1 * nc + i2) * nr + ir;
-                let key = if relation == SizeDeterminant::Opaque {
-                    NfKey::Exact {
-                        atoms: prefixes[pidx]
-                            .atoms
-                            .iter()
-                            .map(|a| a.name.clone())
-                            .collect(),
-                        reducer: r.name.clone(),
-                    }
-                } else {
-                    let gran = r.c.word_size;
-                    let Prefix { atoms, pattern, .. } = &mut prefixes[pidx];
-                    let (residual, perms, _) = pattern
-                        .entry((relation, gran))
-                        .or_insert_with(|| {
-                            let mut psteps = Vec::new();
-                            let (res, perms) =
-                                pattern_scan(atoms, relation, gran, rules, &mut psteps);
-                            (res, perms, psteps)
-                        })
-                        .clone();
-                    NfKey::Pattern {
-                        residual,
-                        perms,
-                        relation,
-                        gran,
-                        reducer: r.name.clone(),
-                    }
-                };
-                groups.entry(key).or_default().push(dense);
-            }
-        }
-    }
-
-    // Deterministic class ids: sort classes by least member.
-    let mut classes: Vec<(NfKey, Vec<usize>)> = groups.into_iter().collect();
-    for (_, members) in classes.iter_mut() {
-        members.sort_unstable();
-    }
-    classes.sort_unstable_by_key(|(_, members)| members[0]);
-
-    let mut class_of = vec![0u32; nc * nc * nr];
-    let mut certificates = Vec::new();
-    let mut rule_tally: HashMap<&'static str, usize> = HashMap::new();
 
     // Tally exact-phase rules once per prefix and pattern-phase rules
     // once per (prefix, relation, granularity) they were computed for.
-    for p in &prefixes {
-        for s in &p.steps {
+    let mut rule_tally: HashMap<&'static str, usize> = HashMap::new();
+    for (exact, pattern) in &prefixes {
+        for s in exact
+            .steps
+            .iter()
+            .chain(pattern.iter().flat_map(|p| &p.steps))
+        {
             *rule_tally.entry(s.rule()).or_default() += 1;
-        }
-        for (_, _, psteps) in p.pattern.values() {
-            for s in psteps {
-                *rule_tally.entry(s.rule()).or_default() += 1;
-            }
         }
     }
 
@@ -862,40 +936,39 @@ pub fn classify(
         let rest = dense / nr;
         (rest / nc, rest % nc, ir)
     };
-
-    for (cid, (key, members)) in classes.iter().enumerate() {
-        let rep_dense = members[0];
-        let rep = unpack(rep_dense);
-        for &dense in members.iter() {
-            class_of[dense] = cid as u32;
-        }
-        if members.len() == 1 {
-            continue;
-        }
-        let tier = match key {
-            NfKey::Exact { .. } => Tier::Exact,
-            NfKey::Pattern { relation, gran, .. } => Tier::Pattern {
-                relation: *relation,
-                granularity: *gran,
-            },
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); classes];
+    for (dense, &c) in class_of.iter().enumerate() {
+        members[c as usize].push(dense);
+    }
+    let mut certificates = Vec::new();
+    for members in members.iter().filter(|m| m.len() > 1) {
+        let rep = unpack(members[0]);
+        let reducer = reducers[rep.2].name();
+        let scan = scan_of[rep.2];
+        let (exact, pattern) = &prefixes[rep.0 * nc + rep.1];
+        let (tier, nf) = match scan {
+            None => (Tier::Exact, render_exact(&exact.atoms, reducer)),
+            Some(k) => {
+                let (relation, granularity) = scans[k];
+                (
+                    Tier::Pattern {
+                        relation,
+                        granularity,
+                    },
+                    render_pattern(&pattern[k], relation, granularity, reducer),
+                )
+            }
         };
-        let nf = render_nf(key);
         let steps_of = |p: (usize, usize, usize)| -> Vec<RewriteStep> {
-            let prefix = &prefixes[p.0 * nc + p.1];
-            let mut s = prefix.steps.clone();
-            if let Tier::Pattern {
-                relation,
-                granularity,
-            } = tier
-            {
-                if let Some((_, _, psteps)) = prefix.pattern.get(&(relation, granularity)) {
-                    s.extend(psteps.iter().cloned());
-                }
+            let (exact, pattern) = &prefixes[p.0 * nc + p.1];
+            let mut s = exact.steps.clone();
+            if let Some(k) = scan {
+                s.extend(pattern[k].steps.iter().cloned());
             }
             s
         };
         let rep_steps = steps_of(rep);
-        for &dense in members.iter().skip(1) {
+        for &dense in &members[1..] {
             let member = unpack(dense);
             certificates.push(Certificate {
                 member,
@@ -917,7 +990,7 @@ pub fn classify(
         lengths: lengths.to_vec(),
         shape,
         class_of,
-        classes: classes.len(),
+        classes,
         certificates,
         rule_counts,
         runtime: t0.elapsed(),
@@ -1146,9 +1219,9 @@ impl CheckReport {
 fn replay_exact(
     start: [&Atom; 2],
     steps: &[RewriteStep],
-    by_name: &HashMap<String, Atom>,
+    by_name: &HashMap<&'static str, Atom>,
     sound_shape: LenRange,
-) -> Result<Vec<String>, String> {
+) -> Result<Vec<&'static str>, String> {
     let mut state: Vec<Atom> = vec![start[0].clone(), start[1].clone()];
     let contract = |name: &str| -> Result<Contract, String> {
         by_name
@@ -1164,11 +1237,11 @@ fn replay_exact(
                 base,
                 post,
             } => {
-                if state.get(*at).map(|a| a.name.as_str()) != Some(fused.as_str()) {
+                if state.get(*at).map(|a| a.name) != Some(*fused) {
                     return Err(format!("defuse: state[{at}] is not {fused}"));
                 }
                 let c = contract(fused)?;
-                if c.fused_of != Some((base.as_str(), post.as_str())) {
+                if c.fused_of != Some((*base, *post)) {
                     return Err(format!(
                         "defuse: {fused} does not declare fused_of ({base}, {post})"
                     ));
@@ -1187,7 +1260,7 @@ fn replay_exact(
                 bound,
                 len_hi: _,
             } => {
-                if state.get(*at).map(|a| a.name.as_str()) != Some(name.as_str()) {
+                if state.get(*at).map(|a| a.name) != Some(*name) {
                     return Err(format!("absorb-noop: state[{at}] is not {name}"));
                 }
                 let c = contract(name)?;
@@ -1205,15 +1278,15 @@ fn replay_exact(
                 state.remove(*at);
             }
             RewriteStep::CancelInverse { at, first, second } => {
-                if state.get(*at).map(|a| a.name.as_str()) != Some(first.as_str())
-                    || state.get(*at + 1).map(|a| a.name.as_str()) != Some(second.as_str())
+                if state.get(*at).map(|a| a.name) != Some(*first)
+                    || state.get(*at + 1).map(|a| a.name) != Some(*second)
                 {
                     return Err(format!(
                         "cancel-inverse: state[{at}..] is not ({first}, {second})"
                     ));
                 }
                 let c = contract(first)?;
-                if c.inverse_of != Some(second.as_str()) {
+                if c.inverse_of != Some(*second) {
                     return Err(format!(
                         "cancel-inverse: {first} does not declare inverse_of {second}"
                     ));
@@ -1221,8 +1294,8 @@ fn replay_exact(
                 state.drain(*at..*at + 2);
             }
             RewriteStep::CollapseIdempotent { at, name } => {
-                if state.get(*at).map(|a| a.name.as_str()) != Some(name.as_str())
-                    || state.get(*at + 1).map(|a| a.name.as_str()) != Some(name.as_str())
+                if state.get(*at).map(|a| a.name) != Some(*name)
+                    || state.get(*at + 1).map(|a| a.name) != Some(*name)
                 {
                     return Err(format!(
                         "collapse-idempotent: state[{at}..] is not ({name}, {name})"
@@ -1239,8 +1312,8 @@ fn replay_exact(
                 perm,
                 pointwise,
             } => {
-                if state.get(*at).map(|a| a.name.as_str()) != Some(perm.as_str())
-                    || state.get(*at + 1).map(|a| a.name.as_str()) != Some(pointwise.as_str())
+                if state.get(*at).map(|a| a.name) != Some(*perm)
+                    || state.get(*at + 1).map(|a| a.name) != Some(*pointwise)
                 {
                     return Err(format!(
                         "commute-swap: state[{at}..] is not ({perm}, {pointwise})"
@@ -1309,10 +1382,8 @@ pub fn check_certificates(
 ) -> CheckReport {
     let t0 = Instant::now();
     let stage_atoms: Vec<Atom> = components.iter().map(atom_of).collect();
-    let by_name: HashMap<String, Atom> = stage_atoms
-        .iter()
-        .map(|a| (a.name.clone(), a.clone()))
-        .collect();
+    let by_name: HashMap<&'static str, Atom> =
+        stage_atoms.iter().map(|a| (a.name, a.clone())).collect();
     let sound_shape = LenRange::from_lengths(&map.lengths, &RuleTable::SOUND);
     let mut failures = Vec::new();
 
@@ -1400,7 +1471,7 @@ fn check_one_structural(
     cert: &Certificate,
     stage_atoms: &[Atom],
     reducers: &[Arc<dyn Component>],
-    by_name: &HashMap<String, Atom>,
+    by_name: &HashMap<&'static str, Atom>,
     sound_shape: LenRange,
 ) -> Result<(), String> {
     let (m1, m2, mr) = cert.member;
@@ -1455,7 +1526,7 @@ fn check_one_structural(
                 ));
             }
             // Re-derive the pattern normal forms with the sound scanner.
-            let atoms_of = |names: &[String]| -> Result<Vec<Atom>, String> {
+            let atoms_of = |names: &[&'static str]| -> Result<Vec<Atom>, String> {
                 names
                     .iter()
                     .map(|n| {

@@ -109,12 +109,36 @@ impl From<lc_core::stream::StreamError> for CliError {
     }
 }
 
+/// A subcommand's entry point; it receives the arguments after its name.
+type Handler = fn(&[String]) -> Result<(), CliError>;
+
+/// The dispatch table: every subcommand, in the order the usage line and
+/// `--help` list them. `pack` and `unpack` are aliases (see `main`).
+const SUBCOMMANDS: [(&str, Handler); 12] = [
+    ("list", |_| cmd_list()),
+    ("compress", cmd_compress),
+    ("decompress", cmd_decompress),
+    ("salvage", cmd_salvage),
+    ("gen-data", cmd_gen_data),
+    ("profile", cmd_profile),
+    ("simulate", cmd_simulate),
+    ("verify", cmd_verify),
+    ("analyze", cmd_analyze),
+    ("serve", cmd_serve),
+    ("report", cmd_report),
+    ("shards", cmd_shards),
+];
+
+/// The line `lc` prints when run without a subcommand.
+fn usage_line() -> String {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+    format!("usage: lc <{}> … (--help)", names.join("|"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!(
-            "usage: lc <list|compress|decompress|salvage|gen-data|profile|simulate> … (--help)"
-        );
+        eprintln!("{}", usage_line());
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
@@ -123,20 +147,15 @@ fn main() -> ExitCode {
     if trace_out.is_some() || metrics_out.is_some() {
         lc_telemetry::enable();
     }
-    let result = match cmd.as_str() {
-        "list" => cmd_list(),
-        "compress" | "pack" => cmd_compress(rest),
-        "decompress" | "unpack" => cmd_decompress(rest),
-        "salvage" => cmd_salvage(rest),
-        "gen-data" => cmd_gen_data(rest),
-        "profile" => cmd_profile(rest),
-        "simulate" => cmd_simulate(rest),
-        "verify" => cmd_verify(rest),
-        "analyze" => cmd_analyze(rest),
-        "serve" => cmd_serve(rest),
-        "report" => cmd_report(rest),
-        "shards" => cmd_shards(rest),
-        "--help" | "-h" | "help" => {
+    let name = match cmd.as_str() {
+        "pack" => "compress",
+        "unpack" => "decompress",
+        other => other,
+    };
+    let handler = SUBCOMMANDS.iter().find(|(n, _)| *n == name).map(|(_, h)| h);
+    let result = match (handler, name) {
+        (Some(handler), _) => handler(rest),
+        (None, "--help" | "-h" | "help") => {
             println!(
                 "lc — LC compression framework reproduction\n\
                  subcommands:\n  \
@@ -165,7 +184,7 @@ fn main() -> ExitCode {
             );
             Ok(())
         }
-        other => Err(CliError::from(format!("unknown subcommand {other:?}"))),
+        (None, other) => Err(CliError::from(format!("unknown subcommand {other:?}"))),
     };
     // Export telemetry even when the command failed: a partial trace of a
     // decode that errored out is exactly when you want to look at one.

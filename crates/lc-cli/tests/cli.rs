@@ -500,6 +500,37 @@ fn analyze_mutation_harness_catches_all_seeded_violations() {
 }
 
 #[test]
+fn usage_line_names_every_subcommand() {
+    // The usage line `lc` prints without arguments and the subcommand
+    // list of `--help` are both the dispatch table: every subcommand
+    // `--help` documents appears in the usage line, and is dispatched
+    // (an unknown name is a usage error naming it).
+    let out = lc().output().unwrap();
+    assert!(!out.status.success());
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let listed = usage
+        .split_once('<')
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .map(|(names, _)| names.split('|').collect::<Vec<_>>())
+        .unwrap_or_else(|| panic!("no <…> list in {usage:?}"));
+    let help = lc().arg("--help").output().unwrap();
+    let help = String::from_utf8_lossy(&help.stdout).into_owned();
+    let documented: Vec<&str> = help
+        .lines()
+        .skip_while(|l| !l.starts_with("subcommands:"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .filter(|l| !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed, documented, "usage line vs --help");
+    assert_eq!(listed.len(), 12, "{listed:?}");
+    for name in ["verify", "analyze", "serve", "report", "shards"] {
+        assert!(listed.contains(&name), "{name} missing from {usage:?}");
+    }
+}
+
+#[test]
 fn unknown_subcommand_is_a_usage_error() {
     // Component timing belongs to the benchmark harness and the snapshot
     // kernel table, so `lc` has no subcommand for it.

@@ -44,19 +44,27 @@ impl Mark {
     pub const ALL: [Mark; 2] = [Mark::RepeatsPrior, Mark::IsZero];
 }
 
-/// Portable reference: mark words `from..to` of `src` into `bm`.
+/// Portable reference: mark words `from..to` of `src` into `bm`, and
+/// return how many it marked.
 ///
 /// Word equality is LE byte-slice equality, so no word loads are needed.
-fn portable_mark<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8], from: usize, to: usize) {
+fn portable_mark<const W: usize>(
+    mk: Mark,
+    src: &[u8],
+    bm: &mut [u8],
+    from: usize,
+    to: usize,
+) -> usize {
+    let mut marks = 0;
     for i in from..to {
         let marked = match mk {
             Mark::IsZero => src[i * W..(i + 1) * W].iter().all(|&b| b == 0),
             Mark::RepeatsPrior => i > 0 && src[i * W..(i + 1) * W] == src[(i - 1) * W..i * W],
         };
-        if marked {
-            bm[i / 8] |= 1 << (i % 8);
-        }
+        bm[i / 8] |= u8::from(marked) << (i % 8);
+        marks += usize::from(marked);
     }
+    marks
 }
 
 /// Which tier bitmap dispatch resolves to for this word size.
@@ -64,9 +72,6 @@ pub fn variant<const W: usize>() -> Variant {
     #[cfg(target_arch = "x86_64")]
     {
         let t = super::tier();
-        // 16-bit lanes have no single-instruction 256-bit movemask path;
-        // W = 2 caps at SSE2 (cmpeq_epi16 + packs + movemask_epi8).
-        let t = if W == 2 { t.min(Variant::Sse2) } else { t };
         if t >= Variant::Sse2 {
             return t;
         }
@@ -98,26 +103,26 @@ fn mark_with<const W: usize>(v: Variant, mk: Mark, src: &[u8], bmr: &mut [u8]) -
     let n = src.len() / W;
     debug_assert_eq!(src.len(), n * W, "src must be whole words");
     debug_assert_eq!(bmr.len(), n.div_ceil(8), "bitmap slice must match");
+    // The vector markers count their marks as they go (`popcnt` on each
+    // group's mask at the AVX2 tier), so the kept count costs no second
+    // pass over the bitmap.
     // safety: tier clamped to CPUID detection before calling
     // `#[target_feature]` bodies.
     #[cfg(target_arch = "x86_64")]
-    let (covered_from, covered_to) = {
-        let v = v.min(super::detected());
-        let v = if W == 2 { v.min(Variant::Sse2) } else { v };
-        match v {
-            Variant::Avx2 => unsafe { x86::mark_avx2::<W>(mk, src, bmr) },
-            Variant::Sse2 => unsafe { x86::mark_sse2::<W>(mk, src, bmr) },
-            Variant::Scalar => (0, 0),
-        }
+    let (covered_from, covered_to, vector_marks) = match v.min(super::detected()) {
+        Variant::Avx2 => unsafe { x86::mark_avx2::<W>(mk, src, bmr) },
+        Variant::Sse2 => unsafe { x86::mark_sse2::<W>(mk, src, bmr) },
+        Variant::Scalar => (0, 0, 0),
     };
     #[cfg(not(target_arch = "x86_64"))]
-    let (covered_from, covered_to) = {
+    let (covered_from, covered_to, vector_marks) = {
         let _ = v;
-        (0, 0)
+        (0, 0, 0)
     };
-    portable_mark::<W>(mk, src, bmr, 0, covered_from);
-    portable_mark::<W>(mk, src, bmr, covered_to, n);
-    n - bmr.iter().map(|b| b.count_ones() as usize).sum::<usize>()
+    let marks = vector_marks
+        + portable_mark::<W>(mk, src, bmr, 0, covered_from)
+        + portable_mark::<W>(mk, src, bmr, covered_to, n);
+    n - marks
 }
 
 /// Whether the LUT-shuffle emit/expand kernels run at tier `v` (there
@@ -307,9 +312,14 @@ mod x86 {
     }
 
     /// SSE2 marker: 16-word groups, two bitmap bytes per group. Returns
-    /// the word range `(from, to)` it covered (`(0, 0)` if none).
+    /// the word range `(from, to)` it covered (`(0, 0)` if none) and the
+    /// number of words it marked there.
     #[target_feature(enable = "sse2")]
-    pub(super) fn mark_sse2<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8]) -> (usize, usize) {
+    pub(super) fn mark_sse2<const W: usize>(
+        mk: Mark,
+        src: &[u8],
+        bm: &mut [u8],
+    ) -> (usize, usize, usize) {
         let n = src.len() / W;
         let per = 16 / W; // words per 128-bit vector
                           // RepeatsPrior needs a load one word back; start a full group in
@@ -320,6 +330,7 @@ mod x86 {
         };
         let zero = _mm_setzero_si128();
         let mut w = start;
+        let mut marks = 0usize;
         while w + 16 <= n {
             let mut bits: u32 = 0;
             let mut k = 0usize;
@@ -347,18 +358,29 @@ mod x86 {
             }
             bm[w / 8] = bits as u8;
             bm[w / 8 + 1] = (bits >> 8) as u8;
+            marks += bits.count_ones() as usize;
             w += 16;
         }
         if w == start {
-            (0, 0)
+            (0, 0, 0)
         } else {
-            (start, w)
+            (start, w, marks)
         }
     }
 
     #[target_feature(enable = "avx2")]
     fn eq8x(a: __m256i, b: __m256i) -> u32 {
         _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) as u32 // 32 bits
+    }
+
+    /// 32 words of 16 bits in two registers: the two 16-lane compares
+    /// pack to bytes (per 128-bit half, so the qwords come out as
+    /// `a.lo b.lo a.hi b.hi` and are put back in order) before one
+    /// movemask.
+    #[target_feature(enable = "avx2")]
+    fn eq16x2(a0: __m256i, b0: __m256i, a1: __m256i, b1: __m256i) -> u32 {
+        let m = _mm256_packs_epi16(_mm256_cmpeq_epi16(a0, b0), _mm256_cmpeq_epi16(a1, b1));
+        _mm256_movemask_epi8(_mm256_permute4x64_epi64(m, 0b11_01_10_00)) as u32 // 32 bits
     }
 
     #[target_feature(enable = "avx2")]
@@ -620,51 +642,63 @@ mod x86 {
         done
     }
 
-    /// AVX2 marker: 32-word groups, four bitmap bytes per group. `W = 2`
-    /// is not implemented at this tier (dispatch demotes it to SSE2).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn mark_avx2<const W: usize>(mk: Mark, src: &[u8], bm: &mut [u8]) -> (usize, usize) {
-        if W == 2 {
-            return (0, 0);
-        }
+    /// AVX2 marker: 32-word groups, four bitmap bytes per group; the same
+    /// contract as [`mark_sse2`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn mark_avx2<const W: usize>(
+        mk: Mark,
+        src: &[u8],
+        bm: &mut [u8],
+    ) -> (usize, usize, usize) {
         let n = src.len() / W;
-        let per = 32 / W;
+        // Words per step: one register, or both 16-word registers at W = 2.
+        let step = if W == 2 { 32 } else { 32 / W };
         let start = match mk {
             Mark::IsZero => 0usize,
             Mark::RepeatsPrior => 32,
         };
         let zero = _mm256_setzero_si256();
         let mut w = start;
+        let mut marks = 0usize;
         while w + 32 <= n {
             let mut bits: u32 = 0;
             let mut k = 0usize;
             while k < 32 {
                 // safety: same bounds argument as `mark_sse2` with
-                // 32-byte vectors and a 32-word lead-in.
+                // 32-byte vectors and a 32-word lead-in; at W = 2 the
+                // second pair of loads ends at `(w+32)·W ≤ n·W`.
                 unsafe {
-                    let cur = _mm256_loadu_si256(src.as_ptr().add((w + k) * W).cast());
+                    let at = |i: usize| src.as_ptr().add(i * W).cast::<__m256i>();
+                    let cur = _mm256_loadu_si256(at(w + k));
                     let rhs = match mk {
                         Mark::IsZero => zero,
-                        Mark::RepeatsPrior => {
-                            _mm256_loadu_si256(src.as_ptr().add((w + k - 1) * W).cast())
-                        }
+                        Mark::RepeatsPrior => _mm256_loadu_si256(at(w + k - 1)),
                     };
                     let m = match W {
                         1 => eq8x(cur, rhs),
+                        2 => {
+                            let cur1 = _mm256_loadu_si256(at(w + k + 16));
+                            let rhs1 = match mk {
+                                Mark::IsZero => zero,
+                                Mark::RepeatsPrior => _mm256_loadu_si256(at(w + k + 15)),
+                            };
+                            eq16x2(cur, rhs, cur1, rhs1)
+                        }
                         4 => eq32x(cur, rhs),
                         _ => eq64x(cur, rhs),
                     };
                     bits |= m << k;
                 }
-                k += per;
+                k += step;
             }
             bm[w / 8..w / 8 + 4].copy_from_slice(&bits.to_le_bytes());
+            marks += bits.count_ones() as usize;
             w += 32;
         }
         if w == start {
-            (0, 0)
+            (0, 0, 0)
         } else {
-            (start, w)
+            (start, w, marks)
         }
     }
 }
@@ -717,6 +751,39 @@ mod tests {
         check::<2>();
         check::<4>();
         check::<8>();
+    }
+
+    /// Kept words counted straight from the words, sharing no code with
+    /// the markers.
+    fn naive_kept<const W: usize>(mk: Mark, src: &[u8]) -> usize {
+        let words: Vec<&[u8]> = src.chunks_exact(W).collect();
+        (0..words.len())
+            .filter(|&i| match mk {
+                Mark::IsZero => words[i].iter().any(|&b| b != 0),
+                Mark::RepeatsPrior => i == 0 || words[i] != words[i - 1],
+            })
+            .count()
+    }
+
+    fn check_kept<const W: usize>() {
+        for len_w in 0..=130usize {
+            let src = patterned(len_w * W, 0x6E7_0000 + (len_w * 8 + W) as u64);
+            for mk in Mark::ALL {
+                let want = naive_kept::<W>(mk, &src);
+                for v in super::super::available() {
+                    let kept = build_with::<W>(v, mk, &src, &mut Vec::new());
+                    assert_eq!(kept, want, "W={W} {mk:?} {v:?} len_w={len_w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kept_count_matches_naive_count() {
+        check_kept::<1>();
+        check_kept::<2>();
+        check_kept::<4>();
+        check_kept::<8>();
     }
 
     #[test]

@@ -28,8 +28,7 @@ use lc_core::{
 };
 
 use super::{account_compaction_scan, read_frame, write_frame};
-use crate::kernels::{self, bitmap};
-use crate::util::varint;
+use crate::kernels;
 
 /// RLE_i: run-length encoding at word size `W`.
 pub(crate) struct Rle<const W: usize>;
@@ -84,21 +83,11 @@ impl<const W: usize> Component for Rle<W> {
 
     fn encode_chunk(&self, input: &[u8], out: &mut Vec<u8>, stats: &mut KernelStats) {
         let n = write_frame::<W>(input, out);
-        let src = &input[..n * W];
-        // Neighbor-repeat bitmap (bit j ⇔ word j equals word j−1), built
-        // 16–32 words per step by the SIMD bitmap kernel; the record walk
-        // then reads run and literal boundaries off it 64 words at a time
-        // instead of comparing words.
-        let mut rb = Vec::new();
-        bitmap::build::<W>(bitmap::Mark::RepeatsPrior, src, &mut rb);
-        let mut records = 0u64;
-        kernels::rle::for_each_record(&rb, n, |i, run_end, lit_end| {
-            varint::write(out, (run_end - i) as u64);
-            varint::write(out, (lit_end - run_end) as u64);
-            out.extend_from_slice(&src[i * W..(i + 1) * W]);
-            out.extend_from_slice(&src[run_end * W..lit_end * W]);
-            records += 1;
-        });
+        // Records read their run and literal boundaries off the
+        // neighbor-repeat bitmap (bit j ⇔ word j equals word j−1), built
+        // 16–32 words per step by the SIMD bitmap kernel, 64 words at a
+        // time instead of comparing words.
+        let records = kernels::rle::encode_records::<W>(&input[..n * W], out);
         stats.words += n as u64;
         stats.thread_ops += n as u64 * 4;
         stats.global_reads += input.len() as u64;
@@ -117,33 +106,8 @@ impl<const W: usize> Component for Rle<W> {
         let frame = read_frame::<W>(input)?;
         let n = frame.n_words;
         let mut pos = frame.body;
-        out.reserve(n * W + frame.tail.len());
-        let mut produced = 0usize;
-        let mut records = 0u64;
-        let mut run_words = 0u64;
-        let mut lit_words = 0u64;
-        while produced < n {
-            let run = varint::read(input, &mut pos)? as usize;
-            let lits = varint::read(input, &mut pos)? as usize;
-            if run == 0 || produced + run + lits > n {
-                return Err(DecodeError::Corrupt {
-                    context: "RLE record overruns words",
-                });
-            }
-            if pos + (1 + lits) * W > input.len() {
-                return Err(DecodeError::Truncated {
-                    context: "RLE record values",
-                });
-            }
-            kernels::rle::fill_words::<W>(&input[pos..pos + W], run, out);
-            pos += W;
-            out.extend_from_slice(&input[pos..pos + lits * W]);
-            pos += lits * W;
-            produced += run + lits;
-            records += 1;
-            run_words += run as u64;
-            lit_words += lits as u64;
-        }
+        let (records, run_words, lit_words) =
+            kernels::rle::decode_records::<W>(input, &mut pos, n, out)?;
         out.extend_from_slice(frame.tail);
         stats.words += n as u64;
         // Replaying runs is Θ(1)-span, but the cost is structural: literal
@@ -235,6 +199,30 @@ mod tests {
         assert!(Rle::<4>
             .decode_chunk(&enc, &mut out, &mut KernelStats::new())
             .is_err());
+    }
+
+    #[test]
+    fn decode_rejects_counts_past_the_word_count() {
+        // Counts whose sum wraps a `usize` must not pass the overrun
+        // check: the replay writes into capacity reserved for `n` words.
+        let data = vec![3u8; 64];
+        let mut enc = Vec::new();
+        Rle::<4>.encode_chunk(&data, &mut enc, &mut KernelStats::new());
+        let frame = 2; // varint(16) + tail_len(0)
+        for (run, lits) in [(u64::MAX, 1), (1 << 63, 1 << 63), (17, 0), (16, 1)] {
+            let mut bad = enc[..frame].to_vec();
+            crate::util::varint::write(&mut bad, run);
+            crate::util::varint::write(&mut bad, lits);
+            bad.extend_from_slice(&[3; 64]);
+            let mut out = Vec::new();
+            assert!(
+                matches!(
+                    Rle::<4>.decode_chunk(&bad, &mut out, &mut KernelStats::new()),
+                    Err(DecodeError::Corrupt { .. })
+                ),
+                "run={run} lits={lits}"
+            );
+        }
     }
 
     #[test]

@@ -65,7 +65,8 @@ use crate::prefix::{CacheReport, CacheStats, SweepMode};
 use crate::progress::Heartbeat;
 use crate::prune::{PruneMode, PrunePlan, PruneReport};
 use crate::runner::{
-    paper_compressed_bytes, run_stage_checked, ChunkedData, StageFault, StageOutcome, Watchdog,
+    paper_compressed_bytes, run_stage_checked, ChunkedData, StageBufs, StageFault, StageOutcome,
+    StageTally, Watchdog,
 };
 use crate::space::Space;
 
@@ -891,21 +892,45 @@ pub fn run_campaign_with(
     })
 }
 
-/// Run one stage of a unit's walk behind the panic fence and watchdog.
-/// `ns_slot` accrues the stage's wall nanoseconds (including a failing
-/// stage's partial time, so quarantine records show where a dying unit
-/// spent its budget).
+/// Run one stage of a unit's walk behind the panic fence and watchdog,
+/// handing its output chunks to `sink`. `ns_slot` accrues the stage's
+/// wall nanoseconds (including a failing stage's partial time, so
+/// quarantine records show where a dying unit spent its budget).
 fn eval_stage(
     comp: &dyn lc_core::Component,
     input: &ChunkedData,
     verify: bool,
     watchdog: Option<&Watchdog>,
+    bufs: &mut StageBufs,
+    sink: impl FnMut(&[u8]),
     ns_slot: &mut u64,
-) -> Result<StageOutcome, StageFault> {
+) -> Result<StageTally, StageFault> {
     let t = Instant::now();
-    let r = run_stage_checked(comp, input, verify, watchdog);
+    let r = run_stage_checked(comp, input, verify, watchdog, bufs, sink);
     *ns_slot += t.elapsed().as_nanos() as u64;
     r
+}
+
+/// [`eval_stage`] for a prefix stage, whose output the unit holds.
+fn eval_prefix(
+    comp: &dyn lc_core::Component,
+    input: &ChunkedData,
+    verify: bool,
+    watchdog: Option<&Watchdog>,
+    bufs: &mut StageBufs,
+    ns_slot: &mut u64,
+) -> Result<StageOutcome, StageFault> {
+    let mut chunks = Vec::with_capacity(input.chunk_count());
+    let t = eval_stage(
+        comp,
+        input,
+        verify,
+        watchdog,
+        bufs,
+        |c| chunks.push(c.to_vec()),
+        ns_slot,
+    )?;
+    Ok(t.with_output(chunks))
 }
 
 /// Execute one work unit: every measured pipeline in the contiguous range
@@ -915,8 +940,9 @@ fn eval_stage(
 /// computed at the first measured cell that needs it, so fully pruned
 /// rows never run stage 2. Only the final reducer stage runs per cell.
 /// Every stage runs behind the panic fence and watchdog of
-/// [`run_stage_checked`]; on fault, the returned trace names the stages
-/// that were executing.
+/// [`run_stage_checked`], through one set of stage buffers for the whole
+/// unit; the reducer stage only counts its output bytes. On fault, the
+/// returned trace names the stages that were executing.
 ///
 /// `stage_ns` accumulates wall nanoseconds per stage position; reused
 /// prefixes contribute nothing there (no stage ran).
@@ -935,6 +961,7 @@ fn run_unit(
     let mut stats = UnitStats::zeroed(nc, nr);
     let mut s1: Option<StageOutcome> = None;
     let mut held = 0u64;
+    let mut bufs = StageBufs::default();
 
     for i2 in 0..nc {
         let s2_name = sc.space.components[i2].name();
@@ -951,32 +978,38 @@ fn run_unit(
                 continue;
             }
             let e1 = prefixes.prefix(&mut s1, || {
-                eval_stage(
+                eval_prefix(
                     sc.space.components[i1].as_ref(),
                     input,
                     sc.verify,
                     watchdog,
+                    &mut bufs,
                     &mut stage_ns[0],
                 )
                 .map_err(|f| (f, format!("s1={s1_name}")))
             })?;
             let e2 = prefixes.prefix(&mut s2, || {
-                eval_stage(
+                eval_prefix(
                     sc.space.components[i2].as_ref(),
                     &e1.output,
                     sc.verify,
                     watchdog,
+                    &mut bufs,
                     &mut stage_ns[1],
                 )
                 .map_err(|f| (f, format!("s1={s1_name} s2={s2_name}")))
             })?;
             held = held.max(e1.output.total_bytes() + e2.output.total_bytes());
             // Final reducer: unique to this pipeline, always executed.
+            // No later stage reads its output, so only its size is kept.
+            let mut s3_bytes = 0u64;
             let s3 = eval_stage(
                 sc.space.reducers[ir].as_ref(),
                 &e2.output,
                 sc.verify,
                 watchdog,
+                &mut bufs,
+                |c| s3_bytes += c.len() as u64,
                 &mut stage_ns[2],
             )
             .map_err(|f| {
@@ -985,7 +1018,7 @@ fn run_unit(
             })?;
             stats.s1 = [e1.enc, e1.dec];
             stats.s2[i2] = [e2.enc, e2.dec];
-            stats.s3[local] = ([s3.enc, s3.dec], s3.output.total_bytes());
+            stats.s3[local] = ([s3.enc, s3.dec], s3_bytes);
         }
     }
     prefixes.held(held);

@@ -22,9 +22,11 @@
 //!   pairs that [`lc_core::Contract::commutes_with`] proves commute, whose
 //!   stages have length-only statistics — so the timing claim holds too.
 //!   22 × 28 reducers = 616 of the 107,632 pipelines (~0.6%) are copies.
-//! * [`PruneMode::Canonical`] runs the whole abstract interpreter
-//!   ([`lc_analyze::absint::classify`]) under the ⊤ input shape, with a
-//!   machine-checkable [certificate] per non-representative member. On the
+//! * [`PruneMode::Canonical`] runs the whole abstract interpreter under
+//!   the ⊤ input shape and measures each class's least member
+//!   ([`lc_analyze::absint::class_reps`], the partition of
+//!   [`lc_analyze::absint::classify`], which also builds a
+//!   machine-checkable [certificate] per non-representative member). On the
 //!   full registry it certifies 8,178 of the 107,632 pipelines (~7.6%) as
 //!   redundant. The *pattern* tier among them guarantees identical reducer
 //!   **output sizes** (hence identical compressed bytes) but not identical
@@ -41,7 +43,7 @@
 
 use std::time::{Duration, Instant};
 
-use lc_analyze::absint::{classify, exact_prefix_reps, prune_fingerprint, RuleTable};
+use lc_analyze::absint::{class_reps, exact_prefix_reps, prune_fingerprint, RuleTable};
 
 use crate::space::Space;
 
@@ -108,26 +110,24 @@ impl PrunePlan {
     pub fn for_space(space: &Space, mode: PruneMode) -> Self {
         let t0 = Instant::now();
         let nr = space.reducers.len();
-        let mut rep: Vec<usize> = (0..space.len()).collect();
-        match mode {
+        let rep: Vec<usize> = match mode {
             PruneMode::Exact => {
                 // ⊤ input shape (`lengths = &[]`), as in canonical mode.
                 let prefix = exact_prefix_reps(&space.components, &[], &RuleTable::SOUND);
-                for (p, r) in rep.iter_mut().enumerate() {
-                    *r = prefix[p / nr] * nr + p % nr;
-                }
+                (0..space.len())
+                    .map(|p| prefix[p / nr] * nr + p % nr)
+                    .collect()
             }
+            // ⊤ input shape (`lengths = &[]`): the classes hold for every
+            // chunk length the campaign can feed, and the length-bounded
+            // absorb-noop rule never fires. The plan needs each class's
+            // least member, not the certificates `lc analyze` checks, so
+            // none are built.
             PruneMode::Canonical => {
-                // ⊤ input shape (`lengths = &[]`): the certificates hold
-                // for every chunk length the campaign can feed, and the
-                // length-bounded absorb-noop rule never fires.
-                let map = classify(&space.components, &space.reducers, &[], &RuleTable::SOUND);
-                for cert in &map.certificates {
-                    rep[map.index(cert.member)] = map.index(cert.representative);
-                }
+                class_reps(&space.components, &space.reducers, &[], &RuleTable::SOUND)
             }
-            PruneMode::Off => {}
-        }
+            PruneMode::Off => (0..space.len()).collect(),
+        };
         Self {
             mode,
             classes: rep.len() - pruned_cells(&rep).count(),

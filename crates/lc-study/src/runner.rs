@@ -67,6 +67,38 @@ pub struct StageOutcome {
 /// set (64 × 16 kB in and out) stays cache-resident.
 const STAGE_BATCH: usize = 64;
 
+/// A stage's kernel statistics and copy-on-expand tally: a
+/// [`StageOutcome`] without its output.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StageTally {
+    pub(crate) enc: KernelStats,
+    pub(crate) dec: KernelStats,
+    pub(crate) applied: u64,
+    pub(crate) skipped: u64,
+}
+
+impl StageTally {
+    /// The outcome of the stage whose output chunks are `chunks`.
+    pub(crate) fn with_output(self, chunks: Vec<Vec<u8>>) -> StageOutcome {
+        StageOutcome {
+            output: ChunkedData { chunks },
+            enc: self.enc,
+            dec: self.dec,
+            applied: self.applied,
+            skipped: self.skipped,
+        }
+    }
+}
+
+/// The encode and decode buffers of [`stage_loop`], one pair per chunk
+/// of a batch. A campaign work unit keeps one set for all its stage
+/// executions; each buffer keeps the capacity its largest output needed.
+#[derive(Debug, Default)]
+pub(crate) struct StageBufs {
+    enc: Vec<Vec<u8>>,
+    dec: Vec<Vec<u8>>,
+}
+
 /// Run `component` over every chunk of `input`, [`STAGE_BATCH`] chunks
 /// per batched kernel call.
 ///
@@ -75,15 +107,26 @@ const STAGE_BATCH: usize = 64;
 /// back and compared — a fatal mismatch panics, because a non-invertible
 /// component invalidates the whole study.
 pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -> StageOutcome {
-    let mut outcome = StageOutcome {
-        output: ChunkedData {
-            chunks: Vec::with_capacity(input.chunks.len()),
-        },
-        enc: KernelStats::new(),
-        dec: KernelStats::new(),
-        applied: 0,
-        skipped: 0,
-    };
+    let mut chunks = Vec::with_capacity(input.chunks.len());
+    stage_loop(component, input, verify, &mut StageBufs::default(), |c| {
+        chunks.push(c.to_vec())
+    })
+    .with_output(chunks)
+}
+
+/// The stage loop behind [`run_stage`]: runs `component` over `input`
+/// with the buffers in `bufs` and hands each output chunk, in order, to
+/// `sink` — the stage's encoded bytes where it applied, the input chunk
+/// where copy-on-expand skipped it. A sink that keeps only the byte
+/// count copies nothing.
+pub(crate) fn stage_loop(
+    component: &dyn Component,
+    input: &ChunkedData,
+    verify: bool,
+    bufs: &mut StageBufs,
+    mut sink: impl FnMut(&[u8]),
+) -> StageTally {
+    let mut tally = StageTally::default();
     // Cost-attribution handles, resolved once per stage call so the
     // per-batch hot loop only touches atomics. Campaign sweeps feed the
     // same `component.<name>.{encode,decode}.*` cost centers that serve
@@ -106,8 +149,10 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
     } else {
         None
     };
-    let mut enc_bufs: Vec<Vec<u8>> = Vec::new();
-    let mut dec_bufs: Vec<Vec<u8>> = Vec::new();
+    let StageBufs {
+        enc: enc_bufs,
+        dec: dec_bufs,
+    } = bufs;
     for batch in input.chunks.chunks(STAGE_BATCH) {
         if enc_bufs.len() < batch.len() {
             enc_bufs.resize_with(batch.len(), || {
@@ -120,7 +165,7 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
             component,
             &refs,
             &mut enc_bufs[..batch.len()],
-            &mut outcome.enc,
+            &mut tally.enc,
         );
         if let Some((enc_bytes, enc_ns, _, _, enc_kernel, _)) = &costs {
             // The encode kernel ran even when copy-on-expand discarded
@@ -135,7 +180,7 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
         // decoder does no work where copy-on-expand kept the input).
         let dec_refs: Vec<&[u8]> = applied
             .iter()
-            .zip(&enc_bufs)
+            .zip(enc_bufs.iter())
             .filter(|(a, _)| **a)
             .map(|(_, b)| b.as_slice())
             .collect();
@@ -148,7 +193,7 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
                 component,
                 &dec_refs,
                 &mut dec_bufs[..dec_refs.len()],
-                &mut outcome.dec,
+                &mut tally.dec,
             )
             .unwrap_or_else(|e| {
                 panic!("{} failed to decode its own output: {e}", component.name())
@@ -162,7 +207,7 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
         let mut d = 0usize;
         for (i, chunk) in batch.iter().enumerate() {
             if applied[i] {
-                outcome.applied += 1;
+                tally.applied += 1;
                 if verify {
                     assert_eq!(
                         &dec_bufs[d],
@@ -173,14 +218,14 @@ pub fn run_stage(component: &dyn Component, input: &ChunkedData, verify: bool) -
                     );
                 }
                 d += 1;
-                outcome.output.chunks.push(enc_bufs[i].clone());
+                sink(&enc_bufs[i]);
             } else {
-                outcome.skipped += 1;
-                outcome.output.chunks.push(chunk.clone());
+                tally.skipped += 1;
+                sink(chunk);
             }
         }
     }
-    outcome
+    tally
 }
 
 /// Bytes the GPU archive adds per chunk: LC's table entry of stage mask
@@ -328,7 +373,7 @@ impl std::fmt::Display for StageFault {
     }
 }
 
-/// [`run_stage`] behind a panic fence and an optional watchdog.
+/// [`stage_loop`] behind a panic fence and an optional watchdog.
 ///
 /// A panicking component yields `StageFault::Panic` instead of unwinding
 /// through the campaign; an expired watchdog — checked immediately
@@ -340,7 +385,9 @@ pub(crate) fn run_stage_checked(
     input: &ChunkedData,
     verify: bool,
     watchdog: Option<&Watchdog>,
-) -> Result<StageOutcome, StageFault> {
+    bufs: &mut StageBufs,
+    sink: impl FnMut(&[u8]),
+) -> Result<StageTally, StageFault> {
     let expired = |w: &Watchdog| StageFault::DeadlineExceeded {
         elapsed_ms: w.elapsed().as_millis() as u64,
         limit_ms: w.limit().as_millis() as u64,
@@ -350,8 +397,8 @@ pub(crate) fn run_stage_checked(
             return Err(expired(w));
         }
     }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_stage(component, input, verify)
+    let tally = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        stage_loop(component, input, verify, bufs, sink)
     }))
     .map_err(|payload| StageFault::Panic(lc_parallel::panic_message(payload.as_ref())))?;
     if let Some(w) = watchdog {
@@ -359,7 +406,7 @@ pub(crate) fn run_stage_checked(
             return Err(expired(w));
         }
     }
-    Ok(outcome)
+    Ok(tally)
 }
 
 #[cfg(test)]
@@ -457,10 +504,29 @@ mod tests {
         }
     }
 
+    /// [`run_stage_checked`] with fresh buffers and a byte-counting sink.
+    fn checked(
+        component: &dyn Component,
+        input: &ChunkedData,
+        verify: bool,
+        watchdog: Option<&Watchdog>,
+    ) -> Result<(StageTally, u64), StageFault> {
+        let mut bytes = 0u64;
+        let tally = run_stage_checked(
+            component,
+            input,
+            verify,
+            watchdog,
+            &mut StageBufs::default(),
+            |c| bytes += c.len() as u64,
+        )?;
+        Ok((tally, bytes))
+    }
+
     #[test]
     fn checked_stage_catches_panics() {
         let data = ChunkedData::from_bytes(&[1, 2, 3]);
-        let err = run_stage_checked(&PanicComponent, &data, false, None).unwrap_err();
+        let err = checked(&PanicComponent, &data, false, None).unwrap_err();
         match err {
             StageFault::Panic(msg) => assert!(msg.contains("intentional"), "{msg}"),
             other => panic!("expected Panic, got {other:?}"),
@@ -471,8 +537,8 @@ mod tests {
     fn checked_stage_matches_unchecked_on_success() {
         let data = ChunkedData::from_bytes(&vec![7u8; CHUNK_SIZE]);
         let a = run_stage(comp("TCMS_4").as_ref(), &data, true);
-        let b = run_stage_checked(comp("TCMS_4").as_ref(), &data, true, None).unwrap();
-        assert_eq!(a.output, b.output);
+        let (b, bytes) = checked(comp("TCMS_4").as_ref(), &data, true, None).unwrap();
+        assert_eq!(a.output.total_bytes(), bytes);
         assert_eq!(a.applied, b.applied);
     }
 
@@ -481,7 +547,7 @@ mod tests {
         let data = ChunkedData::from_bytes(&vec![7u8; CHUNK_SIZE]);
         let w = Watchdog::new(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        let err = run_stage_checked(comp("TCMS_4").as_ref(), &data, false, Some(&w)).unwrap_err();
+        let err = checked(comp("TCMS_4").as_ref(), &data, false, Some(&w)).unwrap_err();
         assert!(
             matches!(err, StageFault::DeadlineExceeded { .. }),
             "{err:?}"
@@ -492,7 +558,7 @@ mod tests {
     fn generous_watchdog_does_not_interfere() {
         let data = ChunkedData::from_bytes(&vec![7u8; CHUNK_SIZE]);
         let w = Watchdog::new(Duration::from_secs(3600));
-        assert!(run_stage_checked(comp("TCMS_4").as_ref(), &data, true, Some(&w)).is_ok());
+        assert!(checked(comp("TCMS_4").as_ref(), &data, true, Some(&w)).is_ok());
     }
 
     #[test]
@@ -525,6 +591,45 @@ mod tests {
             assert_eq!(batched.enc, enc, "{name} encode stats");
             assert_eq!(batched.dec, dec, "{name} decode stats");
             assert_eq!(batched.output.chunks, singles, "{name} bytes");
+        }
+    }
+
+    #[test]
+    fn counting_sink_matches_run_stage_on_every_rle_and_rze_reducer() {
+        // The campaign's reducer stage keeps only the byte count of its
+        // output, reusing one set of buffers across stages. Per reducer:
+        // a run-free chunk every one of them skips, a zero chunk every
+        // one applies to, chunks of short runs and sparse zeros that
+        // split the reducers, and a short tail chunk — with one buffer
+        // set carried across all eight reducers, in both orders, so a
+        // buffer grown by one stage is reused by the next.
+        let noise = |i: usize| (((i * 2654435761usize) >> 7) % 256) as u8;
+        let mut data: Vec<u8> = (0..CHUNK_SIZE).map(noise).collect();
+        data.extend(vec![0u8; CHUNK_SIZE]);
+        data.extend((0..CHUNK_SIZE).map(|i| if (i / 3) % 5 == 0 { 0 } else { noise(i / 2) }));
+        data.extend((0..CHUNK_SIZE).map(|i| noise(i / 24)));
+        data.extend((0..777).map(|i| (i / 8) as u8));
+        let chunked = ChunkedData::from_bytes(&data);
+        let names = [
+            "RLE_1", "RLE_2", "RLE_4", "RLE_8", "RZE_1", "RZE_2", "RZE_4", "RZE_8",
+        ];
+        let mut bufs = StageBufs::default();
+        for name in names.iter().chain(names.iter().rev()) {
+            let c = comp(name);
+            let want = run_stage(c.as_ref(), &chunked, true);
+            let mut bytes = 0u64;
+            let got = stage_loop(c.as_ref(), &chunked, true, &mut bufs, |o| {
+                bytes += o.len() as u64
+            });
+            assert_eq!(bytes, want.output.total_bytes(), "{name} output bytes");
+            assert_eq!(got.enc, want.enc, "{name} encode stats");
+            assert_eq!(got.dec, want.dec, "{name} decode stats");
+            assert_eq!(
+                (got.applied, got.skipped),
+                (want.applied, want.skipped),
+                "{name}"
+            );
+            assert!(want.applied > 0 && want.skipped > 0, "{name} mixes both");
         }
     }
 
