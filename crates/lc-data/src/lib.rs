@@ -180,7 +180,7 @@ impl Scale {
     }
 
     /// Generated byte size for `file` at this scale.
-    pub(crate) fn bytes_for(&self, file: &SpFile) -> usize {
+    pub fn bytes_for(&self, file: &SpFile) -> usize {
         let full = file.paper_size_tenth_mb as u64 * 1_000_000 / 10;
         let scaled = (full / self.denominator as u64) as usize;
         let aligned = scaled / 4 * 4;
@@ -295,6 +295,18 @@ mod tests {
     fn sizes_are_f32_aligned() {
         for f in &SP_FILES {
             assert_eq!(Scale::tiny().bytes_for(f) % 4, 0, "{}", f.name);
+        }
+    }
+
+    /// The campaign sizes its pricing context from `bytes_for` without
+    /// generating the input, so the two must agree on every file.
+    #[test]
+    fn generated_length_is_bytes_for() {
+        for d in [8192, 512, 64] {
+            let s = Scale::denominator(d);
+            for f in &SP_FILES {
+                assert_eq!(generate(f, s).len(), s.bytes_for(f), "{} at 1/{d}", f.name);
+            }
         }
     }
 

@@ -1,9 +1,5 @@
-//! Regenerate the paper's tables and figures.
-//!
-//! ```text
-//! reproduce [--figure all|2|3|…|15] [--scale D] [--threads N]
-//!           [--families TCMS,BIT,…] [--verify] [--out DIR] [--full]
-//! ```
+//! Regenerate the paper's tables and figures (`reproduce --help` lists
+//! every flag).
 //!
 //! By default this runs the *full* pipeline space (107,632 pipelines) over
 //! all 13 synthetic SP inputs at 1/512 of the paper's input sizes (the
@@ -118,7 +114,72 @@ struct Args {
     merge: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Every flag `reproduce` accepts, with the placeholder of its value
+/// (empty for a switch). The parser refuses a flag that is not here
+/// before it dispatches, and `--help` prints this table.
+const FLAGS: [(&str, &str); 28] = [
+    ("--figure", "all|2,3,…"),
+    ("--tables", ""),
+    ("--ratio", ""),
+    ("--stage2", ""),
+    ("--no-svg", ""),
+    ("--baseline", "RUN_JSON"),
+    ("--scale", "D"),
+    ("--full", ""),
+    ("--threads", "N"),
+    ("--families", "A,B,…"),
+    ("--files", "f,…"),
+    ("--verify", ""),
+    ("--out", "DIR"),
+    ("--resume", ""),
+    ("--unit-deadline", "SECS"),
+    ("--heartbeat", "SECS"),
+    ("--quiet", ""),
+    ("--telemetry-dir", "DIR"),
+    ("--prune", "exact|canonical|off"),
+    ("--fsync", "never|checkpoint|always"),
+    ("--mem-budget-mb", "MB"),
+    ("--shard", "K/N"),
+    ("--supervise", "N"),
+    ("--workers", "M"),
+    ("--max-shard-retries", "R"),
+    ("--merge", ""),
+    ("--chaos-kill", "SEED"),
+    ("--help", ""),
+];
+
+/// The usage line, one `[--flag VALUE]` per entry of [`FLAGS`].
+fn usage() -> String {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|(flag, value)| match *value {
+            "" => format!("[{flag}]"),
+            value => format!("[{flag} {value}]"),
+        })
+        .collect();
+    format!("usage: reproduce {}", flags.join(" "))
+}
+
+/// `v`, the value of `flag`, as a number; with `positive`, zero is refused.
+fn number<T>(flag: &str, v: &str, positive: bool) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match v.parse().map_err(|e| format!("{flag}: {e}"))? {
+        n if positive && n == T::default() => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    }
+}
+
+/// What the command line asks for: a campaign, or text to print and exit
+/// (`--help`, `--tables`).
+enum Command {
+    Run(Box<Args>),
+    Print(String),
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut args = Args {
         figures: FigId::ALL.to_vec(),
         ratio: false,
@@ -149,155 +210,74 @@ fn parse_args() -> Result<Args, String> {
     // Heartbeat defaults on for interactive runs; --quiet suppresses it,
     // --heartbeat forces it (e.g. for log-captured batch runs).
     let mut heartbeat_flag: Option<u64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        let flag = if arg == "-h" { "--help" } else { arg.as_str() };
+        let Some(&(_, placeholder)) = FLAGS.iter().find(|(f, _)| *f == flag) else {
+            return Err(format!("unknown flag {flag:?} (try --help)"));
+        };
+        let v = match placeholder {
+            "" => String::new(),
+            _ => it
+                .next()
+                .ok_or_else(|| format!("{flag} requires a value"))?,
+        };
+        let list = || Some(v.split(',').map(str::to_string).collect());
+        match flag {
+            "--figure" if v == "all" => args.figures = FigId::ALL.to_vec(),
             "--figure" => {
-                let v = value("--figure")?;
-                if v == "all" {
-                    args.figures = FigId::ALL.to_vec();
-                } else {
-                    args.figures = v
-                        .split(',')
-                        .map(|f| {
-                            FigId::parse(f).ok_or_else(|| format!("unknown figure {f:?} (2..15)"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                args.figures = v
+                    .split(',')
+                    .map(|f| FigId::parse(f).ok_or_else(|| format!("unknown figure {f:?} (2..15)")))
+                    .collect::<Result<_, _>>()?;
             }
-            "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-                if args.scale == 0 {
-                    return Err("--scale must be positive (1 = paper size)".into());
-                }
-            }
+            "--scale" => args.scale = number(flag, &v, true)?,
             "--full" => args.scale = 1,
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--families" => {
-                args.families = Some(
-                    value("--families")?
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                );
-            }
-            "--files" => {
-                args.files = Some(value("--files")?.split(',').map(str::to_string).collect());
-            }
-            "--tables" => {
-                print!("{}", lc_study::tables::all_tables());
-                std::process::exit(0);
-            }
+            "--threads" => args.threads = number(flag, &v, false)?,
+            "--families" => args.families = list(),
+            "--files" => args.files = list(),
+            "--tables" => return Ok(Command::Print(lc_study::tables::all_tables())),
             "--ratio" => args.ratio = true,
             "--stage2" => args.stage2 = true,
             "--no-svg" => args.svg = false,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
+            "--baseline" => args.baseline = Some(PathBuf::from(v)),
             "--verify" => args.verify = true,
-            "--out" => args.out = PathBuf::from(value("--out")?),
+            "--out" => args.out = PathBuf::from(v),
             "--resume" => args.resume = true,
             "--quiet" => args.quiet = true,
-            "--heartbeat" => {
-                let secs: u64 = value("--heartbeat")?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat: {e}"))?;
-                if secs == 0 {
-                    return Err("--heartbeat must be positive (seconds)".into());
-                }
-                heartbeat_flag = Some(secs);
-            }
-            "--telemetry-dir" => {
-                args.telemetry_dir = Some(PathBuf::from(value("--telemetry-dir")?));
-            }
+            "--heartbeat" => heartbeat_flag = Some(number(flag, &v, true)?),
+            "--telemetry-dir" => args.telemetry_dir = Some(PathBuf::from(v)),
             "--fsync" => {
-                let v = value("--fsync")?;
                 args.fsync = SyncPolicy::parse(&v)
                     .ok_or_else(|| format!("--fsync: {v:?} is not never|checkpoint|always"))?;
             }
-            "--mem-budget-mb" => {
-                let mb: usize = value("--mem-budget-mb")?
-                    .parse()
-                    .map_err(|e| format!("--mem-budget-mb: {e}"))?;
-                if mb == 0 {
-                    return Err("--mem-budget-mb must be positive".into());
-                }
-                args.mem_budget_mb = Some(mb);
-            }
+            "--mem-budget-mb" => args.mem_budget_mb = Some(number(flag, &v, true)?),
             "--prune" => {
-                let v = value("--prune")?;
                 args.prune = PruneMode::from_label(&v)
                     .ok_or_else(|| format!("--prune: unknown mode {v:?} (exact|canonical|off)"))?;
             }
             "--shard" => {
-                let v = value("--shard")?;
-                args.shard = Some(ShardSpec::parse(&v).map_err(|e| format!("--shard: {e}"))?);
+                args.shard = Some(ShardSpec::parse(&v).map_err(|e| format!("--shard: {e}"))?)
             }
-            "--supervise" => {
-                let n: usize = value("--supervise")?
-                    .parse()
-                    .map_err(|e| format!("--supervise: {e}"))?;
-                if n == 0 || n > shard::MAX_SHARDS {
+            "--supervise" => match number(flag, &v, true)? {
+                n if n > shard::MAX_SHARDS => {
                     return Err(format!(
                         "--supervise: shard count must be 1..={}",
                         shard::MAX_SHARDS
-                    ));
+                    ))
                 }
-                args.supervise = Some(n);
-            }
-            "--workers" => {
-                let m: usize = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if m == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                args.workers = Some(m);
-            }
-            "--max-shard-retries" => {
-                args.max_shard_retries = value("--max-shard-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-shard-retries: {e}"))?;
-            }
-            "--chaos-kill" => {
-                args.chaos_kill = Some(
-                    value("--chaos-kill")?
-                        .parse()
-                        .map_err(|e| format!("--chaos-kill: {e}"))?,
-                );
-            }
+                n => args.supervise = Some(n),
+            },
+            "--workers" => args.workers = Some(number(flag, &v, true)?),
+            "--max-shard-retries" => args.max_shard_retries = number(flag, &v, false)?,
+            "--chaos-kill" => args.chaos_kill = Some(number(flag, &v, false)?),
             "--merge" => args.merge = true,
             "--unit-deadline" => {
-                let secs: u64 = value("--unit-deadline")?
-                    .parse()
-                    .map_err(|e| format!("--unit-deadline: {e}"))?;
-                if secs == 0 {
-                    return Err("--unit-deadline must be positive (seconds)".into());
-                }
-                args.unit_deadline = Some(Duration::from_secs(secs));
+                args.unit_deadline = Some(Duration::from_secs(number(flag, &v, true)?));
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: reproduce [--figure all|2,3,…] [--tables] [--scale D] [--full] \
-                     [--threads N] [--families A,B,…] [--files f,…] [--verify] [--out DIR] \
-                     [--resume] [--unit-deadline SECS] [--heartbeat SECS] [--quiet] \
-                     [--telemetry-dir DIR] [--prune exact|canonical|off] \
-                     [--fsync never|checkpoint|always] [--mem-budget-mb MB] \
-                     [--shard K/N] [--supervise N [--workers M] [--max-shard-retries R]] \
-                     [--merge] [--chaos-kill SEED]"
-                );
-                std::process::exit(0);
-            }
+            "--help" => return Ok(Command::Print(usage() + "\n")),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
-    }
-    if args.shard.is_some() && (args.supervise.is_some() || args.merge) {
-        return Err("--shard runs one shard; it cannot combine with --supervise or --merge".into());
     }
     if args.supervise.is_some() && args.merge {
         return Err("--supervise merges automatically; drop --merge".into());
@@ -315,12 +295,16 @@ fn parse_args() -> Result<Args, String> {
                 .then(|| Duration::from_secs(10))
         }
     };
-    Ok(args)
+    Ok(Command::Run(Box::new(args)))
 }
 
 fn main() -> ExitCode {
-    let mut args = match parse_args() {
-        Ok(a) => a,
+    let mut args = match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run(args)) => *args,
+        Ok(Command::Print(text)) => {
+            print!("{text}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -850,5 +834,45 @@ fn dump_flight(path: &std::path::Path, quiet: bool) {
             "warning: flight recorder dump to {} failed: {e}",
             path.display()
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--help` names every flag of the table; the parser dispatches every
+    /// flag of the table (given a value, none is refused as unknown); and
+    /// every flag the parser has an arm for is in the table, since an arm
+    /// outside it would be unreachable.
+    #[test]
+    fn help_lists_every_flag_the_parser_accepts() {
+        let help = usage();
+        for (flag, value) in FLAGS {
+            assert!(help.contains(&format!("[{flag}")), "{flag} missing: {help}");
+            let argv = std::iter::once(flag).chain((!value.is_empty()).then_some("1"));
+            if let Err(e) = parse_args(argv.map(str::to_string)) {
+                assert!(!e.contains("unknown flag"), "{flag}: {e}");
+            }
+        }
+        let arms: Vec<&str> = include_str!("reproduce.rs")
+            .split("            \"--")
+            .skip(1)
+            .filter_map(|rest| rest.split_once('"'))
+            .map(|(name, _)| name)
+            .filter(|name| name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-'))
+            .collect();
+        assert!(arms.len() >= 25, "found only {arms:?}");
+        for name in arms {
+            let flag = format!("--{name}");
+            assert!(
+                FLAGS.iter().any(|(f, _)| *f == flag),
+                "{flag} has no table entry"
+            );
+        }
+        let unknown = parse_args(["--bogus".to_string()])
+            .err()
+            .unwrap_or_default();
+        assert!(unknown.contains("unknown flag"), "{unknown}");
     }
 }

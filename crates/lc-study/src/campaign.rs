@@ -4,15 +4,17 @@
 //! with the paper's protocol — median of 3 runs per input, geometric mean
 //! across the 13 inputs (§5).
 //!
-//! A unit flows through four steps: **execute** (`run_unit` runs the
-//! real components and returns integers only — the unit's table of
-//! kernel statistics), **journal** (the table is appended as one
-//! record), **price** (`price_unit`, the only caller of the `gpu-sim`
-//! cost model) and **accumulate** (log-throughputs summed in fixed
-//! `(file, i1)` order).
-//! Resumed units skip the first two steps, so resuming a complete journal
-//! under a different set of opt levels executes nothing and only
-//! re-prices.
+//! The campaign is two halves joined by a table of integers, one
+//! `FileTable` of unit statistics per input file. The **execute** half
+//! fills it: `load` reads a resumed journal's units (after the resume
+//! refusals), and `execute` runs the file's pending units (`run_unit`
+//! returns the unit's kernel statistics), journals them and quarantines
+//! failures. The **price** half, `price`, is the only caller of the
+//! `gpu-sim` cost model: it adds each file's log-throughputs into the sums
+//! in file order, and `Sums::finish` fills the pruned cells and takes the
+//! geometric mean. [`run_campaign_with`] prices each file's table as soon
+//! as it is filled, so resuming a complete journal under other opt levels
+//! executes nothing and only prices.
 //!
 //! # Fault tolerance
 //!
@@ -47,7 +49,7 @@
 //!   worker count (degrading to serial under pressure). Sweep results are
 //!   bit-identical either way; only speed changes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -89,18 +91,6 @@ pub struct StudyConfig {
 }
 
 impl StudyConfig {
-    /// The paper's full campaign at the default reduced input scale.
-    pub fn paper(opt_levels: Vec<OptLevel>) -> Self {
-        Self {
-            space: Space::full(),
-            scale: Scale::default_study(),
-            threads: lc_parallel::default_threads(),
-            files: SP_FILES.iter().collect(),
-            opt_levels,
-            verify: false,
-        }
-    }
-
     /// A small, fast configuration for tests and examples: a restricted
     /// family set, tiny inputs, and verification on.
     pub fn quick() -> Self {
@@ -135,13 +125,9 @@ pub struct Measurements {
 }
 
 impl Measurements {
-    fn slot(&self, config: usize, pipeline: usize) -> usize {
-        config * self.space.len() + pipeline
-    }
-
     /// Throughput of one pipeline on one platform.
     pub fn throughput(&self, config: usize, pipeline: usize, dir: Direction) -> f64 {
-        let i = self.slot(config, pipeline);
+        let i = config * self.space.len() + pipeline;
         match dir {
             Direction::Encode => self.enc[i],
             Direction::Decode => self.dec[i],
@@ -274,19 +260,8 @@ pub struct UnitTiming {
     pub stage_ms: [u64; 3],
 }
 
-/// Why a work unit was quarantined.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QuarantineReason {
-    /// A stage panicked; the payload message is preserved.
-    Panic(String),
-    /// The unit exceeded its watchdog deadline.
-    DeadlineExceeded {
-        /// Elapsed milliseconds when the expiry was observed.
-        elapsed_ms: u64,
-        /// The configured budget in milliseconds.
-        limit_ms: u64,
-    },
-}
+/// Why a work unit was quarantined: the fault of the stage it died in.
+pub use crate::runner::StageFault as QuarantineReason;
 
 /// One quarantined work unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,6 +318,7 @@ const PAIR: usize = 2 * KernelStats::COUNTERS;
 /// stage 3 once per cell (`i2 · nr + ir`) with the cell's raw output
 /// bytes. Pruned cells, and `i2` rows with no measured cell, stay zero.
 /// This is the cost model's complete input, and it holds only integers.
+#[derive(Clone)]
 struct UnitStats {
     s1: StagePair,
     s2: Vec<StagePair>,
@@ -398,11 +374,22 @@ impl UnitStats {
                 .collect(),
         }
     }
-}
 
-/// One unit's priced rows: log-throughputs `[config][cell]` for encode
-/// and decode, and compressed bytes per cell.
-type UnitRows = (Vec<f64>, Vec<f64>, Vec<u64>);
+    /// These statistics at the paper-scale file of `ctx`: every counter
+    /// scaled by its extrapolation factor, and each cell's output bytes
+    /// by [`paper_compressed_bytes`]. Done once per unit as it enters the
+    /// table, so the price half only times.
+    fn extrapolated(self, ctx: &FileCtx) -> Self {
+        let x = ctx.extrapolate;
+        let pair = |[e, d]: StagePair| [e.scaled(x), d.scaled(x)];
+        let cell = |(p, bytes)| (pair(p), paper_compressed_bytes(bytes, x, ctx.chunks));
+        Self {
+            s1: pair(self.s1),
+            s2: self.s2.into_iter().map(pair).collect(),
+            s3: self.s3.into_iter().map(cell).collect(),
+        }
+    }
+}
 
 /// Per-file constants pricing needs: the paper-scale operating point the
 /// reduced-scale statistics are extrapolated to.
@@ -413,6 +400,39 @@ struct FileCtx {
     file_i: usize,
 }
 
+impl FileCtx {
+    /// Extrapolate to the paper's operating point: kernel counters are
+    /// extensive (per-byte-proportional), so measurements taken on the
+    /// reduced input scale to the full Table 3 file size. This keeps
+    /// kernel-launch overhead and occupancy at the paper's regime — §5
+    /// notes every tested input fully occupies every tested GPU — instead
+    /// of letting fixed costs dominate tiny inputs. Sized from
+    /// [`Scale::bytes_for`], so no input is generated.
+    fn new(file_i: usize, file: &SpFile, scale: Scale) -> Self {
+        let paper_bytes = file.paper_size_tenth_mb as u64 * 100_000;
+        Self {
+            extrapolate: paper_bytes as f64 / scale.bytes_for(file) as f64,
+            chunks: paper_bytes.div_ceil(lc_core::CHUNK_SIZE as u64),
+            unc: paper_bytes,
+            file_i,
+        }
+    }
+}
+
+/// One input file's part of the statistics table: its pricing context
+/// and each stage-1 unit's statistics, extrapolated to the paper-scale
+/// file, `None` for a unit with none (another shard's, quarantined, or
+/// not reached before a cancel).
+struct FileTable {
+    ctx: FileCtx,
+    units: Vec<Option<UnitStats>>,
+}
+
+/// The campaign's statistics table, one [`FileTable`] per input file in
+/// campaign order: what the execute half produces and the price half
+/// consumes.
+type UnitTable = Vec<FileTable>;
+
 /// Run the campaign with default options (no journal).
 ///
 /// # Panics
@@ -421,19 +441,11 @@ struct FileCtx {
 pub fn run_campaign(sc: &StudyConfig) -> Measurements {
     let outcome = run_campaign_with(sc, &CampaignOptions::default())
         .expect("campaign without journal cannot fail recoverably"); // invariant: no journal => no recoverable error
-    if let Some(entry) = outcome.quarantined.first() {
+    if let Some(q) = outcome.quarantined.first() {
+        let (file, s1, trace) = (&q.file, &q.component, &q.stage_trace);
         panic!(
-            "campaign unit file={} s1={} failed ({}): {}",
-            entry.file,
-            entry.component,
-            entry.stage_trace,
-            match &entry.reason {
-                QuarantineReason::Panic(m) => m.clone(),
-                QuarantineReason::DeadlineExceeded {
-                    elapsed_ms,
-                    limit_ms,
-                } => format!("deadline: {elapsed_ms} ms of {limit_ms} ms"),
-            }
+            "campaign unit file={file} s1={s1} failed ({trace}): {}",
+            q.reason
         );
     }
     outcome.measurements
@@ -466,11 +478,6 @@ pub fn run_campaign_with(
         .flat_map(|&o| all_platforms(o))
         .collect();
     let nc = sc.space.components.len();
-    let nr = sc.space.reducers.len();
-    let stride = nc * nr;
-    let p_total = sc.space.len();
-    let c_total = configs.len();
-    let cache_stats = CacheStats::new(opts.sweep);
 
     // Dedup from the rewrite system, once, before any unit runs: the
     // exact tier or the full certified class map. With PruneMode::Off
@@ -482,11 +489,6 @@ pub fn run_campaign_with(
     // files, so it is only computed when a journal will actually carry
     // the fingerprint.
     let meta = journal_meta(sc, &plan, opts.shard.as_ref(), opts.journal.is_some());
-    // Shard ownership of a global work-unit index; `None` owns all.
-    let owns = |fi: usize, i1: usize| {
-        opts.shard
-            .is_none_or(|s| s.owns(crate::shard::unit_index(fi, i1, nc)))
-    };
     if lc_telemetry::enabled() {
         lc_telemetry::counter("campaign.analyze.pruned_pipelines")
             .add(plan.pruned_pipelines() as u64);
@@ -494,187 +496,200 @@ pub fn run_campaign_with(
         lc_telemetry::counter("campaign.analyze.plan_us").add(plan.analysis.as_micros() as u64);
     }
 
-    // Resume: load prior units and quarantine records, keyed by
-    // (file index, stage-1 index).
-    let mut prior_units: HashMap<(usize, usize), UnitStats> = HashMap::new();
-    let mut prior_quarantine: HashMap<(usize, usize), QuarantineEntry> = HashMap::new();
-    let mut journal_valid_len: Option<u64> = None;
-    if opts.resume {
-        let path = opts
-            .journal
-            .as_ref()
-            .ok_or_else(|| "resume requires a journal path".to_string())?;
-        if path.exists() && journal::effectively_empty(path)? {
-            // Crash during the very first append: the whole file is one
-            // torn line (or empty). Nothing valid to resume from — not
-            // even a fingerprint — so recreate instead of failing.
-            eprintln!(
-                "warning: journal {} holds no complete record (crash during the first \
-                 append) — starting fresh",
-                path.display()
-            );
-        } else if path.exists() {
-            let j = journal::load(path)?;
-            if j.torn_bytes > 0 {
-                // The expected artifact of a kill mid-append: a partial
-                // final record. Not an error — truncate and re-run that
-                // unit. Corruption anywhere else already failed `load`.
-                eprintln!(
-                    "warning: journal {} ends in a torn record ({} bytes past the last \
-                     complete line) — truncating; the interrupted unit will be re-run",
-                    path.display(),
-                    j.torn_bytes
-                );
-            }
-            // Cross-prune-mode resume gets a structured refusal naming
-            // both modes: pruned cells are journaled as zeros, so mixing
-            // modes would silently corrupt the pruned slots.
-            if j.meta["prune"] != meta["prune"] {
-                return Err(format!(
-                    "journal {} was written under prune mode {} but this campaign \
-                     uses {}; pruned cells are journaled as zeros, so resuming \
-                     across prune modes would corrupt results — rerun with the \
-                     journal's mode or start a fresh journal",
-                    path.display(),
-                    j.meta["prune"].dump(),
-                    meta["prune"].dump()
-                ));
-            }
-            // Shard identity gets its own refusal: resuming shard 2/4's
-            // journal as shard 3/4 (or as a whole campaign) would treat
-            // another shard's units as already-done and silently skip
-            // work this process owns.
-            let j_shard = j.meta.get("shard").and_then(|v| v.as_str());
-            let our_shard = opts.shard.map(|s| s.meta_label());
-            if j_shard != our_shard.as_deref() {
-                return Err(format!(
-                    "journal {} belongs to {} but this campaign is {}; resuming \
-                     across shard identities would skip or duplicate work units — \
-                     use the matching --shard (or --merge to fuse a complete \
-                     shard set)",
-                    path.display(),
-                    j_shard
-                        .map(|s| format!("shard {s}"))
-                        .unwrap_or_else(|| "the whole campaign (no shard)".to_string()),
-                    our_shard
-                        .map(|s| format!("shard {s}"))
-                        .unwrap_or_else(|| "the whole campaign (no shard)".to_string()),
-                ));
-            }
-            // Dataset digests get their own refusal naming the first
-            // differing input, so a journal from a different dataset is
-            // an operator-actionable error instead of a generic
-            // fingerprint mismatch.
-            let (jd, md) = (
-                j.meta.get("dataset").and_then(Value::as_array),
-                meta.get("dataset").and_then(Value::as_array),
-            );
-            if jd != md {
-                let detail = crate::shard::first_dataset_difference(jd, md)
-                    .unwrap_or_else(|| "dataset digest lists differ".to_string());
-                return Err(format!(
-                    "journal {} was written against different input data: {detail}; \
-                     resuming would mix measurements from two datasets",
-                    path.display()
-                ));
-            }
-            if j.meta != meta {
-                return Err(format!(
-                    "journal {} was written by a different campaign configuration \
-                     (space, files, scale, or verify flag differ); refusing to \
-                     resume from it",
-                    path.display()
-                ));
-            }
-            for u in &j.units {
-                let (key, stats) = unit_from_value(u, nc, nr)?;
-                prior_units.insert(key, stats);
-            }
-            for q in &j.quarantined {
-                let entry = quarantine_from_value(q)?;
-                prior_quarantine.insert((entry.file_index, entry.s1_index), entry);
-            }
-            journal_valid_len = Some(j.valid_len);
-        }
-    }
-    let writer: Option<JournalWriter> = match (&opts.journal, journal_valid_len) {
+    let Loaded {
+        table,
+        quarantined: prior_quarantine,
+        valid_len,
+    } = load(sc, opts, &meta)?;
+    let writer: Option<JournalWriter> = match (&opts.journal, valid_len) {
         (Some(path), Some(len)) => Some(JournalWriter::resume(path, len, opts.fsync)?),
         (Some(path), None) => Some(JournalWriter::create(path, &meta, opts.fsync)?),
         (None, _) => None,
     };
-
-    let resumed_units = prior_units.len();
-    let mut executed_units = 0usize;
+    let resumed_units = table.iter().map(|f| f.units.iter().flatten().count()).sum();
     // A unit executes when this process owns it and the journal holds
     // neither its statistics nor its quarantine record.
-    let to_execute = |fi: usize, i1: usize| {
-        owns(fi, i1)
-            && !prior_units.contains_key(&(fi, i1))
-            && !prior_quarantine.contains_key(&(fi, i1))
+    let pending = |f: &FileTable| -> Vec<usize> {
+        let fi = f.ctx.file_i;
+        (0..nc)
+            .filter(|&i1| {
+                opts.shard
+                    .is_none_or(|s| s.owns(crate::shard::unit_index(fi, i1, nc)))
+                    && f.units[i1].is_none()
+                    && !prior_quarantine.contains_key(&(fi, i1))
+            })
+            .collect()
     };
     // Units this run will actually execute — the heartbeat's denominator.
-    let planned = (0..sc.files.len())
-        .map(|fi| (0..nc).filter(|&i1| to_execute(fi, i1)).count())
-        .sum();
+    let planned = table.iter().map(|f| pending(f).len()).sum();
     let heartbeat = opts.heartbeat.map(|iv| Heartbeat::start(planned, iv));
-    let heartbeat = heartbeat.as_ref();
-    let mut quarantined: Vec<QuarantineEntry> = prior_quarantine.values().cloned().collect();
+    let cache_stats = CacheStats::new(opts.sweep);
+    let executor = Executor {
+        sc,
+        opts,
+        plan: &plan,
+        writer: writer.as_ref(),
+        heartbeat: heartbeat.as_ref(),
+        prefixes: &cache_stats,
+    };
 
-    // Soft memory budget for the per-worker working sets.
-    let budget_bytes = opts.mem_budget_mb.map(|mb| (mb as u64) << 20);
-    let mut interrupted = false;
+    // File by file: fill the file's table, price it, drop it. Only one
+    // file's statistics beyond the journal's are held at a time.
+    let (mut sums, pricer) = (Sums::new(sc.space.len(), configs), Pool::new(sc.threads));
+    let mut quarantined: Vec<QuarantineEntry> = Vec::new();
+    let (mut executed_units, mut interrupted) = (0usize, false);
+    for mut file in table {
+        let todo = pending(&file);
+        let (executed, failed) = executor.execute(&mut file, &todo)?;
+        executed_units += executed;
+        quarantined.extend(failed);
+        price(&file, &Model::PAPER, &plan, pricer, &mut sums);
+        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            // Everything completed so far is journaled and checkpointed;
+            // stop claiming files and hand back a resumable state.
+            interrupted = true;
+            break;
+        }
+    }
 
-    let mut enc_log = vec![0f64; c_total * p_total];
-    let mut dec_log = vec![0f64; c_total * p_total];
-    let mut compressed = vec![0u64; p_total];
-    let mut total_uncompressed = 0u64;
+    // Final durability barrier: an uninterrupted campaign's journal is
+    // fully on disk before the caller writes derived artifacts.
+    if let Some(w) = &writer {
+        w.checkpoint()?;
+    }
+    quarantined.extend(prior_quarantine.into_values());
+    quarantined.sort_by_key(|q| (q.file_index, q.s1_index));
+    Ok(CampaignOutcome {
+        measurements: sums.finish(sc, &plan),
+        quarantined,
+        resumed_units,
+        executed_units,
+        cache: cache_stats.report(),
+        prune: plan.report(),
+        interrupted,
+    })
+}
 
-    for (file_i, file) in sc.files.iter().enumerate() {
-        let data = lc_data::generate(file, sc.scale);
-        let input = ChunkedData::from_bytes(&data);
-        // Extrapolate to the paper's operating point: kernel counters are
-        // extensive (per-byte-proportional), so measurements taken on the
-        // reduced input scale to the full Table 3 file size. This keeps
-        // kernel-launch overhead and occupancy at the paper's regime —
-        // §5 notes every tested input fully occupies every tested GPU —
-        // instead of letting fixed costs dominate tiny inputs.
-        let measured_bytes = input.total_bytes();
+/// What a campaign starts from: a table of the journal's units, its
+/// quarantine records keyed by (file index, stage-1 index), and the
+/// validated journal length to append after (`None` starts a fresh
+/// journal). All empty unless resuming.
+struct Loaded {
+    table: UnitTable,
+    quarantined: BTreeMap<(usize, usize), QuarantineEntry>,
+    valid_len: Option<u64>,
+}
+
+/// Read the journal a resume continues into the statistics table,
+/// refusing one whose fingerprint differs from `meta`. Generates no
+/// input. Without `opts.resume`, or with no journal on disk yet, the
+/// table is empty.
+fn load(sc: &StudyConfig, opts: &CampaignOptions, meta: &Value) -> Result<Loaded, String> {
+    let (nc, nr) = (sc.space.components.len(), sc.space.reducers.len());
+    let mut loaded = Loaded {
+        table: sc
+            .files
+            .iter()
+            .enumerate()
+            .map(|(fi, f)| FileTable {
+                ctx: FileCtx::new(fi, f, sc.scale),
+                units: (0..nc).map(|_| None).collect(),
+            })
+            .collect(),
+        quarantined: BTreeMap::new(),
+        valid_len: None,
+    };
+    if !opts.resume {
+        return Ok(loaded);
+    }
+    let path = opts
+        .journal
+        .as_ref()
+        .ok_or_else(|| "resume requires a journal path".to_string())?;
+    if !path.exists() {
+        return Ok(loaded);
+    }
+    if journal::effectively_empty(path)? {
+        // Crash during the very first append: the whole file is one
+        // torn line (or empty). Nothing valid to resume from — not
+        // even a fingerprint — so recreate instead of failing.
+        eprintln!(
+            "warning: journal {} holds no complete record (crash during the first \
+             append) — starting fresh",
+            path.display()
+        );
+        return Ok(loaded);
+    }
+    let j = journal::load(path)?;
+    if j.torn_bytes > 0 {
+        // The expected artifact of a kill mid-append: a partial final
+        // record. Not an error — truncate and re-run that unit.
+        // Corruption anywhere else already failed `load`.
+        eprintln!(
+            "warning: journal {} ends in a torn record ({} bytes past the last \
+             complete line) — truncating; the interrupted unit will be re-run",
+            path.display(),
+            j.torn_bytes
+        );
+    }
+    let name = format!("journal {}", path.display());
+    if let Some(why) = journal::fingerprint_refusal(&j.meta, meta, [&name, "this campaign"]) {
+        return Err(why);
+    }
+    for u in &j.units {
+        let ((fi, i1), stats) = unit_from_value(u, nc, nr)?;
+        let file = loaded.table.get_mut(fi).filter(|f| i1 < f.units.len());
+        let file = file
+            .ok_or_else(|| format!("journal unit (file {fi}, s1 {i1}) is not in this campaign"))?;
+        file.units[i1] = Some(stats.extrapolated(&file.ctx));
+    }
+    for q in &j.quarantined {
+        let q = quarantine_from_value(q)?;
+        loaded.quarantined.insert((q.file_index, q.s1_index), q);
+    }
+    loaded.valid_len = Some(j.valid_len);
+    Ok(loaded)
+}
+
+/// The execute half's shared context: what every unit of every file
+/// needs besides its own input.
+struct Executor<'a> {
+    sc: &'a StudyConfig,
+    opts: &'a CampaignOptions,
+    plan: &'a PrunePlan,
+    writer: Option<&'a JournalWriter>,
+    heartbeat: Option<&'a Heartbeat>,
+    prefixes: &'a CacheStats,
+}
+
+impl Executor<'_> {
+    /// Run the `pending` units of one file, journal each as it finishes,
+    /// and store its statistics in `file`; nothing is priced here.
+    /// Returns how many units ran (quarantined ones included) and the
+    /// quarantines. With nothing pending, no input is generated.
+    fn execute(
+        &self,
+        file: &mut FileTable,
+        pending: &[usize],
+    ) -> Result<(usize, Vec<QuarantineEntry>), String> {
+        if pending.is_empty() {
+            return Ok((0, Vec::new()));
+        }
+        let (sc, ctx, file_i) = (self.sc, &file.ctx, file.ctx.file_i);
+        let sp = sc.files[file_i];
+        let input = ChunkedData::from_bytes(&lc_data::generate(sp, sc.scale));
         // Memory governor: a work unit holds the input plus its held
         // prefix outputs, the current stage's output and scratch arenas —
         // conservatively ~8× the measured input bytes. Run only as many
         // workers as fit in the budget, degrading to serial rather than
         // failing.
-        let workers = match budget_bytes {
-            Some(budget) => {
-                let est_unit = measured_bytes.saturating_mul(8).max(1);
-                let fit = (budget / est_unit).max(1) as usize;
-                let w = sc.threads.min(fit).max(1);
-                if w < sc.threads && lc_telemetry::enabled() {
-                    lc_telemetry::counter("campaign.mem.shed_workers").add((sc.threads - w) as u64);
-                }
-                w
-            }
-            None => sc.threads,
-        };
-        let pool = Pool::new(workers);
-        let paper_bytes = file.paper_size_tenth_mb as u64 * 100_000;
-        total_uncompressed += paper_bytes;
-        let ctx = FileCtx {
-            extrapolate: paper_bytes as f64 / measured_bytes as f64,
-            chunks: paper_bytes.div_ceil(lc_core::CHUNK_SIZE as u64),
-            unc: paper_bytes,
-            file_i,
-        };
-        let price = |i1: usize, stats: &UnitStats| {
-            let _span =
-                lc_telemetry::span_in!("campaign", "price", file = file.name, s1_index = i1);
-            price_unit(&Model::PAPER, stats, &ctx, &configs, &plan, i1)
-        };
-
-        // One task per stage-1 component; each owns the contiguous
-        // pipeline-index range [i1·nc·nr, (i1+1)·nc·nr). Units already in
-        // the journal (measured or quarantined) are not re-run.
-        let pending: Vec<usize> = (0..nc).filter(|&i1| to_execute(file_i, i1)).collect();
+        let workers = self.opts.mem_budget_mb.map_or(sc.threads, |mb| {
+            let fit = ((mb as u64) << 20) / input.total_bytes().saturating_mul(8).max(1);
+            sc.threads.min(fit.max(1) as usize).max(1)
+        });
+        if workers < sc.threads && lc_telemetry::enabled() {
+            lc_telemetry::counter("campaign.mem.shed_workers").add((sc.threads - workers) as u64);
+        }
 
         let journal_err: Mutex<Option<String>> = Mutex::new(None);
         let record_err = |e: String| {
@@ -683,27 +698,26 @@ pub fn run_campaign_with(
                 .expect("journal error mutex") // invariant: holders never panic
                 .get_or_insert(e);
         };
-        // The Err variant is boxed: quarantine is the cold path, and the
-        // entry (with its timing and trace) dwarfs the Ok rows pointer.
-        let work = |k: usize| -> Result<UnitRows, Box<QuarantineEntry>> {
+        // The Err variant is boxed: quarantine is the cold path.
+        let work = |k: usize| -> Result<UnitStats, Box<QuarantineEntry>> {
             let i1 = pending[k];
             let s1_name = sc.space.components[i1].name();
             let mut unit_span = lc_telemetry::span_in!(
                 "campaign",
                 "unit",
-                file = file.name,
+                file = sp.name,
                 s1 = s1_name,
                 s1_index = i1,
             );
-            let watchdog = opts.unit_deadline.map(Watchdog::new);
+            let watchdog = self.opts.unit_deadline.map(Watchdog::new);
             let unit_start = Instant::now();
             let mut stage_ns = [0u64; 3];
             let result = run_unit(
                 sc,
                 &input,
-                &plan,
+                self.plan,
                 i1,
-                &cache_stats,
+                self.prefixes,
                 watchdog.as_ref(),
                 &mut stage_ns,
             );
@@ -716,16 +730,16 @@ pub fn run_campaign_with(
             drop(unit_span);
             let out = match result {
                 Ok(stats) => {
-                    if let Some(w) = &writer {
+                    if let Some(w) = self.writer {
                         let _span = lc_telemetry::span_in!("campaign", "journal", s1_index = i1);
-                        let v = unit_value(file_i, file.name, i1, &sc.space, &stats, timing);
+                        let v = unit_value(file_i, sp.name, i1, &sc.space, &stats, timing);
                         if let Err(e) = w.append(&v) {
                             record_err(e);
                         }
                     }
-                    Ok(price(i1, &stats))
+                    Ok(stats.extrapolated(ctx))
                 }
-                Err((fault, stage_trace)) => {
+                Err((reason, stage_trace)) => {
                     // Black-box breadcrumb: quarantines are exactly the
                     // events a post-mortem wants, so they always land in
                     // the flight recorder when it is armed.
@@ -734,35 +748,26 @@ pub fn run_campaign_with(
                         &[("file", file_i as u64), ("s1", i1 as u64)],
                     );
                     let entry = QuarantineEntry {
-                        file: file.name.to_string(),
+                        file: sp.name.to_string(),
                         file_index: file_i,
                         component: s1_name.to_string(),
                         s1_index: i1,
-                        reason: match fault {
-                            StageFault::Panic(msg) => QuarantineReason::Panic(msg),
-                            StageFault::DeadlineExceeded {
-                                elapsed_ms,
-                                limit_ms,
-                            } => QuarantineReason::DeadlineExceeded {
-                                elapsed_ms,
-                                limit_ms,
-                            },
-                        },
+                        reason,
                         stage_trace,
                         timing,
                     };
-                    if let Some(w) = &writer {
+                    if let Some(w) = self.writer {
                         if let Err(e) = w.append(&quarantine_value(&entry)) {
                             record_err(e);
                         }
                     }
-                    if let Some(hb) = heartbeat {
+                    if let Some(hb) = self.heartbeat {
                         hb.unit_quarantined();
                     }
                     Err(Box::new(entry))
                 }
             };
-            if let Some(hb) = heartbeat {
+            if let Some(hb) = self.heartbeat {
                 hb.unit_done();
             }
             // Chaos: seeded SIGKILL at the unit boundary (supervisor
@@ -779,9 +784,10 @@ pub fn run_campaign_with(
         // With a cancel token, workers stop claiming at the next unit
         // boundary and unclaimed slots come back `None` — those units
         // were neither executed nor journaled and simply rerun on
-        // resume. Without a token the fan-out is the historical
-        // drain-everything map.
-        let computed: Vec<Option<Result<UnitRows, Box<QuarantineEntry>>>> = match &opts.cancel {
+        // resume.
+        let pool = Pool::new(workers);
+        let computed: Vec<Option<Result<UnitStats, Box<QuarantineEntry>>>> = match &self.opts.cancel
+        {
             Some(token) => pool.map_cancellable(pending.len(), token, work),
             None => pool
                 .map(pending.len(), work)
@@ -789,7 +795,6 @@ pub fn run_campaign_with(
                 .map(Some)
                 .collect(),
         };
-        executed_units += computed.iter().filter(|r| r.is_some()).count();
         // invariant: holders never panic
         if let Some(e) = journal_err.into_inner().expect("journal error mutex") {
             return Err(e);
@@ -797,99 +802,20 @@ pub fn run_campaign_with(
         // Per-file durability barrier: everything this file journaled is
         // on disk before the next file starts (under `--fsync never`
         // this is a no-op).
-        if let Some(w) = &writer {
+        if let Some(w) = self.writer {
             w.checkpoint()?;
         }
-
-        // Assemble this file's rows in stage-1 order: journaled units are
-        // priced through the same function and slot in exactly where a
-        // live computation would have.
-        let mut unit_of: Vec<Option<UnitRows>> = Vec::new();
-        unit_of.resize_with(nc, || None);
-        for (k, res) in computed.into_iter().enumerate() {
+        let executed = computed.iter().flatten().count();
+        let mut quarantined = Vec::new();
+        for (&i1, res) in pending.iter().zip(computed) {
             match res {
                 None => {} // cancelled before this unit was claimed
-                Some(Ok(rows)) => unit_of[pending[k]] = Some(rows),
+                Some(Ok(stats)) => file.units[i1] = Some(stats),
                 Some(Err(entry)) => quarantined.push(*entry),
             }
         }
-        let resumed: Vec<(usize, &UnitStats)> = (0..nc)
-            .filter_map(|i1| prior_units.get(&(file_i, i1)).map(|s| (i1, s)))
-            .collect();
-        let repriced = pool.map(resumed.len(), |k| price(resumed[k].0, resumed[k].1));
-        for ((i1, _), rows) in resumed.iter().zip(repriced) {
-            unit_of[*i1] = Some(rows);
-        }
-
-        // Sequential accumulation in fixed (file, i1) order: floating-
-        // point addition order is identical whether a unit was computed
-        // or journaled — this is what makes resume byte-identical.
-        for (i1, maybe) in unit_of.into_iter().enumerate() {
-            let Some((row_enc, row_dec, row_comp)) = maybe else {
-                continue; // quarantined: contributes nothing
-            };
-            for c in 0..c_total {
-                let dst = c * p_total + i1 * stride;
-                for k in 0..stride {
-                    enc_log[dst + k] += row_enc[c * stride + k];
-                    dec_log[dst + k] += row_dec[c * stride + k];
-                }
-            }
-            for k in 0..stride {
-                compressed[i1 * stride + k] += row_comp[k];
-            }
-        }
-
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            // Everything completed so far is journaled and checkpointed;
-            // stop claiming files and hand back a resumable state.
-            interrupted = true;
-            break;
-        }
+        Ok((executed, quarantined))
     }
-
-    // Final durability barrier: an uninterrupted campaign's journal is
-    // fully on disk before the caller writes derived artifacts.
-    if let Some(w) = &writer {
-        w.checkpoint()?;
-    }
-
-    // Fill each pruned slot from its representative. The rewrite system
-    // guarantees identical reducer output sizes, so the compressed bytes
-    // are exact. At the exact tier the stage timings are the member's
-    // own as well, modulo the per-pipeline jitter seed whose run-to-run
-    // noise the slot inherits; canonical pattern-tier members may
-    // genuinely time differently, which is that mode's documented
-    // trade-off.
-    for (p, q) in plan.pruned_cells() {
-        for c in 0..c_total {
-            enc_log[c * p_total + p] = enc_log[c * p_total + q];
-            dec_log[c * p_total + p] = dec_log[c * p_total + q];
-        }
-        compressed[p] = compressed[q];
-    }
-
-    let n_files = sc.files.len() as f64;
-    let finish =
-        |log: Vec<f64>| -> Vec<f64> { log.into_iter().map(|s| (s / n_files).exp()).collect() };
-    quarantined.sort_by_key(|q| (q.file_index, q.s1_index));
-    Ok(CampaignOutcome {
-        measurements: Measurements {
-            space: sc.space.clone(),
-            configs,
-            files: sc.files.iter().map(|f| f.name).collect(),
-            enc: finish(enc_log),
-            dec: finish(dec_log),
-            total_uncompressed,
-            compressed,
-        },
-        quarantined,
-        resumed_units,
-        executed_units,
-        cache: cache_stats.report(),
-        prune: plan.report(),
-        interrupted,
-    })
 }
 
 /// Run one stage of a unit's walk behind the panic fence and watchdog,
@@ -1025,86 +951,164 @@ fn run_unit(
     Ok(stats)
 }
 
-/// Price one unit's statistics on every platform in `configs`: the only
-/// place the `gpu-sim` cost model is consulted. Counters are
-/// extrapolated to the paper-scale file, each measured cell is timed by
-/// `model`'s own methods (per-stage times, then the platform's
-/// [`Model::grid_time`], built once per unit — the path
-/// [`Model::pipeline_time`] takes), jittered by the
-/// median-of-three protocol, and stored as a log-throughput. The f64
-/// operation order is fixed, so a unit priced straight after execution
-/// and one replayed from the journal give the same bits. Unmeasured
-/// cells stay zero.
-fn price_unit(
-    model: &Model,
-    stats: &UnitStats,
-    ctx: &FileCtx,
-    configs: &[SimConfig],
-    plan: &PrunePlan,
-    i1: usize,
-) -> UnitRows {
-    let (extrapolate, chunks, unc) = (ctx.extrapolate, ctx.chunks, ctx.unc);
-    let stride = stats.s3.len();
-    let nr = stride / stats.s2.len().max(1);
-    let c_total = configs.len();
-    let mut row_enc = vec![0f64; c_total * stride];
-    let mut row_dec = vec![0f64; c_total * stride];
-    let mut row_comp = vec![0u64; stride];
+/// The campaign's running sums over its input files: log-throughputs
+/// flat-indexed `[config][pipeline]` like [`Measurements`], compressed
+/// bytes per pipeline, and the uncompressed total.
+struct Sums {
+    configs: Vec<SimConfig>,
+    enc_log: Vec<f64>,
+    dec_log: Vec<f64>,
+    compressed: Vec<u64>,
+    total_uncompressed: u64,
+}
 
-    // Per-platform (encode, decode) time over this unit's grid.
-    let grids: Vec<_> = configs
-        .iter()
-        .map(|cfg| {
-            (
-                model.grid_time(cfg, Direction::Encode, chunks),
-                model.grid_time(cfg, Direction::Decode, chunks),
-            )
-        })
-        .collect();
-    // Per-platform (encode, decode) time of one extrapolated stage.
-    let times = |[e, d]: &StagePair| -> Vec<(f64, f64)> {
-        let (e, d) = (e.scaled(extrapolate), d.scaled(extrapolate));
-        configs
-            .iter()
-            .map(|cfg| {
-                (
-                    model.stage_time(cfg, &e, chunks),
-                    model.stage_time(cfg, &d, chunks),
-                )
-            })
-            .collect()
-    };
-    let st1 = times(&stats.s1);
-    for (i2, s2) in stats.s2.iter().enumerate() {
-        let st2 = times(s2);
-        for local in i2 * nr..(i2 + 1) * nr {
-            let p_idx = i1 * stride + local;
-            if !plan.measures(p_idx) {
-                continue;
+impl Sums {
+    fn new(pipelines: usize, configs: Vec<SimConfig>) -> Self {
+        let cells = configs.len() * pipelines;
+        Self {
+            configs,
+            enc_log: vec![0.0; cells],
+            dec_log: vec![0.0; cells],
+            compressed: vec![0; pipelines],
+            total_uncompressed: 0,
+        }
+    }
+
+    /// The measurements of a campaign over `sc.files`: fill each pruned
+    /// slot from its representative, then take the geometric mean across
+    /// the files. The rewrite system guarantees identical reducer output
+    /// sizes, so the filled compressed bytes are exact. At the exact tier
+    /// the stage timings are the member's own as well, modulo the
+    /// per-pipeline jitter seed whose run-to-run noise the slot inherits;
+    /// canonical pattern-tier members may genuinely time differently,
+    /// which is that mode's documented trade-off.
+    fn finish(mut self, sc: &StudyConfig, plan: &PrunePlan) -> Measurements {
+        let p_total = self.compressed.len();
+        for (p, q) in plan.pruned_cells() {
+            for c in 0..self.configs.len() {
+                self.enc_log[c * p_total + p] = self.enc_log[c * p_total + q];
+                self.dec_log[c * p_total + p] = self.dec_log[c * p_total + q];
             }
-            let ([s3e, s3d], bytes) = &stats.s3[local];
-            let (s3e, s3d) = (s3e.scaled(extrapolate), s3d.scaled(extrapolate));
-            let comp_bytes = paper_compressed_bytes(*bytes, extrapolate, chunks);
-            row_comp[local] = comp_bytes;
-            for (c, cfg) in configs.iter().enumerate() {
-                let (grid_enc, grid_dec) = &grids[c];
-                let st3_enc = model.stage_time(cfg, &s3e, chunks);
-                let st3_dec = model.stage_time(cfg, &s3d, chunks);
-                let bytes = unc + comp_bytes;
-                let t_enc = grid_enc(st1[c].0 + st2[c].0 + st3_enc, bytes);
-                let t_dec = grid_dec(st1[c].1 + st2[c].1 + st3_dec, bytes);
-                let seed = (ctx.file_i as u64) << 48 | (p_idx as u64) << 8 | c as u64;
-                let t_enc = median_of_three_runs(t_enc, splitmix64(seed), model.run_jitter);
-                let t_dec =
-                    median_of_three_runs(t_dec, splitmix64(seed ^ 0xDEC0), model.run_jitter);
-                row_enc[c * stride + local] =
-                    throughput_gbs(unc, t_enc).max(f64::MIN_POSITIVE).ln();
-                row_dec[c * stride + local] =
-                    throughput_gbs(unc, t_dec).max(f64::MIN_POSITIVE).ln();
+            self.compressed[p] = self.compressed[q];
+        }
+        let n_files = sc.files.len() as f64;
+        let mean =
+            |log: Vec<f64>| -> Vec<f64> { log.into_iter().map(|s| (s / n_files).exp()).collect() };
+        Measurements {
+            space: sc.space.clone(),
+            configs: self.configs,
+            files: sc.files.iter().map(|f| f.name).collect(),
+            enc: mean(self.enc_log),
+            dec: mean(self.dec_log),
+            total_uncompressed: self.total_uncompressed,
+            compressed: self.compressed,
+        }
+    }
+}
+
+/// Price every measured cell of one file's table on every platform of
+/// `sums` and add the results into `sums`: the only place the `gpu-sim`
+/// cost model is consulted, for executed and journaled units alike. Each
+/// cell's extrapolated stages are timed by `model`'s own methods
+/// (per-stage times, then the platform's [`Model::grid_time`] — the path
+/// [`Model::pipeline_time`] takes), jittered by the median-of-three
+/// protocol, and added as a log-throughput. A table of many files is
+/// priced by calling this once per file, in file order.
+///
+/// The work fans out by platform: config `c`'s slice of the sums is
+/// contiguous and disjoint from the others', so each task adds into it
+/// directly. Every cell still gets exactly one add per file, in file
+/// order, with a fixed f64 operation order, so the bits do not depend on
+/// the thread count or on where a unit's statistics came from.
+fn price(file: &FileTable, model: &Model, plan: &PrunePlan, pool: Pool, sums: &mut Sums) {
+    let p_total = sums.compressed.len();
+    let configs = &sums.configs;
+    sums.total_uncompressed += file.ctx.unc;
+    for (i1, stats) in file.units.iter().enumerate() {
+        let Some(stats) = stats else { continue };
+        let stride = stats.s3.len();
+        for (local, &(_, bytes)) in stats.s3.iter().enumerate() {
+            let p = i1 * stride + local;
+            if plan.measures(p) {
+                sums.compressed[p] += bytes;
             }
         }
     }
-    (row_enc, row_dec, row_comp)
+    // One uncontended lock per config: how the tasks get their disjoint
+    // slices without `unsafe`.
+    let slices: Vec<Mutex<(&mut [f64], &mut [f64])>> = sums
+        .enc_log
+        .chunks_mut(p_total)
+        .zip(sums.dec_log.chunks_mut(p_total))
+        .map(Mutex::new)
+        .collect();
+    pool.run(configs.len(), |c| {
+        let _span = lc_telemetry::span_in!(
+            "campaign",
+            "price",
+            file_index = file.ctx.file_i,
+            config = c
+        );
+        // invariant: one task per slice, and none panics holding it
+        let mut slice = slices[c].lock().expect("price slice mutex");
+        let (enc, dec) = &mut *slice;
+        price_config(model, &configs[c], c, file, plan, enc, dec);
+    });
+}
+
+/// [`price`] on one platform `cfg` (config index `c`): add the
+/// log-throughputs of each measured cell of `file` into that platform's
+/// `enc` and `dec` slices, indexed by pipeline.
+fn price_config(
+    model: &Model,
+    cfg: &SimConfig,
+    c: usize,
+    file: &FileTable,
+    plan: &PrunePlan,
+    enc: &mut [f64],
+    dec: &mut [f64],
+) {
+    let FileCtx {
+        chunks,
+        unc,
+        file_i,
+        ..
+    } = file.ctx;
+    let grid_enc = model.grid_time(cfg, Direction::Encode, chunks);
+    let grid_dec = model.grid_time(cfg, Direction::Decode, chunks);
+    // (encode, decode) time of one stage.
+    let time = |[e, d]: &StagePair| {
+        (
+            model.stage_time(cfg, e, chunks),
+            model.stage_time(cfg, d, chunks),
+        )
+    };
+    for (i1, stats) in file.units.iter().enumerate() {
+        let Some(stats) = stats else { continue };
+        let stride = stats.s3.len();
+        let nr = stride / stats.s2.len().max(1);
+        let st1 = time(&stats.s1);
+        for (i2, s2) in stats.s2.iter().enumerate() {
+            let st2 = time(s2);
+            for local in i2 * nr..(i2 + 1) * nr {
+                let p = i1 * stride + local;
+                if !plan.measures(p) {
+                    continue;
+                }
+                let (s3, comp) = &stats.s3[local];
+                let st3 = time(s3);
+                let bytes = unc + comp;
+                let t_enc = grid_enc(st1.0 + st2.0 + st3.0, bytes);
+                let t_dec = grid_dec(st1.1 + st2.1 + st3.1, bytes);
+                let seed = (file_i as u64) << 48 | (p as u64) << 8 | c as u64;
+                let t_enc = median_of_three_runs(t_enc, splitmix64(seed), model.run_jitter);
+                let t_dec =
+                    median_of_three_runs(t_dec, splitmix64(seed ^ 0xDEC0), model.run_jitter);
+                enc[p] += throughput_gbs(unc, t_enc).max(f64::MIN_POSITIVE).ln();
+                dec[p] += throughput_gbs(unc, t_dec).max(f64::MIN_POSITIVE).ln();
+            }
+        }
+    }
 }
 
 /// The journal fingerprint: everything that determines a unit's
@@ -1177,30 +1181,20 @@ fn timing_value(t: UnitTiming) -> Value {
 }
 
 fn timing_from_value(record: &Value) -> Result<UnitTiming, String> {
-    let v = record
-        .get("timing")
-        .ok_or_else(|| "record missing timing".to_string())?;
-    let elapsed_ms = v
-        .get("elapsed_ms")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "record missing timing.elapsed_ms".to_string())?;
-    let arr = v
-        .get("stage_ms")
+    let field = |key| record.get("timing").and_then(|t| t.get(key));
+    let stage_ms: Option<Vec<u64>> = field("stage_ms")
         .and_then(Value::as_array)
-        .ok_or_else(|| "record missing timing.stage_ms".to_string())?;
-    if arr.len() != 3 {
-        return Err(format!("stage_ms has {} entries, expected 3", arr.len()));
+        .and_then(|a| a.iter().map(Value::as_u64).collect());
+    match (
+        field("elapsed_ms").and_then(Value::as_u64),
+        stage_ms.as_deref(),
+    ) {
+        (Some(elapsed_ms), Some(&[s1, s2, s3])) => Ok(UnitTiming {
+            elapsed_ms,
+            stage_ms: [s1, s2, s3],
+        }),
+        _ => Err("record lacks a timing of elapsed_ms and three stage_ms integers".to_string()),
     }
-    let mut stage_ms = [0u64; 3];
-    for (dst, x) in stage_ms.iter_mut().zip(arr) {
-        *dst = x
-            .as_u64()
-            .ok_or_else(|| "non-integer value in stage_ms".to_string())?;
-    }
-    Ok(UnitTiming {
-        elapsed_ms,
-        stage_ms,
-    })
 }
 
 fn unit_value(
@@ -1315,6 +1309,8 @@ fn quarantine_from_value(v: &Value) -> Result<QuarantineEntry, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use gpu_sim::{Combine, CompilerId};
 
     fn quick_measurements() -> Measurements {
@@ -1432,11 +1428,13 @@ mod tests {
 
     /// A 4 × 4 unit (RZE_{1,2,4,8} in stages 1–2, same as reducers) whose
     /// light first stages are shared by alternating light and heavy
-    /// reducers, extrapolated ×2 to 6400 chunks, priced on all 22
-    /// platform × opt configs with no pruning.
+    /// reducers, extrapolated ×2 to 6400 chunks, as stage-1 unit 0 of a
+    /// one-file table, priced on all 22 platform × opt configs with no
+    /// pruning.
     struct PricingFixture {
+        /// The unit's statistics as measured, before extrapolation.
         stats: UnitStats,
-        ctx: FileCtx,
+        table: UnitTable,
         configs: Vec<SimConfig>,
         plan: PrunePlan,
     }
@@ -1452,14 +1450,17 @@ mod tests {
                 let heavy = local % 2 == 1;
                 *cell = (pair(heavy), n * if heavy { 8000 } else { 16384 });
             }
+            let ctx = FileCtx {
+                extrapolate: 2.0,
+                chunks: 2 * n,
+                unc: 2 * n * 16384,
+                file_i: 1,
+            };
+            let mut units: Vec<Option<UnitStats>> = (0..nc).map(|_| None).collect();
+            units[0] = Some(stats.clone().extrapolated(&ctx));
             Self {
                 stats,
-                ctx: FileCtx {
-                    extrapolate: 2.0,
-                    chunks: 2 * n,
-                    unc: 2 * n * 16384,
-                    file_i: 1,
-                },
+                table: vec![FileTable { ctx, units }],
                 configs: [OptLevel::O1, OptLevel::O3]
                     .iter()
                     .flat_map(|&o| all_platforms(o))
@@ -1471,40 +1472,48 @@ mod tests {
             }
         }
 
-        fn price(&self, model: &Model) -> UnitRows {
-            price_unit(model, &self.stats, &self.ctx, &self.configs, &self.plan, 0)
+        /// The sums after pricing the table once: unit 0's cells are
+        /// pipelines `0..16` of the 64-pipeline RZE space.
+        fn price(&self, model: &Model) -> Sums {
+            let mut sums = Sums::new(4 * 4 * 4, self.configs.clone());
+            price(&self.table[0], model, &self.plan, Pool::new(2), &mut sums);
+            sums
         }
     }
 
     #[test]
     fn price_unit_is_model_pipeline_time() {
-        // Without jitter, every cell price_unit writes is the
-        // log-throughput of `Model::pipeline_time` on the cell's three
-        // extrapolated stages, bit for bit: the campaign has no pricing
-        // formula of its own.
+        // Without jitter, every cell price writes is the log-throughput
+        // of `Model::pipeline_time` on the cell's three extrapolated
+        // stages, bit for bit: the campaign has no pricing formula of its
+        // own.
         let f = PricingFixture::new();
         assert_eq!(f.configs.len(), 22);
-        let (x, chunks, unc) = (f.ctx.extrapolate, f.ctx.chunks, f.ctx.unc);
-        let nr = f.stats.s3.len() / f.stats.s2.len();
+        let ctx = &f.table[0].ctx;
+        let (x, chunks, unc) = (ctx.extrapolate, ctx.chunks, ctx.unc);
+        let stats = &f.stats;
+        let nr = stats.s3.len() / stats.s2.len();
         for combine in [Combine::Roofline, Combine::Additive] {
             let model = Model {
                 run_jitter: 0.0,
                 combine,
                 ..Model::PAPER
             };
-            let (enc, dec, comp) = f.price(&model);
-            for (local, (s3, bytes)) in f.stats.s3.iter().enumerate() {
+            let sums = f.price(&model);
+            let p_total = sums.compressed.len();
+            let comp = &sums.compressed;
+            for (local, (s3, bytes)) in stats.s3.iter().enumerate() {
                 assert_eq!(comp[local], paper_compressed_bytes(*bytes, x, chunks));
-                let stages = |d: usize| {
-                    [&f.stats.s1, &f.stats.s2[local / nr], s3].map(|pair| pair[d].scaled(x))
-                };
+                let stages =
+                    |d: usize| [&stats.s1, &stats.s2[local / nr], s3].map(|pair| pair[d].scaled(x));
                 for (c, cfg) in f.configs.iter().enumerate() {
-                    for (row, dir, d) in
-                        [(&enc, Direction::Encode, 0), (&dec, Direction::Decode, 1)]
-                    {
+                    for (row, dir, d) in [
+                        (&sums.enc_log, Direction::Encode, 0),
+                        (&sums.dec_log, Direction::Decode, 1),
+                    ] {
                         let t = model.pipeline_time(cfg, dir, &stages(d), chunks, unc, comp[local]);
                         let want = throughput_gbs(unc, t).max(f64::MIN_POSITIVE).ln();
-                        let got = row[c * f.stats.s3.len() + local];
+                        let got = row[c * p_total + local];
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
@@ -1527,8 +1536,8 @@ mod tests {
         let f = PricingFixture::new();
         let base = f.price(&Model::PAPER);
         let moves = |model: &Model| {
-            let rows = f.price(model);
-            rows.0 != base.0 || rows.1 != base.1
+            let sums = f.price(model);
+            sums.enc_log != base.enc_log || sums.dec_log != base.dec_log
         };
         let fields: [Field<Model>; 13] = [
             ("cycles_per_op", |m| &mut m.cycles_per_op),
@@ -1576,6 +1585,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The price half on its own: a complete journal of the quick
+    /// campaign, loaded into a table, prices to the campaign's own
+    /// measurements, bit for bit, every time; a 0.1 % change to one cycle
+    /// constant changes them.
+    #[test]
+    fn a_loaded_table_prices_the_same_twice_and_moves_with_the_model() {
+        let sc = StudyConfig::quick();
+        let path = temp_journal("price-twice");
+        let opts = CampaignOptions {
+            journal: Some(path.clone()),
+            ..Default::default()
+        };
+        let campaign = run_campaign_with(&sc, &opts).unwrap().measurements;
+        let plan = PrunePlan::for_space(&sc.space, opts.prune);
+        let meta = journal_meta(&sc, &plan, None, true);
+        let opts = CampaignOptions {
+            resume: true,
+            ..opts
+        };
+        let table = load(&sc, &opts, &meta).unwrap().table;
+        let nc = sc.space.components.len();
+        assert!(table.iter().all(|f| f.units.iter().flatten().count() == nc));
+        let priced = |model: &Model| {
+            let mut sums = Sums::new(sc.space.len(), campaign.configs.clone());
+            for file in &table {
+                price(file, model, &plan, Pool::new(sc.threads), &mut sums);
+            }
+            sums.finish(&sc, &plan)
+        };
+        let first = priced(&Model::PAPER);
+        assert_bitwise_equal(&first, &priced(&Model::PAPER));
+        assert_bitwise_equal(&first, &campaign);
+        let perturbed = priced(&Model {
+            cycles_per_op: Model::PAPER.cycles_per_op * 1.001,
+            ..Model::PAPER
+        });
+        assert_ne!(first.enc, perturbed.enc);
+        assert_ne!(first.dec, perturbed.dec);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -267,6 +267,75 @@ pub fn load(path: &Path) -> Result<LoadedJournal, String> {
     })
 }
 
+/// Why the statistics under meta records `a` and `b` must not be mixed,
+/// naming the most specific cause first: prune tier, class-map
+/// fingerprint, shard identity, dataset digests, then the rest. `None`
+/// when the fingerprints match. Resume (a journal against this campaign)
+/// and merge (one shard against another) both refuse through here;
+/// `names` says what `a` and `b` are, e.g. `["journal j.jsonl", "this
+/// campaign"]`.
+pub(crate) fn fingerprint_refusal(a: &Value, b: &Value, names: [&str; 2]) -> Option<String> {
+    let [na, nb] = names;
+    for (field, what) in [
+        ("prune", "prune mode"),
+        ("class_map", "class-map fingerprint"),
+    ] {
+        let (x, y) = (a[field].dump(), b[field].dump());
+        if x != y {
+            return Some(format!(
+                "{na} was written under {what} {x} but {nb} uses {y}; pruned cells are \
+                 journaled as zeros, so mixing prune modes would corrupt results — \
+                 rerun under one mode or start a fresh journal"
+            ));
+        }
+    }
+    let shard = |m: &Value| match m.get("shard").and_then(Value::as_str) {
+        Some(s) => format!("shard {s}"),
+        None => "the whole campaign (no shard)".to_string(),
+    };
+    if shard(a) != shard(b) {
+        return Some(format!(
+            "{na} belongs to {} but {nb} is {}; mixing shard identities would skip \
+             or duplicate work units — use the matching --shard (or --merge to fuse \
+             a complete shard set)",
+            shard(a),
+            shard(b)
+        ));
+    }
+    let (da, db) = (
+        a.get("dataset").and_then(Value::as_array),
+        b.get("dataset").and_then(Value::as_array),
+    );
+    if da != db {
+        let detail = first_dataset_difference(da, db)
+            .unwrap_or_else(|| "the dataset digest lists differ".to_string());
+        return Some(format!(
+            "{na} and {nb} were run on different inputs: {detail}; mixing statistics \
+             of different input data would produce a silently wrong run.json"
+        ));
+    }
+    (a != b).then(|| {
+        format!(
+            "{na} and {nb} come from a different campaign configuration (space, files, \
+             scale, or verify flag differ); refusing to mix them"
+        )
+    })
+}
+
+/// Name the first differing dataset entry for a refusal message.
+fn first_dataset_difference(a: Option<&[Value]>, b: Option<&[Value]>) -> Option<String> {
+    let (a, b) = (a?, b?);
+    match a.iter().zip(b).find(|(x, y)| x != y) {
+        Some((x, y)) => Some(format!(
+            "digest mismatch ({} vs {})",
+            x.as_str()?,
+            y.as_str()?
+        )),
+        None => (a.len() != b.len())
+            .then(|| format!("one set has {} input files, the other {}", a.len(), b.len())),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -343,8 +343,9 @@ impl Watchdog {
 }
 
 /// Why a checked stage execution did not produce an outcome.
+// pub-api: re-exported as `lc_study::QuarantineReason`, the reason of a `QuarantineEntry`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum StageFault {
+pub enum StageFault {
     /// The component panicked; payload message attached.
     Panic(String),
     /// The unit's watchdog expired before or during this stage.

@@ -289,44 +289,13 @@ pub fn merge_shards(dir: &Path, merged: &Path) -> Result<MergeReport, String> {
     // Cross-shard fingerprint agreement, most-specific check first so
     // the error names the actual operational mistake.
     let (ref_spec, ref_j) = (&loaded[0].0, &loaded[0].1);
+    let ref_meta = strip_shard(&ref_j.meta);
     for (spec, j) in &loaded[1..] {
-        for (field, what) in [
-            ("prune", "prune mode"),
-            ("class_map", "class-map fingerprint"),
-        ] {
-            let (a, b) = (&ref_j.meta[field], &j.meta[field]);
-            if a != b {
-                return Err(format!(
-                    "shard {} and shard {} were run under different {what} \
-                     ({} vs {}); their unit records are not comparable — \
-                     re-run the shards under one mode",
-                    ref_spec.label(),
-                    spec.label(),
-                    a.dump(),
-                    b.dump(),
-                ));
-            }
-        }
-        let da = ref_j.meta.get("dataset").and_then(Value::as_array);
-        let db = j.meta.get("dataset").and_then(Value::as_array);
-        if da != db {
-            let detail = first_dataset_difference(da, db)
-                .unwrap_or_else(|| "different dataset digest lists".to_string());
-            return Err(format!(
-                "shard {} and shard {} were run on different inputs: {detail}; \
-                 merging them would produce a silently wrong run.json",
-                ref_spec.label(),
-                spec.label(),
-            ));
-        }
-        if strip_shard(&ref_j.meta) != strip_shard(&j.meta) {
-            return Err(format!(
-                "shard {} and shard {} have incompatible campaign fingerprints \
-                 (space, files, scale, or verify flag differ); merge refuses \
-                 mixed campaigns",
-                ref_spec.label(),
-                spec.label(),
-            ));
+        let a = format!("shard {}", ref_spec.label());
+        let b = format!("shard {}", spec.label());
+        let theirs = strip_shard(&j.meta);
+        if let Some(why) = journal::fingerprint_refusal(&ref_meta, &theirs, [&a, &b]) {
+            return Err(why);
         }
     }
 
@@ -398,27 +367,6 @@ fn record_key(v: &Value) -> Option<(usize, usize)> {
     let f = v.get("file_index").and_then(Value::as_u64)? as usize;
     let i1 = v.get("s1_index").and_then(Value::as_u64)? as usize;
     Some((f, i1))
-}
-
-/// Name the first differing dataset entry for the refusal message.
-/// Shared with the campaign's resume path, which makes the same check
-/// against its freshly computed meta.
-pub(crate) fn first_dataset_difference(a: Option<&[Value]>, b: Option<&[Value]>) -> Option<String> {
-    let (a, b) = (a?, b?);
-    for (x, y) in a.iter().zip(b.iter()) {
-        let (x, y) = (x.as_str()?, y.as_str()?);
-        if x != y {
-            return Some(format!("digest mismatch ({x} vs {y})"));
-        }
-    }
-    if a.len() != b.len() {
-        return Some(format!(
-            "one set has {} input files, the other {}",
-            a.len(),
-            b.len()
-        ));
-    }
-    None
 }
 
 #[cfg(test)]
