@@ -37,7 +37,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gpu_sim::{CompilerId, Direction, OptLevel, SimConfig, ALL_GPUS, RTX_4090};
-use lc_core::{archive, DecodeError, Pipeline};
+use lc_core::{archive, buffer, DecodeError, Pipeline};
 use lc_parallel::Pool;
 
 /// Exit codes: generic failure (bad usage, I/O, unknown names).
@@ -340,7 +340,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let data = buffer::read_file(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = Instant::now();
     // invariant: with no cancel token the encode always completes.
     let res = archive::encode_with(&pipeline, &data, &pool, None).expect("uncancelled encode");
@@ -372,7 +372,7 @@ fn cmd_decompress(rest: &[String]) -> Result<(), CliError> {
         return Err("usage: lc decompress IN OUT [--max-decoded-bytes N]".into());
     };
     let limit = max_decoded_bytes(rest)?;
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let data = buffer::read_file(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = Instant::now();
     let (out, _) = decode_any(&data, limit, false)?;
     let dt = t0.elapsed().as_secs_f64();
@@ -427,7 +427,7 @@ fn cmd_salvage(rest: &[String]) -> Result<(), CliError> {
         return Err("usage: lc salvage IN OUT [--max-decoded-bytes N]".into());
     };
     let limit = max_decoded_bytes(rest)?;
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let data = buffer::read_file(input).map_err(|e| format!("{input}: {e}"))?;
     let t0 = Instant::now();
     let (out, report) = decode_any(&data, limit, true)?;
     // invariant: a salvaging decode of an archive always reports.
@@ -498,7 +498,7 @@ fn cmd_profile(rest: &[String]) -> Result<(), CliError> {
     let [path] = pos[..] else {
         return Err("usage: lc profile FILE".into());
     };
-    let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let data = buffer::read_file(path).map_err(|e| format!("{path}: {e}"))?;
     let p = lc_data::profile::profile(&data);
     println!("{path}: {} bytes", p.bytes);
     println!("  word repeat fraction : {:.4}", p.word_repeat_fraction);
@@ -516,11 +516,11 @@ fn cmd_verify(rest: &[String]) -> Result<(), CliError> {
         [a, o] => (a, Some(o)),
         _ => return Err("usage: lc verify ARCHIVE [ORIGINAL]".into()),
     };
-    let data = std::fs::read(archive_path).map_err(|e| format!("{archive_path}: {e}"))?;
+    let data = buffer::read_file(archive_path).map_err(|e| format!("{archive_path}: {e}"))?;
     let (out, _) = decode_any(&data, None, false)?;
     println!("{archive_path}: decodes cleanly to {} bytes", out.len());
     if let Some(orig_path) = original {
-        let orig = std::fs::read(orig_path).map_err(|e| format!("{orig_path}: {e}"))?;
+        let orig = buffer::read_file(orig_path).map_err(|e| format!("{orig_path}: {e}"))?;
         if orig == out {
             println!("matches {orig_path} bit-exactly");
         } else {

@@ -221,10 +221,35 @@ pub fn expand_with<const W: usize>(
     pos: &mut usize,
     out: &mut Vec<u8>,
 ) -> Result<(), DecodeError> {
-    debug_assert!(bm.len() >= n.div_ceil(8), "bitmap must cover n words");
     let start = out.len();
     out.resize(start + n * W, 0);
-    let dst = &mut out[start..];
+    expand_slice_with::<W>(v, mk, bm, src, pos, &mut out[start..])
+}
+
+/// [`expand`] into a caller-provided slice: `dst.len() / W` words, every
+/// byte of which is written (the bitmap recursion decodes each level into
+/// its place in one buffer).
+pub(crate) fn expand_into<const W: usize>(
+    mk: Mark,
+    bm: &[u8],
+    src: &[u8],
+    pos: &mut usize,
+    dst: &mut [u8],
+) -> Result<(), DecodeError> {
+    expand_slice_with::<W>(super::tier(), mk, bm, src, pos, dst)
+}
+
+fn expand_slice_with<const W: usize>(
+    v: Variant,
+    mk: Mark,
+    bm: &[u8],
+    src: &[u8],
+    pos: &mut usize,
+    dst: &mut [u8],
+) -> Result<(), DecodeError> {
+    let n = dst.len() / W;
+    debug_assert_eq!(dst.len(), n * W, "dst must be whole words");
+    debug_assert!(bm.len() >= n.div_ceil(8), "bitmap must cover n words");
     let mut i = 0usize;
     // A marked word 0 has no prior word to repeat: leave the whole input
     // to the portable loop, which reports it.

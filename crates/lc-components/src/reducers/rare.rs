@@ -27,7 +27,7 @@ use lc_core::{
     SpanClass, WorkClass,
 };
 
-use super::rre::{read_bitmap_block, write_bitmap_block};
+use super::rre::{levels_len, read_bitmap_block, write_bitmap_block, STACK_LEVELS};
 use super::{account_compaction_scan, read_frame, write_frame};
 use crate::util::bitpack::{bytes_for_bits, BitReader, BitWriter};
 use crate::util::words;
@@ -91,15 +91,16 @@ fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelSta
     let vals = words::to_vec::<W>(input);
     if n == 0 {
         out.push(1); // degenerate k so the frame stays parseable
-        write_bitmap_block(&mut Vec::new(), out, stats);
+        write_bitmap_block(&mut [], 0, out, stats);
         return;
     }
     let (k, _) = choose_k(&vals, bits, upper);
     let shift = bits - k;
     let upper_of = |v: u64| v >> shift;
 
-    // Bitmap over the upper parts.
-    let mut bm = vec![0u8; n.div_ceil(8)];
+    // Bitmap over the upper parts, with room for its levels behind it.
+    let bm_len = n.div_ceil(8);
+    let mut bm = vec![0u8; levels_len(bm_len)];
     let mut kept = 0usize;
     for i in 0..n {
         let marked = match upper {
@@ -113,7 +114,7 @@ fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelSta
         }
     }
     out.push(k as u8);
-    write_bitmap_block(&mut bm, out, stats);
+    write_bitmap_block(&mut bm, bm_len, out, stats);
     let mut writer = BitWriter::new(out);
     for i in 0..n {
         if bm[i / 8] & (1 << (i % 8)) == 0 {
@@ -131,7 +132,7 @@ fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelSta
     stats.thread_ops += n as u64 * 10 + u64::from(bits);
     stats.global_reads += input.len() as u64;
     stats.global_writes += out.len() as u64;
-    stats.shared_traffic += (n * W) as u64 * 2 + bm.len() as u64;
+    stats.shared_traffic += (n * W) as u64 * 2 + bm_len as u64;
     stats.divergent_branches += (n - kept) as u64 / 8 + 1;
     stats.atomic_ops += 2; // histogram accumulation uses shared atomics
     account_compaction_scan(stats, n);
@@ -159,8 +160,8 @@ fn decode<const W: usize>(
             context: "RARE k out of range",
         });
     }
-    let (mut bm, mut tmp) = (Vec::new(), Vec::new());
-    read_bitmap_block(input, &mut pos, stats, &mut bm, &mut tmp)?;
+    let (mut stack, mut heap) = ([0u8; STACK_LEVELS], Vec::new());
+    let bm = read_bitmap_block(input, &mut pos, stats, &mut stack, &mut heap)?;
     if n == 0 {
         out.extend_from_slice(frame.tail);
         return Ok(());

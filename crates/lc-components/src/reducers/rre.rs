@@ -35,7 +35,40 @@ pub(crate) use crate::kernels::bitmap::Mark;
 /// recursing further.
 pub(crate) const BITMAP_RAW_LIMIT: usize = 16;
 
-/// Recursively emit the bitmap block for `bm`.
+/// Bytes a bitmap of `len` bytes and every level below it take: each
+/// level above [`BITMAP_RAW_LIMIT`] bytes adds a meta level an eighth
+/// its size.
+pub(crate) const fn levels_len(len: usize) -> usize {
+    let (mut total, mut level) = (len, len);
+    while level > BITMAP_RAW_LIMIT {
+        level = level.div_ceil(8);
+        total += level;
+    }
+    total
+}
+
+/// Bytes of bitmap levels kept on the stack: all of them for a 16 KiB
+/// chunk at `W = 1`, the largest bitmap a chunk-sized input has
+/// (2,340 bytes).
+pub(crate) const STACK_LEVELS: usize = levels_len(lc_core::CHUNK_SIZE / 8);
+
+/// `levels_len(len)` zeroed bytes for a bitmap of `len` bytes and its
+/// levels: on the stack for a chunk-sized input, on the heap past it.
+fn level_scratch<'a>(
+    stack: &'a mut [u8; STACK_LEVELS],
+    heap: &'a mut Vec<u8>,
+    len: usize,
+) -> &'a mut [u8] {
+    let total = levels_len(len);
+    if total <= STACK_LEVELS {
+        &mut stack[..total]
+    } else {
+        heap.resize(total, 0);
+        &mut heap[..]
+    }
+}
+
+/// Recursively emit the bitmap block for the bitmap in `levels[..len]`.
 ///
 /// Every recursion level marks bitmap bytes that repeat their predecessor,
 /// independent of the word-level rule: bitmaps are run-heavy for both
@@ -44,55 +77,50 @@ pub(crate) const BITMAP_RAW_LIMIT: usize = 16;
 /// "repeatedly compressed with the same algorithm"; the exact byte-level
 /// rule is an implementation choice, documented here.)
 ///
-/// `bm` doubles as the scratch for the deeper levels — each an eighth of
-/// the one above, appended behind it — and is truncated back to the
-/// caller's bitmap before returning.
-pub(crate) fn write_bitmap_block(bm: &mut Vec<u8>, out: &mut Vec<u8>, stats: &mut KernelStats) {
-    let len = bm.len();
-    write_level(bm, 0, out, stats);
-    bm.truncate(len);
-}
-
-/// Emit the block for the level stored at `levels[at..]`.
-fn write_level(levels: &mut Vec<u8>, at: usize, out: &mut Vec<u8>, stats: &mut KernelStats) {
-    let len = levels.len() - at;
+/// `levels[len..levels_len(len)]` must be zeroed: it receives the deeper
+/// levels, each an eighth of the one above, behind it.
+pub(crate) fn write_bitmap_block(
+    levels: &mut [u8],
+    len: usize,
+    out: &mut Vec<u8>,
+    stats: &mut KernelStats,
+) {
     varint::write(out, len as u64);
     if len <= BITMAP_RAW_LIMIT {
-        out.extend_from_slice(&levels[at..]);
+        out.extend_from_slice(&levels[..len]);
         return;
     }
-    levels.resize(at + len + len.div_ceil(8), 0);
-    let (bm, meta) = levels[at..].split_at_mut(len);
-    let kept = bitmap::build_into::<1>(Mark::RepeatsPrior, bm, meta);
+    let (bm, below) = levels.split_at_mut(len);
+    let meta = len.div_ceil(8);
+    let kept = bitmap::build_into::<1>(Mark::RepeatsPrior, bm, &mut below[..meta]);
     stats.thread_ops += len as u64 * 2;
-    write_level(levels, at + len, out, stats);
-    let (bm, meta) = levels[at..].split_at(len);
-    bitmap::emit::<1>(bm, meta, kept, out);
+    write_bitmap_block(below, meta, out, stats);
+    bitmap::emit::<1>(bm, &below[..meta], kept, out);
 }
 
-/// Recursively read a bitmap block starting at `*pos` into `bm`
-/// (replacing its contents); `tmp` is scratch for every other level.
-pub(crate) fn read_bitmap_block(
+/// Read the bitmap block starting at `*pos` and return its level-0
+/// bitmap, decoded in [`level_scratch`] over `stack` and `heap`.
+pub(crate) fn read_bitmap_block<'a>(
     buf: &[u8],
     pos: &mut usize,
     stats: &mut KernelStats,
-    bm: &mut Vec<u8>,
-    tmp: &mut Vec<u8>,
-) -> Result<(), DecodeError> {
-    read_level(buf, pos, stats, None, bm, tmp)
+    stack: &'a mut [u8; STACK_LEVELS],
+    heap: &'a mut Vec<u8>,
+) -> Result<&'a [u8], DecodeError> {
+    let len = read_level_len(buf, pos, None)?;
+    let levels = level_scratch(stack, heap, len);
+    read_level(buf, pos, stats, len, levels)?;
+    Ok(&levels[..len])
 }
 
-/// Read one level; `expect` is the size the level above needs it to be.
-/// Checking it before descending bounds the recursion by the 8× shrink
-/// per level instead of by the input length.
-fn read_level(
+/// Read a level's length; `expect` is the size the level above needs it
+/// to be. Checking it before descending bounds the recursion by the 8×
+/// shrink per level instead of by the input length.
+fn read_level_len(
     buf: &[u8],
     pos: &mut usize,
-    stats: &mut KernelStats,
     expect: Option<usize>,
-    bm: &mut Vec<u8>,
-    tmp: &mut Vec<u8>,
-) -> Result<(), DecodeError> {
+) -> Result<usize, DecodeError> {
     let len = varint::read(buf, pos)? as usize;
     // A level-0 bitmap covers at most 2·CHUNK_SIZE words → bound every
     // level by that to stop corrupt archives from over-allocating.
@@ -106,34 +134,48 @@ fn read_level(
             context: "bitmap meta level size",
         });
     }
+    Ok(len)
+}
+
+/// Decode the level of `len` bytes whose length was just read into
+/// `levels[..len]`, and the levels below it behind it.
+fn read_level(
+    buf: &[u8],
+    pos: &mut usize,
+    stats: &mut KernelStats,
+    len: usize,
+    levels: &mut [u8],
+) -> Result<(), DecodeError> {
+    let (bm, below) = levels.split_at_mut(len);
     if len <= BITMAP_RAW_LIMIT {
         let raw = buf.get(*pos..*pos + len).ok_or(DecodeError::Truncated {
             context: "raw bitmap block",
         })?;
-        bm.clear();
-        bm.extend_from_slice(raw);
+        bm.copy_from_slice(raw);
         *pos += len;
         return Ok(());
     }
-    read_level(buf, pos, stats, Some(len.div_ceil(8)), tmp, bm)?;
+    let meta = read_level_len(buf, pos, Some(len.div_ceil(8)))?;
+    read_level(buf, pos, stats, meta, below)?;
     stats.thread_ops += len as u64 * 2;
-    bm.clear();
-    bitmap::expand::<1>(Mark::RepeatsPrior, tmp, len, buf, pos, bm)
+    bitmap::expand_into::<1>(Mark::RepeatsPrior, &below[..meta], buf, pos, bm)
 }
 
 fn encode<const W: usize>(input: &[u8], out: &mut Vec<u8>, stats: &mut KernelStats, mark: Mark) {
     let n = write_frame::<W>(input, out);
     let src = &input[..n * W];
-    // One allocation for the bitmap and every level below it.
-    let mut bm = Vec::with_capacity(n.div_ceil(8) * 8 / 7 + 8);
-    let kept = bitmap::build::<W>(mark, src, &mut bm);
-    write_bitmap_block(&mut bm, out, stats);
-    bitmap::emit::<W>(src, &bm, kept, out);
+    // The bitmap and every level below it, in one scratch.
+    let len = n.div_ceil(8);
+    let (mut stack, mut heap) = ([0u8; STACK_LEVELS], Vec::new());
+    let levels = level_scratch(&mut stack, &mut heap, len);
+    let kept = bitmap::build_into::<W>(mark, src, &mut levels[..len]);
+    write_bitmap_block(levels, len, out, stats);
+    bitmap::emit::<W>(src, &levels[..len], kept, out);
     stats.words += n as u64;
     stats.thread_ops += n as u64 * 3;
     stats.global_reads += input.len() as u64;
     stats.global_writes += out.len() as u64;
-    stats.shared_traffic += (n * W + bm.len()) as u64;
+    stats.shared_traffic += (n * W + len) as u64;
     stats.divergent_branches += (n - kept) as u64 / 8 + 1;
     account_compaction_scan(stats, n);
 }
@@ -147,15 +189,15 @@ fn decode<const W: usize>(
     let frame = read_frame::<W>(input)?;
     let n = frame.n_words;
     let mut pos = frame.body;
-    let (mut bm, mut tmp) = (Vec::new(), Vec::new());
-    read_bitmap_block(input, &mut pos, stats, &mut bm, &mut tmp)?;
+    let (mut stack, mut heap) = ([0u8; STACK_LEVELS], Vec::new());
+    let bm = read_bitmap_block(input, &mut pos, stats, &mut stack, &mut heap)?;
     if bm.len() != n.div_ceil(8) {
         return Err(DecodeError::Corrupt {
             context: "bitmap size vs word count",
         });
     }
     out.reserve(n * W + frame.tail.len());
-    bitmap::expand::<W>(mark, &bm, n, input, &mut pos, out)?;
+    bitmap::expand::<W>(mark, bm, n, input, &mut pos, out)?;
     out.extend_from_slice(frame.tail);
     stats.words += n as u64;
     stats.thread_ops += n as u64 * 2;
@@ -239,9 +281,15 @@ mod tests {
     use lc_core::verify::roundtrip_component;
 
     fn read_block(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, DecodeError> {
-        let (mut bm, mut tmp) = (Vec::new(), Vec::new());
-        read_bitmap_block(buf, pos, &mut KernelStats::new(), &mut bm, &mut tmp)?;
-        Ok(bm)
+        let (mut stack, mut heap) = ([0u8; STACK_LEVELS], Vec::new());
+        let bm = read_bitmap_block(buf, pos, &mut KernelStats::new(), &mut stack, &mut heap)?;
+        Ok(bm.to_vec())
+    }
+
+    fn write_block(bm: &[u8], out: &mut Vec<u8>) {
+        let mut levels = bm.to_vec();
+        levels.resize(levels_len(bm.len()), 0);
+        write_bitmap_block(&mut levels, bm.len(), out, &mut KernelStats::new());
     }
 
     #[test]
@@ -298,7 +346,7 @@ mod tests {
         for len in [0usize, 1, 16, 17, 100, 2048] {
             let bm: Vec<u8> = (0..len).map(|i| ((i / 5) % 256) as u8).collect();
             let mut out = Vec::new();
-            write_bitmap_block(&mut bm.clone(), &mut out, &mut KernelStats::new());
+            write_block(&bm, &mut out);
             let mut pos = 0;
             let back = read_block(&out, &mut pos).unwrap();
             assert_eq!(back, bm, "len={len}");
@@ -310,7 +358,7 @@ mod tests {
     fn bitmap_block_rejects_truncation() {
         let bm: Vec<u8> = (0..200).map(|i| (i % 7) as u8).collect();
         let mut out = Vec::new();
-        write_bitmap_block(&mut bm.clone(), &mut out, &mut KernelStats::new());
+        write_block(&bm, &mut out);
         for cut in 0..out.len() {
             assert!(read_block(&out[..cut], &mut 0).is_err(), "cut={cut}");
         }

@@ -64,6 +64,7 @@ use std::sync::Arc;
 use lc_parallel::{CancelToken, DisjointSlice, LookbackScan, Pool};
 use lc_telemetry::{span, Span};
 
+use crate::buffer;
 use crate::checksum::{combine, crc32};
 use crate::chunk::{chunk_count, chunk_range, CHUNK_SIZE};
 use crate::component::Component;
@@ -268,7 +269,7 @@ pub fn encode_with(
 
     // Header and a placeholder table; the whole-input CRC and the table
     // rows are only known after the pass and are patched in below.
-    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + input.len());
+    let mut archive = buffer::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + input.len());
     write_prologue(&mut archive, MAGIC, VERSION, pipeline);
     archive.extend_from_slice(&(input.len() as u64).to_le_bytes());
     let crc_at = archive.len();
@@ -1044,7 +1045,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn pass(&self, pool: &Pool, policy: Faults) -> (Vec<u8>, Decoded) {
-        let mut out = vec![0u8; self.header.original_len as usize];
+        let mut out = buffer::zeroed(self.header.original_len as usize);
         let pass = decode_chunks(
             &self.codec,
             &self.rows,
@@ -1288,6 +1289,40 @@ mod tests {
         assert_eq!(report.recovered, 3);
         assert_eq!(report.lost, 0);
         assert!(report.errors.is_empty());
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "9 MiB through the interpreter takes hours")]
+    fn large_round_trip_is_identical_across_thread_counts() {
+        // 9 MiB: the archive and the decoded output each hold aligned
+        // 2 MiB blocks, so the huge-page hint fires on both. Every third
+        // chunk ends in bytes AddOne turns to zero, so DTZ shrinks it.
+        let data: Vec<u8> = (0..9 << 20)
+            .map(|i| match (i / CHUNK_SIZE % 3, i % CHUNK_SIZE) {
+                (0, at) if at >= CHUNK_SIZE / 2 => 255,
+                _ => (i % 200) as u8 + 1,
+            })
+            .collect();
+        let archives = [1, 2].map(|threads| {
+            let pool = Pool::new(threads);
+            let archive = encode(&pipeline(), &data, &pool);
+            assert!(
+                decode(&archive, resolver, &pool).unwrap() == data,
+                "{threads} threads"
+            );
+            let (out, report) = salvage(&archive, resolver, &pool);
+            assert!(report.is_clean(), "{threads} threads: {report:?}");
+            assert!(out == data, "{threads} threads");
+            archive
+        });
+        assert!(
+            archives[0] == archives[1],
+            "archives differ across thread counts"
+        );
+        assert!(
+            archives[0].len() < data.len() * 7 / 8,
+            "DTZ shrank a third of the chunks"
+        );
     }
 
     #[test]

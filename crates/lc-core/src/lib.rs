@@ -19,9 +19,12 @@
 //! * [`archive`] — the chunked compressed format plus parallel encode and
 //!   decode drivers, whose output placement uses the decoupled look-back
 //!   scan from `lc-parallel` exactly as the GPU encoder does;
+//! * [`buffer`] — the one allocation path for fresh large codec buffers,
+//!   hinted to fault in 2 MiB pages;
 //! * [`verify`] — round-trip checking helpers used across the test suite.
 
 pub mod archive;
+pub mod buffer;
 pub mod checksum;
 pub mod chunk;
 pub mod component;
